@@ -122,19 +122,13 @@ def cmd_learn(args) -> int:
     return EXIT_OK
 
 
-def _reproduce_round(spec, start, mode, stages, step_size, sim) -> tuple:
-    learn = LearnConfig(
-        stages=stages,
-        step_size=step_size,
-        mode=mode,
-        sim=sim,
-        grad_tolerance=EXACT_TOLERANCE if mode == "exact" else 0.0,
-    )
-    return run_gradient_play(spec, start, learn)
+def _given(flag, default):
+    """The flag's value unless it was omitted; an explicit 0 stays 0."""
+    return default if flag is None else flag
 
 
 def cmd_reproduce_paper(args) -> int:
-    mode = args.mode or "model-free"
+    mode = _given(args.mode, "model-free")
     if mode not in ("exact", "model-free"):
         raise ConfigError("mode must be 'exact' or 'model-free'")
     seed = resolve_seed(args.seed)
@@ -142,20 +136,30 @@ def cmd_reproduce_paper(args) -> int:
     # differ only in their starting profiles; --independent-rounds gives the
     # second round its own stream.
     round_seeds = (seed, seed + 1 if args.independent_rounds else seed)
-    stages = args.stages or (FIVE_PLAYER_STAGES if mode == "model-free" else EXACT_STAGE_CAP)
-    step_size = args.step_size or 1.0
-    out = Path(args.out or "runs/reproduce-paper")
+    stages = _given(args.stages, FIVE_PLAYER_STAGES if mode == "model-free" else EXACT_STAGE_CAP)
+    step_size = _given(args.step_size, 1.0)
+    batch_size = _given(args.batch, FIVE_PLAYER_BATCH)
+    horizon = _given(args.horizon, FIVE_PLAYER_HORIZON)
+    dt = _given(args.dt, REPRODUCE_DT)
+    out = Path(_given(args.out, "runs/reproduce-paper"))
+
+    try:
+        learns = [
+            LearnConfig(
+                stages=stages,
+                step_size=step_size,
+                mode=mode,
+                sim=SimConfig(batch_size=batch_size, horizon=horizon, dt=dt, seed=rseed),
+                grad_tolerance=EXACT_TOLERANCE if mode == "exact" else 0.0,
+            )
+            for rseed in round_seeds
+        ]
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
     spec = five_player_game()
-    runs = []
-    for start, rseed in zip((FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START), round_seeds):
-        sim = SimConfig(
-            batch_size=args.batch or FIVE_PLAYER_BATCH,
-            horizon=args.horizon or FIVE_PLAYER_HORIZON,
-            dt=args.dt or REPRODUCE_DT,
-            seed=rseed,
-        )
-        runs.append(_reproduce_round(spec, start, mode, stages, step_size, sim))
+    starts = (FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START)
+    runs = [run_gradient_play(spec, start, learn) for start, learn in zip(starts, learns)]
 
     out.mkdir(parents=True, exist_ok=True)
     for index, run in enumerate(runs, start=1):
@@ -164,7 +168,6 @@ def cmd_reproduce_paper(args) -> int:
     finals = [run.final.k for run in runs]
     cross_gap = float(np.max(np.abs(finals[0] - finals[1])))
     published = (FIVE_PLAYER_ROUND1_FINAL, FIVE_PLAYER_ROUND2_FINAL)
-    starts = (FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START)
 
     _write_comparison(out / "comparison.csv", starts, finals, published)
 
@@ -188,9 +191,9 @@ def cmd_reproduce_paper(args) -> int:
         "round_seeds": list(round_seeds),
         "stages": stages,
         "step_size": step_size,
-        "batch_size": args.batch or FIVE_PLAYER_BATCH,
-        "horizon": args.horizon or FIVE_PLAYER_HORIZON,
-        "dt": args.dt or REPRODUCE_DT,
+        "batch_size": batch_size,
+        "horizon": horizon,
+        "dt": dt,
         "rounds": [
             {
                 "start": _flt(start),

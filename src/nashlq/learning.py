@@ -12,12 +12,13 @@ the system matrices or the others' actions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .game import ActionProfile, GameSpec, evaluate, marginal_cost_from_cost, _profile
-from .simulate import SimConfig, monte_carlo_cost
+from .simulate import SimConfig, _is_int, monte_carlo_cost
 
 __all__ = [
     "LearnConfig",
@@ -49,12 +50,14 @@ class LearnConfig:
     record_history: bool = True
 
     def __post_init__(self):
-        if self.stages < 1:
-            raise ValueError("stages must be at least 1")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
-        if self.grad_tolerance < 0:
-            raise ValueError("grad_tolerance must be nonnegative")
+        if not _is_int(self.stages) or self.stages < 1:
+            raise ValueError(f"stages must be an integer >= 1, got {self.stages!r}")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size!r}")
+        if not (math.isfinite(self.grad_tolerance) and self.grad_tolerance >= 0):
+            raise ValueError(
+                f"grad_tolerance must be nonnegative and finite, got {self.grad_tolerance!r}"
+            )
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
 

@@ -4,13 +4,21 @@ Trajectories of ``xdot = (A - K) x`` from random initial states are the
 model-free side of the game: each player averages its sampled finite-horizon
 cost over a batch and never sees the system matrices.  Because ``A - K`` is
 symmetric, one eigendecomposition per profile gives exact trajectories, and
-both the exact time integral and its composite-trapezoid counterpart reduce
-to an n-by-n table of per-mode-pair integrals, so whole batches evaluate
-without materializing time grids per trajectory.
+the squared state expands bilinearly over mode pairs.  The cost integral
+therefore needs only an n-by-n table of per-mode-pair integrals of
+``exp((lam_m + lam_p) t)``, exact or composite trapezoid; on a uniform grid
+the trapezoid sum is a geometric series, so both variants are closed forms
+and no time grid is ever built.
+
+A batch mean needs only the batch's second moment in modal coordinates,
+``S = C^T C / B`` with ``C = x0 @ Q``, so a Monte Carlo stage costs
+O(B n^2 + n^3).  Per-trajectory costs, O(B n^3), are computed only by
+:func:`simulate_batch`, for callers that need the spread of the batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +44,6 @@ SQRT3 = 1.7320508075688772
 
 _INTEGRATORS = ("quadrature", "exact")
 
-# Time grids are processed in bounded chunks so long horizons at fine steps
-# never materialize an n^2-by-steps array.
-_CHUNK = 8192
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -52,14 +56,21 @@ class SimConfig:
     integrator: str = "quadrature"
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not _is_int(self.batch_size) or self.batch_size < 1:
+            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not 0 < self.dt <= self.horizon:
             raise ValueError("dt must satisfy 0 < dt <= horizon")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.integrator not in _INTEGRATORS:
             raise ValueError(f"integrator must be one of {_INTEGRATORS}")
+
+
+def _is_int(value) -> bool:
+    """True for Python and NumPy integers, but not for ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,14 +108,19 @@ def simulate_state(spec: GameSpec, k, x0, t: float) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     return q @ (np.exp(lam * t) * (q.T @ x0))
 
+
 def pair_integrals(eigs: np.ndarray, horizon: float, dt: float | None = None) -> np.ndarray:
     """Table of ``integral_0^T exp((lam_m + lam_p) t) dt`` over mode pairs.
 
     With ``dt=None`` the integrals are exact; otherwise they are composite
-    trapezoid sums on a uniform grid of ``round(T/dt)`` steps.  Squared
-    states expand bilinearly over modes, so this table is the only
-    time-dependence the cost integral needs.  Either variant is a
-    nonnegative combination of rank-one terms, hence positive semidefinite.
+    trapezoid sums on a uniform grid of ``N = round(T/dt)`` steps of
+    ``h = T/N``.  That sum is a geometric series in ``exp(z)``,
+    ``z = (lam_m + lam_p) h``, evaluated in closed form as
+    ``h (1 + e^z)/2 * expm1(N z)/expm1(z)`` (no subtractive cancellation;
+    the ``z = 0`` limit is ``T``).  Squared states expand bilinearly over
+    modes, so this table is the only time-dependence the cost integral
+    needs.  Either variant is a nonnegative combination of rank-one terms,
+    hence positive semidefinite.
     """
     eigs = np.asarray(eigs, dtype=float)
     s = eigs[:, None] + eigs[None, :]
@@ -113,25 +129,43 @@ def pair_integrals(eigs: np.ndarray, horizon: float, dt: float | None = None) ->
         return np.where(s == 0.0, horizon, np.expm1(s * horizon) / denom)
     steps = max(1, round(horizon / dt))
     step = horizon / steps
-    out = np.zeros_like(s)
-    for start in range(0, steps + 1, _CHUNK):
-        t = step * np.arange(start, min(start + _CHUNK, steps + 1))
-        w = np.full(t.shape, step)
-        if start == 0:
-            w[0] *= 0.5
-        if start + _CHUNK > steps:
-            w[-1] *= 0.5
-        out += (np.exp(s[:, :, None] * t) * w).sum(axis=-1)
-    return out
+    z = s * step
+    flat = z == 0.0
+    z = np.where(flat, 1.0, z)
+    trapezoid = step * 0.5 * (1.0 + np.exp(z)) * (np.expm1(steps * z) / np.expm1(z))
+    return np.where(flat, horizon, trapezoid)
+
+
+def _weights(spec: GameSpec, k: np.ndarray, config: SimConfig):
+    """Modal basis and pair-integral table of the closed loop at ``k``."""
+    lam, q = _modes(spec, k)
+    dt = None if config.integrator == "exact" else config.dt
+    return q, pair_integrals(lam, config.horizon, dt)
 
 
 def _batch_cost(spec: GameSpec, k, x0: np.ndarray, config: SimConfig) -> np.ndarray:
+    """Per-trajectory costs, shape ``(B, n)``: O(B n^3)."""
     k = _profile(spec, k)
-    lam, q = _modes(spec, k)
-    w = pair_integrals(lam, config.horizon, None if config.integrator == "exact" else config.dt)
+    q, w = _weights(spec, k, config)
     coords = x0 @ q
     d = q[None, :, :] * coords[:, None, :]
     base = np.einsum("bim,mp,bip->bi", d, w, d)
+    # the integrand is a square; clamp eigensolver round-off
+    return (1.0 + spec.rho * k**2) * np.maximum(base, 0.0)
+
+
+def _mean_cost(spec: GameSpec, k, x0: np.ndarray, config: SimConfig) -> np.ndarray:
+    """Mean cost over the rows of ``x0``, shape ``(n,)``: O(B n^2 + n^3).
+
+    The mean of ``sum_mp d_bim W_mp d_bip`` with ``d_bim = q_im c_bm`` is
+    ``sum_mp q_im q_ip W_mp S_mp``, where ``S = C^T C / B`` is the batch's
+    second moment in modal coordinates ``C = x0 @ Q``.
+    """
+    k = _profile(spec, k)
+    q, w = _weights(spec, k, config)
+    coords = x0 @ q
+    second_moment = (coords.T @ coords) / x0.shape[0]
+    base = np.sum((q @ (w * second_moment)) * q, axis=1)
     # the integrand is a square; clamp eigensolver round-off
     return (1.0 + spec.rho * k**2) * np.maximum(base, 0.0)
 
@@ -144,7 +178,15 @@ def trajectory_cost(spec: GameSpec, k, x0, config: SimConfig) -> np.ndarray:
     composite trapezoid depending on ``config.integrator``.
     """
     x0 = np.asarray(x0, dtype=float)
-    return _batch_cost(spec, k, x0[None, :], config)[0]
+    return _mean_cost(spec, k, x0[None, :], config)
+
+
+def _draw_batch(spec: GameSpec, k, config: SimConfig, stage: int):
+    """Stability-check ``k``, then draw the ``(seed, stage)`` batch of states."""
+    k = _profile(spec, k)
+    _factor(np.diag(k) - spec.a)  # stability check up front
+    rng = substream(config.seed, stage)
+    return k, rng.uniform(-SQRT3, SQRT3, size=(config.batch_size, spec.n))
 
 
 def simulate_batch(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> TrajectoryBatch:
@@ -155,17 +197,20 @@ def simulate_batch(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> Traj
     batch is later processed.  Raises :class:`NotPositiveDefinite` before
     simulating if the profile leaves the stable region.
     """
-    k = _profile(spec, k)
-    _factor(np.diag(k) - spec.a)  # stability check up front
-    rng = substream(config.seed, stage)
-    x0 = rng.uniform(-SQRT3, SQRT3, size=(config.batch_size, spec.n))
+    k, x0 = _draw_batch(spec, k, config, stage)
     return TrajectoryBatch(x0=x0, per_player_cost=_batch_cost(spec, k, x0, config))
 
 
 def monte_carlo_cost(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> np.ndarray:
     """Batch-mean estimate of each player's cost at the given profile.
 
-    Unbiased for the horizon-truncated cost; trajectories are averaged in
-    index order so the estimate is bit-stable for a given ``(seed, stage)``.
+    Unbiased for the horizon-truncated cost.  The batch is the one
+    :func:`simulate_batch` draws from the ``(seed, stage)`` substream, and
+    its mean is taken through the batch's modal second moment in a single
+    BLAS reduction, so the estimate is deterministic for a given
+    ``(seed, stage)`` and equals ``simulate_batch(...).per_player_cost.mean(0)``
+    to round-off.  Raises :class:`NotPositiveDefinite` before sampling if
+    the profile leaves the stable region.
     """
-    return simulate_batch(spec, k, config, stage).per_player_cost.mean(axis=0)
+    k, x0 = _draw_batch(spec, k, config, stage)
+    return _mean_cost(spec, k, x0, config)

@@ -105,6 +105,29 @@ class TestReproducePaper:
             run_cli("reproduce-paper", "--mode", "fictitious", "--out", str(tmp_path))
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, name",
+        [("--step-size", "step_size"), ("--batch", "batch_size"), ("--dt", "dt")],
+    )
+    def test_zero_flag_is_config_error_not_default(self, tmp_path, capsys, flag, name):
+        out = tmp_path / "rp"
+        assert run_cli("reproduce-paper", flag, "0", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_explicit_flags_reach_summary(self, tmp_path):
+        out = tmp_path / "rp"
+        code = run_cli(
+            "reproduce-paper", "--stages", "2", "--batch", "7", "--horizon", "5",
+            "--dt", "0.5", "--step-size", "0.5", "--out", str(out),
+        )
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["stages"], summary["batch_size"], summary["step_size"]) == (2, 7, 0.5)
+        assert (summary["horizon"], summary["dt"]) == (5.0, 0.5)
+
 
 class TestCheckRosen:
     def test_five_player_preset_clean(self, tmp_path):

@@ -208,6 +208,11 @@ class TestLearnConfig:
             {"step_size": 0.0},
             {"grad_tolerance": -1.0},
             {"mode": "bestresponse"},
+            {"grad_tolerance": float("nan")},
+            {"grad_tolerance": float("inf")},
+            {"stages": 2.5},
+            {"stages": True},
+            {"step_size": float("inf")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

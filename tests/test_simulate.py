@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nashlq import (
@@ -21,6 +21,28 @@ from nashlq import (
 from util import random_game, rel_gap
 
 SQRT3 = np.sqrt(3.0)
+
+
+def loop_pair_integrals(eigs, horizon, dt, chunk=8192):
+    """Reference: the retired chunked time-grid trapezoid over mode pairs."""
+    eigs = np.asarray(eigs, dtype=float)
+    s = eigs[:, None] + eigs[None, :]
+    steps = max(1, round(horizon / dt))
+    step = horizon / steps
+    out = np.zeros_like(s)
+    for start in range(0, steps + 1, chunk):
+        t = step * np.arange(start, min(start + chunk, steps + 1))
+        w = np.full(t.shape, step)
+        if start == 0:
+            w[0] *= 0.5
+        if start + chunk > steps:
+            w[-1] *= 0.5
+        out += (np.exp(s[:, :, None] * t) * w).sum(axis=-1)
+    return out
+
+
+def max_rel(a, b):
+    return float(np.max(np.abs(a - b) / np.abs(b)))
 
 
 class TestSampling:
@@ -165,6 +187,27 @@ class TestMonteCarlo:
             monte_carlo_cost(spec, k, config), trajectory_cost(spec, k, batch.x0[0], config)
         )
 
+    @settings(max_examples=40)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 20),
+        st.integers(1, 300),
+        st.sampled_from(["quadrature", "exact"]),
+        st.floats(1.0, 200.0),
+        st.floats(0.005, 0.5),
+    )
+    def test_second_moment_mean_matches_per_trajectory_mean(
+        self, seed, n, batch_size, integrator, horizon, dt
+    ):
+        spec, k = random_game(seed, n=n)
+        config = SimConfig(
+            batch_size=batch_size, horizon=horizon, dt=min(dt, horizon),
+            seed=seed, integrator=integrator,
+        )
+        batch = simulate_batch(spec, k, config, stage=3)
+        mean = batch.per_player_cost.mean(axis=0)
+        assert max_rel(monte_carlo_cost(spec, k, config, stage=3), mean) <= 1e-12
+
     def test_costs_nonnegative(self):
         spec, k = random_game(13)
         batch = simulate_batch(spec, k, SimConfig(batch_size=256, horizon=30.0, seed=5))
@@ -216,6 +259,33 @@ class TestPairIntegrals:
             w = pair_integrals(eigs, 30.0, dt)
             assert np.linalg.eigvalsh(w).min() > -1e-12 * np.max(w)
 
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.floats(-8.0, -1e-3), min_size=1, max_size=6),
+        st.floats(0.5, 300.0),
+        st.floats(0.005, 0.5),
+    )
+    def test_closed_form_trapezoid_matches_grid_loop(self, eigs, horizon, dt):
+        dt = min(dt, horizon)
+        out = pair_integrals(np.array(eigs), horizon, dt)
+        assert max_rel(out, loop_pair_integrals(eigs, horizon, dt)) <= 1e-12
+
+    @pytest.mark.parametrize("steps", [1, 2, 8191, 8192, 8193, 16385])
+    def test_closed_form_trapezoid_at_chunk_boundaries(self, steps):
+        eigs = -substream(steps).uniform(0.01, 4.0, size=4)
+        horizon, dt = 0.01 * steps, 0.01
+        assert round(horizon / dt) == steps
+        out = pair_integrals(eigs, horizon, dt)
+        assert max_rel(out, loop_pair_integrals(eigs, horizon, dt)) <= 1e-12
+
+    def test_closed_form_trapezoid_exact_zero_rate_pair(self):
+        # lam_0 + lam_1 == 0 exactly: the z = 0 limit is the horizon itself
+        eigs = np.array([0.7, -0.7, -1.3])
+        out = pair_integrals(eigs, 3.0, 0.01)
+        assert out[0, 1] == out[1, 0] == 3.0
+        assert np.all(np.isfinite(out))
+        assert max_rel(out, loop_pair_integrals(eigs, 3.0, 0.01)) <= 1e-12
+
     def test_matrix_exponential_integral_identity(self):
         # trapezoid quadrature of exp(2(A - K) t) over [0, 50/lam_min]
         # approaches (K - A)^{-1}/2; the quadrature side uses expm powers,
@@ -249,8 +319,19 @@ class TestSimConfig:
             {"dt": 0.0},
             {"dt": 300.0},
             {"integrator": "rk4"},
+            {"batch_size": 2.5},
+            {"batch_size": True},
+            # with quadrature, round(inf / dt) would overflow deep inside
+            {"horizon": float("inf")},
+            {"horizon": float("nan")},
+            {"seed": -1},
+            {"seed": 1.5},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        config = SimConfig(batch_size=np.int64(4), seed=np.uint32(7))
+        assert config.batch_size == 4 and config.seed == 7
