@@ -11,6 +11,7 @@ up evidence (or surface a counterexample with a reproducible witness).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .game import (
     pseudogradient_jacobian,
     profile_array,
 )
-from .simulate import substream
+from .simulate import _is_int, substream
 
 __all__ = [
     "PreconditionViolated",
@@ -61,14 +62,18 @@ class MatrixEnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
-        if not self.offdiag_scale > 0:
-            raise ValueError("offdiag_scale must be positive")
-        if not self.dominance_margin > 0:
-            raise ValueError("dominance_margin must be positive")
+        if not _is_int(self.n) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        if not _is_int(self.count) or self.count < 1:
+            raise ValueError(f"count must be an integer >= 1, got {self.count!r}")
+        if not (math.isfinite(self.offdiag_scale) and self.offdiag_scale > 0):
+            raise ValueError(f"offdiag_scale must be positive and finite, got {self.offdiag_scale!r}")
+        if not (math.isfinite(self.dominance_margin) and self.dominance_margin > 0):
+            raise ValueError(
+                f"dominance_margin must be positive and finite, got {self.dominance_margin!r}"
+            )
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,6 +205,8 @@ def rosen_sweep(spec: GameSpec, samples: int = 200, seed=0) -> RosenReport:
     ``seed`` may be an integer or a Generator to continue an existing stream.
     The sweep is sampled evidence, not a proof.
     """
+    if not _is_int(samples) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
     points = _box_samples(spec, samples, rng)
     best = np.inf

@@ -13,20 +13,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
-    MatrixEnsembleConfig,
+    PreconditionViolated,
     conjecture_sweep,
     generate_sdd_matrix,
     rosen_sweep,
     two_player_mu,
 )
-from .config import ConfigError, load_experiment, resolve_seed
+from .config import ConfigError, load_ensemble, load_experiment, load_matrix, read_config, resolve
 from .game import GameSpec, NotPositiveDefinite, cost, stability_margin
-from .learning import LearnConfig, run_gradient_play
+from .learning import run_gradient_play
 from .output import write_history, write_json
 from .presets import (
     FIVE_PLAYER_ROUND1_FINAL,
@@ -36,9 +37,9 @@ from .presets import (
     FIVE_PLAYER_BATCH,
     FIVE_PLAYER_HORIZON,
     FIVE_PLAYER_STAGES,
-    five_player_game,
+    PRESETS,
 )
-from .simulate import SimConfig, monte_carlo_cost, substream
+from .simulate import monte_carlo_cost, substream
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -52,6 +53,16 @@ EXIT_SOLVER = 3
 REPRODUCE_DT = 0.01
 EXACT_STAGE_CAP = 20000
 EXACT_TOLERANCE = 1e-9
+
+# The study's settings, for each reproduce-paper flag left out.
+REPRODUCE_DEFAULTS = {
+    "preset": "five-player",
+    "mode": "model-free",
+    "batch_size": FIVE_PLAYER_BATCH,
+    "horizon": FIVE_PLAYER_HORIZON,
+    "dt": REPRODUCE_DT,
+    "output_dir": "runs/reproduce-paper",
+}
 
 _K0_STREAM = 101
 
@@ -74,21 +85,8 @@ def _game_dict(spec: GameSpec) -> dict:
 
 
 def _overrides(args) -> dict:
-    return {
-        "preset": getattr(args, "preset", None),
-        "seed": getattr(args, "seed", None),
-        "mode": getattr(args, "mode", None),
-        "stages": getattr(args, "stages", None),
-        "step_size": getattr(args, "step_size", None),
-        "batch_size": getattr(args, "batch", None),
-        "horizon": getattr(args, "horizon", None),
-        "dt": getattr(args, "dt", None),
-        "integrator": getattr(args, "integrator", None),
-        "grad_tolerance": getattr(args, "grad_tolerance", None),
-        "k0": _parse_profile(getattr(args, "k0", None)),
-        "output_dir": getattr(args, "out", None),
-        "format": getattr(args, "format", None),
-    }
+    """The flags under their config keys; an omitted flag is None."""
+    return dict(vars(args), output_dir=args.out, k0=_parse_profile(getattr(args, "k0", None)))
 
 
 def _parse_profile(text):
@@ -122,45 +120,27 @@ def cmd_learn(args) -> int:
     return EXIT_OK
 
 
-def _given(flag, default):
-    """The flag's value unless it was omitted; an explicit 0 stays 0."""
-    return default if flag is None else flag
-
-
 def cmd_reproduce_paper(args) -> int:
-    mode = _given(args.mode, "model-free")
-    if mode not in ("exact", "model-free"):
-        raise ConfigError("mode must be 'exact' or 'model-free'")
-    seed = resolve_seed(args.seed)
+    overrides = _overrides(args)
+    overrides.update(resolve(overrides, {}, REPRODUCE_DEFAULTS))
+    exact = overrides["mode"] == "exact"
+    if exact:
+        by_mode = {"stages": EXACT_STAGE_CAP, "grad_tolerance": EXACT_TOLERANCE}
+    else:
+        by_mode = {"stages": FIVE_PLAYER_STAGES, "grad_tolerance": 0.0}
+    overrides.update(resolve(overrides, {}, by_mode))
+    exp = load_experiment(None, overrides)
     # Both rounds share the per-stage noise substreams by default, so they
     # differ only in their starting profiles; --independent-rounds gives the
     # second round its own stream.
-    round_seeds = (seed, seed + 1 if args.independent_rounds else seed)
-    stages = _given(args.stages, FIVE_PLAYER_STAGES if mode == "model-free" else EXACT_STAGE_CAP)
-    step_size = _given(args.step_size, 1.0)
-    batch_size = _given(args.batch, FIVE_PLAYER_BATCH)
-    horizon = _given(args.horizon, FIVE_PLAYER_HORIZON)
-    dt = _given(args.dt, REPRODUCE_DT)
-    out = Path(_given(args.out, "runs/reproduce-paper"))
+    learns = [exp.learn, exp.learn]
+    if args.independent_rounds:
+        learns[1] = replace(exp.learn, sim=replace(exp.sim, seed=exp.sim.seed + 1))
 
-    try:
-        learns = [
-            LearnConfig(
-                stages=stages,
-                step_size=step_size,
-                mode=mode,
-                sim=SimConfig(batch_size=batch_size, horizon=horizon, dt=dt, seed=rseed),
-                grad_tolerance=EXACT_TOLERANCE if mode == "exact" else 0.0,
-            )
-            for rseed in round_seeds
-        ]
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-    spec = five_player_game()
     starts = (FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START)
-    runs = [run_gradient_play(spec, start, learn) for start, learn in zip(starts, learns)]
+    runs = [run_gradient_play(exp.game, start, learn) for start, learn in zip(starts, learns)]
 
+    out = exp.output_dir
     out.mkdir(parents=True, exist_ok=True)
     for index, run in enumerate(runs, start=1):
         write_history(out / f"round{index}.csv", run, "csv")
@@ -169,10 +149,18 @@ def cmd_reproduce_paper(args) -> int:
     cross_gap = float(np.max(np.abs(finals[0] - finals[1])))
     published = (FIVE_PLAYER_ROUND1_FINAL, FIVE_PLAYER_ROUND2_FINAL)
 
-    _write_comparison(out / "comparison.csv", starts, finals, published)
+    rows = [
+        (label, index, k)
+        for label, profiles in (("initial", starts), ("final", finals), ("published_final", published))
+        for index, k in enumerate(profiles, start=1)
+    ]
+    header = ["row", "round"] + [f"player_{i}" for i in range(1, exp.game.n + 1)]
+    lines = [",".join(header)]
+    lines += [f"{label},{index}," + ",".join(repr(float(v)) for v in k) for label, index, k in rows]
+    (out / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     checks = {}
-    if mode == "exact":
+    if exact:
         checks["cross_round"] = {"tolerance": 1e-6, "value": cross_gap, "passed": cross_gap <= 1e-6}
     else:
         checks["cross_round"] = {"tolerance": 0.1, "value": cross_gap, "passed": cross_gap <= 0.1}
@@ -186,14 +174,14 @@ def cmd_reproduce_paper(args) -> int:
     passed = all(c["passed"] for c in checks.values())
 
     summary = {
-        "mode": mode,
-        "seed": seed,
-        "round_seeds": list(round_seeds),
-        "stages": stages,
-        "step_size": step_size,
-        "batch_size": batch_size,
-        "horizon": horizon,
-        "dt": dt,
+        "mode": exp.learn.mode,
+        "seed": exp.sim.seed,
+        "round_seeds": [learn.sim.seed for learn in learns],
+        "stages": exp.learn.stages,
+        "step_size": exp.learn.step_size,
+        "batch_size": exp.sim.batch_size,
+        "horizon": exp.sim.horizon,
+        "dt": exp.sim.dt,
         "rounds": [
             {
                 "start": _flt(start),
@@ -210,70 +198,28 @@ def cmd_reproduce_paper(args) -> int:
     }
     write_json(out / "summary.json", summary)
 
-    for index, (start, final) in enumerate(zip(starts, finals), start=1):
-        print(f"round {index}: start {_fmt_vec(start)} -> final {_fmt_vec(final)}")
+    print(f"{'row':<16}{'round':<7}" + "".join(f"{h:<13}" for h in header[2:]).rstrip())
+    for label, index, k in rows:
+        print(f"{label:<16}{index:<7}" + "".join(f"{float(v):<13.4f}" for v in k).rstrip())
     for name, check in checks.items():
         verdict = "PASS" if check["passed"] else "FAIL"
         print(f"{name}: {check['value']:.3e} (tolerance {check['tolerance']:g}): {verdict}")
+    print(f"overall: {'PASS' if passed else 'FAIL'}")
     print(f"reports written to {out}")
     return EXIT_OK
 
 
-def _write_comparison(path, starts, finals, published) -> None:
-    n = len(finals[0])
-    header = "row,round," + ",".join(f"player_{i}" for i in range(1, n + 1))
-    lines = [header]
-    for label, rows in (("initial", starts), ("final", finals), ("published_final", published)):
-        for index, row in enumerate(rows, start=1):
-            lines.append(f"{label},{index}," + ",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
 def cmd_check_rosen(args) -> int:
-    raw = {}
-    if args.config is not None:
-        import json
-
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file is not valid JSON: {err}") from None
-
-    out = Path(args.out or "rosen.json")
+    overrides = _overrides(args)
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
+    raw = read_config(args.config)
     if "ensemble" in raw:
-        section = raw["ensemble"]
-        try:
-            ensemble = MatrixEnsembleConfig(
-                n=int(section.get("n", 5)),
-                count=int(section.get("count", 100)),
-                offdiag_scale=float(section.get("offdiag_scale", 1.0)),
-                dominance_margin=float(section.get("dominance_margin", 0.1)),
-                seed=resolve_seed(args.seed, section.get("seed")),
-            )
-            generator = section.get("generator", "sdd")
-            samples = int(args.samples or section.get("samples", 200))
-            rho_range = tuple(section.get("rho_range", (0.0, 1.0)))
-            result = conjecture_sweep(
-                ensemble, samples, rho_range=rho_range, generator=generator
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+        ensemble, sweep = load_ensemble(raw["ensemble"], overrides)
+        result = conjecture_sweep(ensemble, **sweep)
         payload = {
-            "ensemble": {
-                "n": ensemble.n,
-                "count": ensemble.count,
-                "offdiag_scale": ensemble.offdiag_scale,
-                "dominance_margin": ensemble.dominance_margin,
-                "seed": ensemble.seed,
-                "generator": generator,
-                "samples_per_matrix": samples,
-                "rho_range": list(rho_range),
-            },
+            "ensemble": {**asdict(ensemble), **sweep},
             "min_eig": result.min_eig,
             "spot_checked": result.spot_checked,
             "spot_check_max_rel_err": result.spot_check_max_rel_err,
@@ -291,16 +237,15 @@ def cmd_check_rosen(args) -> int:
         }
         write_json(out, payload)
         print(
-            f"{ensemble.count} matrices x {samples} samples ({generator}): "
+            f"{ensemble.count} matrices x {sweep['samples_per_matrix']} samples "
+            f"({sweep['generator']}): "
             f"min eig {result.min_eig:.6g}, {len(result.violations)} violation(s)"
         )
         print(f"report written to {out}")
         return EXIT_VIOLATION if result.violations else EXIT_OK
 
-    exp_overrides = _overrides(args)
-    exp_overrides["output_dir"] = str(out.parent)
-    exp = load_experiment(args.config, exp_overrides)
-    samples = int(args.samples or 1000)
+    exp = load_experiment(args.config, overrides)
+    samples = resolve(overrides, {}, {"samples": 1000})["samples"]
     report = rosen_sweep(exp.game, samples, seed=exp.sim.seed)
     payload = {
         "game": _game_dict(exp.game),
@@ -314,44 +259,28 @@ def cmd_check_rosen(args) -> int:
     print(f"witness profile: {_fmt_vec(report.witness.k)}")
     if exp.game.n == 2:
         a = exp.game.a
-        witness_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *report.witness.k)
-        corner_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *exp.game.k_lower)
-        payload["mu"] = {"at_witness": witness_mu, "at_lower_corner": corner_mu}
-        print(f"mu at witness: {witness_mu:.6g}; mu at lower corner: {corner_mu:.6g}")
+        try:
+            witness_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *report.witness.k)
+            corner_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *exp.game.k_lower)
+        except PreconditionViolated as err:
+            print(f"mu not reported: {err}")
+        else:
+            payload["mu"] = {"at_witness": witness_mu, "at_lower_corner": corner_mu}
+            print(f"mu at witness: {witness_mu:.6g}; mu at lower corner: {corner_mu:.6g}")
     write_json(out, payload)
     print(f"report written to {out}")
     return EXIT_VIOLATION if report.violated else EXIT_OK
 
 
 def cmd_gen_matrix(args) -> int:
-    raw = {}
-    if args.config is not None:
-        import json
-
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    n = args.n or raw.get("n")
-    if n is None:
-        raise ConfigError("gen-matrix needs a dimension: pass --n or a config with 'n'")
-    try:
-        ensemble = MatrixEnsembleConfig(
-            n=int(n),
-            count=1,
-            offdiag_scale=float(args.offdiag_scale or raw.get("offdiag_scale", 1.0)),
-            dominance_margin=float(args.margin or raw.get("dominance_margin", 0.1)),
-            seed=resolve_seed(args.seed, raw.get("seed")),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
+    overrides = _overrides(args)
+    ensemble = load_matrix(args.config, overrides)
     a = generate_sdd_matrix(ensemble, substream(ensemble.seed, 0))
     offdiag = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
     margins = np.abs(np.diag(a)) - offdiag
     min_eig = float(np.linalg.eigvalsh(a).min())
 
-    out = Path(args.out or "matrix.json")
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(
         out,
@@ -412,12 +341,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, *, sim_flags: bool = True) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON experiment config")
+def _add_common(
+    parser: argparse.ArgumentParser, *, sim_flags: bool = True, config: bool = True
+) -> None:
+    if config:
+        parser.add_argument("--config", metavar="PATH", help="JSON experiment config")
     parser.add_argument("--seed", type=int, metavar="U64", help="RNG seed (default: $NASHLQ_SEED or 0)")
     parser.add_argument("--out", metavar="PATH", help="output directory or file")
     if sim_flags:
-        parser.add_argument("--batch", type=int, metavar="N", help="Monte Carlo batch size")
+        parser.add_argument(
+            "--batch", dest="batch_size", type=int, metavar="N", help="Monte Carlo batch size"
+        )
         parser.add_argument("--horizon", type=float, metavar="F", help="sampling horizon in seconds")
         parser.add_argument("--dt", type=float, metavar="F", help="quadrature step in seconds")
 
@@ -431,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     learn = sub.add_parser("learn", help="run projected gradient play and write the staged history")
     _add_common(learn)
-    learn.add_argument("--preset", choices=["scalar", "two-player", "diagonal", "five-player"])
+    learn.add_argument("--preset", choices=list(PRESETS))
     learn.add_argument("--mode", choices=["exact", "model-free"])
     learn.add_argument("--stages", type=int, metavar="N")
     learn.add_argument("--step-size", dest="step_size", type=float, metavar="F")
@@ -445,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce-paper",
         help="replay both rounds of the bundled 5-player study and check tolerances",
     )
-    _add_common(repro)
+    _add_common(repro, config=False)
     repro.add_argument("--mode", choices=["exact", "model-free"])
     repro.add_argument("--stages", type=int, metavar="N")
     repro.add_argument("--step-size", dest="step_size", type=float, metavar="F")
@@ -460,22 +394,24 @@ def build_parser() -> argparse.ArgumentParser:
         "check-rosen", help="sweep G + G^T positive definiteness over the action box"
     )
     _add_common(rosen, sim_flags=False)
-    rosen.add_argument("--preset", choices=["scalar", "two-player", "diagonal", "five-player"])
+    rosen.add_argument("--preset", choices=list(PRESETS))
     rosen.add_argument("--samples", type=int, metavar="N", help="box samples (per matrix)")
-    rosen.set_defaults(func=cmd_check_rosen)
+    rosen.set_defaults(func=cmd_check_rosen, out="rosen.json")
 
     gen = sub.add_parser("gen-matrix", help="generate a random SDD matrix with verification report")
     _add_common(gen, sim_flags=False)
     gen.add_argument("--n", type=int, metavar="N", help="matrix dimension")
     gen.add_argument("--offdiag-scale", dest="offdiag_scale", type=float, metavar="F")
-    gen.add_argument("--margin", type=float, metavar="F", help="diagonal dominance margin")
-    gen.set_defaults(func=cmd_gen_matrix)
+    gen.add_argument(
+        "--margin", dest="dominance_margin", type=float, metavar="F", help="diagonal dominance margin"
+    )
+    gen.set_defaults(func=cmd_gen_matrix, out="matrix.json")
 
     simulate = sub.add_parser(
         "simulate", help="Monte Carlo cost estimate at a profile vs the closed form"
     )
     _add_common(simulate)
-    simulate.add_argument("--preset", choices=["scalar", "two-player", "diagonal", "five-player"])
+    simulate.add_argument("--preset", choices=list(PRESETS))
     simulate.add_argument("--k", metavar="CSV", help="profile to simulate, comma-separated")
     simulate.add_argument("--integrator", choices=["quadrature", "exact"])
     simulate.set_defaults(func=cmd_simulate)
@@ -488,7 +424,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except NotPositiveDefinite as err:

@@ -1,12 +1,16 @@
-"""Experiment configuration: JSON file plus flag overrides, flags winning.
+"""Run configuration: JSON file plus flag overrides, flags winning.
 
-The file is a single nested JSON object::
+Every subcommand reads its file through :func:`read_config` and resolves
+each value by one rule (:func:`resolve`): a flag that is not ``None`` wins,
+then the file's value, then the default.  An ``experiment`` file is a single
+nested JSON object::
 
     {
       "game": {"preset": "five-player"}           # or explicit matrices
               {"a": [[...]], "rho": [...], "k_upper": [...], "k_lower": [...]}
               {"generate": {"n": 5, "seed": 7, "offdiag_scale": 1.0,
-                            "dominance_margin": 0.1, "rho": [...]}}
+                            "dominance_margin": 0.1, "rho": [...],
+                            "box_factor": 10.0}}
       "learn": {"stages": 250, "step_size": 1.0, "mode": "exact",
                 "grad_tolerance": 0.0, "k0": [...]},
       "sim":   {"batch_size": 500, "horizon": 200.0, "dt": 0.1,
@@ -15,12 +19,24 @@ The file is a single nested JSON object::
       "format": "csv"
     }
 
+``check-rosen`` also takes an ensemble sweep in place of a game::
+
+    {"ensemble": {"n": 5, "count": 100, "offdiag_scale": 1.0,
+                  "dominance_margin": 0.1, "seed": 0, "samples": 200,
+                  "rho_range": [0.0, 1.0], "generator": "sdd"}}
+
+and ``gen-matrix`` reads top-level keys ``{"n": 5, "offdiag_scale": 1.0,
+"dominance_margin": 0.1, "seed": 0}``, ``n`` required.  Integer fields must
+be JSON integers.  A ``seed`` that neither flag nor file gives comes from
+``NASHLQ_SEED``, except in ``game.generate``.
+
 Validation failures raise :class:`ConfigError`, which the CLI maps to
 exit code 2.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -34,11 +50,19 @@ from .learning import LearnConfig
 from .presets import PRESETS, preset_game
 from .simulate import SimConfig, substream
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_experiment", "resolve_seed"]
+__all__ = [
+    "ConfigError", "ExperimentConfig", "read_config", "resolve", "resolve_seed",
+    "load_experiment", "load_ensemble", "load_matrix",
+]
 
 SEED_ENV_VAR = "NASHLQ_SEED"
 
 _FORMATS = ("csv", "json-lines")
+
+_SIM_DEFAULTS = {"batch_size": 500, "horizon": 200.0, "dt": 0.1, "integrator": "quadrature"}
+_LEARN_DEFAULTS = {"stages": 250, "step_size": 1.0, "mode": "exact", "grad_tolerance": 0.0, "k0": None}
+_ENSEMBLE_DEFAULTS = {"n": 5, "count": 100, "offdiag_scale": 1.0, "dominance_margin": 0.1, "seed": 0}
+_SWEEP_DEFAULTS = {"samples": 200, "rho_range": (0.0, 1.0), "generator": "sdd"}
 
 
 class ConfigError(ValueError):
@@ -55,18 +79,62 @@ class ExperimentConfig:
     k0: np.ndarray | None
 
 
-def resolve_seed(flag_value, file_value=None, default: int = 0) -> int:
-    """Seed precedence: flag, then config file, then NASHLQ_SEED, then default."""
-    for candidate in (flag_value, file_value, os.environ.get(SEED_ENV_VAR)):
+def read_config(path) -> dict:
+    """The JSON object in the file at ``path``; ``{}`` when ``path`` is None."""
+    if path is None:
+        return {}
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from None
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"config file is not valid JSON: {err}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config file must contain a JSON object")
+    return raw
+
+
+def resolve(flags: dict, section: dict, defaults: dict) -> dict:
+    """Per key of ``defaults``: the flag unless it is None, else the file's value, else the default."""
+    return {
+        key: flags[key] if flags.get(key) is not None else section.get(key, default)
+        for key, default in defaults.items()
+    }
+
+
+def resolve_seed(flag_value, file_value=None, default: int = 0):
+    """Seed precedence: flag, then config file, then NASHLQ_SEED, then default.
+
+    Only the environment's text is parsed here; the config that receives
+    the seed checks that it is a nonnegative integer.
+    """
+    for candidate in (flag_value, file_value):
         if candidate is not None:
-            try:
-                seed = int(candidate)
-            except (TypeError, ValueError):
-                raise ConfigError(f"seed must be an integer, got {candidate!r}") from None
-            if seed < 0:
-                raise ConfigError("seed must be nonnegative")
-            return seed
-    return default
+            return candidate
+    env = os.environ.get(SEED_ENV_VAR)
+    if env is None:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+
+
+def _config_errors(load):
+    """Report any invalid value met while building a config as :class:`ConfigError`."""
+
+    @functools.wraps(load)
+    def checked(*args, **kwargs):
+        try:
+            return load(*args, **kwargs)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(str(err)) from None
+
+    return checked
+
+
+def _matrix_ensemble(section: dict, flags: dict) -> MatrixEnsembleConfig:
+    return MatrixEnsembleConfig(**resolve(flags, section, _ENSEMBLE_DEFAULTS))
 
 
 def _game_from_section(section) -> GameSpec:
@@ -81,16 +149,7 @@ def _game_from_section(section) -> GameSpec:
         gen = section["generate"]
         if not isinstance(gen, dict) or "n" not in gen:
             raise ConfigError("'game.generate' needs at least an 'n' entry")
-        try:
-            ens = MatrixEnsembleConfig(
-                n=int(gen["n"]),
-                count=1,
-                offdiag_scale=float(gen.get("offdiag_scale", 1.0)),
-                dominance_margin=float(gen.get("dominance_margin", 0.1)),
-                seed=int(gen.get("seed", 0)),
-            )
-        except ValueError as err:
-            raise ConfigError(f"invalid 'game.generate' section: {err}") from None
+        ens = _matrix_ensemble(gen, {"count": 1})
         rng = substream(ens.seed, 0)
         a = generate_sdd_matrix(ens, rng)
         rho = gen.get("rho")
@@ -99,24 +158,15 @@ def _game_from_section(section) -> GameSpec:
         return game_from_matrix(a, rho, box_factor=float(gen.get("box_factor", 10.0)))
     if "a" not in section:
         raise ConfigError("'game' section needs 'preset', 'generate', or an explicit 'a' matrix")
-    try:
-        return GameSpec(
-            a=section["a"],
-            rho=section.get("rho", 0.0),
-            k_upper=section.get("k_upper", 10.0),
-            k_lower=section.get("k_lower"),
-        )
-    except ValueError as err:
-        raise ConfigError(f"invalid game: {err}") from None
+    return GameSpec(
+        a=section["a"],
+        rho=section.get("rho", 0.0),
+        k_upper=section.get("k_upper", 10.0),
+        k_lower=section.get("k_lower"),
+    )
 
 
-def _pick(overrides: dict, section: dict, key: str, default):
-    value = overrides.get(key)
-    if value is not None:
-        return value
-    return section.get(key, default)
-
-
+@_config_errors
 def load_experiment(config_path, overrides: dict | None = None) -> ExperimentConfig:
     """Build a validated experiment from an optional file and flag overrides.
 
@@ -125,17 +175,7 @@ def load_experiment(config_path, overrides: dict | None = None) -> ExperimentCon
     format``; any ``None`` override defers to the file, then to defaults.
     """
     overrides = overrides or {}
-    raw = {}
-    if config_path is not None:
-        path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file is not valid JSON: {err}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must contain a JSON object")
+    raw = read_config(config_path)
 
     game_section = raw.get("game", {})
     if overrides.get("preset") is not None:
@@ -148,27 +188,24 @@ def load_experiment(config_path, overrides: dict | None = None) -> ExperimentCon
     sim_raw = raw.get("sim", {})
     if not isinstance(learn_raw, dict) or not isinstance(sim_raw, dict):
         raise ConfigError("'learn' and 'sim' sections must be objects")
+    sim_values = resolve(overrides, sim_raw, _SIM_DEFAULTS)
+    sim = SimConfig(
+        batch_size=sim_values["batch_size"],
+        horizon=float(sim_values["horizon"]),
+        dt=float(sim_values["dt"]),
+        seed=resolve_seed(overrides.get("seed"), sim_raw.get("seed")),
+        integrator=sim_values["integrator"],
+    )
+    learn_values = resolve(overrides, learn_raw, _LEARN_DEFAULTS)
+    learn = LearnConfig(
+        stages=learn_values["stages"],
+        step_size=float(learn_values["step_size"]),
+        mode=learn_values["mode"],
+        sim=sim,
+        grad_tolerance=float(learn_values["grad_tolerance"]),
+    )
 
-    seed = resolve_seed(overrides.get("seed"), sim_raw.get("seed"))
-    try:
-        sim = SimConfig(
-            batch_size=int(_pick(overrides, sim_raw, "batch_size", 500)),
-            horizon=float(_pick(overrides, sim_raw, "horizon", 200.0)),
-            dt=float(_pick(overrides, sim_raw, "dt", 0.1)),
-            seed=seed,
-            integrator=str(_pick(overrides, sim_raw, "integrator", "quadrature")),
-        )
-        learn = LearnConfig(
-            stages=int(_pick(overrides, learn_raw, "stages", 250)),
-            step_size=float(_pick(overrides, learn_raw, "step_size", 1.0)),
-            mode=str(_pick(overrides, learn_raw, "mode", "exact")),
-            sim=sim,
-            grad_tolerance=float(_pick(overrides, learn_raw, "grad_tolerance", 0.0)),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-    k0 = overrides.get("k0", learn_raw.get("k0"))
+    k0 = learn_values["k0"]
     if k0 is not None:
         k0 = np.asarray(k0, dtype=float)
         if k0.shape != (game.n,):
@@ -176,9 +213,34 @@ def load_experiment(config_path, overrides: dict | None = None) -> ExperimentCon
         if not game.contains(k0):
             raise ConfigError("k0 lies outside the action box")
 
-    fmt = str(_pick(overrides, raw, "format", "csv"))
-    if fmt not in _FORMATS:
+    top = resolve(overrides, raw, {"format": "csv", "output_dir": "runs"})
+    if top["format"] not in _FORMATS:
         raise ConfigError(f"format must be one of {_FORMATS}")
+    return ExperimentConfig(
+        game=game, learn=learn, sim=sim, output_dir=Path(top["output_dir"]), format=top["format"], k0=k0
+    )
 
-    out = Path(_pick(overrides, raw, "output_dir", "runs"))
-    return ExperimentConfig(game=game, learn=learn, sim=sim, output_dir=out, format=fmt, k0=k0)
+
+@_config_errors
+def load_ensemble(section, overrides: dict) -> tuple[MatrixEnsembleConfig, dict]:
+    """A ``check-rosen`` ``ensemble`` section: the ensemble and the
+    :func:`~nashlq.analysis.conjecture_sweep` keyword arguments, flags winning."""
+    if not isinstance(section, dict):
+        raise ConfigError("'ensemble' section must be an object")
+    seed = resolve_seed(overrides.get("seed"), section.get("seed"))
+    ensemble = _matrix_ensemble(section, {"seed": seed})
+    sweep = resolve(overrides, section, _SWEEP_DEFAULTS)
+    sweep["samples_per_matrix"] = sweep.pop("samples")
+    lo, hi = sweep["rho_range"]
+    sweep["rho_range"] = (lo, hi)
+    return ensemble, sweep
+
+
+@_config_errors
+def load_matrix(config_path, overrides: dict) -> MatrixEnsembleConfig:
+    """The one-matrix ensemble ``gen-matrix`` draws: top-level file keys, flags winning."""
+    raw = read_config(config_path)
+    if overrides.get("n") is None and "n" not in raw:
+        raise ConfigError("gen-matrix needs a dimension: pass --n or a config with 'n'")
+    seed = resolve_seed(overrides.get("seed"), raw.get("seed"))
+    return _matrix_ensemble(raw, {**overrides, "count": 1, "seed": seed})

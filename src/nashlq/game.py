@@ -71,6 +71,8 @@ def _vector(value, n: int, name: str) -> np.ndarray:
         value = np.full(n, float(value))
     if value.shape != (n,):
         raise ValueError(f"{name} must be a scalar or length-{n} vector, got shape {value.shape}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
     return value.copy()
 
 
@@ -78,11 +80,12 @@ def _vector(value, n: int, name: str) -> np.ndarray:
 class GameSpec:
     """Immutable game: state matrix, tradeoff weights, and the action box.
 
-    ``a`` must be symmetric (tiny asymmetries are averaged away, larger ones
-    rejected).  If the stability check at the lower corner of the box fails,
-    the lower bounds are lifted to ``max(0, a_ii + sum_j|a_ij| + margin)``,
-    which makes ``K - A`` strictly diagonally dominant with positive diagonal
-    for every profile in the box, hence positive definite.
+    Every entry must be finite.  ``a`` must be symmetric (tiny asymmetries
+    are averaged away, larger ones rejected).  If the stability check at the
+    lower corner of the box fails, the lower bounds are lifted to
+    ``max(0, a_ii + sum_j|a_ij| + margin)``, which makes ``K - A`` strictly
+    diagonally dominant with positive diagonal for every profile in the box,
+    hence positive definite.
     """
 
     a: np.ndarray
@@ -94,6 +97,8 @@ class GameSpec:
         a = np.atleast_2d(np.array(self.a, dtype=float))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"state matrix must be square, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("state matrix entries must be finite")
         a = _symmetrized(a)
         n = a.shape[0]
 

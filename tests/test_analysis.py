@@ -120,6 +120,11 @@ class TestRosenSweep:
         report = rosen_sweep(spec, samples=100, seed=1)
         assert rosen_check(spec, report.witness.k) == report.min_eig
 
+    @pytest.mark.parametrize("samples", [0, -3, 2.7, True])
+    def test_invalid_sample_count_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            rosen_sweep(five_player_game(), samples=samples)
+
 
 class TestConjectureSweep:
     def test_sdd_ensemble_clean(self):
@@ -171,6 +176,15 @@ class TestEnsembleConfig:
             {"n": 2, "count": 0},
             {"n": 2, "count": 1, "offdiag_scale": 0.0},
             {"n": 2, "count": 1, "dominance_margin": 0.0},
+            {"n": 2.5, "count": 1},
+            {"n": True, "count": 1},
+            {"n": 2, "count": 1.5},
+            {"n": 2, "count": True},
+            {"n": 2, "count": 1, "offdiag_scale": float("inf")},
+            {"n": 2, "count": 1, "dominance_margin": float("inf")},
+            {"n": 2, "count": 1, "seed": -1},
+            {"n": 2, "count": 1, "seed": 1.5},
+            {"n": 2, "count": 1, "seed": True},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -58,6 +58,15 @@ class TestLearn:
         data = read_history_csv(out / "history.csv")
         assert data["stage"].shape == (41,)  # flag beat the file's 5 stages
 
+    def test_config_file_k0_is_used(self, tmp_path, capsys):
+        config = tmp_path / "exp.json"
+        config.write_text(
+            json.dumps({"game": {"preset": "scalar"}, "learn": {"stages": 3, "k0": [1.0]}}),
+            encoding="utf-8",
+        )
+        assert run_cli("learn", "--config", str(config), "--out", str(tmp_path / "run")) == 0
+        assert "initial profile: [1]" in capsys.readouterr().out
+
     def test_jsonl_format(self, tmp_path):
         out = tmp_path / "run"
         code = run_cli(
@@ -117,6 +126,29 @@ class TestReproducePaper:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_stdout_table_matches_comparison_csv(self, tmp_path, capsys):
+        out = tmp_path / "rp"
+        assert run_cli("reproduce-paper", "--mode", "exact", "--out", str(out)) == 0
+        printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+        rows = (out / "comparison.csv").read_text().splitlines()[1:]
+        for row in rows:
+            label, index, *gains = row.split(",")
+            assert [label, index] + [f"{float(g):.4f}" for g in gains] in printed
+
+    def test_independent_rounds_use_the_next_seed(self, tmp_path):
+        out = tmp_path / "rp"
+        code = run_cli(
+            "reproduce-paper", "--independent-rounds", "--seed", "3", "--stages", "2",
+            "--batch", "7", "--horizon", "5", "--dt", "0.5", "--out", str(out),
+        )
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["round_seeds"] == [3, 4]
+
+    def test_config_flag_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_cli("reproduce-paper", "--config", str(tmp_path / "missing.json"))
+        assert err.value.code == 2
+
     def test_explicit_flags_reach_summary(self, tmp_path):
         out = tmp_path / "rp"
         code = run_cli(
@@ -153,6 +185,16 @@ class TestCheckRosen:
         assert "mu" in capsys.readouterr().out
         report = json.loads(out.read_text())
         assert report["mu"]["at_lower_corner"] == 255.0
+
+    def test_two_player_game_outside_mu_precondition(self, tmp_path, capsys):
+        config = tmp_path / "game.json"
+        config.write_text(json.dumps({"game": {"a": [[-1.0, -2.0], [-2.0, -1.0]]}}), encoding="utf-8")
+        out = tmp_path / "rosen.json"
+        code = run_cli("check-rosen", "--config", str(config), "--samples", "50", "--out", str(out))
+        report = json.loads(out.read_text())
+        assert code == (1 if report["violated"] else 0)
+        assert "mu" not in report
+        assert "mu not reported" in capsys.readouterr().out
 
     def test_sdd_ensemble_clean(self, tmp_path):
         config = tmp_path / "sweep.json"
@@ -240,3 +282,49 @@ class TestSimulate:
 
     def test_wrong_length_profile_is_config_error(self, tmp_path):
         assert run_cli("simulate", "--preset", "five-player", "--k", "1.0") == 2
+
+
+def assert_config_error(capsys, code, out):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+class TestConfigErrors:
+    """Bad input exits 2 with a single ``error:`` line and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-rosen", "--preset", "scalar", "--samples", "0"],
+            ["gen-matrix", "--n", "0"],
+            ["gen-matrix", "--n", "3", "--offdiag-scale", "0"],
+            ["gen-matrix", "--n", "3", "--margin", "0"],
+        ],
+    )
+    def test_zero_flag_is_config_error_not_default(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert_config_error(capsys, run_cli(*argv, "--out", str(out)), out)
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("gen-matrix", "{not json"),
+            ("gen-matrix", "[1, 2]"),
+            ("learn", {"game": {"preset": "scalar"}, "learn": {"stages": 2.5}}),
+            ("learn", {"game": {"preset": "scalar"}, "sim": {"batch_size": 2.5}}),
+            ("learn", {"game": {"preset": "scalar"}, "sim": {"seed": 2.5}}),
+            ("check-rosen", {"ensemble": {"n": 2, "count": 1, "samples": 2.7}}),
+            ("check-rosen", {"ensemble": {"n": 2, "count": 1, "rho_range": [1.0]}}),
+            ("learn", {"game": {"generate": {"n": 3.7}}}),
+            ("learn", {"game": {"generate": {"n": 3, "seed": -1}}}),
+            ("learn", {"game": {"generate": {"n": 3, "rho": [0.1, 0.2]}}}),
+            ("simulate", '{"game": {"a": [[NaN]]}}'),
+        ],
+    )
+    def test_bad_config_file(self, tmp_path, capsys, command, config):
+        path = tmp_path / "config.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        assert_config_error(capsys, run_cli(command, "--config", str(path), "--out", str(out)), out)

@@ -248,6 +248,23 @@ class TestGameSpec:
         with pytest.raises(ValueError, match="rho"):
             GameSpec(a=[[-1.0]], rho=-0.5, k_upper=5.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"a": [[float("nan")]]}, "state matrix"),
+            ({"a": [[-2.0, float("inf")], [float("inf"), -2.0]]}, "state matrix"),
+            ({"rho": float("nan")}, "rho"),
+            ({"rho": float("inf")}, "rho"),
+            ({"k_upper": float("inf")}, "k_upper"),
+            ({"k_upper": float("nan")}, "k_upper"),
+            ({"k_lower": float("-inf")}, "k_lower"),
+            ({"k_lower": float("nan")}, "k_lower"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            GameSpec(**{"a": [[-1.0]], "rho": 0.5, "k_upper": 5.0, **kwargs})
+
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError, match="box"):
             GameSpec(a=[[-1.0]], rho=0.0, k_upper=1.0, k_lower=2.0)
