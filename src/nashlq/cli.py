@@ -6,7 +6,8 @@ Subcommands: ``learn``, ``reproduce-paper``, ``check-rosen``, ``gen-matrix``,
 are flat CSV/JSON files meant for external plotting tools.
 
 Exit codes: 0 success, 1 uniqueness-condition violation found,
-2 invalid configuration, 3 solver failure (unstable profile).
+2 invalid configuration, 3 solver failure (unstable profile),
+4 a ``reproduce-paper`` gate failed.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+EXIT_GATE = 4
 
 # Gradient-play iterates stay below the published starting gains for this
 # system, so quadrature at this step keeps the sampled-cost bias well under
@@ -206,7 +208,7 @@ def cmd_reproduce_paper(args) -> int:
         print(f"{name}: {check['value']:.3e} (tolerance {check['tolerance']:g}): {verdict}")
     print(f"overall: {'PASS' if passed else 'FAIL'}")
     print(f"reports written to {out}")
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_GATE
 
 
 def cmd_check_rosen(args) -> int:

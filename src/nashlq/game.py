@@ -10,6 +10,14 @@ valid whenever ``K - A`` is symmetric positive definite (a stable closed
 loop).  Everything in this module is a pure function of a :class:`GameSpec`
 and a gain profile: costs, own-action gradients, own-action curvatures, and
 the Jacobian of the stacked gradient vector used for uniqueness analysis.
+
+All of them are the single-profile case of one kernel that takes a
+``(P, n)`` stack of profiles: it builds every ``K - A``, factors the whole
+stack in one ``np.linalg.cholesky`` call (with a per-profile pivot check
+that raises :class:`NotPositiveDefinite` naming the first failing profile),
+and forms the stacked resolvents from the factors.  Sweeps over many
+profiles call the kernel once instead of once per profile, and every
+stability check, here and in :mod:`nashlq.simulate`, uses its factor step.
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "NotPositiveDefinite",
@@ -190,61 +197,122 @@ def _profile(spec: GameSpec, k) -> np.ndarray:
     return k
 
 
-def _factor(s: np.ndarray):
-    """Cholesky-factor a symmetric matrix, raising on non-PD or tiny pivots."""
+def _diagonals(x: np.ndarray) -> np.ndarray:
+    """Writable ``(P, n)`` view of the diagonals of a C-ordered ``(P, n, n)`` stack."""
+    return x.reshape(x.shape[0], -1)[:, :: x.shape[-1] + 1]
+
+
+def _closed_loop(spec: GameSpec, ks: np.ndarray) -> np.ndarray:
+    """``K - A`` for every row of a ``(P, n)`` profile stack, shape ``(P, n, n)``."""
+    s = np.empty(ks.shape + ks.shape[-1:])
+    np.negative(spec.a, out=s)
+    _diagonals(s)[:] += ks
+    return s
+
+
+def _cholesky(s: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a ``(P, n, n)`` stack of symmetric matrices.
+
+    One ``np.linalg.cholesky`` call factors the whole stack.  A matrix fails
+    when its factorization breaks down or a squared pivot falls to
+    ``PIVOT_RTOL`` times its infinity norm; the first failure raises
+    :class:`NotPositiveDefinite`, naming its index when the stack holds more
+    than one matrix.
+    """
     try:
-        c = scipy.linalg.cho_factor(s, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as err:
-        lam_min = float(np.linalg.eigvalsh(s).min())
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        # Refactor one at a time up to the first breakdown; NaN marks it.
+        chol = np.full_like(s, np.nan)
+        for i, matrix in enumerate(s):
+            try:
+                chol[i] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                break
+    pivots = _diagonals(chol).min(axis=1) ** 2
+    scale = abs(s).sum(axis=2).max(axis=1)
+    passed = pivots > PIVOT_RTOL * scale
+    if passed.all():
+        return chol
+    i = int(np.argmin(passed))
+    where = f" at profile {i}" if len(s) > 1 else ""
+    lam_min = float(np.linalg.eigvalsh(s[i]).min())
+    if np.isnan(pivots[i]):
         raise NotPositiveDefinite(
-            f"K - A is not positive definite (smallest eigenvalue {lam_min:g}); "
+            f"K - A is not positive definite{where} (smallest eigenvalue {lam_min:g}); "
             "the closed loop is not stable at this profile"
-        ) from err
-    pivots = np.diag(c[0]) ** 2
-    scale = float(np.max(np.sum(np.abs(s), axis=1)))
-    if pivots.min() <= PIVOT_RTOL * scale:
-        lam_min = float(np.linalg.eigvalsh(s).min())
-        raise NotPositiveDefinite(
-            f"K - A is numerically singular (pivot {pivots.min():g} vs scale {scale:g}, "
-            f"smallest eigenvalue {lam_min:g})"
         )
-    return c
+    raise NotPositiveDefinite(
+        f"K - A is numerically singular{where} (pivot {pivots[i]:g} vs scale {scale[i]:g}, "
+        f"smallest eigenvalue {lam_min:g})"
+    )
 
 
 def _is_positive_definite(s: np.ndarray) -> bool:
     try:
-        _factor(s)
+        _cholesky(s[None])
     except NotPositiveDefinite:
         return False
     return True
 
 
-def resolvent(spec: GameSpec, k) -> np.ndarray:
-    """Return ``M = (K - A)^{-1}``, symmetric positive definite.
+def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGradientReport]:
+    """The profile kernel: resolvents and per-player fields of a ``(P, n)`` stack.
 
-    ``K - A`` is factored once; the full inverse is cheap at game sizes and
-    houses every player's diagonal entry plus the cross terms needed by
-    :func:`pseudogradient_jacobian`.
+    Returns ``M = (K - A)^{-1}`` for every profile, shape ``(P, n, n)``, and a
+    report whose fields have shape ``(P, n)``.  With ``K - A = L L^T`` from
+    one stacked Cholesky call, ``M = L^{-T} L^{-1}``, averaged with its
+    transpose so it is exactly symmetric.  Every public profile function is
+    the ``P = 1`` case of this kernel; numpy's stacked factorizations and
+    products work matrix by matrix, so a profile gets the same bits alone or
+    inside a stack.
     """
-    k = _profile(spec, k)
-    s = np.diag(k) - spec.a
-    c = _factor(s)
-    m = scipy.linalg.cho_solve(c, np.eye(spec.n), check_finite=False)
-    return (m + m.T) / 2.0
-
-
-def evaluate(spec: GameSpec, k) -> CostGradientReport:
-    """Costs, gradients, and curvatures from a single factorization."""
-    k = _profile(spec, k)
-    f = np.diag(resolvent(spec, k))
-    weight = 1.0 + spec.rho * k**2
+    l_inv = np.linalg.inv(_cholesky(_closed_loop(spec, ks)))
+    m = l_inv.transpose(0, 2, 1) @ l_inv
+    m = (m + m.transpose(0, 2, 1)) / 2.0
+    f = _diagonals(m).copy()
+    weight = 1.0 + spec.rho * ks**2
     j = 0.5 * weight * f
     # grad = rho*k*f - weight*f^2/2, factored so the same (rho*k - J) term
     # appears here and in marginal_cost_from_cost; the two stay within a few
     # ulp of each other even where the gradient crosses zero.
-    g = f * (spec.rho * k - j)
-    h = f * (spec.rho * (1.0 - k * f) ** 2 + f**2)
-    return CostGradientReport(resolvent_diag=f, cost=j, grad=g, curvature=h)
+    g = f * (spec.rho * ks - j)
+    h = f * (spec.rho * (1.0 - ks * f) ** 2 + f**2)
+    return m, CostGradientReport(resolvent_diag=f, cost=j, grad=g, curvature=h)
+
+
+def _jacobian_stack(spec: GameSpec, ks: np.ndarray) -> np.ndarray:
+    """:func:`pseudogradient_jacobian` of a ``(P, n)`` stack, shape ``(P, n, n)``.
+
+    The row factor ``(1 + rho_i k_i^2) M_ii - rho_i k_i`` is ``2 J_i - rho_i k_i``
+    and the diagonal is the report's curvature, so neither formula is repeated.
+    """
+    m, report = _evaluate_stack(spec, ks)
+    coeff = 2.0 * report.cost - spec.rho * ks
+    g = coeff[:, :, None] * m**2
+    _diagonals(g)[:] = report.curvature
+    return g
+
+
+def resolvent(spec: GameSpec, k) -> np.ndarray:
+    """Return ``M = (K - A)^{-1}``, symmetric positive definite.
+
+    The full inverse is cheap at game sizes and houses every player's
+    diagonal entry plus the cross terms needed by
+    :func:`pseudogradient_jacobian`.
+    """
+    return _evaluate_stack(spec, _profile(spec, k)[None])[0][0]
+
+
+def evaluate(spec: GameSpec, k) -> CostGradientReport:
+    """Costs, gradients, and curvatures from a single factorization."""
+    _, report = _evaluate_stack(spec, _profile(spec, k)[None])
+    return CostGradientReport(
+        resolvent_diag=report.resolvent_diag[0],
+        cost=report.cost[0],
+        grad=report.grad[0],
+        curvature=report.curvature[0],
+    )
 
 
 def cost(spec: GameSpec, k) -> np.ndarray:
@@ -283,14 +351,7 @@ def pseudogradient_jacobian(spec: GameSpec, k) -> np.ndarray:
     ``d M_ii / d k_j = -M_ij^2`` gives
     ``G_ij = ((1 + rho_i k_i^2) M_ii - rho_i k_i) * M_ij^2``.
     """
-    k = _profile(spec, k)
-    m = resolvent(spec, k)
-    f = np.diag(m)
-    weight = 1.0 + spec.rho * k**2
-    coeff = weight * f - spec.rho * k
-    g = coeff[:, None] * m**2
-    np.fill_diagonal(g, f * (spec.rho * (1.0 - k * f) ** 2 + f**2))
-    return g
+    return _jacobian_stack(spec, _profile(spec, k)[None])[0]
 
 
 def stability_margin(spec: GameSpec, k) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, _factor, _profile
+from .game import GameSpec, _cholesky, _closed_loop, _profile
 
 __all__ = [
     "SQRT3",
@@ -184,7 +184,7 @@ def trajectory_cost(spec: GameSpec, k, x0, config: SimConfig) -> np.ndarray:
 def _draw_batch(spec: GameSpec, k, config: SimConfig, stage: int):
     """Stability-check ``k``, then draw the ``(seed, stage)`` batch of states."""
     k = _profile(spec, k)
-    _factor(np.diag(k) - spec.a)  # stability check up front
+    _cholesky(_closed_loop(spec, k[None]))  # stability check up front
     rng = substream(config.seed, stage)
     return k, rng.uniform(-SQRT3, SQRT3, size=(config.batch_size, spec.n))
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nashlq import analysis
 from nashlq import (
     GameSpec,
     MatrixEnsembleConfig,
@@ -119,6 +122,35 @@ class TestRosenSweep:
         spec = five_player_game()
         report = rosen_sweep(spec, samples=100, seed=1)
         assert rosen_check(spec, report.witness.k) == report.min_eig
+
+    @staticmethod
+    def per_profile_min(spec, samples, seed):
+        """The sweep as a loop of single-profile checks over the same points."""
+        points = analysis._box_samples(spec, samples, substream(seed))
+        values = [rosen_check(spec, point) for point in points]
+        best = int(np.argmin(values))
+        return values[best], points[best]
+
+    @given(st.integers(0, 10**6), st.integers(1, 12), st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_match_per_profile_loop(self, seed, n, block):
+        spec, _ = random_game(seed, n=n)
+        samples = 3 * block + seed % block
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "SWEEP_BLOCK", block)
+            report = rosen_sweep(spec, samples=samples, seed=seed)
+        min_eig, witness = self.per_profile_min(spec, samples, seed)
+        assert report.min_eig == min_eig
+        assert np.array_equal(report.witness.k, witness)
+
+    def test_sweep_past_one_default_block(self):
+        spec, _ = random_game(4, n=3)
+        samples = analysis.SWEEP_BLOCK + 100
+        report = rosen_sweep(spec, samples=samples, seed=2)
+        min_eig, witness = self.per_profile_min(spec, samples, 2)
+        assert report.samples == samples + 1
+        assert report.min_eig == min_eig
+        assert np.array_equal(report.witness.k, witness)
 
     @pytest.mark.parametrize("samples", [0, -3, 2.7, True])
     def test_invalid_sample_count_rejected(self, samples):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nashlq.cli import main
+from nashlq.cli import EXIT_GATE, main
 from nashlq.output import read_history_csv
 
 SCALAR_EQUILIBRIUM = np.sqrt(2.0) - 1.0
@@ -141,8 +141,14 @@ class TestReproducePaper:
             "reproduce-paper", "--independent-rounds", "--seed", "3", "--stages", "2",
             "--batch", "7", "--horizon", "5", "--dt", "0.5", "--out", str(out),
         )
-        assert code == 0
+        assert code == EXIT_GATE  # two stages cannot reach the published finals
         assert json.loads((out / "summary.json").read_text())["round_seeds"] == [3, 4]
+
+    def test_failed_gate_exits_four(self, tmp_path, capsys):
+        out = tmp_path / "rp"
+        assert run_cli("reproduce-paper", "--stages", "2", "--batch", "20", "--out", str(out)) == 4
+        assert "overall: FAIL" in capsys.readouterr().out.splitlines()
+        assert json.loads((out / "summary.json").read_text())["passed"] is False
 
     def test_config_flag_is_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -155,7 +161,7 @@ class TestReproducePaper:
             "reproduce-paper", "--stages", "2", "--batch", "7", "--horizon", "5",
             "--dt", "0.5", "--step-size", "0.5", "--out", str(out),
         )
-        assert code == 0
+        assert code == EXIT_GATE  # two stages cannot reach the published finals
         summary = json.loads((out / "summary.json").read_text())
         assert (summary["stages"], summary["batch_size"], summary["step_size"]) == (2, 7, 0.5)
         assert (summary["horizon"], summary["dt"]) == (5.0, 0.5)

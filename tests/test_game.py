@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from nashlq import (
     second_derivative,
     stability_margin,
 )
+from nashlq.game import _evaluate_stack, _jacobian_stack
 from util import fd_gradient, fd_hessian_diag, fd_jacobian, random_game, rel_gap
 
 # Costs at the published round-1 stage-250 gains of the 5-player benchmark,
@@ -70,6 +72,82 @@ class TestResolvent:
         spec = GameSpec(a=[[1.0, 0.0], [0.0, -1.0]], rho=0.0, k_upper=5.0)
         with pytest.raises(NotPositiveDefinite, match="eigenvalue"):
             resolvent(spec, [0.0, 0.0])
+
+
+def cho_resolvent(spec, k):
+    """The retired per-profile resolvent: scipy ``cho_factor`` + ``cho_solve``."""
+    s = np.diag(k) - spec.a
+    c = scipy.linalg.cho_factor(s, lower=True, check_finite=False)
+    m = scipy.linalg.cho_solve(c, np.eye(spec.n), check_finite=False)
+    return (m + m.T) / 2.0
+
+
+def cho_fields(spec, k):
+    """Cost, gradient, curvature and Jacobian by the retired formulas."""
+    m = cho_resolvent(spec, k)
+    f = np.diag(m)
+    weight = 1.0 + spec.rho * k**2
+    j = 0.5 * weight * f
+    grad = f * (spec.rho * k - j)
+    curvature = f * (spec.rho * (1.0 - k * f) ** 2 + f**2)
+    jac = (weight * f - spec.rho * k)[:, None] * m**2
+    np.fill_diagonal(jac, curvature)
+    return m, f, j, grad, curvature, jac
+
+
+def stacked_game(seed, n, count):
+    """A random SDD game with ``n <= 20`` players and ``count`` box profiles."""
+    spec, k = random_game(seed, n=n)
+    rng = np.random.default_rng(seed)
+    ks = spec.k_lower + rng.random((count, n)) * (spec.k_upper - spec.k_lower)
+    return spec, np.vstack([k, ks])
+
+
+class TestProfileKernel:
+    @given(st.integers(0, 10**6), st.integers(1, 20))
+    def test_matches_cho_solve_reference(self, seed, n):
+        spec, ks = stacked_game(seed, n, 2)
+        for k in ks:
+            m, f, j, grad, curvature, jac = cho_fields(spec, k)
+            report = evaluate(spec, k)
+            assert rel_gap(resolvent(spec, k), m) <= 1e-12
+            assert rel_gap(report.resolvent_diag, f) <= 1e-12
+            assert rel_gap(report.cost, j) <= 1e-12
+            assert rel_gap(report.grad, grad) <= 1e-12
+            assert rel_gap(report.curvature, curvature) <= 1e-12
+            assert rel_gap(pseudogradient_jacobian(spec, k), jac) <= 1e-12
+
+    @given(st.integers(0, 10**6), st.integers(1, 20), st.integers(1, 9))
+    def test_stack_element_equals_single_call(self, seed, n, count):
+        spec, ks = stacked_game(seed, n, count)
+        m, report = _evaluate_stack(spec, ks)
+        jac = _jacobian_stack(spec, ks)
+        for i, k in enumerate(ks):
+            single = evaluate(spec, k)
+            assert np.array_equal(m[i], resolvent(spec, k))
+            assert np.array_equal(report.resolvent_diag[i], single.resolvent_diag)
+            assert np.array_equal(report.cost[i], single.cost)
+            assert np.array_equal(report.grad[i], single.grad)
+            assert np.array_equal(report.curvature[i], single.curvature)
+            assert np.array_equal(jac[i], pseudogradient_jacobian(spec, k))
+
+    def test_unstable_profile_named_in_stack(self):
+        spec = GameSpec(a=[[1.0, 0.0], [0.0, -1.0]], rho=0.0, k_upper=5.0)
+        ks = np.array([[2.0, 0.0], [3.0, 1.0], [1.5, 0.2], [0.5, 0.0], [0.0, 0.0]])
+        with pytest.raises(NotPositiveDefinite, match="at profile 3 .*eigenvalue -0.5"):
+            _evaluate_stack(spec, ks)
+
+    def test_tiny_pivot_named_in_stack(self):
+        spec = GameSpec(a=[[1.0, 0.0], [0.0, -1.0]], rho=0.0, k_upper=5.0)
+        ks = np.array([[2.0, 0.0], [3.0, 1.0], [1.5, 0.2], [1.0 + 1e-13, 0.5], [2.0, 2.0]])
+        with pytest.raises(NotPositiveDefinite, match="singular at profile 3 .*eigenvalue"):
+            _jacobian_stack(spec, ks)
+
+    def test_single_profile_message_has_no_index(self):
+        spec = GameSpec(a=[[1.0, 0.0], [0.0, -1.0]], rho=0.0, k_upper=5.0)
+        with pytest.raises(NotPositiveDefinite) as err:
+            evaluate(spec, [0.5, 0.0])
+        assert "profile 0" not in str(err.value)
 
 
 class TestCost:
