@@ -14,6 +14,12 @@ A sweep is stacked: the sample points go through the profile kernel of
 rather than a Python-level factorization, and its memory does not grow with
 the sample count.  The reported ``min_eig`` is a single
 :func:`rosen_check` at the witness, so the pair reproduces exactly.
+
+The sample points are a Latin hypercube (McKay, Beckman & Conover, 1979)
+drawn in numpy on a child spawned from the sweep's stream: one uniform
+jitter per cell, then one shuffle of the strata per coordinate.  These are
+the draws ``scipy.stats.qmc.LatinHypercube`` made from the same stream, so
+earlier runs keep their points and witnesses bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .game import (
     ActionProfile,
@@ -202,12 +207,21 @@ def game_from_matrix(a: np.ndarray, rho, box_factor: float = BOX_FACTOR) -> Game
 def _box_samples(spec: GameSpec, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Latin-hypercube points over the box, plus the lower corner.
 
-    Violations, if any, are expected near the lower boundary, so the corner
-    is always evaluated.
+    Each coordinate puts one point in each of ``samples`` equal strata: a
+    shuffled stratum index minus a uniform jitter, drawn from a child
+    spawned off ``rng`` in the order of
+    ``scipy.stats.qmc.LatinHypercube(d=n, seed=rng)``.  That keeps earlier
+    runs' points and witnesses, and ``rng``'s later draws.  Violations, if
+    any, are expected near the lower boundary, so the corner is always
+    evaluated.
     """
-    sampler = qmc.LatinHypercube(d=spec.n, seed=rng)
-    span = spec.k_upper - spec.k_lower
-    points = spec.k_lower + sampler.random(samples) * span
+    child = rng.spawn(1)[0]
+    jitter = child.uniform(size=(samples, spec.n))
+    strata = np.tile(np.arange(1, samples + 1), (spec.n, 1))
+    for row in strata:
+        child.shuffle(row)
+    unit = (strata.T - jitter) / samples
+    points = spec.k_lower + unit * (spec.k_upper - spec.k_lower)
     return np.vstack([spec.k_lower, points])
 
 

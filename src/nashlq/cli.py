@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 uniqueness-condition violation found,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -95,9 +96,12 @@ def _parse_profile(text):
     if text is None:
         return None
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        profile = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"could not parse profile {text!r}; expected comma-separated floats") from None
+    if not all(math.isfinite(value) for value in profile):
+        raise ConfigError(f"profile {text!r} has a non-finite entry")
+    return profile
 
 
 def cmd_learn(args) -> int:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -232,6 +233,9 @@ def load_ensemble(section, overrides: dict) -> tuple[MatrixEnsembleConfig, dict]
     sweep = resolve(overrides, section, _SWEEP_DEFAULTS)
     sweep["samples_per_matrix"] = sweep.pop("samples")
     lo, hi = sweep["rho_range"]
+    finite = all(isinstance(v, (int, float)) and math.isfinite(v) for v in (lo, hi))
+    if not (finite and 0 <= lo <= hi):
+        raise ConfigError(f"rho_range must be two finite numbers with 0 <= lo <= hi, got {[lo, hi]!r}")
     sweep["rho_range"] = (lo, hi)
     return ensemble, sweep
 

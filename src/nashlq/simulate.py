@@ -44,6 +44,10 @@ SQRT3 = 1.7320508075688772
 
 _INTEGRATORS = ("quadrature", "exact")
 
+# Entries of per-trajectory moments (B, n, n) held at once; bounds the
+# temporaries of simulate_batch, so its memory does not grow with B.
+_MOMENT_BLOCK = 2**17
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -143,31 +147,39 @@ def _weights(spec: GameSpec, k: np.ndarray, config: SimConfig):
     return q, pair_integrals(lam, config.horizon, dt)
 
 
+def _modal_cost(spec: GameSpec, k: np.ndarray, q: np.ndarray, w: np.ndarray, s: np.ndarray):
+    """Costs from modal second moments ``s`` of shape ``(..., n, n)``.
+
+    The sampled cost integral is ``sum_mp q_im q_ip W_mp S_mp`` with
+    ``d_im = q_im c_m`` expanded over the modal coordinates ``c``:
+    ``S = c c^T`` for one trajectory, ``S = C^T C / B`` for a batch mean.
+    """
+    base = np.sum((q @ (w * s)) * q, axis=-1)
+    # the integrand is a square; clamp eigensolver round-off
+    return (1.0 + spec.rho * k**2) * np.maximum(base, 0.0)
+
+
 def _batch_cost(spec: GameSpec, k, x0: np.ndarray, config: SimConfig) -> np.ndarray:
-    """Per-trajectory costs, shape ``(B, n)``: O(B n^3)."""
+    """Per-trajectory costs, shape ``(B, n)``: O(B n^3), in blocks of trajectories."""
     k = _profile(spec, k)
     q, w = _weights(spec, k, config)
     coords = x0 @ q
-    d = q[None, :, :] * coords[:, None, :]
-    base = np.einsum("bim,mp,bip->bi", d, w, d)
-    # the integrand is a square; clamp eigensolver round-off
-    return (1.0 + spec.rho * k**2) * np.maximum(base, 0.0)
+    step = max(1, _MOMENT_BLOCK // spec.n**2)
+    blocks = (coords[i : i + step] for i in range(0, coords.shape[0], step))
+    costs = [_modal_cost(spec, k, q, w, c[:, :, None] * c[:, None, :]) for c in blocks]
+    return np.concatenate(costs)
 
 
 def _mean_cost(spec: GameSpec, k, x0: np.ndarray, config: SimConfig) -> np.ndarray:
     """Mean cost over the rows of ``x0``, shape ``(n,)``: O(B n^2 + n^3).
 
-    The mean of ``sum_mp d_bim W_mp d_bip`` with ``d_bim = q_im c_bm`` is
-    ``sum_mp q_im q_ip W_mp S_mp``, where ``S = C^T C / B`` is the batch's
-    second moment in modal coordinates ``C = x0 @ Q``.
+    The mean of the per-trajectory moments is the batch's second moment in
+    modal coordinates, ``S = C^T C / B`` with ``C = x0 @ Q``.
     """
     k = _profile(spec, k)
     q, w = _weights(spec, k, config)
     coords = x0 @ q
-    second_moment = (coords.T @ coords) / x0.shape[0]
-    base = np.sum((q @ (w * second_moment)) * q, axis=1)
-    # the integrand is a square; clamp eigensolver round-off
-    return (1.0 + spec.rho * k**2) * np.maximum(base, 0.0)
+    return _modal_cost(spec, k, q, w, (coords.T @ coords) / x0.shape[0])
 
 
 def trajectory_cost(spec: GameSpec, k, x0, config: SimConfig) -> np.ndarray:

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
+import nashlq
 from nashlq import analysis
 from nashlq import (
     GameSpec,
@@ -156,6 +163,40 @@ class TestRosenSweep:
     def test_invalid_sample_count_rejected(self, samples):
         with pytest.raises(ValueError, match="samples"):
             rosen_sweep(five_player_game(), samples=samples)
+
+
+class TestBoxSamples:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_latin_hypercube(self, seed, n, samples):
+        """Bit for bit the points of the scipy sampler the sweep used to call,
+        and the parent stream's next draw is unchanged."""
+        spec, _ = random_game(seed, n=n)
+        rng, ref_rng = substream(seed), substream(seed)
+        unit = qmc.LatinHypercube(d=n, seed=ref_rng).random(samples)
+        reference = np.vstack([spec.k_lower, spec.k_lower + unit * (spec.k_upper - spec.k_lower)])
+        assert np.array_equal(analysis._box_samples(spec, samples, rng), reference)
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("n, samples", [(1, 1), (3, 7), (5, 200), (2, 1000)])
+    def test_each_column_hits_every_stratum_once(self, n, samples):
+        spec = GameSpec(a=-np.eye(n), rho=0.0, k_upper=1.0)
+        points = analysis._box_samples(spec, samples, substream(samples))
+        assert np.array_equal(points[0], np.zeros(n))
+        strata = np.sort(np.floor(points[1:] * samples), axis=0)
+        assert np.array_equal(strata, np.tile(np.arange(samples), (n, 1)).T)
+
+    def test_runtime_imports_no_scipy(self):
+        path = [str(Path(nashlq.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        code = (
+            "import sys, nashlq, nashlq.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestConjectureSweep:

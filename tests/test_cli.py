@@ -327,6 +327,7 @@ class TestConfigErrors:
             ("learn", {"game": {"generate": {"n": 3, "seed": -1}}}),
             ("learn", {"game": {"generate": {"n": 3, "rho": [0.1, 0.2]}}}),
             ("simulate", '{"game": {"a": [[NaN]]}}'),
+            ("check-rosen", '{"ensemble": {"n": 3, "count": 2, "samples": 10, "rho_range": [0, 1e309]}}'),
         ],
     )
     def test_bad_config_file(self, tmp_path, capsys, command, config):
@@ -334,3 +335,25 @@ class TestConfigErrors:
         path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
         out = tmp_path / "out"
         assert_config_error(capsys, run_cli(command, "--config", str(path), "--out", str(out)), out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--preset", "scalar", "--k", "nan"],
+            ["simulate", "--preset", "scalar", "--k", "inf"],
+            ["learn", "--preset", "scalar", "--k0", "nan"],
+        ],
+    )
+    def test_non_finite_profile_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert_config_error(capsys, run_cli(*argv, "--out", str(out)), out)
+
+    @pytest.mark.parametrize("rho_range", [[-0.1, 1.0], [0.5, 0.1], [0.0, "high"]])
+    def test_bad_rho_range_named_where_it_enters(self, tmp_path, capsys, rho_range):
+        path = tmp_path / "config.json"
+        section = {"n": 3, "count": 2, "samples": 10, "rho_range": rho_range}
+        path.write_text(json.dumps({"ensemble": section}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("check-rosen", "--config", str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: rho_range must be two finite numbers")
+        assert not out.exists()

@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nashlq import simulate
 from nashlq import (
     GameSpec,
     NotPositiveDefinite,
@@ -43,6 +44,22 @@ def loop_pair_integrals(eigs, horizon, dt, chunk=8192):
 
 def max_rel(a, b):
     return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
+def einsum_batch_cost(spec, k, x0, config):
+    """Reference: the retired per-trajectory einsum over ``d_bim = q_im c_bm``.
+
+    Returns the costs and, per entry, the same sum over absolute terms: the
+    scale round-off is measured against, since one player's sampled cost can
+    be far smaller than the terms that cancel into it.
+    """
+    lam, q = np.linalg.eigh(spec.a - np.diag(k))
+    w = pair_integrals(lam, config.horizon, None if config.integrator == "exact" else config.dt)
+    d = q[None, :, :] * (x0 @ q)[:, None, :]
+    gain = 1.0 + spec.rho * k**2
+    base = np.einsum("bim,mp,bip->bi", d, w, d)
+    scale = np.einsum("bim,mp,bip->bi", np.abs(d), np.abs(w), np.abs(d))
+    return gain * np.maximum(base, 0.0), gain * scale
 
 
 class TestSampling:
@@ -207,6 +224,32 @@ class TestMonteCarlo:
         batch = simulate_batch(spec, k, config, stage=3)
         mean = batch.per_player_cost.mean(axis=0)
         assert max_rel(monte_carlo_cost(spec, k, config, stage=3), mean) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 20),
+        st.integers(1, 64),
+        st.sampled_from(["quadrature", "exact"]),
+        st.floats(1.0, 200.0),
+        st.floats(0.005, 0.5),
+        st.integers(1, 2000),
+    )
+    def test_per_trajectory_costs_match_retired_einsum(
+        self, seed, n, batch_size, integrator, horizon, dt, block
+    ):
+        """Also across trajectory blocks: ``_MOMENT_BLOCK`` is patched down."""
+        spec, k = random_game(seed, n=n)
+        config = SimConfig(
+            batch_size=batch_size, horizon=horizon, dt=min(dt, horizon),
+            seed=seed, integrator=integrator,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_MOMENT_BLOCK", block)
+            batch = simulate_batch(spec, k, config)
+        reference, scale = einsum_batch_cost(spec, k, batch.x0, config)
+        assert rel_gap(batch.per_player_cost, reference) <= 1e-12
+        assert np.all(np.abs(batch.per_player_cost - reference) <= 1e-12 * scale)
 
     def test_costs_nonnegative(self):
         spec, k = random_game(13)
