@@ -24,7 +24,6 @@ earlier runs keep their points and witnesses bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ from .game import (
     profile_array,
     pseudogradient_jacobian,
 )
-from .simulate import _is_int, substream
+from .simulate import _is_finite, _is_int, substream
 
 __all__ = [
     "PreconditionViolated",
@@ -58,6 +57,9 @@ __all__ = [
 # violation is expected near the lower boundary and a generous ceiling on
 # the order of the diagonal rates loses nothing.
 BOX_FACTOR = 10.0
+
+# Eigenvalue magnitudes of the counterexample search's negative definite draws.
+NEGATIVE_DEFINITE_EIGS = (0.02, 2.0)
 
 # Profiles per kernel call in a sweep; bounds the stacked work arrays, so a
 # sweep's peak memory does not grow with its sample count.
@@ -83,11 +85,13 @@ class MatrixEnsembleConfig:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not _is_int(self.count) or self.count < 1:
             raise ValueError(f"count must be an integer >= 1, got {self.count!r}")
-        if not (math.isfinite(self.offdiag_scale) and self.offdiag_scale > 0):
-            raise ValueError(f"offdiag_scale must be positive and finite, got {self.offdiag_scale!r}")
-        if not (math.isfinite(self.dominance_margin) and self.dominance_margin > 0):
+        if not (_is_finite(self.offdiag_scale) and self.offdiag_scale > 0):
             raise ValueError(
-                f"dominance_margin must be positive and finite, got {self.dominance_margin!r}"
+                f"offdiag_scale must be a positive finite number, got {self.offdiag_scale!r}"
+            )
+        if not (_is_finite(self.dominance_margin) and self.dominance_margin > 0):
+            raise ValueError(
+                f"dominance_margin must be a positive finite number, got {self.dominance_margin!r}"
             )
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
@@ -177,19 +181,16 @@ def generate_sdd_matrix(config: MatrixEnsembleConfig, rng: np.random.Generator) 
     return a
 
 
-def generate_negative_definite_matrix(
-    n: int,
-    rng: np.random.Generator,
-    eig_range: tuple[float, float] = (0.02, 2.0),
-) -> np.ndarray:
+def generate_negative_definite_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random symmetric negative definite matrix, generally NOT diagonally dominant.
 
     Used by the counterexample search: eigenvalues are drawn uniform in
-    ``-eig_range`` against a random orthogonal basis, which produces strong
-    off-diagonal coupling well outside the diagonally dominant class.
+    ``-NEGATIVE_DEFINITE_EIGS`` against a random orthogonal basis, which
+    produces strong off-diagonal coupling well outside the diagonally
+    dominant class.
     """
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    eigs = rng.uniform(eig_range[0], eig_range[1], size=n)
+    eigs = rng.uniform(*NEGATIVE_DEFINITE_EIGS, size=n)
     a = -(q * eigs) @ q.T
     return (a + a.T) / 2.0
 
@@ -197,8 +198,10 @@ def generate_negative_definite_matrix(
 def game_from_matrix(a: np.ndarray, rho, box_factor: float = BOX_FACTOR) -> GameSpec:
     """Wrap a stable state matrix in a sweep-ready game.
 
-    The box ceiling defaults to ``box_factor * max(1, |a_ii|)`` per player.
+    The box ceiling is ``box_factor * max(1, |a_ii|)`` per player.
     """
+    if not (_is_finite(box_factor) and box_factor > 0):
+        raise ValueError(f"box_factor must be a positive finite number, got {box_factor!r}")
     a = np.asarray(a, dtype=float)
     k_upper = box_factor * np.maximum(1.0, np.abs(np.diag(a)))
     return GameSpec(a=a, rho=rho, k_upper=k_upper)
@@ -276,7 +279,6 @@ def conjecture_sweep(
     samples_per_matrix: int = 200,
     rho_range: tuple[float, float] = (0.0, 1.0),
     generator: str = "sdd",
-    box_factor: float = BOX_FACTOR,
     spot_check_rate: float = 0.01,
 ) -> SweepResult:
     """Sweep an ensemble of random games for uniqueness-certificate failures.
@@ -300,7 +302,7 @@ def conjecture_sweep(
         else:
             a = generate_negative_definite_matrix(ensemble.n, rng)
         rho = rng.uniform(rho_range[0], rho_range[1], size=ensemble.n)
-        spec = game_from_matrix(a, rho, box_factor)
+        spec = game_from_matrix(a, rho)
         report = rosen_sweep(spec, samples_per_matrix, seed=rng)
         records.append(
             SweepRecord(matrix_index=index, seed=ensemble.seed, spec=spec, report=report)

@@ -29,8 +29,8 @@ from .analysis import (
 )
 from .config import ConfigError, load_ensemble, load_experiment, load_matrix, read_config, resolve
 from .game import GameSpec, NotPositiveDefinite, cost, stability_margin
-from .learning import run_gradient_play
-from .output import write_history, write_json
+from .learning import _MODES, run_gradient_play
+from .output import HISTORY_FORMATS, write_history, write_json
 from .presets import (
     FIVE_PLAYER_ROUND1_FINAL,
     FIVE_PLAYER_ROUND1_START,
@@ -41,7 +41,7 @@ from .presets import (
     FIVE_PLAYER_STAGES,
     PRESETS,
 )
-from .simulate import monte_carlo_cost, substream
+from .simulate import _INTEGRATORS, monte_carlo_cost, substream
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -113,8 +113,8 @@ def cmd_learn(args) -> int:
     run = run_gradient_play(exp.game, k0, exp.learn)
 
     exp.output_dir.mkdir(parents=True, exist_ok=True)
-    suffix = "csv" if exp.format == "csv" else "jsonl"
-    history_path = write_history(exp.output_dir / f"history.{suffix}", run, exp.format)
+    _, suffix = HISTORY_FORMATS[exp.format]
+    history_path = write_history(exp.output_dir / f"history{suffix}", run, exp.format)
 
     final_grad = run.history[-1].grad if run.history else None
     print(f"mode {exp.learn.mode}: {run.stages_used} stages, converged={run.converged}")
@@ -165,18 +165,15 @@ def cmd_reproduce_paper(args) -> int:
     lines += [f"{label},{index}," + ",".join(repr(float(v)) for v in k) for label, index, k in rows]
     (out / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
-    checks = {}
-    if exact:
-        checks["cross_round"] = {"tolerance": 1e-6, "value": cross_gap, "passed": cross_gap <= 1e-6}
-    else:
-        checks["cross_round"] = {"tolerance": 0.1, "value": cross_gap, "passed": cross_gap <= 0.1}
+    gaps = {"cross_round": cross_gap}
+    if not exact:
         for index, (final, target) in enumerate(zip(finals, published), start=1):
-            gap = float(np.max(np.abs(final - target)))
-            checks[f"round{index}_vs_published"] = {
-                "tolerance": 0.1,
-                "value": gap,
-                "passed": gap <= 0.1,
-            }
+            gaps[f"round{index}_vs_published"] = float(np.max(np.abs(final - target)))
+    tolerance = 1e-6 if exact else 0.1
+    checks = {
+        name: {"tolerance": tolerance, "value": gap, "passed": gap <= tolerance}
+        for name, gap in gaps.items()
+    }
     passed = all(c["passed"] for c in checks.values())
 
     summary = {
@@ -372,13 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     learn = sub.add_parser("learn", help="run projected gradient play and write the staged history")
     _add_common(learn)
     learn.add_argument("--preset", choices=list(PRESETS))
-    learn.add_argument("--mode", choices=["exact", "model-free"])
+    learn.add_argument("--mode", choices=_MODES)
     learn.add_argument("--stages", type=int, metavar="N")
     learn.add_argument("--step-size", dest="step_size", type=float, metavar="F")
     learn.add_argument("--grad-tolerance", dest="grad_tolerance", type=float, metavar="F")
     learn.add_argument("--k0", metavar="CSV", help="starting profile, comma-separated")
-    learn.add_argument("--integrator", choices=["quadrature", "exact"])
-    learn.add_argument("--format", choices=["csv", "json-lines"])
+    learn.add_argument("--integrator", choices=_INTEGRATORS)
+    learn.add_argument("--format", choices=list(HISTORY_FORMATS))
     learn.set_defaults(func=cmd_learn)
 
     repro = sub.add_parser(
@@ -386,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay both rounds of the bundled 5-player study and check tolerances",
     )
     _add_common(repro, config=False)
-    repro.add_argument("--mode", choices=["exact", "model-free"])
+    repro.add_argument("--mode", choices=_MODES)
     repro.add_argument("--stages", type=int, metavar="N")
     repro.add_argument("--step-size", dest="step_size", type=float, metavar="F")
     repro.add_argument(
@@ -419,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(simulate)
     simulate.add_argument("--preset", choices=list(PRESETS))
     simulate.add_argument("--k", metavar="CSV", help="profile to simulate, comma-separated")
-    simulate.add_argument("--integrator", choices=["quadrature", "exact"])
+    simulate.add_argument("--integrator", choices=_INTEGRATORS)
     simulate.set_defaults(func=cmd_simulate)
 
     return parser

@@ -27,8 +27,8 @@ nested JSON object::
 
 and ``gen-matrix`` reads top-level keys ``{"n": 5, "offdiag_scale": 1.0,
 "dominance_margin": 0.1, "seed": 0}``, ``n`` required.  Integer fields must
-be JSON integers.  A ``seed`` that neither flag nor file gives comes from
-``NASHLQ_SEED``, except in ``game.generate``.
+be JSON integers, real-valued fields JSON numbers.  A ``seed`` that neither
+flag nor file gives comes from ``NASHLQ_SEED``, except in ``game.generate``.
 
 Validation failures raise :class:`ConfigError`, which the CLI maps to
 exit code 2.
@@ -38,18 +38,18 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import MatrixEnsembleConfig, game_from_matrix, generate_sdd_matrix
+from .analysis import BOX_FACTOR, MatrixEnsembleConfig, game_from_matrix, generate_sdd_matrix
 from .game import GameSpec
 from .learning import LearnConfig
-from .presets import PRESETS, preset_game
-from .simulate import SimConfig, substream
+from .output import HISTORY_FORMATS
+from .presets import preset_game
+from .simulate import SimConfig, _is_finite, substream
 
 __all__ = [
     "ConfigError", "ExperimentConfig", "read_config", "resolve", "resolve_seed",
@@ -58,11 +58,12 @@ __all__ = [
 
 SEED_ENV_VAR = "NASHLQ_SEED"
 
-_FORMATS = ("csv", "json-lines")
-
-_SIM_DEFAULTS = {"batch_size": 500, "horizon": 200.0, "dt": 0.1, "integrator": "quadrature"}
-_LEARN_DEFAULTS = {"stages": 250, "step_size": 1.0, "mode": "exact", "grad_tolerance": 0.0, "k0": None}
-_ENSEMBLE_DEFAULTS = {"n": 5, "count": 100, "offdiag_scale": 1.0, "dominance_margin": 0.1, "seed": 0}
+# The file and flag keys of each section; SimConfig and LearnConfig hold the defaults.
+_SIM_KEYS = ("batch_size", "horizon", "dt", "integrator")
+_LEARN_KEYS = ("stages", "step_size", "mode", "grad_tolerance")
+_ENSEMBLE_KEYS = ("n", "count", "offdiag_scale", "dominance_margin", "seed")
+# check-rosen's ensemble size when neither flag nor file gives one.
+_ENSEMBLE_SIZE = {"n": 5, "count": 100}
 _SWEEP_DEFAULTS = {"samples": 200, "rho_range": (0.0, 1.0), "generator": "sdd"}
 
 
@@ -95,12 +96,16 @@ def read_config(path) -> dict:
     return raw
 
 
+def _given(flags: dict, section: dict, keys) -> dict:
+    """Per key: the flag unless it is None, else the file's value; keys neither sets are left out."""
+    values = {key: section[key] for key in keys if key in section}
+    values.update((key, flags[key]) for key in keys if flags.get(key) is not None)
+    return values
+
+
 def resolve(flags: dict, section: dict, defaults: dict) -> dict:
     """Per key of ``defaults``: the flag unless it is None, else the file's value, else the default."""
-    return {
-        key: flags[key] if flags.get(key) is not None else section.get(key, default)
-        for key, default in defaults.items()
-    }
+    return {**defaults, **_given(flags, section, defaults)}
 
 
 def resolve_seed(flag_value, file_value=None, default: int = 0):
@@ -135,17 +140,14 @@ def _config_errors(load):
 
 
 def _matrix_ensemble(section: dict, flags: dict) -> MatrixEnsembleConfig:
-    return MatrixEnsembleConfig(**resolve(flags, section, _ENSEMBLE_DEFAULTS))
+    return MatrixEnsembleConfig(**{**_ENSEMBLE_SIZE, **_given(flags, section, _ENSEMBLE_KEYS)})
 
 
 def _game_from_section(section) -> GameSpec:
     if not isinstance(section, dict):
         raise ConfigError("'game' section must be an object")
     if "preset" in section:
-        name = section["preset"]
-        if name not in PRESETS:
-            raise ConfigError(f"unknown game preset {name!r}; choose from {sorted(PRESETS)}")
-        return preset_game(name)
+        return preset_game(section["preset"])
     if "generate" in section:
         gen = section["generate"]
         if not isinstance(gen, dict) or "n" not in gen:
@@ -156,7 +158,7 @@ def _game_from_section(section) -> GameSpec:
         rho = gen.get("rho")
         if rho is None:
             rho = rng.uniform(0.0, 1.0, size=ens.n)
-        return game_from_matrix(a, rho, box_factor=float(gen.get("box_factor", 10.0)))
+        return game_from_matrix(a, rho, gen.get("box_factor", BOX_FACTOR))
     if "a" not in section:
         raise ConfigError("'game' section needs 'preset', 'generate', or an explicit 'a' matrix")
     return GameSpec(
@@ -189,24 +191,11 @@ def load_experiment(config_path, overrides: dict | None = None) -> ExperimentCon
     sim_raw = raw.get("sim", {})
     if not isinstance(learn_raw, dict) or not isinstance(sim_raw, dict):
         raise ConfigError("'learn' and 'sim' sections must be objects")
-    sim_values = resolve(overrides, sim_raw, _SIM_DEFAULTS)
-    sim = SimConfig(
-        batch_size=sim_values["batch_size"],
-        horizon=float(sim_values["horizon"]),
-        dt=float(sim_values["dt"]),
-        seed=resolve_seed(overrides.get("seed"), sim_raw.get("seed")),
-        integrator=sim_values["integrator"],
-    )
-    learn_values = resolve(overrides, learn_raw, _LEARN_DEFAULTS)
-    learn = LearnConfig(
-        stages=learn_values["stages"],
-        step_size=float(learn_values["step_size"]),
-        mode=learn_values["mode"],
-        sim=sim,
-        grad_tolerance=float(learn_values["grad_tolerance"]),
-    )
+    seed = resolve_seed(overrides.get("seed"), sim_raw.get("seed"))
+    sim = SimConfig(**_given(overrides, sim_raw, _SIM_KEYS), seed=seed)
+    learn = LearnConfig(**_given(overrides, learn_raw, _LEARN_KEYS), sim=sim)
 
-    k0 = learn_values["k0"]
+    k0 = resolve(overrides, learn_raw, {"k0": None})["k0"]
     if k0 is not None:
         k0 = np.asarray(k0, dtype=float)
         if k0.shape != (game.n,):
@@ -215,8 +204,8 @@ def load_experiment(config_path, overrides: dict | None = None) -> ExperimentCon
             raise ConfigError("k0 lies outside the action box")
 
     top = resolve(overrides, raw, {"format": "csv", "output_dir": "runs"})
-    if top["format"] not in _FORMATS:
-        raise ConfigError(f"format must be one of {_FORMATS}")
+    if top["format"] not in HISTORY_FORMATS:
+        raise ConfigError(f"format must be one of {tuple(HISTORY_FORMATS)}")
     return ExperimentConfig(
         game=game, learn=learn, sim=sim, output_dir=Path(top["output_dir"]), format=top["format"], k0=k0
     )
@@ -233,8 +222,7 @@ def load_ensemble(section, overrides: dict) -> tuple[MatrixEnsembleConfig, dict]
     sweep = resolve(overrides, section, _SWEEP_DEFAULTS)
     sweep["samples_per_matrix"] = sweep.pop("samples")
     lo, hi = sweep["rho_range"]
-    finite = all(isinstance(v, (int, float)) and math.isfinite(v) for v in (lo, hi))
-    if not (finite and 0 <= lo <= hi):
+    if not (_is_finite(lo) and _is_finite(hi) and 0 <= lo <= hi):
         raise ConfigError(f"rho_range must be two finite numbers with 0 <= lo <= hi, got {[lo, hi]!r}")
     sweep["rho_range"] = (lo, hi)
     return ensemble, sweep

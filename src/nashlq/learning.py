@@ -8,17 +8,21 @@ In exact mode the gradient comes from the closed form; in model-free mode
 each player estimates its own cost by Monte Carlo batch averaging and maps
 the estimate through the marginal-cost identity, so no player ever needs
 the system matrices or the others' actions.
+
+The gradient source is chosen once per run (:func:`_estimator`), and
+:func:`run_gradient_play` is one loop over it: ``stages + 1`` evaluations,
+each followed by an update unless the budget is spent or the tolerance met.
+:func:`gradient_play_step` is one pass of the same update.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .game import ActionProfile, GameSpec, evaluate, marginal_cost_from_cost, _profile
-from .simulate import SimConfig, _is_int, monte_carlo_cost
+from .simulate import SimConfig, _is_finite, _is_int, monte_carlo_cost
 
 __all__ = [
     "LearnConfig",
@@ -36,30 +40,34 @@ _MODES = ("exact", "model-free")
 class LearnConfig:
     """Stage budget, step size, gradient source, and stopping rule.
 
-    ``grad_tolerance`` enables early exit on ``max|grad| < tol`` in exact
-    mode only; model-free gradients are noisy, so those runs always use the
-    full stage budget.  ``sim`` defaults to :class:`SimConfig`'s defaults
-    when model-free mode is requested without one.
+    ``grad_tolerance > 0`` stops a run once ``max|grad| < tol``; it is
+    allowed in exact mode only, because model-free gradients are noisy, so
+    those runs always use the full stage budget.  ``sim`` is used in
+    model-free mode only.
     """
 
     stages: int = 250
     step_size: float = 1.0
     mode: str = "exact"
-    sim: SimConfig | None = None
+    sim: SimConfig = field(default_factory=SimConfig)
     grad_tolerance: float = 0.0
     record_history: bool = True
 
     def __post_init__(self):
         if not _is_int(self.stages) or self.stages < 1:
             raise ValueError(f"stages must be an integer >= 1, got {self.stages!r}")
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
-            raise ValueError(f"step_size must be positive and finite, got {self.step_size!r}")
-        if not (math.isfinite(self.grad_tolerance) and self.grad_tolerance >= 0):
+        if not (_is_finite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be a positive finite number, got {self.step_size!r}")
+        if not (_is_finite(self.grad_tolerance) and self.grad_tolerance >= 0):
             raise ValueError(
-                f"grad_tolerance must be nonnegative and finite, got {self.grad_tolerance!r}"
+                f"grad_tolerance must be a nonnegative finite number, got {self.grad_tolerance!r}"
             )
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
+        if not isinstance(self.sim, SimConfig):
+            raise ValueError(f"sim must be a SimConfig, got {self.sim!r}")
+        if self.mode == "model-free" and self.grad_tolerance > 0:
+            raise ValueError("grad_tolerance applies to exact mode only; model-free runs use every stage")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,13 +103,17 @@ def project(value, lower, upper):
     return np.clip(value, lower, upper)
 
 
-def _stage_estimate(spec: GameSpec, k: np.ndarray, config: LearnConfig, stage: int):
+def _estimator(spec: GameSpec, config: LearnConfig):
+    """The run's gradient source: ``estimate(k, stage) -> (cost, grad)``."""
     if config.mode == "exact":
-        report = evaluate(spec, k)
-        return report.cost, report.grad
-    sim = config.sim if config.sim is not None else SimConfig()
-    estimate = monte_carlo_cost(spec, k, sim, stage)
-    return estimate, marginal_cost_from_cost(estimate, k, spec.rho)
+        def estimate(k, stage):
+            report = evaluate(spec, k)
+            return report.cost, report.grad
+    else:
+        def estimate(k, stage):
+            costs = monte_carlo_cost(spec, k, config.sim, stage)
+            return costs, marginal_cost_from_cost(costs, k, spec.rho)
+    return estimate
 
 
 def gradient_play_step(spec: GameSpec, k, config: LearnConfig, stage: int = 0) -> ActionProfile:
@@ -113,8 +125,8 @@ def gradient_play_step(spec: GameSpec, k, config: LearnConfig, stage: int = 0) -
     k = _profile(spec, k)
     if not spec.contains(k):
         raise ValueError("profile must lie in the action box")
-    _, grad = _stage_estimate(spec, k, config, stage)
-    return ActionProfile(project(k - config.step_size * grad, spec.k_lower, spec.k_upper))
+    _, grad = _estimator(spec, config)(k, stage)
+    return ActionProfile(spec.clip(k - config.step_size * grad))
 
 
 def run_gradient_play(spec: GameSpec, k0, config: LearnConfig) -> LearnRun:
@@ -127,35 +139,16 @@ def run_gradient_play(spec: GameSpec, k0, config: LearnConfig) -> LearnRun:
     if not spec.contains(k):
         raise ValueError("initial profile must lie in the action box")
 
-    history: list[StageRecord] = []
+    estimate = _estimator(spec, config)
     tol = config.grad_tolerance
-    check_tol = config.mode == "exact" and tol > 0
-
-    def record(stage: int, profile: np.ndarray, costs: np.ndarray, grads: np.ndarray):
+    history: list[StageRecord] = []
+    for stage in range(config.stages + 1):
+        costs, grads = estimate(k, stage)
         if config.record_history:
-            history.append(
-                StageRecord(stage=stage, profile=ActionProfile(profile), cost=costs, grad=grads)
-            )
-
-    converged = False
-    stages_used = config.stages
-    for stage in range(config.stages):
-        costs, grads = _stage_estimate(spec, k, config, stage)
-        record(stage, k, costs, grads)
-        if check_tol and np.max(np.abs(grads)) < tol:
-            converged = True
-            stages_used = stage
+            history.append(StageRecord(stage=stage, profile=ActionProfile(k), cost=costs, grad=grads))
+        converged = tol > 0 and bool(np.max(np.abs(grads)) < tol)
+        if converged or stage == config.stages:
             break
-        k = project(k - config.step_size * grads, spec.k_lower, spec.k_upper)
-    else:
-        costs, grads = _stage_estimate(spec, k, config, config.stages)
-        record(config.stages, k, costs, grads)
-        if check_tol:
-            converged = bool(np.max(np.abs(grads)) < tol)
+        k = spec.clip(k - config.step_size * grads)
 
-    return LearnRun(
-        history=tuple(history),
-        final=ActionProfile(k),
-        converged=converged,
-        stages_used=stages_used,
-    )
+    return LearnRun(history=tuple(history), final=ActionProfile(k), converged=converged, stages_used=stage)

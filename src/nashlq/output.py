@@ -21,6 +21,7 @@ __all__ = [
     "read_history_csv",
     "write_history_jsonl",
     "read_history_jsonl",
+    "HISTORY_FORMATS",
     "write_history",
     "write_json",
 ]
@@ -105,12 +106,18 @@ def read_history_jsonl(path) -> dict[str, np.ndarray]:
     }
 
 
+# Each history format's writer and file suffix.
+HISTORY_FORMATS = {
+    "csv": (write_history_csv, ".csv"),
+    "json-lines": (write_history_jsonl, ".jsonl"),
+}
+
+
 def write_history(path, run: LearnRun, fmt: str = "csv") -> Path:
-    if fmt == "csv":
-        return write_history_csv(path, run)
-    if fmt == "json-lines":
-        return write_history_jsonl(path, run)
-    raise ValueError(f"unknown history format {fmt!r}")
+    if fmt not in HISTORY_FORMATS:
+        raise ValueError(f"unknown history format {fmt!r}")
+    writer, _ = HISTORY_FORMATS[fmt]
+    return writer(path, run)
 
 
 def write_json(path, payload) -> Path:

@@ -61,9 +61,9 @@ FIVE_PLAYER_BATCH = 500
 FIVE_PLAYER_HORIZON = 200.0
 
 
-def five_player_game(k_upper: float = 10.0) -> GameSpec:
-    """The 5-player benchmark game; the default ceiling is never active."""
-    return GameSpec(a=FIVE_PLAYER_A, rho=FIVE_PLAYER_RHO, k_upper=k_upper)
+def five_player_game() -> GameSpec:
+    """The 5-player benchmark game; its ceiling of 10 is never active."""
+    return GameSpec(a=FIVE_PLAYER_A, rho=FIVE_PLAYER_RHO, k_upper=10.0)
 
 
 def scalar_game() -> GameSpec:

@@ -62,10 +62,10 @@ class SimConfig:
     def __post_init__(self):
         if not _is_int(self.batch_size) or self.batch_size < 1:
             raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
-        if not 0 < self.dt <= self.horizon:
-            raise ValueError("dt must satisfy 0 < dt <= horizon")
+        if not (_is_finite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be a positive finite number, got {self.horizon!r}")
+        if not (_is_finite(self.dt) and 0 < self.dt <= self.horizon):
+            raise ValueError(f"dt must be a number with 0 < dt <= horizon, got {self.dt!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.integrator not in _INTEGRATORS:
@@ -75,6 +75,16 @@ class SimConfig:
 def _is_int(value) -> bool:
     """True for Python and NumPy integers, but not for ``bool``."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """True for integers as :func:`_is_int` takes them and floats, if finite as a float."""
+    if not (_is_int(value) or isinstance(value, (float, np.floating))):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +104,10 @@ def substream(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def sample_initial_state(rng: np.random.Generator, n: int) -> np.ndarray:
-    """One initial state: n i.i.d. uniforms on (-sqrt(3), sqrt(3))."""
-    return rng.uniform(-SQRT3, SQRT3, size=n)
+def sample_initial_state(rng: np.random.Generator, shape) -> np.ndarray:
+    """Initial states of the given shape (``n`` for one, ``(B, n)`` for a
+    batch): i.i.d. uniforms on (-sqrt(3), sqrt(3))."""
+    return rng.uniform(-SQRT3, SQRT3, size=shape)
 
 
 def _modes(spec: GameSpec, k) -> tuple[np.ndarray, np.ndarray]:
@@ -197,8 +208,7 @@ def _draw_batch(spec: GameSpec, k, config: SimConfig, stage: int):
     """Stability-check ``k``, then draw the ``(seed, stage)`` batch of states."""
     k = _profile(spec, k)
     _cholesky(_closed_loop(spec, k[None]))  # stability check up front
-    rng = substream(config.seed, stage)
-    return k, rng.uniform(-SQRT3, SQRT3, size=(config.batch_size, spec.n))
+    return k, sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
 
 
 def simulate_batch(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> TrajectoryBatch:

@@ -258,6 +258,9 @@ class TestEnsembleConfig:
             {"n": 2, "count": 1, "seed": -1},
             {"n": 2, "count": 1, "seed": 1.5},
             {"n": 2, "count": 1, "seed": True},
+            {"n": 2, "count": 1, "offdiag_scale": True},
+            {"n": 2, "count": 1, "dominance_margin": True},
+            {"n": 2, "count": 1, "offdiag_scale": "1.0"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -270,3 +273,8 @@ class TestGameFromMatrix:
         a = np.diag([-0.03, -2.0])
         spec = game_from_matrix(a, rho=0.5)
         assert np.allclose(spec.k_upper, [10.0, 20.0])
+
+    @pytest.mark.parametrize("box_factor", [True, "10", 0.0, -1.0, float("inf"), float("nan")])
+    def test_invalid_box_factor_rejected(self, box_factor):
+        with pytest.raises(ValueError, match="box_factor"):
+            game_from_matrix(np.diag([-1.0, -2.0]), rho=0.5, box_factor=box_factor)

@@ -328,6 +328,16 @@ class TestConfigErrors:
             ("learn", {"game": {"generate": {"n": 3, "rho": [0.1, 0.2]}}}),
             ("simulate", '{"game": {"a": [[NaN]]}}'),
             ("check-rosen", '{"ensemble": {"n": 3, "count": 2, "samples": 10, "rho_range": [0, 1e309]}}'),
+            ("learn", {"game": {"preset": "scalar"}, "learn": {"grad_tolerance": True}}),
+            ("learn", {"game": {"preset": "scalar"}, "sim": {"dt": True}}),
+            ("learn", {"game": {"preset": "scalar"}, "sim": {"horizon": True}}),
+            ("learn", {"game": {"preset": "scalar"}, "learn": {"step_size": "0.5"}}),
+            ("gen-matrix", {"n": 3, "offdiag_scale": True}),
+            ("learn", {"game": {"generate": {"n": 3, "box_factor": True}}}),
+            ("learn", {"game": {"preset": "scalar"}, "learn": {"mode": "model-free", "grad_tolerance": 0.5}}),
+            ("check-rosen", {"ensemble": {"n": 2, "count": 1, "rho_range": [False, True]}}),
+            ("learn", {"game": {"preset": "no-such-game"}}),
+            ("simulate", '{"game": {"preset": "scalar"}, "sim": {"horizon": 1%s}}' % ("0" * 400)),
         ],
     )
     def test_bad_config_file(self, tmp_path, capsys, command, config):
@@ -335,6 +345,11 @@ class TestConfigErrors:
         path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
         out = tmp_path / "out"
         assert_config_error(capsys, run_cli(command, "--config", str(path), "--out", str(out)), out)
+
+    def test_model_free_grad_tolerance_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["learn", "--preset", "scalar", "--mode", "model-free", "--grad-tolerance", "0.5"]
+        assert_config_error(capsys, run_cli(*argv, "--out", str(out)), out)
 
     @pytest.mark.parametrize(
         "argv",

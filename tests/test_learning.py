@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nashlq import (
+    ActionProfile,
     GameSpec,
     LearnConfig,
+    LearnRun,
     SimConfig,
+    StageRecord,
     cost,
+    evaluate,
     exact_gradient,
     five_player_game,
     gradient_play_step,
@@ -18,9 +22,106 @@ from nashlq import (
     scalar_game,
     substream,
 )
+from nashlq.game import _profile
 from util import random_game
 
 SCALAR_EQUILIBRIUM = np.sqrt(2.0) - 1.0
+
+
+# The loop that run_gradient_play and gradient_play_step replaced, kept as
+# the reference for the single stage loop: the stage estimate branched on
+# the mode at every stage, and a for...else tail evaluated the final profile.
+def _reference_stage_estimate(spec, k, config, stage):
+    if config.mode == "exact":
+        report = evaluate(spec, k)
+        return report.cost, report.grad
+    sim = config.sim if config.sim is not None else SimConfig()
+    estimate = monte_carlo_cost(spec, k, sim, stage)
+    return estimate, marginal_cost_from_cost(estimate, k, spec.rho)
+
+
+def _reference_step(spec, k, config, stage=0):
+    k = _profile(spec, k)
+    if not spec.contains(k):
+        raise ValueError("profile must lie in the action box")
+    _, grad = _reference_stage_estimate(spec, k, config, stage)
+    return ActionProfile(project(k - config.step_size * grad, spec.k_lower, spec.k_upper))
+
+
+def _reference_run(spec, k0, config):
+    k = _profile(spec, k0)
+    if not spec.contains(k):
+        raise ValueError("initial profile must lie in the action box")
+
+    history = []
+    tol = config.grad_tolerance
+    check_tol = config.mode == "exact" and tol > 0
+
+    def record(stage, profile, costs, grads):
+        if config.record_history:
+            history.append(
+                StageRecord(stage=stage, profile=ActionProfile(profile), cost=costs, grad=grads)
+            )
+
+    converged = False
+    stages_used = config.stages
+    for stage in range(config.stages):
+        costs, grads = _reference_stage_estimate(spec, k, config, stage)
+        record(stage, k, costs, grads)
+        if check_tol and np.max(np.abs(grads)) < tol:
+            converged = True
+            stages_used = stage
+            break
+        k = project(k - config.step_size * grads, spec.k_lower, spec.k_upper)
+    else:
+        costs, grads = _reference_stage_estimate(spec, k, config, config.stages)
+        record(config.stages, k, costs, grads)
+        if check_tol:
+            converged = bool(np.max(np.abs(grads)) < tol)
+
+    return LearnRun(
+        history=tuple(history),
+        final=ActionProfile(k),
+        converged=converged,
+        stages_used=stages_used,
+    )
+
+
+def _bits(array):
+    return np.asarray(array, dtype=float).tobytes()
+
+
+@st.composite
+def _play_case(draw):
+    """A random SDD game (n <= 8), a start in its box, and a learn config.
+
+    Budgets include 1 stage; exact tolerances include 0, one met at stage 0
+    and ones met part way; model-free runs take no tolerance.
+    """
+    spec, k0 = random_game(draw(st.integers(0, 2**32 - 1)), n=draw(st.integers(1, 8)))
+    mode = draw(st.sampled_from(["exact", "model-free"]))
+    stages = draw(st.sampled_from([1, 2, 3, 8, 40]))
+    step_size = draw(st.sampled_from([0.1, 1.0, 7.5]))
+    tolerance = 0.0
+    sim = SimConfig(
+        batch_size=draw(st.integers(1, 24)),
+        horizon=draw(st.sampled_from([5.0, 20.0])),
+        dt=0.1,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        integrator=draw(st.sampled_from(["quadrature", "exact"])),
+    )
+    if mode == "exact":
+        start = float(np.max(np.abs(exact_gradient(spec, k0))))
+        tolerance = draw(st.sampled_from([0.0, 2.0 * start + 1e-300, 0.5 * start, 1e-3, 1e-9]))
+    config = LearnConfig(
+        stages=stages,
+        step_size=step_size,
+        mode=mode,
+        sim=sim,
+        grad_tolerance=tolerance,
+        record_history=draw(st.booleans()),
+    )
+    return spec, k0, config
 
 
 class TestProject:
@@ -200,6 +301,31 @@ class TestRun:
         assert increases >= 0
 
 
+class TestSingleLoopMatchesReference:
+    @settings(max_examples=150)
+    @given(_play_case())
+    def test_run_is_bit_identical(self, case):
+        spec, k0, config = case
+        run = run_gradient_play(spec, k0, config)
+        ref = _reference_run(spec, k0, config)
+        assert len(run.history) == len(ref.history)
+        for rec, expected in zip(run.history, ref.history):
+            assert rec.stage == expected.stage
+            assert _bits(rec.profile.k) == _bits(expected.profile.k)
+            assert _bits(rec.cost) == _bits(expected.cost)
+            assert _bits(rec.grad) == _bits(expected.grad)
+        assert _bits(run.final.k) == _bits(ref.final.k)
+        assert run.stages_used == ref.stages_used
+        assert run.converged == ref.converged
+
+    @settings(max_examples=60)
+    @given(_play_case(), st.integers(1, 10**6))
+    def test_step_is_bit_identical_at_a_nonzero_stage(self, case, stage):
+        spec, k0, config = case
+        step = gradient_play_step(spec, k0, config, stage=stage)
+        assert _bits(step.k) == _bits(_reference_step(spec, k0, config, stage).k)
+
+
 class TestLearnConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -213,8 +339,17 @@ class TestLearnConfig:
             {"stages": 2.5},
             {"stages": True},
             {"step_size": float("inf")},
+            {"grad_tolerance": True},
+            {"step_size": True},
+            {"step_size": "0.5"},
+            {"grad_tolerance": "0"},
+            {"mode": "model-free", "grad_tolerance": 0.5},
+            {"mode": "model-free", "sim": None},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             LearnConfig(**kwargs)
+
+    def test_sim_defaults_to_sim_config(self):
+        assert LearnConfig().sim == SimConfig()

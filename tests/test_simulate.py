@@ -369,6 +369,11 @@ class TestSimConfig:
             {"horizon": float("nan")},
             {"seed": -1},
             {"seed": 1.5},
+            {"dt": True},
+            {"horizon": True},
+            {"dt": "0.1"},
+            {"horizon": "200"},
+            {"horizon": 10**400},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
