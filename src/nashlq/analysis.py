@@ -32,11 +32,13 @@ from .game import (
     ActionProfile,
     GameSpec,
     _evaluate_stack,
+    _is_finite,
+    _is_int,
     _jacobian_stack,
     profile_array,
     pseudogradient_jacobian,
 )
-from .simulate import _is_finite, _is_int, substream
+from .simulate import substream
 
 __all__ = [
     "PreconditionViolated",

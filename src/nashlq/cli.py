@@ -30,7 +30,7 @@ from .analysis import (
 from .config import ConfigError, load_ensemble, load_experiment, load_matrix, read_config, resolve
 from .game import GameSpec, NotPositiveDefinite, cost, stability_margin
 from .learning import _MODES, run_gradient_play
-from .output import HISTORY_FORMATS, write_history, write_json
+from .output import HISTORY_FORMATS, write_csv, write_history, write_json
 from .presets import (
     FIVE_PLAYER_ROUND1_FINAL,
     FIVE_PLAYER_ROUND1_START,
@@ -57,21 +57,20 @@ REPRODUCE_DT = 0.01
 EXACT_STAGE_CAP = 20000
 EXACT_TOLERANCE = 1e-9
 
-# The study's settings, for each reproduce-paper flag left out.
+# The study's settings, for each reproduce-paper flag left out, by mode.
+_STUDY = dict(
+    preset="five-player", batch_size=FIVE_PLAYER_BATCH, horizon=FIVE_PLAYER_HORIZON, dt=REPRODUCE_DT,
+    output_dir="runs/reproduce-paper",
+)
 REPRODUCE_DEFAULTS = {
-    "preset": "five-player",
-    "mode": "model-free",
-    "batch_size": FIVE_PLAYER_BATCH,
-    "horizon": FIVE_PLAYER_HORIZON,
-    "dt": REPRODUCE_DT,
-    "output_dir": "runs/reproduce-paper",
+    "model-free": {**_STUDY, "stages": FIVE_PLAYER_STAGES, "grad_tolerance": 0.0},
+    "exact": {**_STUDY, "stages": EXACT_STAGE_CAP, "grad_tolerance": EXACT_TOLERANCE},
 }
 
-_K0_STREAM = 101
-
-
-def _flt(values: np.ndarray) -> list[float]:
-    return [float(v) for v in np.asarray(values).ravel()]
+# Substream key, after the seed, of learn's random start.  Stage streams are
+# keyed (seed, stage) and SeedSequence pads keys with zeros, so the non-zero
+# third word keeps the start's draw apart from every stage's batch.
+_K0_KEY = (0, 1)
 
 
 def _fmt_vec(values) -> str:
@@ -80,16 +79,16 @@ def _fmt_vec(values) -> str:
 
 def _game_dict(spec: GameSpec) -> dict:
     return {
-        "a": [list(map(float, row)) for row in spec.a],
-        "rho": _flt(spec.rho),
-        "k_lower": _flt(spec.k_lower),
-        "k_upper": _flt(spec.k_upper),
+        "a": spec.a.tolist(),
+        "rho": spec.rho.tolist(),
+        "k_lower": spec.k_lower.tolist(),
+        "k_upper": spec.k_upper.tolist(),
     }
 
 
 def _overrides(args) -> dict:
     """The flags under their config keys; an omitted flag is None."""
-    return dict(vars(args), output_dir=args.out, k0=_parse_profile(getattr(args, "k0", None)))
+    return dict(vars(args), k0=_parse_profile(getattr(args, "k0", None)))
 
 
 def _parse_profile(text):
@@ -108,7 +107,7 @@ def cmd_learn(args) -> int:
     exp = load_experiment(args.config, _overrides(args))
     k0 = exp.k0
     if k0 is None:
-        rng = substream(exp.sim.seed, _K0_STREAM)
+        rng = substream(exp.sim.seed, *_K0_KEY)
         k0 = exp.game.k_lower + rng.random(exp.game.n) * (exp.game.k_upper - exp.game.k_lower)
     run = run_gradient_play(exp.game, k0, exp.learn)
 
@@ -116,26 +115,18 @@ def cmd_learn(args) -> int:
     _, suffix = HISTORY_FORMATS[exp.format]
     history_path = write_history(exp.output_dir / f"history{suffix}", run, exp.format)
 
-    final_grad = run.history[-1].grad if run.history else None
     print(f"mode {exp.learn.mode}: {run.stages_used} stages, converged={run.converged}")
     print(f"initial profile: {_fmt_vec(k0)}")
     print(f"final profile:   {_fmt_vec(run.final.k)}")
-    if final_grad is not None:
-        print(f"final max |gradient|: {np.max(np.abs(final_grad)):.3e}")
+    print(f"final max |gradient|: {np.max(np.abs(run.history[-1].grad)):.3e}")
     print(f"history written to {history_path}")
     return EXIT_OK
 
 
 def cmd_reproduce_paper(args) -> int:
-    overrides = _overrides(args)
-    overrides.update(resolve(overrides, {}, REPRODUCE_DEFAULTS))
-    exact = overrides["mode"] == "exact"
-    if exact:
-        by_mode = {"stages": EXACT_STAGE_CAP, "grad_tolerance": EXACT_TOLERANCE}
-    else:
-        by_mode = {"stages": FIVE_PLAYER_STAGES, "grad_tolerance": 0.0}
-    overrides.update(resolve(overrides, {}, by_mode))
-    exp = load_experiment(None, overrides)
+    flags = dict(_overrides(args), mode=args.mode or "model-free")
+    exp = load_experiment(None, {**flags, **resolve(flags, {}, REPRODUCE_DEFAULTS[flags["mode"]])})
+    exact = exp.learn.mode == "exact"
     # Both rounds share the per-stage noise substreams by default, so they
     # differ only in their starting profiles; --independent-rounds gives the
     # second round its own stream.
@@ -161,9 +152,7 @@ def cmd_reproduce_paper(args) -> int:
         for index, k in enumerate(profiles, start=1)
     ]
     header = ["row", "round"] + [f"player_{i}" for i in range(1, exp.game.n + 1)]
-    lines = [",".join(header)]
-    lines += [f"{label},{index}," + ",".join(repr(float(v)) for v in k) for label, index, k in rows]
-    (out / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_csv(out / "comparison.csv", header, ([label, index, *k.tolist()] for label, index, k in rows))
 
     gaps = {"cross_round": cross_gap}
     if not exact:
@@ -187,14 +176,14 @@ def cmd_reproduce_paper(args) -> int:
         "dt": exp.sim.dt,
         "rounds": [
             {
-                "start": _flt(start),
-                "final": _flt(final),
+                "start": start.tolist(),
+                "final": final.tolist(),
                 "stages_used": run.stages_used,
                 "converged": run.converged,
             }
             for start, final, run in zip(starts, finals, runs)
         ],
-        "published_finals": [_flt(p) for p in published],
+        "published_finals": [p.tolist() for p in published],
         "cross_round_gap": cross_gap,
         "checks": checks,
         "passed": passed,
@@ -214,7 +203,7 @@ def cmd_reproduce_paper(args) -> int:
 
 def cmd_check_rosen(args) -> int:
     overrides = _overrides(args)
-    out = Path(args.out)
+    out = Path(args.output_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
 
     raw = read_config(args.config)
@@ -232,7 +221,7 @@ def cmd_check_rosen(args) -> int:
                     "seed": rec.seed,
                     "game": _game_dict(rec.spec),
                     "min_eig": rec.report.min_eig,
-                    "witness": _flt(rec.report.witness.k),
+                    "witness": rec.report.witness.k.tolist(),
                     "samples": rec.report.samples,
                 }
                 for rec in result.violations
@@ -255,7 +244,7 @@ def cmd_check_rosen(args) -> int:
         "seed": exp.sim.seed,
         "samples": report.samples,
         "min_eig": report.min_eig,
-        "witness": _flt(report.witness.k),
+        "witness": report.witness.k.tolist(),
         "violated": report.violated,
     }
     print(f"min eig of G + G^T over {report.samples} samples: {report.min_eig:.6g}")
@@ -283,7 +272,7 @@ def cmd_gen_matrix(args) -> int:
     margins = np.abs(np.diag(a)) - offdiag
     min_eig = float(np.linalg.eigvalsh(a).min())
 
-    out = Path(args.out)
+    out = Path(args.output_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(
         out,
@@ -292,11 +281,11 @@ def cmd_gen_matrix(args) -> int:
             "seed": ensemble.seed,
             "offdiag_scale": ensemble.offdiag_scale,
             "dominance_margin": ensemble.dominance_margin,
-            "matrix": [list(map(float, row)) for row in a],
+            "matrix": a.tolist(),
             "verification": {
                 "symmetric": bool(np.array_equal(a, a.T)),
                 "negative_diagonal": bool(np.all(np.diag(a) < 0)),
-                "gershgorin_margins": _flt(margins),
+                "gershgorin_margins": margins.tolist(),
                 "strictly_diagonally_dominant": bool(np.all(margins > 0)),
                 "min_eigenvalue": min_eig,
             },
@@ -330,33 +319,59 @@ def cmd_simulate(args) -> int:
     for i in range(exp.game.n):
         print(f"{i + 1:>6}   {estimate[i]:<12.6g}  {closed_form[i]:<12.6g}  {rel[i]:.3e}")
 
-    if args.out:
-        path = Path(args.out)
+    if args.output_dir:
+        path = Path(args.output_dir)
         path.parent.mkdir(parents=True, exist_ok=True)
-        lines = ["player,k,estimate,closed_form,rel_error"]
-        for i in range(exp.game.n):
-            lines.append(
-                f"{i + 1},{float(k[i])!r},{float(estimate[i])!r},"
-                f"{float(closed_form[i])!r},{float(rel[i])!r}"
-            )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        columns = (k, estimate, closed_form, rel)
+        rows = zip(range(1, exp.game.n + 1), *(column.tolist() for column in columns))
+        write_csv(path, ["player", "k", "estimate", "closed_form", "rel_error"], rows)
         print(f"table written to {path}")
     return EXIT_OK
 
 
-def _add_common(
-    parser: argparse.ArgumentParser, *, sim_flags: bool = True, config: bool = True
-) -> None:
-    if config:
-        parser.add_argument("--config", metavar="PATH", help="JSON experiment config")
-    parser.add_argument("--seed", type=int, metavar="U64", help="RNG seed (default: $NASHLQ_SEED or 0)")
-    parser.add_argument("--out", metavar="PATH", help="output directory or file")
-    if sim_flags:
-        parser.add_argument(
-            "--batch", dest="batch_size", type=int, metavar="N", help="Monte Carlo batch size"
-        )
-        parser.add_argument("--horizon", type=float, metavar="F", help="sampling horizon in seconds")
-        parser.add_argument("--dt", type=float, metavar="F", help="quadrature step in seconds")
+# Each flag's argparse keywords; ``dest``, stated where argparse would derive
+# another, is the config key the flag sets.
+_FLAGS = {
+    "--config": dict(metavar="PATH", help="JSON experiment config"),
+    "--seed": dict(type=int, metavar="U64", help="RNG seed (default: $NASHLQ_SEED or 0)"),
+    "--out": dict(dest="output_dir", metavar="PATH", help="output directory or file"),
+    "--batch": dict(dest="batch_size", type=int, metavar="N", help="Monte Carlo batch size"),
+    "--horizon": dict(type=float, metavar="F", help="sampling horizon in seconds"),
+    "--dt": dict(type=float, metavar="F", help="quadrature step in seconds"),
+    "--preset": dict(choices=list(PRESETS)),
+    "--mode": dict(choices=_MODES),
+    "--stages": dict(type=int, metavar="N"),
+    "--step-size": dict(type=float, metavar="F"),
+    "--grad-tolerance": dict(type=float, metavar="F"),
+    "--k0": dict(metavar="CSV", help="starting profile, comma-separated"),
+    "--k": dict(metavar="CSV", help="profile to simulate, comma-separated"),
+    "--integrator": dict(choices=_INTEGRATORS),
+    "--format": dict(choices=list(HISTORY_FORMATS)),
+    "--independent-rounds": dict(
+        action="store_true", help="give round 2 its own noise stream instead of sharing round 1's"
+    ),
+    "--samples": dict(type=int, metavar="N", help="box samples (per matrix)"),
+    "--n": dict(type=int, metavar="N", help="matrix dimension"),
+    "--offdiag-scale": dict(type=float, metavar="F"),
+    "--margin": dict(dest="dominance_margin", type=float, metavar="F", help="diagonal dominance margin"),
+}
+
+# Each subcommand's handler, help line, default --out, and flags in help order.
+_COMMANDS = {
+    "learn": (cmd_learn, "run projected gradient play and write the staged history", None,
+              "--config --seed --out --batch --horizon --dt --preset --mode --stages --step-size"
+              " --grad-tolerance --k0 --integrator --format"),
+    "reproduce-paper": (cmd_reproduce_paper,
+                        "replay both rounds of the bundled 5-player study and check tolerances", None,
+                        "--seed --out --batch --horizon --dt --mode --stages --step-size"
+                        " --independent-rounds"),
+    "check-rosen": (cmd_check_rosen, "sweep G + G^T positive definiteness over the action box",
+                    "rosen.json", "--config --seed --out --preset --samples"),
+    "gen-matrix": (cmd_gen_matrix, "generate a random SDD matrix with verification report",
+                   "matrix.json", "--config --seed --out --n --offdiag-scale --margin"),
+    "simulate": (cmd_simulate, "Monte Carlo cost estimate at a profile vs the closed form", None,
+                 "--config --seed --out --batch --horizon --dt --preset --k --integrator"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,60 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gradient-play Nash equilibrium seeking for decentralized LQ games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    learn = sub.add_parser("learn", help="run projected gradient play and write the staged history")
-    _add_common(learn)
-    learn.add_argument("--preset", choices=list(PRESETS))
-    learn.add_argument("--mode", choices=_MODES)
-    learn.add_argument("--stages", type=int, metavar="N")
-    learn.add_argument("--step-size", dest="step_size", type=float, metavar="F")
-    learn.add_argument("--grad-tolerance", dest="grad_tolerance", type=float, metavar="F")
-    learn.add_argument("--k0", metavar="CSV", help="starting profile, comma-separated")
-    learn.add_argument("--integrator", choices=_INTEGRATORS)
-    learn.add_argument("--format", choices=list(HISTORY_FORMATS))
-    learn.set_defaults(func=cmd_learn)
-
-    repro = sub.add_parser(
-        "reproduce-paper",
-        help="replay both rounds of the bundled 5-player study and check tolerances",
-    )
-    _add_common(repro, config=False)
-    repro.add_argument("--mode", choices=_MODES)
-    repro.add_argument("--stages", type=int, metavar="N")
-    repro.add_argument("--step-size", dest="step_size", type=float, metavar="F")
-    repro.add_argument(
-        "--independent-rounds",
-        action="store_true",
-        help="give round 2 its own noise stream instead of sharing round 1's",
-    )
-    repro.set_defaults(func=cmd_reproduce_paper)
-
-    rosen = sub.add_parser(
-        "check-rosen", help="sweep G + G^T positive definiteness over the action box"
-    )
-    _add_common(rosen, sim_flags=False)
-    rosen.add_argument("--preset", choices=list(PRESETS))
-    rosen.add_argument("--samples", type=int, metavar="N", help="box samples (per matrix)")
-    rosen.set_defaults(func=cmd_check_rosen, out="rosen.json")
-
-    gen = sub.add_parser("gen-matrix", help="generate a random SDD matrix with verification report")
-    _add_common(gen, sim_flags=False)
-    gen.add_argument("--n", type=int, metavar="N", help="matrix dimension")
-    gen.add_argument("--offdiag-scale", dest="offdiag_scale", type=float, metavar="F")
-    gen.add_argument(
-        "--margin", dest="dominance_margin", type=float, metavar="F", help="diagonal dominance margin"
-    )
-    gen.set_defaults(func=cmd_gen_matrix, out="matrix.json")
-
-    simulate = sub.add_parser(
-        "simulate", help="Monte Carlo cost estimate at a profile vs the closed form"
-    )
-    _add_common(simulate)
-    simulate.add_argument("--preset", choices=list(PRESETS))
-    simulate.add_argument("--k", metavar="CSV", help="profile to simulate, comma-separated")
-    simulate.add_argument("--integrator", choices=_INTEGRATORS)
-    simulate.set_defaults(func=cmd_simulate)
-
+    for name, (func, help_line, out, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag in flags.split():
+            command.add_argument(flag, **_FLAGS[flag])
+        command.set_defaults(func=func, output_dir=out)
     return parser
 
 

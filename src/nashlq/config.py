@@ -27,8 +27,9 @@ nested JSON object::
 
 and ``gen-matrix`` reads top-level keys ``{"n": 5, "offdiag_scale": 1.0,
 "dominance_margin": 0.1, "seed": 0}``, ``n`` required.  Integer fields must
-be JSON integers, real-valued fields JSON numbers.  A ``seed`` that neither
-flag nor file gives comes from ``NASHLQ_SEED``, except in ``game.generate``.
+be JSON integers; real-valued fields, and each entry of an array field, JSON
+numbers.  A ``seed`` that neither flag nor file gives comes from
+``NASHLQ_SEED``, except in ``game.generate``.
 
 Validation failures raise :class:`ConfigError`, which the CLI maps to
 exit code 2.
@@ -45,11 +46,11 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import BOX_FACTOR, MatrixEnsembleConfig, game_from_matrix, generate_sdd_matrix
-from .game import GameSpec
+from .game import GameSpec, _is_finite, _real_array
 from .learning import LearnConfig
 from .output import HISTORY_FORMATS
 from .presets import preset_game
-from .simulate import SimConfig, _is_finite, substream
+from .simulate import SimConfig, substream
 
 __all__ = [
     "ConfigError", "ExperimentConfig", "read_config", "resolve", "resolve_seed",
@@ -197,7 +198,7 @@ def load_experiment(config_path, overrides: dict | None = None) -> ExperimentCon
 
     k0 = resolve(overrides, learn_raw, {"k0": None})["k0"]
     if k0 is not None:
-        k0 = np.asarray(k0, dtype=float)
+        k0 = _real_array(k0, "k0")
         if k0.shape != (game.n,):
             raise ConfigError(f"k0 must have {game.n} entries, got shape {k0.shape}")
         if not game.contains(k0):

@@ -22,6 +22,7 @@ stability check, here and in :mod:`nashlq.simulate`, uses its factor step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,24 +73,55 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_int(value) -> bool:
+    """True for Python and NumPy integers, but not for ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """True for integers as :func:`_is_int` takes them and floats, if finite as a float."""
+    if not (_is_int(value) or isinstance(value, (float, np.floating))):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _real_array(value, name: str) -> np.ndarray:
+    """A float copy of ``value``, every entry a finite number.
+
+    Booleans and strings are refused, not converted; NumPy would turn
+    ``[True, 0.5]`` into ``[1.0, 0.5]``.  Float and integer arrays, which
+    internal callers pass, skip the per-entry type check.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        finite = np.all(np.isfinite(value))
+    else:
+        value = np.array(value, dtype=object)
+        finite = all(map(_is_finite, value.flat))
+    if not finite:
+        raise ValueError(f"{name} must hold only finite numbers")
+    return np.array(value, dtype=float)
+
+
 def _vector(value, n: int, name: str) -> np.ndarray:
-    value = np.asarray(value, dtype=float)
+    value = _real_array(value, name)
     if value.ndim == 0:
         value = np.full(n, float(value))
     if value.shape != (n,):
         raise ValueError(f"{name} must be a scalar or length-{n} vector, got shape {value.shape}")
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{name} must be finite")
-    return value.copy()
+    return value
 
 
 @dataclass(frozen=True, eq=False)
 class GameSpec:
     """Immutable game: state matrix, tradeoff weights, and the action box.
 
-    Every entry must be finite.  ``a`` must be symmetric (tiny asymmetries
-    are averaged away, larger ones rejected).  If the stability check at the
-    lower corner of the box fails, the lower bounds are lifted to
+    Every entry must be a finite number; booleans and strings are refused.
+    ``a`` must be symmetric (tiny asymmetries are averaged away, larger ones
+    rejected).  If the stability check at the lower corner of the box fails,
+    the lower bounds are lifted to
     ``max(0, a_ii + sum_j|a_ij| + margin)``, which makes ``K - A`` strictly
     diagonally dominant with positive diagonal for every profile in the box,
     hence positive definite.
@@ -101,11 +133,9 @@ class GameSpec:
     k_lower: np.ndarray | None = None
 
     def __post_init__(self):
-        a = np.atleast_2d(np.array(self.a, dtype=float))
+        a = np.atleast_2d(_real_array(self.a, "state matrix"))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"state matrix must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("state matrix entries must be finite")
         a = _symmetrized(a)
         n = a.shape[0]
 

@@ -21,8 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import ActionProfile, GameSpec, evaluate, marginal_cost_from_cost, _profile
-from .simulate import SimConfig, _is_finite, _is_int, monte_carlo_cost
+from .game import (
+    ActionProfile, GameSpec, evaluate, marginal_cost_from_cost, _is_finite, _is_int, _profile,
+)
+from .simulate import SimConfig, monte_carlo_cost
 
 __all__ = [
     "LearnConfig",

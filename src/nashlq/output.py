@@ -3,6 +3,8 @@
 Histories go to CSV (header ``stage,k_1..k_n,J_1..J_n,g_1..g_n``) or JSON
 lines; floats are written in shortest round-trip form so re-reading a file
 reproduces every value bit for bit.  All files are UTF-8 with LF endings.
+Rows are handed to the writers as Python scalars (NumPy's ``tolist``):
+under NumPy 2, ``repr`` of a NumPy float is ``np.float64(...)``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .learning import LearnRun
 
 __all__ = [
+    "write_csv",
     "history_header",
     "write_history_csv",
     "read_history_csv",
@@ -27,8 +30,14 @@ __all__ = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def write_csv(path, header, rows) -> Path:
+    """Write ``header`` and then ``rows`` of Python scalars as CSV."""
+    path = Path(path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def history_header(n: int) -> list[str]:
@@ -42,18 +51,12 @@ def history_header(n: int) -> list[str]:
 
 def _rows(run: LearnRun):
     for rec in run.history:
-        yield rec.stage, rec.profile.k, rec.cost, rec.grad
+        yield rec.stage, rec.profile.k.tolist(), rec.cost.tolist(), rec.grad.tolist()
 
 
 def write_history_csv(path, run: LearnRun) -> Path:
-    path = Path(path)
-    n = len(run.final)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(history_header(n))
-        for stage, k, j, g in _rows(run):
-            writer.writerow([stage] + [_fmt(v) for v in (*k, *j, *g)])
-    return path
+    rows = ([stage, *k, *j, *g] for stage, k, j, g in _rows(run))
+    return write_csv(path, history_header(len(run.final)), rows)
 
 
 def read_history_csv(path) -> dict[str, np.ndarray]:
@@ -77,12 +80,7 @@ def write_history_jsonl(path, run: LearnRun) -> Path:
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for stage, k, j, g in _rows(run):
-            fh.write(
-                json.dumps(
-                    {"stage": stage, "k": list(map(float, k)),
-                     "J": list(map(float, j)), "g": list(map(float, g))}
-                )
-            )
+            fh.write(json.dumps({"stage": stage, "k": k, "J": j, "g": g}))
             fh.write("\n")
     return path
 

@@ -18,12 +18,11 @@ O(B n^2 + n^3).  Per-trajectory costs, O(B n^3), are computed only by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, _cholesky, _closed_loop, _profile
+from .game import GameSpec, _cholesky, _closed_loop, _is_finite, _is_int, _profile
 
 __all__ = [
     "SQRT3",
@@ -70,21 +69,6 @@ class SimConfig:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.integrator not in _INTEGRATORS:
             raise ValueError(f"integrator must be one of {_INTEGRATORS}")
-
-
-def _is_int(value) -> bool:
-    """True for Python and NumPy integers, but not for ``bool``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """True for integers as :func:`_is_int` takes them and floats, if finite as a float."""
-    if not (_is_int(value) or isinstance(value, (float, np.floating))):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 @dataclass(frozen=True, eq=False)

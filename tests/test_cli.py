@@ -3,14 +3,42 @@ import json
 import numpy as np
 import pytest
 
-from nashlq.cli import EXIT_GATE, main
+from nashlq.cli import EXIT_GATE, build_parser, main
 from nashlq.output import read_history_csv
+from nashlq.presets import preset_game
+from nashlq.simulate import substream
 
 SCALAR_EQUILIBRIUM = np.sqrt(2.0) - 1.0
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    expected = {
+        "learn": {
+            "--config", "--seed", "--out", "--batch", "--horizon", "--dt", "--preset", "--mode",
+            "--stages", "--step-size", "--grad-tolerance", "--k0", "--integrator", "--format",
+        },
+        "reproduce-paper": {
+            "--seed", "--out", "--batch", "--horizon", "--dt", "--mode", "--stages", "--step-size",
+            "--independent-rounds",
+        },
+        "check-rosen": {"--config", "--seed", "--out", "--preset", "--samples"},
+        "gen-matrix": {"--config", "--seed", "--out", "--n", "--offdiag-scale", "--margin"},
+        "simulate": {
+            "--config", "--seed", "--out", "--batch", "--horizon", "--dt", "--preset", "--k",
+            "--integrator",
+        },
+    }
+    parser = build_parser()
+    commands = next(action.choices for action in parser._actions if isinstance(action.choices, dict))
+    found = {
+        name: {flag for action in command._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, command in commands.items()
+    }
+    assert found == expected
 
 
 class TestLearn:
@@ -66,6 +94,19 @@ class TestLearn:
         )
         assert run_cli("learn", "--config", str(config), "--out", str(tmp_path / "run")) == 0
         assert "initial profile: [1]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_random_start_is_drawn_apart_from_every_stage_stream(self, tmp_path, seed):
+        out = tmp_path / "run"
+        argv = ["learn", "--preset", "scalar", "--stages", "1", "--seed", str(seed), "--out", str(out)]
+        assert run_cli(*argv) == 0
+        spec = preset_game("scalar")
+        start = read_history_csv(out / "history.csv")["k"][0, 0]
+        unit = (start - spec.k_lower[0]) / (spec.k_upper[0] - spec.k_lower[0])
+        # Model-free stage t draws its batch's first state from the unit
+        # draw that opens the (seed, t) stream.
+        firsts = np.array([substream(seed, stage).random() for stage in range(1001)])
+        assert np.min(np.abs(firsts - unit)) > 1e-9
 
     def test_jsonl_format(self, tmp_path):
         out = tmp_path / "run"
@@ -338,6 +379,21 @@ class TestConfigErrors:
             ("check-rosen", {"ensemble": {"n": 2, "count": 1, "rho_range": [False, True]}}),
             ("learn", {"game": {"preset": "no-such-game"}}),
             ("simulate", '{"game": {"preset": "scalar"}, "sim": {"horizon": 1%s}}' % ("0" * 400)),
+            ("learn", '{"game": {"a": [[1%s]]}}' % ("0" * 400)),
+            ("learn", {"game": {"a": [[True]]}}),
+            ("learn", {"game": {"a": [["-1"]]}}),
+            ("learn", {"game": {"a": [[-1.0, False], [False, -1.0]]}}),
+            ("learn", {"game": {"a": [[-1.0]], "rho": True}}),
+            ("learn", {"game": {"a": [[-1.0]], "rho": "1"}}),
+            ("learn", {"game": {"a": [[-1.0, 0.0], [0.0, -1.0]], "rho": [True, 0.5]}}),
+            ("learn", {"game": {"a": [[-1.0]], "k_upper": True}}),
+            ("learn", {"game": {"a": [[-1.0]], "k_upper": "3"}}),
+            ("learn", {"game": {"a": [[-1.0, 0.0], [0.0, -1.0]], "k_lower": [0.5, True]}}),
+            ("learn", {"game": {"generate": {"n": 2, "rho": [True, 0.5]}}}),
+            ("learn", {"game": {"generate": {"n": 1, "rho": "0.5"}}}),
+            ("learn", {"game": {"preset": "scalar"}, "learn": {"k0": [True]}}),
+            ("learn", {"game": {"preset": "scalar"}, "learn": {"k0": ["1"]}}),
+            ("learn", {"game": {"preset": "two-player"}, "learn": {"k0": [True, 0.5]}}),
         ],
     )
     def test_bad_config_file(self, tmp_path, capsys, command, config):

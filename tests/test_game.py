@@ -337,6 +337,15 @@ class TestGameSpec:
             ({"k_upper": float("nan")}, "k_upper"),
             ({"k_lower": float("-inf")}, "k_lower"),
             ({"k_lower": float("nan")}, "k_lower"),
+            ({"a": [[True]]}, "state matrix"),
+            ({"a": [["-1"]]}, "state matrix"),
+            ({"a": [[-2.0, True], [True, -2.0]], "rho": 0.5}, "state matrix"),
+            ({"rho": True}, "rho"),
+            ({"rho": "0.5"}, "rho"),
+            ({"a": -np.eye(2), "rho": [True, 0.5]}, "rho"),
+            ({"rho": np.array([True])}, "rho"),
+            ({"k_upper": [True]}, "k_upper"),
+            ({"k_lower": "0"}, "k_lower"),
         ],
     )
     def test_non_finite_input_rejected(self, kwargs, name):
