@@ -5,122 +5,16 @@ own state and learns its scalar gain by projected gradient play, either from
 closed-form gradients or fully model-free from sampled trajectory costs.
 """
 
-from .analysis import (
-    MatrixEnsembleConfig,
-    PreconditionViolated,
-    RosenReport,
-    SweepRecord,
-    SweepResult,
-    conjecture_sweep,
-    game_from_matrix,
-    generate_negative_definite_matrix,
-    generate_sdd_matrix,
-    rosen_check,
-    rosen_sweep,
-    two_player_mu,
-)
+from . import analysis, game, learning, presets, simulate
+from .analysis import *
 from .config import ConfigError, ExperimentConfig, load_experiment
-from .game import (
-    ActionProfile,
-    CostGradientReport,
-    GameSpec,
-    NotPositiveDefinite,
-    cost,
-    evaluate,
-    exact_gradient,
-    marginal_cost_from_cost,
-    pseudogradient_jacobian,
-    resolvent,
-    second_derivative,
-    stability_margin,
-)
-from .learning import (
-    LearnConfig,
-    LearnRun,
-    StageRecord,
-    gradient_play_step,
-    project,
-    run_gradient_play,
-)
-from .presets import (
-    FIVE_PLAYER_A,
-    FIVE_PLAYER_RHO,
-    FIVE_PLAYER_ROUND1_FINAL,
-    FIVE_PLAYER_ROUND1_START,
-    FIVE_PLAYER_ROUND2_FINAL,
-    FIVE_PLAYER_ROUND2_START,
-    diagonal_game,
-    five_player_game,
-    preset_game,
-    scalar_game,
-    two_player_game,
-)
-from .simulate import (
-    SimConfig,
-    TrajectoryBatch,
-    monte_carlo_cost,
-    pair_integrals,
-    sample_initial_state,
-    simulate_batch,
-    simulate_state,
-    substream,
-    trajectory_cost,
-)
+from .game import *
+from .learning import *
+from .presets import *
+from .simulate import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionProfile",
-    "ConfigError",
-    "CostGradientReport",
-    "ExperimentConfig",
-    "FIVE_PLAYER_A",
-    "FIVE_PLAYER_RHO",
-    "FIVE_PLAYER_ROUND1_FINAL",
-    "FIVE_PLAYER_ROUND1_START",
-    "FIVE_PLAYER_ROUND2_FINAL",
-    "FIVE_PLAYER_ROUND2_START",
-    "GameSpec",
-    "LearnConfig",
-    "LearnRun",
-    "MatrixEnsembleConfig",
-    "NotPositiveDefinite",
-    "PreconditionViolated",
-    "RosenReport",
-    "SimConfig",
-    "StageRecord",
-    "SweepRecord",
-    "SweepResult",
-    "TrajectoryBatch",
-    "conjecture_sweep",
-    "cost",
-    "diagonal_game",
-    "evaluate",
-    "exact_gradient",
-    "five_player_game",
-    "game_from_matrix",
-    "generate_negative_definite_matrix",
-    "generate_sdd_matrix",
-    "gradient_play_step",
-    "load_experiment",
-    "marginal_cost_from_cost",
-    "monte_carlo_cost",
-    "pair_integrals",
-    "preset_game",
-    "project",
-    "pseudogradient_jacobian",
-    "resolvent",
-    "rosen_check",
-    "rosen_sweep",
-    "run_gradient_play",
-    "sample_initial_state",
-    "scalar_game",
-    "second_derivative",
-    "simulate_batch",
-    "simulate_state",
-    "stability_margin",
-    "substream",
-    "trajectory_cost",
-    "two_player_game",
-    "two_player_mu",
-]
+# Each module's own __all__, plus the config loader; config's CLI helpers stay out.
+__all__ = [name for module in (analysis, game, learning, presets, simulate) for name in module.__all__]
+__all__ += ["ConfigError", "ExperimentConfig", "load_experiment"]

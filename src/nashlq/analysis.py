@@ -13,7 +13,10 @@ A sweep is stacked: the sample points go through the profile kernel of
 ``SWEEP_BLOCK`` profiles, so its cost per point is a few array operations
 rather than a Python-level factorization, and its memory does not grow with
 the sample count.  The reported ``min_eig`` is a single
-:func:`rosen_check` at the witness, so the pair reproduces exactly.
+:func:`rosen_check` at the witness, so the pair reproduces exactly.  An
+ensemble's finite-difference spot checks are stacked the same way: each
+game's spot points are drawn in one call, and they and their ``2 n`` bumped
+neighbours go through the kernel in blocks of the same bound.
 
 The sample points are a Latin hypercube (McKay, Beckman & Conover, 1979)
 drawn in numpy on a child spawned from the sweep's stream: one uniform
@@ -35,7 +38,6 @@ from .game import (
     _is_finite,
     _is_int,
     _jacobian_stack,
-    profile_array,
     pseudogradient_jacobian,
 )
 from .simulate import substream
@@ -137,10 +139,14 @@ class SweepResult:
         return tuple(r for r in self.records if r.report.violated)
 
 
+def _rosen_values(g: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of ``G + G^T`` for each matrix of a ``(P, n, n)`` stack."""
+    return np.linalg.eigvalsh(g + g.transpose(0, 2, 1)).min(axis=1)
+
+
 def rosen_check(spec: GameSpec, k) -> float:
     """Smallest eigenvalue of ``G(k) + G(k)^T``; positive certifies k."""
-    g = pseudogradient_jacobian(spec, k)
-    return float(np.linalg.eigvalsh(g + g.T).min())
+    return float(_rosen_values(pseudogradient_jacobian(spec, k)[None])[0])
 
 
 def two_player_mu(a11: float, a12: float, a22: float, k1: float, k2: float) -> float:
@@ -242,16 +248,8 @@ def rosen_sweep(spec: GameSpec, samples: int = 200, seed=0) -> RosenReport:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
     points = _box_samples(spec, samples, rng)
-    best = np.inf
-    witness = points[0]
-    for start in range(0, points.shape[0], SWEEP_BLOCK):
-        block = points[start : start + SWEEP_BLOCK]
-        g = _jacobian_stack(spec, block)
-        values = np.linalg.eigvalsh(g + g.transpose(0, 2, 1)).min(axis=1)
-        i = int(np.argmin(values))
-        if values[i] < best:
-            best = values[i]
-            witness = block[i]
+    values = _in_blocks(lambda block: _rosen_values(_jacobian_stack(spec, block)), points)
+    witness = points[np.argmin(values)]
     # Report the witness's own single-profile check, so that
     # rosen_check(spec, witness) == min_eig holds by construction.
     min_eig = rosen_check(spec, witness)
@@ -263,17 +261,23 @@ def rosen_sweep(spec: GameSpec, samples: int = 200, seed=0) -> RosenReport:
     )
 
 
-def _fd_jacobian_gap(spec: GameSpec, k, step: float = 1e-5) -> float:
-    """Relative gap between the closed-form Jacobian and differenced gradients.
+def _in_blocks(fn, ks: np.ndarray, per_profile: int = 1) -> np.ndarray:
+    """``fn`` over blocks of the ``(P, n)`` stack ``ks``, joined (empty for ``P = 0``);
+    a block holds at most ``SWEEP_BLOCK`` kernel profiles, ``per_profile`` per row."""
+    step = max(1, SWEEP_BLOCK // per_profile)
+    return np.concatenate([fn(ks[i : i + step]) for i in range(0, len(ks), step)] or [[]])
 
-    The ``2 n`` bumped profiles are evaluated in one stacked kernel call.
-    """
-    k = profile_array(k)
-    g = pseudogradient_jacobian(spec, k)
-    bumps = step * np.eye(spec.n)
-    grads = _evaluate_stack(spec, np.vstack([k + bumps, k - bumps]))[1].grad
-    fd = (grads[: spec.n] - grads[spec.n :]).T / (2 * step)
-    return float(np.max(np.abs(fd - g)) / np.max(np.abs(g)))
+
+def _fd_jacobian_gap(spec: GameSpec, ks: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    """Per row of a ``(P, n)`` stack, the relative gap between the closed-form
+    Jacobian and differenced gradients; one kernel call takes all ``2 n P`` bumps."""
+    n = spec.n
+    g = _jacobian_stack(spec, ks)
+    bumps = step * np.eye(n)
+    bumped = np.concatenate([ks[:, None] + bumps, ks[:, None] - bumps], axis=1)
+    grads = _evaluate_stack(spec, bumped.reshape(-1, n))[1].grad.reshape(-1, 2 * n, n)
+    fd = (grads[:, :n] - grads[:, n:]).transpose(0, 2, 1) / (2 * step)
+    return np.max(np.abs(fd - g), axis=(1, 2)) / np.max(np.abs(g), axis=(1, 2))
 
 
 def conjecture_sweep(
@@ -294,9 +298,11 @@ def conjecture_sweep(
     """
     if generator not in ("sdd", "negative-definite"):
         raise ValueError("generator must be 'sdd' or 'negative-definite'")
+    if not (_is_finite(spot_check_rate) and spot_check_rate >= 0):
+        raise ValueError(f"spot_check_rate must be a finite number >= 0, got {spot_check_rate!r}")
+    spot_count = max(1, round(samples_per_matrix * spot_check_rate)) if spot_check_rate > 0 else 0
     records = []
-    spot_checked = 0
-    spot_worst = 0.0
+    gaps = []
     for index in range(ensemble.count):
         rng = substream(ensemble.seed, index)
         if generator == "sdd":
@@ -309,16 +315,11 @@ def conjecture_sweep(
         records.append(
             SweepRecord(matrix_index=index, seed=ensemble.seed, spec=spec, report=report)
         )
-        spot_count = round(samples_per_matrix * spot_check_rate)
-        if spot_check_rate > 0:
-            spot_count = max(1, spot_count)
-        for _ in range(spot_count):
-            point = spec.k_lower + rng.random(spec.n) * (spec.k_upper - spec.k_lower)
-            spot_worst = max(spot_worst, _fd_jacobian_gap(spec, point))
-            spot_checked += 1
+        points = spec.k_lower + rng.random((spot_count, spec.n)) * (spec.k_upper - spec.k_lower)
+        gaps += _in_blocks(lambda block: _fd_jacobian_gap(spec, block), points, 2 * spec.n).tolist()
     return SweepResult(
         records=tuple(records),
         min_eig=float(min(r.report.min_eig for r in records)),
-        spot_checked=spot_checked,
-        spot_check_max_rel_err=spot_worst,
+        spot_checked=len(gaps),
+        spot_check_max_rel_err=max([0.0, *gaps]),
     )

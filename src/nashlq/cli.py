@@ -27,7 +27,9 @@ from .analysis import (
     rosen_sweep,
     two_player_mu,
 )
-from .config import ConfigError, load_ensemble, load_experiment, load_matrix, read_config, resolve
+from .config import (
+    ConfigError, _experiment, load_ensemble, load_experiment, load_matrix, read_config, resolve,
+)
 from .game import GameSpec, NotPositiveDefinite, cost, stability_margin
 from .learning import _MODES, run_gradient_play
 from .output import HISTORY_FORMATS, write_csv, write_history, write_json
@@ -41,7 +43,7 @@ from .presets import (
     FIVE_PLAYER_STAGES,
     PRESETS,
 )
-from .simulate import _INTEGRATORS, monte_carlo_cost, substream
+from .simulate import _INTEGRATORS, _MATRIX_KEY, _START_KEY, monte_carlo_cost, substream
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -67,23 +69,13 @@ REPRODUCE_DEFAULTS = {
     "exact": {**_STUDY, "stages": EXACT_STAGE_CAP, "grad_tolerance": EXACT_TOLERANCE},
 }
 
-# Substream key, after the seed, of learn's random start.  Stage streams are
-# keyed (seed, stage) and SeedSequence pads keys with zeros, so the non-zero
-# third word keeps the start's draw apart from every stage's batch.
-_K0_KEY = (0, 1)
-
 
 def _fmt_vec(values) -> str:
     return "[" + ", ".join(f"{float(v):.6g}" for v in np.asarray(values).ravel()) + "]"
 
 
 def _game_dict(spec: GameSpec) -> dict:
-    return {
-        "a": spec.a.tolist(),
-        "rho": spec.rho.tolist(),
-        "k_lower": spec.k_lower.tolist(),
-        "k_upper": spec.k_upper.tolist(),
-    }
+    return {name: getattr(spec, name).tolist() for name in ("a", "rho", "k_lower", "k_upper")}
 
 
 def _overrides(args) -> dict:
@@ -107,7 +99,7 @@ def cmd_learn(args) -> int:
     exp = load_experiment(args.config, _overrides(args))
     k0 = exp.k0
     if k0 is None:
-        rng = substream(exp.sim.seed, *_K0_KEY)
+        rng = substream(exp.sim.seed, *_START_KEY)
         k0 = exp.game.k_lower + rng.random(exp.game.n) * (exp.game.k_upper - exp.game.k_lower)
     run = run_gradient_play(exp.game, k0, exp.learn)
 
@@ -208,7 +200,7 @@ def cmd_check_rosen(args) -> int:
 
     raw = read_config(args.config)
     if "ensemble" in raw:
-        ensemble, sweep = load_ensemble(raw["ensemble"], overrides)
+        ensemble, sweep = load_ensemble(raw, overrides)
         result = conjecture_sweep(ensemble, **sweep)
         payload = {
             "ensemble": {**asdict(ensemble), **sweep},
@@ -236,7 +228,7 @@ def cmd_check_rosen(args) -> int:
         print(f"report written to {out}")
         return EXIT_VIOLATION if result.violations else EXIT_OK
 
-    exp = load_experiment(args.config, overrides)
+    exp = _experiment(raw, overrides)
     samples = resolve(overrides, {}, {"samples": 1000})["samples"]
     report = rosen_sweep(exp.game, samples, seed=exp.sim.seed)
     payload = {
@@ -267,7 +259,7 @@ def cmd_check_rosen(args) -> int:
 def cmd_gen_matrix(args) -> int:
     overrides = _overrides(args)
     ensemble = load_matrix(args.config, overrides)
-    a = generate_sdd_matrix(ensemble, substream(ensemble.seed, 0))
+    a = generate_sdd_matrix(ensemble, substream(ensemble.seed, *_MATRIX_KEY))
     offdiag = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
     margins = np.abs(np.diag(a)) - offdiag
     min_eig = float(np.linalg.eigvalsh(a).min())

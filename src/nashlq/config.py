@@ -29,7 +29,12 @@ and ``gen-matrix`` reads top-level keys ``{"n": 5, "offdiag_scale": 1.0,
 "dominance_margin": 0.1, "seed": 0}``, ``n`` required.  Integer fields must
 be JSON integers; real-valued fields, and each entry of an array field, JSON
 numbers.  A ``seed`` that neither flag nor file gives comes from
-``NASHLQ_SEED``, except in ``game.generate``.
+``NASHLQ_SEED``, except in ``game.generate``.  ``game`` takes exactly one of
+its three forms.  A key that no section above names is an error, not
+ignored; every file that ``learn`` or ``simulate`` reads also works for
+``check-rosen``.  ``game.generate`` and ``gen-matrix`` draw their matrix
+from one substream, ``(seed, *simulate._MATRIX_KEY)``, which no model-free
+stage's ``(seed, stage)`` stream shares.
 
 Validation failures raise :class:`ConfigError`, which the CLI maps to
 exit code 2.
@@ -50,7 +55,7 @@ from .game import GameSpec, _is_finite, _real_array
 from .learning import LearnConfig
 from .output import HISTORY_FORMATS
 from .presets import preset_game
-from .simulate import SimConfig, substream
+from .simulate import _MATRIX_KEY, SimConfig, substream
 
 __all__ = [
     "ConfigError", "ExperimentConfig", "read_config", "resolve", "resolve_seed",
@@ -59,13 +64,19 @@ __all__ = [
 
 SEED_ENV_VAR = "NASHLQ_SEED"
 
-# The file and flag keys of each section; SimConfig and LearnConfig hold the defaults.
+# The keys each part of a config file takes.  Those of sim, learn and an
+# ensemble are also flag keys; SimConfig and LearnConfig hold their defaults.
 _SIM_KEYS = ("batch_size", "horizon", "dt", "integrator")
 _LEARN_KEYS = ("stages", "step_size", "mode", "grad_tolerance")
-_ENSEMBLE_KEYS = ("n", "count", "offdiag_scale", "dominance_margin", "seed")
+_MATRIX_KEYS = ("n", "offdiag_scale", "dominance_margin", "seed")  # a gen-matrix file
+_ENSEMBLE_KEYS = _MATRIX_KEYS + ("count",)
 # check-rosen's ensemble size when neither flag nor file gives one.
 _ENSEMBLE_SIZE = {"n": 5, "count": 100}
 _SWEEP_DEFAULTS = {"samples": 200, "rho_range": (0.0, 1.0), "generator": "sdd"}
+_EXPERIMENT_KEYS = ("game", "learn", "sim", "output_dir", "format")
+# 'game' takes exactly one of these forms; each form needs its first key.
+_GAME_FORMS = (("preset",), ("generate",), ("a", "rho", "k_upper", "k_lower"))
+_GENERATE_KEYS = _MATRIX_KEYS + ("rho", "box_factor")
 
 
 class ConfigError(ValueError):
@@ -95,6 +106,16 @@ def read_config(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a JSON object")
     return raw
+
+
+def _section(value, name: str, keys) -> dict:
+    """``value``, checked to be a JSON object that holds only ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {name} (it takes {', '.join(keys)})")
+    return value
 
 
 def _given(flags: dict, section: dict, keys) -> dict:
@@ -144,24 +165,26 @@ def _matrix_ensemble(section: dict, flags: dict) -> MatrixEnsembleConfig:
     return MatrixEnsembleConfig(**{**_ENSEMBLE_SIZE, **_given(flags, section, _ENSEMBLE_KEYS)})
 
 
-def _game_from_section(section) -> GameSpec:
-    if not isinstance(section, dict):
-        raise ConfigError("'game' section must be an object")
+def _game_from_section(section: dict) -> GameSpec:
+    forms = [form for form in _GAME_FORMS if not section.keys().isdisjoint(form)]
+    if len(forms) != 1 or forms[0][0] not in section:
+        raise ConfigError(
+            "section 'game' takes exactly one of 'preset', 'generate', or an explicit 'a' "
+            f"with optional 'rho', 'k_upper', 'k_lower'; got {', '.join(map(repr, section))}"
+        )
     if "preset" in section:
         return preset_game(section["preset"])
     if "generate" in section:
-        gen = section["generate"]
-        if not isinstance(gen, dict) or "n" not in gen:
-            raise ConfigError("'game.generate' needs at least an 'n' entry")
+        gen = _section(section["generate"], "section 'game.generate'", _GENERATE_KEYS)
+        if "n" not in gen:
+            raise ConfigError("section 'game.generate' needs an 'n' entry")
         ens = _matrix_ensemble(gen, {"count": 1})
-        rng = substream(ens.seed, 0)
+        rng = substream(ens.seed, *_MATRIX_KEY)
         a = generate_sdd_matrix(ens, rng)
         rho = gen.get("rho")
         if rho is None:
             rho = rng.uniform(0.0, 1.0, size=ens.n)
         return game_from_matrix(a, rho, gen.get("box_factor", BOX_FACTOR))
-    if "a" not in section:
-        raise ConfigError("'game' section needs 'preset', 'generate', or an explicit 'a' matrix")
     return GameSpec(
         a=section["a"],
         rho=section.get("rho", 0.0),
@@ -170,7 +193,6 @@ def _game_from_section(section) -> GameSpec:
     )
 
 
-@_config_errors
 def load_experiment(config_path, overrides: dict | None = None) -> ExperimentConfig:
     """Build a validated experiment from an optional file and flag overrides.
 
@@ -178,20 +200,22 @@ def load_experiment(config_path, overrides: dict | None = None) -> ExperimentCon
     batch_size, horizon, dt, integrator, grad_tolerance, k0, output_dir,
     format``; any ``None`` override defers to the file, then to defaults.
     """
-    overrides = overrides or {}
-    raw = read_config(config_path)
+    return _experiment(read_config(config_path), overrides or {})
 
-    game_section = raw.get("game", {})
+
+@_config_errors
+def _experiment(raw: dict, overrides: dict) -> ExperimentConfig:
+    """:func:`load_experiment` of a config file's already-read object."""
+    _section(raw, "the config file", _EXPERIMENT_KEYS)
+    game_section = _section(raw.get("game", {}), "section 'game'", sum(_GAME_FORMS, ()))
     if overrides.get("preset") is not None:
         game_section = {"preset": overrides["preset"]}
     if not game_section:
         raise ConfigError("no game configured: pass --preset or a config file with a 'game' section")
     game = _game_from_section(game_section)
 
-    learn_raw = raw.get("learn", {})
-    sim_raw = raw.get("sim", {})
-    if not isinstance(learn_raw, dict) or not isinstance(sim_raw, dict):
-        raise ConfigError("'learn' and 'sim' sections must be objects")
+    learn_raw = _section(raw.get("learn", {}), "section 'learn'", _LEARN_KEYS + ("k0",))
+    sim_raw = _section(raw.get("sim", {}), "section 'sim'", _SIM_KEYS + ("seed",))
     seed = resolve_seed(overrides.get("seed"), sim_raw.get("seed"))
     sim = SimConfig(**_given(overrides, sim_raw, _SIM_KEYS), seed=seed)
     learn = LearnConfig(**_given(overrides, learn_raw, _LEARN_KEYS), sim=sim)
@@ -213,11 +237,12 @@ def load_experiment(config_path, overrides: dict | None = None) -> ExperimentCon
 
 
 @_config_errors
-def load_ensemble(section, overrides: dict) -> tuple[MatrixEnsembleConfig, dict]:
-    """A ``check-rosen`` ``ensemble`` section: the ensemble and the
-    :func:`~nashlq.analysis.conjecture_sweep` keyword arguments, flags winning."""
-    if not isinstance(section, dict):
-        raise ConfigError("'ensemble' section must be an object")
+def load_ensemble(raw: dict, overrides: dict) -> tuple[MatrixEnsembleConfig, dict]:
+    """The ``ensemble`` sweep of a ``check-rosen`` file's already-read object: the
+    ensemble and the :func:`~nashlq.analysis.conjecture_sweep` keyword arguments,
+    flags winning."""
+    _section(raw, "the config file", _EXPERIMENT_KEYS + ("ensemble",))
+    section = _section(raw["ensemble"], "section 'ensemble'", _ENSEMBLE_KEYS + tuple(_SWEEP_DEFAULTS))
     seed = resolve_seed(overrides.get("seed"), section.get("seed"))
     ensemble = _matrix_ensemble(section, {"seed": seed})
     sweep = resolve(overrides, section, _SWEEP_DEFAULTS)
@@ -232,7 +257,7 @@ def load_ensemble(section, overrides: dict) -> tuple[MatrixEnsembleConfig, dict]
 @_config_errors
 def load_matrix(config_path, overrides: dict) -> MatrixEnsembleConfig:
     """The one-matrix ensemble ``gen-matrix`` draws: top-level file keys, flags winning."""
-    raw = read_config(config_path)
+    raw = _section(read_config(config_path), "the config file", _MATRIX_KEYS)
     if overrides.get("n") is None and "n" not in raw:
         raise ConfigError("gen-matrix needs a dimension: pass --n or a config with 'n'")
     seed = resolve_seed(overrides.get("seed"), raw.get("seed"))

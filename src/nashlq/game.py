@@ -148,11 +148,11 @@ class GameSpec:
 
         # Stability must hold on the whole box; K - A is smallest (in the
         # Loewner order) at the lower corner, so one check there suffices.
-        if not _is_positive_definite(np.diag(k_lower) - a):
+        if not _is_stable(a, k_lower):
             offdiag = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
             lift = np.maximum(0.0, np.diag(a) + offdiag + STABILITY_MARGIN)
             k_lower = np.maximum(k_lower, lift)
-            if not _is_positive_definite(np.diag(k_lower) - a):
+            if not _is_stable(a, k_lower):
                 raise NotPositiveDefinite(
                     "stability lift failed; state matrix is numerically degenerate"
                 )
@@ -232,10 +232,10 @@ def _diagonals(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], -1)[:, :: x.shape[-1] + 1]
 
 
-def _closed_loop(spec: GameSpec, ks: np.ndarray) -> np.ndarray:
+def _closed_loop(a: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """``K - A`` for every row of a ``(P, n)`` profile stack, shape ``(P, n, n)``."""
     s = np.empty(ks.shape + ks.shape[-1:])
-    np.negative(spec.a, out=s)
+    np.negative(a, out=s)
     _diagonals(s)[:] += ks
     return s
 
@@ -278,9 +278,10 @@ def _cholesky(s: np.ndarray) -> np.ndarray:
     )
 
 
-def _is_positive_definite(s: np.ndarray) -> bool:
+def _is_stable(a: np.ndarray, k: np.ndarray) -> bool:
+    """True when ``K - A`` at the profile ``k`` passes the kernel's factor check."""
     try:
-        _cholesky(s[None])
+        _cholesky(_closed_loop(a, k[None]))
     except NotPositiveDefinite:
         return False
     return True
@@ -297,7 +298,7 @@ def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGra
     products work matrix by matrix, so a profile gets the same bits alone or
     inside a stack.
     """
-    l_inv = np.linalg.inv(_cholesky(_closed_loop(spec, ks)))
+    l_inv = np.linalg.inv(_cholesky(_closed_loop(spec.a, ks)))
     m = l_inv.transpose(0, 2, 1) @ l_inv
     m = (m + m.transpose(0, 2, 1)) / 2.0
     f = _diagonals(m).copy()
@@ -337,12 +338,7 @@ def resolvent(spec: GameSpec, k) -> np.ndarray:
 def evaluate(spec: GameSpec, k) -> CostGradientReport:
     """Costs, gradients, and curvatures from a single factorization."""
     _, report = _evaluate_stack(spec, _profile(spec, k)[None])
-    return CostGradientReport(
-        resolvent_diag=report.resolvent_diag[0],
-        cost=report.cost[0],
-        grad=report.grad[0],
-        curvature=report.curvature[0],
-    )
+    return CostGradientReport(**{name: field[0] for name, field in vars(report).items()})
 
 
 def cost(spec: GameSpec, k) -> np.ndarray:
@@ -386,5 +382,4 @@ def pseudogradient_jacobian(spec: GameSpec, k) -> np.ndarray:
 
 def stability_margin(spec: GameSpec, k) -> float:
     """Smallest eigenvalue of ``K - A``; positive iff the closed loop is stable."""
-    k = _profile(spec, k)
-    return float(np.linalg.eigvalsh(np.diag(k) - spec.a).min())
+    return float(np.linalg.eigvalsh(_closed_loop(spec.a, _profile(spec, k)[None])).min())

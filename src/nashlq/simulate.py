@@ -88,6 +88,13 @@ def substream(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
+# Substream keys, after the seed, of learn's random start and of the matrix
+# of game.generate and gen-matrix.  SeedSequence pads keys with zeros, so the
+# non-zero third word keeps these apart from every (seed, stage) stream.
+_START_KEY = (0, 1)
+_MATRIX_KEY = (0, 2)
+
+
 def sample_initial_state(rng: np.random.Generator, shape) -> np.ndarray:
     """Initial states of the given shape (``n`` for one, ``(B, n)`` for a
     batch): i.i.d. uniforms on (-sqrt(3), sqrt(3))."""
@@ -95,8 +102,7 @@ def sample_initial_state(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _modes(spec: GameSpec, k) -> tuple[np.ndarray, np.ndarray]:
-    lam, q = np.linalg.eigh(spec.a - np.diag(_profile(spec, k)))
-    return lam, q
+    return np.linalg.eigh(-_closed_loop(spec.a, _profile(spec, k)[None])[0])
 
 
 def simulate_state(spec: GameSpec, k, x0, t: float) -> np.ndarray:
@@ -191,7 +197,7 @@ def trajectory_cost(spec: GameSpec, k, x0, config: SimConfig) -> np.ndarray:
 def _draw_batch(spec: GameSpec, k, config: SimConfig, stage: int):
     """Stability-check ``k``, then draw the ``(seed, stage)`` batch of states."""
     k = _profile(spec, k)
-    _cholesky(_closed_loop(spec, k[None]))  # stability check up front
+    _cholesky(_closed_loop(spec.a, k[None]))  # stability check up front
     return k, sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
 
 

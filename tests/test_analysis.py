@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -26,7 +27,71 @@ from nashlq import (
     substream,
     two_player_mu,
 )
+from nashlq.game import _evaluate_stack, _jacobian_stack
 from util import random_game
+
+
+def _reference_rosen_sweep(spec, samples, seed):
+    """The sweep as a running first minimum over blocks, its witness re-checked
+    one profile at a time: ``(min_eig, witness, samples)``."""
+    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
+    points = analysis._box_samples(spec, samples, rng)
+    best = np.inf
+    witness = points[0]
+    for start in range(0, points.shape[0], analysis.SWEEP_BLOCK):
+        block = points[start : start + analysis.SWEEP_BLOCK]
+        g = _jacobian_stack(spec, block)
+        values = np.linalg.eigvalsh(g + g.transpose(0, 2, 1)).min(axis=1)
+        i = int(np.argmin(values))
+        if values[i] < best:
+            best = values[i]
+            witness = block[i]
+    g = pseudogradient_jacobian(spec, witness)
+    return float(np.linalg.eigvalsh(g + g.T).min()), witness, points.shape[0]
+
+
+def _reference_fd_jacobian_gap(spec, k, step=1e-5):
+    """The finite-difference spot check of one profile."""
+    g = pseudogradient_jacobian(spec, k)
+    bumps = step * np.eye(spec.n)
+    grads = _evaluate_stack(spec, np.vstack([k + bumps, k - bumps]))[1].grad
+    fd = (grads[: spec.n] - grads[spec.n :]).T / (2 * step)
+    return float(np.max(np.abs(fd - g)) / np.max(np.abs(g)))
+
+
+def _reference_conjecture_sweep(ensemble, samples, generator, rate):
+    """The ensemble loop on the references above, one spot point per draw:
+    each game's ``(min_eig, witness, samples)``, every gap, and each game's stream."""
+    spot_count = round(samples * rate)
+    if rate > 0:
+        spot_count = max(1, spot_count)
+    reports, gaps, streams = [], [], []
+    for index in range(ensemble.count):
+        rng = substream(ensemble.seed, index)
+        if generator == "sdd":
+            a = generate_sdd_matrix(ensemble, rng)
+        else:
+            a = generate_negative_definite_matrix(ensemble.n, rng)
+        spec = game_from_matrix(a, rng.uniform(0.0, 1.0, size=ensemble.n))
+        reports.append(_reference_rosen_sweep(spec, samples, rng))
+        for _ in range(spot_count):
+            point = spec.k_lower + rng.random(spec.n) * (spec.k_upper - spec.k_lower)
+            gaps.append(_reference_fd_jacobian_gap(spec, point))
+        streams.append(rng)
+    return reports, gaps, streams
+
+
+def _ensemble_game(seed, n, generator):
+    """A sweep-ready game from either ensemble generator."""
+    rng = substream(seed)
+    if generator == "sdd":
+        a = generate_sdd_matrix(MatrixEnsembleConfig(n=n, count=1), rng)
+    else:
+        a = generate_negative_definite_matrix(n, rng)
+    return game_from_matrix(a, rng.uniform(0.0, 1.0, size=n)), rng
+
+
+GENERATORS = st.sampled_from(["sdd", "negative-definite"])
 
 
 class TestTwoPlayerMu:
@@ -228,6 +293,71 @@ class TestConjectureSweep:
     def test_bad_generator_rejected(self):
         with pytest.raises(ValueError, match="generator"):
             conjecture_sweep(MatrixEnsembleConfig(n=2, count=1, seed=0), generator="cauchy")
+
+    @pytest.mark.parametrize("rate", [-0.1, float("nan"), float("inf"), True, "0.1"])
+    def test_bad_spot_check_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="spot_check_rate"):
+            conjecture_sweep(MatrixEnsembleConfig(n=2, count=1, seed=0), spot_check_rate=rate)
+
+
+class TestStackedMatchesReference:
+    """The stacked sweep and spot checks give the references' bits."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 8), GENERATORS, st.integers(1, 80), st.integers(1, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_sweep(self, seed, n, generator, samples, block):
+        spec, _ = _ensemble_game(seed, n, generator)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "SWEEP_BLOCK", block)
+            report = rosen_sweep(spec, samples=samples, seed=seed)
+            min_eig, witness, count = _reference_rosen_sweep(spec, samples, seed)
+        assert report.min_eig == min_eig
+        assert np.array_equal(report.witness.k, witness)
+        assert report.samples == count
+        assert report.violated == (min_eig <= 0.0)
+
+    @given(st.integers(0, 10**6), st.integers(1, 8), GENERATORS, st.integers(0, 30), st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_spot_gaps(self, seed, n, generator, count, block):
+        spec, rng = _ensemble_game(seed, n, generator)
+        points = spec.k_lower + rng.random((count, n)) * (spec.k_upper - spec.k_lower)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "SWEEP_BLOCK", block)
+            gaps = analysis._in_blocks(lambda ks: analysis._fd_jacobian_gap(spec, ks), points, 2 * n)
+        assert gaps.tolist() == [_reference_fd_jacobian_gap(spec, point) for point in points]
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 8),
+        st.integers(1, 3),
+        GENERATORS,
+        st.integers(1, 60),
+        st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]),
+        st.integers(1, 24),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_ensemble(self, seed, n, count, generator, samples, rate, block):
+        ensemble = MatrixEnsembleConfig(n=n, count=count, seed=seed)
+        streams = []
+
+        def recorded(*key):
+            streams.append(substream(*key))
+            return streams[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "SWEEP_BLOCK", block)
+            patch.setattr(analysis, "substream", recorded)
+            result = conjecture_sweep(ensemble, samples, generator=generator, spot_check_rate=rate)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "SWEEP_BLOCK", block)
+            reports, gaps, ref_streams = _reference_conjecture_sweep(ensemble, samples, generator, rate)
+        for record, (min_eig, witness, points) in zip(result.records, reports, strict=True):
+            assert record.report.min_eig == min_eig
+            assert np.array_equal(record.report.witness.k, witness)
+            assert record.report.samples == points
+        assert result.spot_checked == len(gaps)
+        assert result.spot_check_max_rel_err == functools.reduce(max, gaps, 0.0)
+        assert [rng.random() for rng in streams] == [rng.random() for rng in ref_streams]
 
 
 class TestJacobianConsistency:

@@ -306,6 +306,25 @@ class TestGenMatrix:
         assert json.loads(out_env.read_text())["matrix"] == json.loads(out_flag.read_text())["matrix"]
 
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matrix_is_drawn_apart_from_every_stage_stream(self, tmp_path, seed):
+        out = tmp_path / "m.json"
+        assert run_cli("gen-matrix", "--n", "2", "--seed", str(seed), "--out", str(out)) == 0
+        # The one off-diagonal entry is the stream's first draw, uniform on (-1, 1).
+        unit = (json.loads(out.read_text())["matrix"][0][1] + 1.0) / 2.0
+        firsts = np.array([substream(seed, stage).random() for stage in range(1001)])
+        assert np.min(np.abs(firsts - unit)) > 1e-9
+
+    def test_game_generate_draws_the_gen_matrix_matrix(self, tmp_path):
+        matrix = tmp_path / "m.json"
+        assert run_cli("gen-matrix", "--n", "3", "--seed", "4", "--out", str(matrix)) == 0
+        config = tmp_path / "game.json"
+        config.write_text(json.dumps({"game": {"generate": {"n": 3, "seed": 4}}}), encoding="utf-8")
+        report = tmp_path / "rosen.json"
+        assert run_cli("check-rosen", "--config", str(config), "--samples", "5", "--out", str(report)) == 0
+        assert json.loads(report.read_text())["game"]["a"] == json.loads(matrix.read_text())["matrix"]
+
+
 class TestSimulate:
     def test_scalar_estimate_near_closed_form(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -394,6 +413,25 @@ class TestConfigErrors:
             ("learn", {"game": {"preset": "scalar"}, "learn": {"k0": [True]}}),
             ("learn", {"game": {"preset": "scalar"}, "learn": {"k0": ["1"]}}),
             ("learn", {"game": {"preset": "two-player"}, "learn": {"k0": [True, 0.5]}}),
+            ("learn", {"game": {"preset": "scalar"}, "learn": {"stage": 3}}),
+            ("learn", {"game": {"preset": "scalar"}, "sim": {"batch": 7}}),
+            ("check-rosen", {"ensemble": {"generatr": "negative-definite", "sample": 5}}),
+            ("learn", {"game": {"preset": "scalar", "rho": 5.0}}),
+            ("learn", {"game": {"generate": {"n": 3, "sed": 7}}}),
+            ("gen-matrix", {"n": 3, "offdiag": 5.0}),
+            ("gen-matrix", {"n": 3, "count": 2}),
+            ("simulate", {"game": {"preset": "scalar"}, "output_directory": "x"}),
+            ("check-rosen", {"ensemble": {"n": 2, "count": 1}, "ensembles": {}}),
+            ("check-rosen", {"game": {"preset": "scalar"}, "samples": 10}),
+            ("learn", {"game": {"preset": "scalar"}, "learn": [3]}),
+            ("learn", {"game": {"preset": "scalar"}, "sim": None}),
+            ("learn", {"game": "scalar"}),
+            ("learn", {"game": {"generate": [3]}}),
+            ("check-rosen", {"ensemble": 5}),
+            ("learn", {"game": {"rho": 1.0}}),
+            ("learn", {"game": {"generate": {"n": 2}, "a": [[-1.0, 0.0], [0.0, -1.0]]}}),
+            ("learn", {"game": {"preset": "scalar", "generate": {"n": 1}}}),
+            ("learn", {"game": {"generate": {"seed": 1}}}),
         ],
     )
     def test_bad_config_file(self, tmp_path, capsys, command, config):
@@ -401,6 +439,41 @@ class TestConfigErrors:
         path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
         out = tmp_path / "out"
         assert_config_error(capsys, run_cli(command, "--config", str(path), "--out", str(out)), out)
+
+    @pytest.mark.parametrize(
+        "command, config, named",
+        [
+            ("learn", {"game": {"preset": "scalar"}, "learn": {"stage": 3}}, ["'stage'", "'learn'"]),
+            ("learn", {"game": {"preset": "scalar"}, "sim": {"batch": 7}}, ["'batch'", "'sim'"]),
+            ("check-rosen", {"ensemble": {"n": 2, "sample": 5}}, ["'sample'", "'ensemble'"]),
+            ("learn", {"game": {"preset": "scalar", "rho": 5.0}}, ["'rho'", "'game'"]),
+            ("learn", {"game": {"generate": {"n": 3, "sed": 7}}}, ["'sed'", "'game.generate'"]),
+            ("gen-matrix", {"n": 3, "offdiag": 5.0}, ["'offdiag'", "config file"]),
+            ("learn", {"game": {"preset": "scalar"}, "outdir": "x"}, ["'outdir'", "config file"]),
+        ],
+    )
+    def test_unknown_key_is_named_with_its_section(self, tmp_path, capsys, command, config, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert all(text in err for text in named)
+
+    def test_experiment_file_is_read_by_every_subcommand(self, tmp_path):
+        config = {
+            "game": {"a": [[-1.0]], "rho": 1.0, "k_upper": 3.0},
+            "learn": {"stages": 3, "step_size": 1.0, "mode": "exact", "grad_tolerance": 0.0, "k0": [1.0]},
+            "sim": {"batch_size": 10, "horizon": 5.0, "dt": 0.1, "seed": 2, "integrator": "quadrature"},
+            "output_dir": str(tmp_path / "from_file"),
+            "format": "csv",
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        for command in ("learn", "simulate", "check-rosen"):
+            assert run_cli(command, "--config", str(path), "--out", str(tmp_path / command)) == 0
+        path.write_text(json.dumps({**config, "ensemble": {"n": 2, "count": 2, "samples": 5}}), encoding="utf-8")
+        assert run_cli("check-rosen", "--config", str(path), "--out", str(tmp_path / "sweep.json")) == 0
 
     def test_model_free_grad_tolerance_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
