@@ -31,10 +31,12 @@ be JSON integers; real-valued fields, and each entry of an array field, JSON
 numbers.  A ``seed`` that neither flag nor file gives comes from
 ``NASHLQ_SEED``, except in ``game.generate``.  ``game`` takes exactly one of
 its three forms.  A key that no section above names is an error, not
-ignored; every file that ``learn`` or ``simulate`` reads also works for
-``check-rosen``.  ``game.generate`` and ``gen-matrix`` draw their matrix
-from one substream, ``(seed, *simulate._MATRIX_KEY)``, which no model-free
-stage's ``(seed, stage)`` stream shares.
+ignored, and so is a key given twice in one object; every file that
+``learn`` or ``simulate`` reads also works for ``check-rosen``, and an
+``ensemble`` file takes no ``--preset``.  ``game.generate`` and
+``gen-matrix`` draw their matrix from one substream,
+``(seed, *simulate._MATRIX_KEY)``, which no model-free stage's
+``(seed, stage)`` stream shares.
 
 Validation failures raise :class:`ConfigError`, which the CLI maps to
 exit code 2.
@@ -93,12 +95,22 @@ class ExperimentConfig:
     k0: np.ndarray | None
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict, refusing a key that appears twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config file has the key {key!r} twice in one object")
+        obj[key] = value
+    return obj
+
+
 def read_config(path) -> dict:
     """The JSON object in the file at ``path``; ``{}`` when ``path`` is None."""
     if path is None:
         return {}
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err.strerror}") from None
     except json.JSONDecodeError as err:
@@ -242,6 +254,8 @@ def load_ensemble(raw: dict, overrides: dict) -> tuple[MatrixEnsembleConfig, dic
     ensemble and the :func:`~nashlq.analysis.conjecture_sweep` keyword arguments,
     flags winning."""
     _section(raw, "the config file", _EXPERIMENT_KEYS + ("ensemble",))
+    if overrides.get("preset") is not None:
+        raise ConfigError("--preset does not apply to a config file with an 'ensemble' section")
     section = _section(raw["ensemble"], "section 'ensemble'", _ENSEMBLE_KEYS + tuple(_SWEEP_DEFAULTS))
     seed = resolve_seed(overrides.get("seed"), section.get("seed"))
     ensemble = _matrix_ensemble(section, {"seed": seed})

@@ -18,6 +18,12 @@ that raises :class:`NotPositiveDefinite` naming the first failing profile),
 and forms the stacked resolvents from the factors.  Sweeps over many
 profiles call the kernel once instead of once per profile, and every
 stability check, here and in :mod:`nashlq.simulate`, uses its factor step.
+
+:func:`evaluate`, which gradient play calls once per stage, is the kernel's
+``P = 1`` case without the stack axis: the same operations on 2-D arrays,
+so it gives the same bits, and a failed factorization or pivot check is
+handed to the kernel's own factor step, so it raises the same errors with
+the same messages.  The per-player formulas are stated once, for both.
 """
 
 from __future__ import annotations
@@ -178,7 +184,7 @@ class GameSpec:
 
     def clip(self, k) -> np.ndarray:
         """Project a profile onto the action box componentwise."""
-        return np.clip(profile_array(k), self.k_lower, self.k_upper)
+        return np.minimum(np.maximum(profile_array(k), self.k_lower), self.k_upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,6 +293,21 @@ def _is_stable(a: np.ndarray, k: np.ndarray) -> bool:
     return True
 
 
+def _fields(rho: np.ndarray, k: np.ndarray, f: np.ndarray) -> CostGradientReport:
+    """Costs, gradients and curvatures from the resolvent diagonals ``f``.
+
+    ``k`` and ``f`` are one profile or a ``(P, n)`` stack of them.
+    """
+    weight = 1.0 + rho * k**2
+    j = 0.5 * weight * f
+    # grad = rho*k*f - weight*f^2/2, factored so the same (rho*k - J) term
+    # appears here and in marginal_cost_from_cost; the two stay within a few
+    # ulp of each other even where the gradient crosses zero.
+    g = f * (rho * k - j)
+    h = f * (rho * (1.0 - k * f) ** 2 + f**2)
+    return CostGradientReport(resolvent_diag=f, cost=j, grad=g, curvature=h)
+
+
 def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGradientReport]:
     """The profile kernel: resolvents and per-player fields of a ``(P, n)`` stack.
 
@@ -294,22 +315,38 @@ def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGra
     report whose fields have shape ``(P, n)``.  With ``K - A = L L^T`` from
     one stacked Cholesky call, ``M = L^{-T} L^{-1}``, averaged with its
     transpose so it is exactly symmetric.  Every public profile function is
-    the ``P = 1`` case of this kernel; numpy's stacked factorizations and
-    products work matrix by matrix, so a profile gets the same bits alone or
-    inside a stack.
+    the ``P = 1`` case of this kernel (:func:`evaluate` through
+    :func:`_evaluate_one`); numpy's stacked factorizations and products work
+    matrix by matrix, so a profile gets the same bits alone or inside a stack.
     """
     l_inv = np.linalg.inv(_cholesky(_closed_loop(spec.a, ks)))
     m = l_inv.transpose(0, 2, 1) @ l_inv
     m = (m + m.transpose(0, 2, 1)) / 2.0
-    f = _diagonals(m).copy()
-    weight = 1.0 + spec.rho * ks**2
-    j = 0.5 * weight * f
-    # grad = rho*k*f - weight*f^2/2, factored so the same (rho*k - J) term
-    # appears here and in marginal_cost_from_cost; the two stay within a few
-    # ulp of each other even where the gradient crosses zero.
-    g = f * (spec.rho * ks - j)
-    h = f * (spec.rho * (1.0 - ks * f) ** 2 + f**2)
-    return m, CostGradientReport(resolvent_diag=f, cost=j, grad=g, curvature=h)
+    return m, _fields(spec.rho, ks, _diagonals(m).copy())
+
+
+def _evaluate_one(spec: GameSpec, k: np.ndarray) -> CostGradientReport:
+    """:func:`_evaluate_stack` of one validated profile, without the stack axis.
+
+    Each step is the kernel's operation on a 2-D array, which numpy computes
+    as it does each matrix of a stack, so the report has the kernel's bits.
+    Only the resolvent's diagonal is formed: ``(d + d) / 2`` is the kernel's
+    symmetrization restricted to it.  A factorization that breaks down or
+    fails the pivot check goes to :func:`_cholesky`, which raises the
+    kernel's :class:`NotPositiveDefinite` for it.
+    """
+    s = -spec.a
+    n = len(k)
+    s.reshape(-1)[:: n + 1] += k
+    try:
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        chol = None
+    if chol is None or not chol.diagonal().min() ** 2 > PIVOT_RTOL * abs(s).sum(axis=1).max():
+        chol = _cholesky(s[None])[0]
+    l_inv = np.linalg.inv(chol)
+    d = (l_inv.T @ l_inv).reshape(-1)[:: n + 1]
+    return _fields(spec.rho, k, (d + d) / 2.0)
 
 
 def _jacobian_stack(spec: GameSpec, ks: np.ndarray) -> np.ndarray:
@@ -337,8 +374,7 @@ def resolvent(spec: GameSpec, k) -> np.ndarray:
 
 def evaluate(spec: GameSpec, k) -> CostGradientReport:
     """Costs, gradients, and curvatures from a single factorization."""
-    _, report = _evaluate_stack(spec, _profile(spec, k)[None])
-    return CostGradientReport(**{name: field[0] for name, field in vars(report).items()})
+    return _evaluate_one(spec, _profile(spec, k))
 
 
 def cost(spec: GameSpec, k) -> np.ndarray:

@@ -148,7 +148,7 @@ def run_gradient_play(spec: GameSpec, k0, config: LearnConfig) -> LearnRun:
         costs, grads = estimate(k, stage)
         if config.record_history:
             history.append(StageRecord(stage=stage, profile=ActionProfile(k), cost=costs, grad=grads))
-        converged = tol > 0 and bool(np.max(np.abs(grads)) < tol)
+        converged = tol > 0 and bool(abs(grads).max() < tol)
         if converged or stage == config.stages:
             break
         k = spec.clip(k - config.step_size * grads)

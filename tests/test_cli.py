@@ -355,6 +355,7 @@ def assert_config_error(capsys, code, out):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert not out.exists()
+    return err
 
 
 class TestConfigErrors:
@@ -459,6 +460,31 @@ class TestConfigErrors:
         assert run_cli(command, "--config", str(path), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert all(text in err for text in named)
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("learn", '{"game": {"preset": "scalar"}, "learn": {"stages": 3, "stages": 5}}', "'stages'"),
+            ("learn", '{"game": {"preset": "scalar"}, "game": {"preset": "two-player"}}', "'game'"),
+            ("simulate", '{"game": {"preset": "scalar"}, "sim": {"dt": 0.1, "dt": 0.1}}', "'dt'"),
+            ("check-rosen", '{"ensemble": {"n": 2, "count": 2, "n": 3}}', "'n'"),
+            ("gen-matrix", '{"n": 3, "seed": 1, "seed": 2}', "'seed'"),
+        ],
+        ids=["learn", "top-level", "simulate", "check-rosen", "gen-matrix"],
+    )
+    def test_duplicate_key_is_named(self, tmp_path, capsys, command, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(config, encoding="utf-8")
+        out = tmp_path / "out"
+        err = assert_config_error(capsys, run_cli(command, "--config", str(path), "--out", str(out)), out)
+        assert key in err and "twice" in err
+
+    def test_preset_with_ensemble_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"ensemble": {"n": 2, "count": 2, "samples": 5}}), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["check-rosen", "--config", str(path), "--preset", "scalar", "--out", str(out)]
+        assert_config_error(capsys, run_cli(*argv), out)
 
     def test_experiment_file_is_read_by_every_subcommand(self, tmp_path):
         config = {

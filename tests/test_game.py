@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -95,6 +97,15 @@ def cho_fields(spec, k):
     return m, f, j, grad, curvature, jac
 
 
+def _outcome(call):
+    """The bits of the report ``call`` returns, or the NotPositiveDefinite message it raises."""
+    try:
+        report = call()
+    except NotPositiveDefinite as err:
+        return str(err)
+    return [field.tobytes() for field in vars(report).values()]
+
+
 def stacked_game(seed, n, count):
     """A random SDD game with ``n <= 20`` players and ``count`` box profiles."""
     spec, k = random_game(seed, n=n)
@@ -130,6 +141,32 @@ class TestProfileKernel:
             assert np.array_equal(report.grad[i], single.grad)
             assert np.array_equal(report.curvature[i], single.curvature)
             assert np.array_equal(jac[i], pseudogradient_jacobian(spec, k))
+        # Shifted down by the smallest eigenvalue of K - A, a profile is
+        # singular to round-off, which fails the pivot check or the
+        # factorization; shifted one further, the factorization breaks down.
+        lam = stability_margin(spec, ks[0])
+        for bad in (ks[0] - lam, ks[0] - lam - 1.0):
+            kernel = _outcome(lambda: _evaluate_stack(spec, bad[None])[1])
+            assert _outcome(lambda: evaluate(spec, bad)) == kernel
+        assert isinstance(kernel, str) and "at profile" not in kernel
+
+    @pytest.mark.parametrize(
+        "a, k, message",
+        [
+            ([[1.0, 0.0], [0.0, -1.0]], [0.5, 0.0], "not positive definite .*eigenvalue -0.5"),
+            ([[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0], "not positive definite .*eigenvalue -1"),
+            ([[1.0, 0.0], [0.0, -1.0]], [1.0 + 1e-13, 0.5], "numerically singular \\(pivot"),
+            # Pivot 1.5e-12 is under PIVOT_RTOL times the row-sum norm 2, not
+            # times the largest entry 1.
+            ([[0.0, -1.0], [-1.0, 0.0]], [1.0, 1.0 + 1.5e-12], "numerically singular \\(pivot"),
+        ],
+    )
+    def test_single_call_raises_the_kernel_message(self, a, k, message):
+        spec = GameSpec(a=a, rho=0.0, k_upper=5.0)
+        kernel = _outcome(lambda: _evaluate_stack(spec, np.array([k])))
+        single = _outcome(lambda: evaluate(spec, k))
+        assert isinstance(kernel, str) and re.match("K - A is " + message, kernel)
+        assert single == kernel
 
     def test_unstable_profile_named_in_stack(self):
         spec = GameSpec(a=[[1.0, 0.0], [0.0, -1.0]], rho=0.0, k_upper=5.0)

@@ -11,7 +11,6 @@ from nashlq import (
     SimConfig,
     StageRecord,
     cost,
-    evaluate,
     exact_gradient,
     five_player_game,
     gradient_play_step,
@@ -22,7 +21,7 @@ from nashlq import (
     scalar_game,
     substream,
 )
-from nashlq.game import _profile
+from nashlq.game import _evaluate_stack, _profile
 from util import random_game
 
 SCALAR_EQUILIBRIUM = np.sqrt(2.0) - 1.0
@@ -31,10 +30,11 @@ SCALAR_EQUILIBRIUM = np.sqrt(2.0) - 1.0
 # The loop that run_gradient_play and gradient_play_step replaced, kept as
 # the reference for the single stage loop: the stage estimate branched on
 # the mode at every stage, and a for...else tail evaluated the final profile.
+# Exact estimates come from the stacked kernel, apart from evaluate's path.
 def _reference_stage_estimate(spec, k, config, stage):
     if config.mode == "exact":
-        report = evaluate(spec, k)
-        return report.cost, report.grad
+        _, report = _evaluate_stack(spec, k[None])
+        return report.cost[0], report.grad[0]
     sim = config.sim if config.sim is not None else SimConfig()
     estimate = monte_carlo_cost(spec, k, sim, stage)
     return estimate, marginal_cost_from_cost(estimate, k, spec.rho)

@@ -1,15 +1,43 @@
+import csv
 import json
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nashlq import LearnConfig, run_gradient_play, scalar_game, five_player_game
 from nashlq.output import (
     history_header,
     read_history_csv,
     read_history_jsonl,
+    write_csv,
     write_history_csv,
     write_history_jsonl,
     write_json,
+)
+
+
+# The writer write_csv replaced, kept as its reference: csv.writer with LF
+# line ends.
+def _csv_writer_reference(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+# Every kind of field the program writes: ints, floats and its fixed labels.
+_LABELS = ["initial", "final", "published_final"]
+_FIELDS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300, -2.5, 0.1 + 0.2, *_LABELS]),
+)
+_HEADERS = st.one_of(
+    st.integers(1, 8).map(history_header),
+    st.just(["row", "round", "player_1", "player_2"]),
+    st.just(["player", "k", "estimate", "closed_form", "rel_error"]),
 )
 
 
@@ -50,6 +78,14 @@ class TestCsv:
         run = run_gradient_play(scalar_game(), [0.69], LearnConfig(stages=2))
         data = read_history_csv(write_history_csv(tmp_path / "h.csv", run))
         assert data["k"][0, 0] == 0.69
+
+
+class TestWriteCsv:
+    @given(_HEADERS, st.lists(st.lists(_FIELDS, min_size=1, max_size=16), max_size=12))
+    def test_bytes_equal_csv_writer(self, tmp_path_factory, header, rows):
+        out = tmp_path_factory.mktemp("csv")
+        written = write_csv(out / "joined.csv", header, iter(rows)).read_bytes()
+        assert written == _csv_writer_reference(out / "reference.csv", header, rows).read_bytes()
 
 
 class TestJsonl:
