@@ -21,9 +21,11 @@ stability check, here and in :mod:`nashlq.simulate`, uses its factor step.
 
 :func:`evaluate`, which gradient play calls once per stage, is the kernel's
 ``P = 1`` case without the stack axis: the same operations on 2-D arrays,
-so it gives the same bits, and a failed factorization or pivot check is
-handed to the kernel's own factor step, so it raises the same errors with
-the same messages.  The per-player formulas are stated once, for both.
+with ``K - A`` and the pivot test from the kernel's own helpers, so it
+gives the same bits for any memory layout of ``A``, and a failed
+factorization or pivot check is handed to the kernel's own factor step,
+so it raises the same errors with the same messages.  The per-player
+formulas are stated once, for both.
 """
 
 from __future__ import annotations
@@ -234,16 +236,29 @@ def _profile(spec: GameSpec, k) -> np.ndarray:
 
 
 def _diagonals(x: np.ndarray) -> np.ndarray:
-    """Writable ``(P, n)`` view of the diagonals of a C-ordered ``(P, n, n)`` stack."""
-    return x.reshape(x.shape[0], -1)[:, :: x.shape[-1] + 1]
+    """Diagonals of the last two axes; a writable view when ``x`` is C-ordered."""
+    return x.reshape(x.shape[:-2] + (-1,))[..., :: x.shape[-1] + 1]
 
 
 def _closed_loop(a: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """``K - A`` for every row of a ``(P, n)`` profile stack, shape ``(P, n, n)``."""
+    """``K - A``, C-ordered, for one profile or each row of a ``(P, n)`` stack."""
     s = np.empty(ks.shape + ks.shape[-1:])
     np.negative(a, out=s)
-    _diagonals(s)[:] += ks
+    diagonal = _diagonals(s)
+    diagonal += ks
     return s
+
+
+def _pivot_check(chol: np.ndarray, s: np.ndarray):
+    """Whether each factor passes, with its squared smallest pivot and ``||K - A||_inf``.
+
+    ``chol`` holds lower Cholesky factors of ``s``, one matrix or a stack;
+    a factor passes when its squared smallest pivot exceeds ``PIVOT_RTOL``
+    times the infinity norm of its matrix.
+    """
+    pivots = chol.diagonal(0, -2, -1).min(axis=-1) ** 2
+    scale = abs(s).sum(axis=-1).max(axis=-1)
+    return pivots > PIVOT_RTOL * scale, pivots, scale
 
 
 def _cholesky(s: np.ndarray) -> np.ndarray:
@@ -265,9 +280,7 @@ def _cholesky(s: np.ndarray) -> np.ndarray:
                 chol[i] = np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError:
                 break
-    pivots = _diagonals(chol).min(axis=1) ** 2
-    scale = abs(s).sum(axis=2).max(axis=1)
-    passed = pivots > PIVOT_RTOL * scale
+    passed, pivots, scale = _pivot_check(chol, s)
     if passed.all():
         return chol
     i = int(np.argmin(passed))
@@ -328,24 +341,24 @@ def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGra
 def _evaluate_one(spec: GameSpec, k: np.ndarray) -> CostGradientReport:
     """:func:`_evaluate_stack` of one validated profile, without the stack axis.
 
-    Each step is the kernel's operation on a 2-D array, which numpy computes
-    as it does each matrix of a stack, so the report has the kernel's bits.
-    Only the resolvent's diagonal is formed: ``(d + d) / 2`` is the kernel's
-    symmetrization restricted to it.  A factorization that breaks down or
-    fails the pivot check goes to :func:`_cholesky`, which raises the
-    kernel's :class:`NotPositiveDefinite` for it.
+    ``K - A`` comes from :func:`_closed_loop` and the pivot test from
+    :func:`_pivot_check`, as in the kernel; each further step is the kernel's
+    operation on a 2-D array, which numpy computes as it does each matrix of
+    a stack, so the report has the kernel's bits.  Only the resolvent's
+    diagonal is formed: ``(d + d) / 2`` is the kernel's symmetrization
+    restricted to it.  A factorization that breaks down or fails the pivot
+    check goes to :func:`_cholesky`, which raises the kernel's
+    :class:`NotPositiveDefinite` for it.
     """
-    s = -spec.a
-    n = len(k)
-    s.reshape(-1)[:: n + 1] += k
+    s = _closed_loop(spec.a, k)
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         chol = None
-    if chol is None or not chol.diagonal().min() ** 2 > PIVOT_RTOL * abs(s).sum(axis=1).max():
+    if chol is None or not _pivot_check(chol, s)[0]:
         chol = _cholesky(s[None])[0]
     l_inv = np.linalg.inv(chol)
-    d = (l_inv.T @ l_inv).reshape(-1)[:: n + 1]
+    d = (l_inv.T @ l_inv).diagonal()
     return _fields(spec.rho, k, (d + d) / 2.0)
 
 

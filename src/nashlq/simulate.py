@@ -102,7 +102,7 @@ def sample_initial_state(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _modes(spec: GameSpec, k) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(-_closed_loop(spec.a, _profile(spec, k)[None])[0])
+    return np.linalg.eigh(-_closed_loop(spec.a, _profile(spec, k)))
 
 
 def simulate_state(spec: GameSpec, k, x0, t: float) -> np.ndarray:

@@ -141,6 +141,18 @@ class TestProfileKernel:
             assert np.array_equal(report.grad[i], single.grad)
             assert np.array_equal(report.curvature[i], single.curvature)
             assert np.array_equal(jac[i], pseudogradient_jacobian(spec, k))
+        # The same game stored Fortran-ordered (as a transpose or a scipy
+        # result would be) gives the same bits.
+        spec_f = GameSpec(
+            a=np.asfortranarray(spec.a), rho=spec.rho, k_upper=spec.k_upper, k_lower=spec.k_lower
+        )
+        assert not spec_f.a.flags.c_contiguous or n == 1
+        for i, k in enumerate(ks):
+            single = evaluate(spec_f, k)
+            assert np.array_equal(report.resolvent_diag[i], single.resolvent_diag)
+            assert np.array_equal(report.cost[i], single.cost)
+            assert np.array_equal(report.grad[i], single.grad)
+            assert np.array_equal(report.curvature[i], single.curvature)
         # Shifted down by the smallest eigenvalue of K - A, a profile is
         # singular to round-off, which fails the pivot check or the
         # factorization; shifted one further, the factorization breaks down.
