@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 uniqueness-condition violation found,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict, replace
@@ -31,7 +32,7 @@ from .config import (
     ConfigError, _experiment, load_ensemble, load_experiment, load_matrix, read_config, resolve,
 )
 from .game import GameSpec, NotPositiveDefinite, cost, stability_margin
-from .learning import _MODES, run_gradient_play
+from .learning import _MODES, run_gradient_play, run_lockstep
 from .output import HISTORY_FORMATS, write_csv, write_history, write_json
 from .presets import (
     FIVE_PLAYER_ROUND1_FINAL,
@@ -110,7 +111,7 @@ def cmd_learn(args) -> int:
     print(f"mode {exp.learn.mode}: {run.stages_used} stages, converged={run.converged}")
     print(f"initial profile: {_fmt_vec(k0)}")
     print(f"final profile:   {_fmt_vec(run.final.k)}")
-    print(f"final max |gradient|: {np.max(np.abs(run.history[-1].grad)):.3e}")
+    print(f"final max |gradient|: {np.max(np.abs(run.grads[-1])):.3e}")
     print(f"history written to {history_path}")
     return EXIT_OK
 
@@ -119,15 +120,20 @@ def cmd_reproduce_paper(args) -> int:
     flags = dict(_overrides(args), mode=args.mode or "model-free")
     exp = load_experiment(None, {**flags, **resolve(flags, {}, REPRODUCE_DEFAULTS[flags["mode"]])})
     exact = exp.learn.mode == "exact"
-    # Both rounds share the per-stage noise substreams by default, so they
-    # differ only in their starting profiles; --independent-rounds gives the
-    # second round its own stream.
+    starts = (FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START)
+    # By default both rounds play as one stack on the same per-stage noise
+    # substreams, so they differ only in their starting profiles;
+    # --independent-rounds plays each round alone, round 2 on its own stream.
     learns = [exp.learn, exp.learn]
     if args.independent_rounds:
+        if exact:
+            raise ConfigError(
+                "--independent-rounds applies to model-free mode only; exact play draws no noise"
+            )
         learns[1] = replace(exp.learn, sim=replace(exp.sim, seed=exp.sim.seed + 1))
-
-    starts = (FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START)
-    runs = [run_gradient_play(exp.game, start, learn) for start, learn in zip(starts, learns)]
+        runs = [run_lockstep(exp.game, [start], learn)[0] for start, learn in zip(starts, learns)]
+    else:
+        runs = run_lockstep(exp.game, starts, exp.learn)
 
     out = exp.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -367,6 +373,7 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for every subcommand and flag."""
     parser = argparse.ArgumentParser(
         prog="nashlq",
         description="Gradient-play Nash equilibrium seeking for decentralized LQ games.",
@@ -380,9 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as err:

@@ -54,8 +54,8 @@ def history_header(n: int) -> list[str]:
 
 
 def _rows(run: LearnRun):
-    for rec in run.history:
-        yield rec.stage, rec.profile.k.tolist(), rec.cost.tolist(), rec.grad.tolist()
+    """``(stage, k, J, g)`` per recorded stage, read from the run's arrays."""
+    return zip(itertools.count(), run.profiles.tolist(), run.costs.tolist(), run.grads.tolist())
 
 
 def write_history_csv(path, run: LearnRun) -> Path:

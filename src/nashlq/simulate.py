@@ -14,6 +14,13 @@ A batch mean needs only the batch's second moment in modal coordinates,
 ``S = C^T C / B`` with ``C = x0 @ Q``, so a Monte Carlo stage costs
 O(B n^2 + n^3).  Per-trajectory costs, O(B n^3), are computed only by
 :func:`simulate_batch`, for callers that need the spread of the batch.
+
+:func:`monte_carlo_cost` also takes an ``(R, n)`` stack of profiles.  The
+stack shares one draw of the ``(seed, stage)`` batch (common random
+numbers), one stability check, and one stacked ``eigh``, pair-integral
+table and modal reduction; numpy works matrix by matrix over a leading
+axis, so row ``r`` of the estimate is the one-profile call on ``k[r]``
+bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, _cholesky, _closed_loop, _is_finite, _is_int, _profile
+from .game import GameSpec, _cholesky, _closed_loop, _is_finite, _is_int, _profile, profile_array
 
 __all__ = [
     "SQRT3",
@@ -101,15 +108,24 @@ def sample_initial_state(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-SQRT3, SQRT3, size=shape)
 
 
-def _modes(spec: GameSpec, k) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(-_closed_loop(spec.a, _profile(spec, k)))
+def _profiles(spec: GameSpec, k) -> np.ndarray:
+    """``k`` as one profile of shape ``(n,)`` or a stack of shape ``(R, n)``."""
+    ks = profile_array(k)
+    if ks.ndim == 2 and ks.shape[1] == spec.n:
+        return ks
+    return _profile(spec, ks)
+
+
+def _modes(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of ``A - K`` at one validated profile or each row of a stack."""
+    return np.linalg.eigh(-_closed_loop(spec.a, ks))
 
 
 def simulate_state(spec: GameSpec, k, x0, t: float) -> np.ndarray:
     """Closed-loop state ``x(t) = exp((A - K) t) x0`` via the symmetric modes."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    lam, q = _modes(spec, k)
+    lam, q = _modes(spec, _profile(spec, k))
     x0 = np.asarray(x0, dtype=float)
     return q @ (np.exp(lam * t) * (q.T @ x0))
 
@@ -128,7 +144,7 @@ def pair_integrals(eigs: np.ndarray, horizon: float, dt: float | None = None) ->
     hence positive semidefinite.
     """
     eigs = np.asarray(eigs, dtype=float)
-    s = eigs[:, None] + eigs[None, :]
+    s = eigs[..., :, None] + eigs[..., None, :]
     if dt is None:
         denom = np.where(s == 0.0, 1.0, s)
         return np.where(s == 0.0, horizon, np.expm1(s * horizon) / denom)
@@ -141,15 +157,18 @@ def pair_integrals(eigs: np.ndarray, horizon: float, dt: float | None = None) ->
     return np.where(flat, horizon, trapezoid)
 
 
-def _weights(spec: GameSpec, k: np.ndarray, config: SimConfig):
-    """Modal basis and pair-integral table of the closed loop at ``k``."""
-    lam, q = _modes(spec, k)
+def _weights(spec: GameSpec, ks: np.ndarray, config: SimConfig):
+    """Modal basis and pair-integral table of the closed loop at each profile."""
+    lam, q = _modes(spec, ks)
     dt = None if config.integrator == "exact" else config.dt
     return q, pair_integrals(lam, config.horizon, dt)
 
 
 def _modal_cost(spec: GameSpec, k: np.ndarray, q: np.ndarray, w: np.ndarray, s: np.ndarray):
     """Costs from modal second moments ``s`` of shape ``(..., n, n)``.
+
+    ``k``, ``q`` and ``w`` belong to one profile or to a stack of them,
+    with the stack's leading axis matching that of ``s``.
 
     The sampled cost integral is ``sum_mp q_im q_ip W_mp S_mp`` with
     ``d_im = q_im c_m`` expanded over the modal coordinates ``c``:
@@ -162,7 +181,6 @@ def _modal_cost(spec: GameSpec, k: np.ndarray, q: np.ndarray, w: np.ndarray, s: 
 
 def _batch_cost(spec: GameSpec, k, x0: np.ndarray, config: SimConfig) -> np.ndarray:
     """Per-trajectory costs, shape ``(B, n)``: O(B n^3), in blocks of trajectories."""
-    k = _profile(spec, k)
     q, w = _weights(spec, k, config)
     coords = x0 @ q
     step = max(1, _MOMENT_BLOCK // spec.n**2)
@@ -171,16 +189,16 @@ def _batch_cost(spec: GameSpec, k, x0: np.ndarray, config: SimConfig) -> np.ndar
     return np.concatenate(costs)
 
 
-def _mean_cost(spec: GameSpec, k, x0: np.ndarray, config: SimConfig) -> np.ndarray:
-    """Mean cost over the rows of ``x0``, shape ``(n,)``: O(B n^2 + n^3).
+def _mean_cost(spec: GameSpec, ks: np.ndarray, x0: np.ndarray, config: SimConfig) -> np.ndarray:
+    """Mean cost over the rows of ``x0`` at each profile, shape ``ks.shape``.
 
-    The mean of the per-trajectory moments is the batch's second moment in
-    modal coordinates, ``S = C^T C / B`` with ``C = x0 @ Q``.
+    O(B n^2 + n^3) per profile.  The mean of the per-trajectory moments is
+    the batch's second moment in modal coordinates, ``S = C^T C / B`` with
+    ``C = x0 @ Q``.
     """
-    k = _profile(spec, k)
-    q, w = _weights(spec, k, config)
+    q, w = _weights(spec, ks, config)
     coords = x0 @ q
-    return _modal_cost(spec, k, q, w, (coords.T @ coords) / x0.shape[0])
+    return _modal_cost(spec, ks, q, w, (np.swapaxes(coords, -1, -2) @ coords) / x0.shape[0])
 
 
 def trajectory_cost(spec: GameSpec, k, x0, config: SimConfig) -> np.ndarray:
@@ -191,14 +209,15 @@ def trajectory_cost(spec: GameSpec, k, x0, config: SimConfig) -> np.ndarray:
     composite trapezoid depending on ``config.integrator``.
     """
     x0 = np.asarray(x0, dtype=float)
-    return _mean_cost(spec, k, x0[None, :], config)
+    return _mean_cost(spec, _profile(spec, k), x0[None, :], config)
 
 
 def _draw_batch(spec: GameSpec, k, config: SimConfig, stage: int):
-    """Stability-check ``k``, then draw the ``(seed, stage)`` batch of states."""
-    k = _profile(spec, k)
-    _cholesky(_closed_loop(spec.a, k[None]))  # stability check up front
-    return k, sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
+    """Stability-check ``k`` (one profile or a stack), then draw the
+    ``(seed, stage)`` batch of states once for all of it."""
+    ks = _profiles(spec, k)
+    _cholesky(_closed_loop(spec.a, ks.reshape(-1, spec.n)))  # stability check up front
+    return ks, sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
 
 
 def simulate_batch(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> TrajectoryBatch:
@@ -209,12 +228,17 @@ def simulate_batch(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> Traj
     batch is later processed.  Raises :class:`NotPositiveDefinite` before
     simulating if the profile leaves the stable region.
     """
-    k, x0 = _draw_batch(spec, k, config, stage)
+    k, x0 = _draw_batch(spec, _profile(spec, k), config, stage)
     return TrajectoryBatch(x0=x0, per_player_cost=_batch_cost(spec, k, x0, config))
 
 
 def monte_carlo_cost(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> np.ndarray:
     """Batch-mean estimate of each player's cost at the given profile.
+
+    ``k`` is one profile, giving costs of shape ``(n,)``, or an ``(R, n)``
+    stack, giving one row of costs per profile from one shared batch: row
+    ``r`` equals the call on ``k[r]`` bit for bit.  A stack that leaves the
+    stable region raises for its first unstable row, naming its index.
 
     Unbiased for the horizon-truncated cost.  The batch is the one
     :func:`simulate_batch` draws from the ``(seed, stage)`` substream, and

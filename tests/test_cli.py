@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from nashlq import cli
 from nashlq.cli import EXIT_GATE, build_parser, main
+from nashlq.learning import LearnConfig, run_gradient_play
 from nashlq.output import read_history_csv
-from nashlq.presets import preset_game
+from nashlq.presets import FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START, preset_game
+from nashlq.simulate import SimConfig
 from nashlq.simulate import substream
 
 SCALAR_EQUILIBRIUM = np.sqrt(2.0) - 1.0
@@ -39,6 +42,27 @@ def test_each_subcommand_takes_exactly_its_flags():
         for name, command in commands.items()
     }
     assert found == expected
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        outputs = []
+        for _ in range(2):
+            assert run_cli("learn", "--preset", "scalar", "--stages", "3", "--out", str(tmp_path)) == 0
+            outputs.append(capsys.readouterr().out)
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert outputs[0] == outputs[1]
+    assert build_parser() is not build_parser()
 
 
 class TestLearn:
@@ -184,6 +208,22 @@ class TestReproducePaper:
         )
         assert code == EXIT_GATE  # two stages cannot reach the published finals
         assert json.loads((out / "summary.json").read_text())["round_seeds"] == [3, 4]
+
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_rounds_equal_single_runs(self, tmp_path, independent):
+        # lockstep rounds (shared noise) and independent rounds (next seed)
+        # each write the history of a lone run from that round's start
+        out = tmp_path / "rp"
+        flags = ["--seed", "5", "--stages", "3", "--batch", "9", "--horizon", "5", "--dt", "0.5"]
+        run_cli("reproduce-paper", *flags, *(["--independent-rounds"] * independent), "--out", str(out))
+        spec = preset_game("five-player")
+        for index, start in enumerate((FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START)):
+            sim = SimConfig(batch_size=9, horizon=5.0, dt=0.5, seed=5 + index * independent)
+            run = run_gradient_play(spec, start, LearnConfig(stages=3, mode="model-free", sim=sim))
+            history = read_history_csv(out / f"round{index + 1}.csv")
+            assert np.array_equal(history["k"], run.profiles)
+            assert np.array_equal(history["J"], run.costs)
+            assert np.array_equal(history["g"], run.grads)
 
     def test_failed_gate_exits_four(self, tmp_path, capsys):
         out = tmp_path / "rp"
@@ -500,6 +540,12 @@ class TestConfigErrors:
             assert run_cli(command, "--config", str(path), "--out", str(tmp_path / command)) == 0
         path.write_text(json.dumps({**config, "ensemble": {"n": 2, "count": 2, "samples": 5}}), encoding="utf-8")
         assert run_cli("check-rosen", "--config", str(path), "--out", str(tmp_path / "sweep.json")) == 0
+
+    def test_exact_independent_rounds_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["reproduce-paper", "--mode", "exact", "--independent-rounds"]
+        err = assert_config_error(capsys, run_cli(*argv, "--out", str(out)), out)
+        assert "--independent-rounds" in err
 
     def test_model_free_grad_tolerance_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"

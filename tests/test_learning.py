@@ -1,9 +1,13 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nashlq import (
+    FIVE_PLAYER_ROUND1_START,
+    FIVE_PLAYER_ROUND2_START,
     ActionProfile,
     GameSpec,
     LearnConfig,
@@ -18,6 +22,7 @@ from nashlq import (
     monte_carlo_cost,
     project,
     run_gradient_play,
+    run_lockstep,
     scalar_game,
     substream,
 )
@@ -79,12 +84,17 @@ def _reference_run(spec, k0, config):
         if check_tol:
             converged = bool(np.max(np.abs(grads)) < tol)
 
-    return LearnRun(
+    return _ReferenceRun(
         history=tuple(history),
         final=ActionProfile(k),
         converged=converged,
         stages_used=stages_used,
     )
+
+
+# The fields of the LearnRun the reference loop built, before runs kept
+# their stages as arrays.
+_ReferenceRun = namedtuple("_ReferenceRun", "history final converged stages_used")
 
 
 def _bits(array):
@@ -326,6 +336,96 @@ class TestSingleLoopMatchesReference:
         assert _bits(step.k) == _bits(_reference_step(spec, k0, config, stage).k)
 
 
+@st.composite
+def _lockstep_case(draw):
+    """A play case with 1-4 starts in the game's box.
+
+    Exact tolerances are set from the starts' gradients, so that members
+    converge at different stages, some at stage 0 and some never.
+    """
+    spec, k0, config = draw(_play_case())
+    rng = substream(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 4))
+    starts = [k0] + [
+        spec.k_lower + rng.random(spec.n) * (spec.k_upper - spec.k_lower) for _ in range(count - 1)
+    ]
+    if config.mode == "exact" and draw(st.booleans()):
+        peaks = sorted(float(np.max(np.abs(exact_gradient(spec, k)))) for k in starts)
+        tolerance = draw(st.sampled_from([0.5 * peaks[0], 0.5 * (peaks[0] + peaks[-1]) + 1e-300]))
+        config = LearnConfig(
+            stages=config.stages,
+            step_size=config.step_size,
+            mode="exact",
+            grad_tolerance=tolerance,
+            record_history=config.record_history,
+        )
+    return spec, starts, config
+
+
+class TestLockstep:
+    @settings(max_examples=120)
+    @given(_lockstep_case())
+    def test_each_member_equals_its_single_run(self, case):
+        spec, starts, config = case
+        runs = run_lockstep(spec, starts, config)
+        assert len(runs) == len(starts)
+        for run, start in zip(runs, starts):
+            alone = run_gradient_play(spec, start, config)
+            assert len(run.history) == len(alone.history)
+            for rec, expected in zip(run.history, alone.history):
+                assert rec.stage == expected.stage
+                assert _bits(rec.profile.k) == _bits(expected.profile.k)
+                assert _bits(rec.cost) == _bits(expected.cost)
+                assert _bits(rec.grad) == _bits(expected.grad)
+            assert _bits(run.final.k) == _bits(alone.final.k)
+            assert run.stages_used == alone.stages_used
+            assert run.converged == alone.converged
+
+    def test_members_leave_at_different_stages(self):
+        spec = five_player_game()
+        config = LearnConfig(stages=20000, grad_tolerance=1e-9)
+        starts = [FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START]
+        runs = run_lockstep(spec, starts, config)
+        assert all(run.converged for run in runs)
+        assert runs[0].stages_used != runs[1].stages_used
+        for run, start in zip(runs, starts):
+            alone = run_gradient_play(spec, start, config)
+            assert run.stages_used == alone.stages_used
+            for name in ("profiles", "costs", "grads"):
+                assert _bits(getattr(run, name)) == _bits(getattr(alone, name))
+
+    def test_starts_are_validated(self):
+        spec = scalar_game()
+        with pytest.raises(ValueError, match="at least one"):
+            run_lockstep(spec, [], LearnConfig())
+        with pytest.raises(ValueError, match="box"):
+            run_lockstep(spec, [[1.0], [9.0]], LearnConfig())
+        with pytest.raises(ValueError, match="shape"):
+            run_lockstep(spec, [[1.0, 1.0]], LearnConfig())
+
+
+class TestLearnRunArrays:
+    def test_arrays_hold_every_stage(self):
+        run = run_gradient_play(five_player_game(), FIVE_PLAYER_ROUND1_START, LearnConfig(stages=6))
+        for name in ("profiles", "costs", "grads"):
+            assert getattr(run, name).shape == (run.stages_used + 1, 5)
+        assert np.array_equal(run.profiles[-1], run.final.k)
+        assert np.array_equal(run.profiles[0], FIVE_PLAYER_ROUND1_START)
+
+    def test_history_is_built_once_from_the_arrays(self):
+        run = run_gradient_play(scalar_game(), [1.0], LearnConfig(stages=4))
+        assert run.history is run.history
+        for stage, rec in enumerate(run.history):
+            assert rec.stage == stage
+            assert np.array_equal(rec.profile.k, run.profiles[stage])
+            assert np.array_equal(rec.cost, run.costs[stage])
+            assert np.array_equal(rec.grad, run.grads[stage])
+
+    def test_history_off_leaves_empty_arrays(self):
+        run = run_gradient_play(five_player_game(), np.ones(5), LearnConfig(stages=3, record_history=False))
+        assert run.profiles.shape == run.costs.shape == run.grads.shape == (0, 5)
+
+
 class TestLearnConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -345,6 +445,9 @@ class TestLearnConfig:
             {"grad_tolerance": "0"},
             {"mode": "model-free", "grad_tolerance": 0.5},
             {"mode": "model-free", "sim": None},
+            {"record_history": "no"},
+            {"record_history": None},
+            {"record_history": 1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

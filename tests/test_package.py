@@ -18,12 +18,14 @@ EARLIER_NAMES = {
 }
 # Public in their modules all along, and now in the package too.
 ADDED_NAMES = {"SQRT3", "FIVE_PLAYER_STAGES", "FIVE_PLAYER_BATCH", "FIVE_PLAYER_HORIZON", "PRESETS"}
+# New public functions since then.
+NEW_NAMES = {"run_lockstep"}
 
 
 def test_package_names():
     assert len(EARLIER_NAMES) == 53
     assert len(nashlq.__all__) == len(set(nashlq.__all__))
-    assert set(nashlq.__all__) == EARLIER_NAMES | ADDED_NAMES
+    assert set(nashlq.__all__) == EARLIER_NAMES | ADDED_NAMES | NEW_NAMES
 
 
 def test_each_name_is_its_module_object():

@@ -261,6 +261,32 @@ class TestMonteCarlo:
         with pytest.raises(NotPositiveDefinite):
             monte_carlo_cost(spec, [0.0, 0.0], SimConfig(batch_size=8, horizon=10.0))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 20),
+        st.integers(1, 4),
+        st.integers(1, 300),
+        st.sampled_from(["quadrature", "exact"]),
+        st.sampled_from([5.0, 200.0]),
+        st.sampled_from([0.01, 0.1]),
+    )
+    def test_stack_rows_equal_single_calls(self, seed, n, count, batch_size, integrator, horizon, dt):
+        spec, k = random_game(seed, n=n)
+        rng = substream(seed, 1)
+        others = [spec.k_lower + rng.random(n) * (spec.k_upper - spec.k_lower) for _ in range(count - 1)]
+        ks = np.array([k] + others)
+        config = SimConfig(batch_size=batch_size, horizon=horizon, dt=dt, seed=seed, integrator=integrator)
+        stacked = monte_carlo_cost(spec, ks, config, stage=seed % 7)
+        assert stacked.shape == (count, n)
+        for row, k_row in zip(stacked, ks):
+            assert row.tobytes() == monte_carlo_cost(spec, k_row, config, stage=seed % 7).tobytes()
+
+    def test_unstable_stack_row_is_named(self):
+        spec = GameSpec(a=[[1.0, 0.0], [0.0, -1.0]], rho=0.0, k_upper=5.0)
+        with pytest.raises(NotPositiveDefinite, match="at profile 1"):
+            monte_carlo_cost(spec, [[2.0, 0.0], [0.0, 0.0]], SimConfig(batch_size=8, horizon=10.0))
+
     def test_error_shrinks_with_batch_size(self):
         # shrinkage in probability, checked as aggregate mean error over a
         # frozen seed schedule plus per-seed orderings across the full span
@@ -312,6 +338,17 @@ class TestPairIntegrals:
         dt = min(dt, horizon)
         out = pair_integrals(np.array(eigs), horizon, dt)
         assert max_rel(out, loop_pair_integrals(eigs, horizon, dt)) <= 1e-12
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 20), st.sampled_from([None, 0.01, 0.1]))
+    def test_leading_axis_rows_equal_row_calls(self, seed, count, n, dt):
+        rng = substream(seed)
+        eigs = -rng.uniform(0.0, 8.0, size=(count, n))
+        eigs[0, 0] = 0.0  # the zero-rate limit inside a stack
+        out = pair_integrals(eigs, 5.0, dt)
+        assert out.shape == (count, n, n)
+        for table, row in zip(out, eigs):
+            assert table.tobytes() == pair_integrals(row, 5.0, dt).tobytes()
 
     @pytest.mark.parametrize("steps", [1, 2, 8191, 8192, 8193, 16385])
     def test_closed_form_trapezoid_at_chunk_boundaries(self, steps):
