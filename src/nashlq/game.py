@@ -10,6 +10,9 @@ valid whenever ``K - A`` is symmetric positive definite (a stable closed
 loop).  Everything in this module is a pure function of a :class:`GameSpec`
 and a gain profile: costs, own-action gradients, own-action curvatures, and
 the Jacobian of the stacked gradient vector used for uniqueness analysis.
+A report's curvatures are computed on first access, from the resolvent
+diagonals, tradeoffs and gains it stores, so gradient play, which never
+reads them, does not pay for them.
 
 All of them are the single-profile case of one kernel that takes a
 ``(P, n)`` stack of profiles: it builds every ``K - A``, factors the whole
@@ -30,6 +33,7 @@ formulas are stated once, for both.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -207,18 +211,26 @@ class ActionProfile:
 
 @dataclass(frozen=True, eq=False)
 class CostGradientReport:
-    """Per-player closed-form quantities at one profile.
+    """Per-player closed-form quantities at one profile, or a stack of them.
 
     ``resolvent_diag`` holds the diagonal of ``(K - A)^{-1}`` (always
     positive on the stable region), ``cost`` the player costs, ``grad`` the
-    stacked own-action partial derivatives, and ``curvature`` the strictly
-    positive second derivatives of each cost in its own action.
+    stacked own-action partial derivatives, and ``k`` and ``rho`` the gains
+    and tradeoffs they were evaluated at.  ``curvature``, the strictly
+    positive second derivatives of each cost in its own action, is computed
+    on first access from these fields and then kept.
     """
 
     resolvent_diag: np.ndarray
     cost: np.ndarray
     grad: np.ndarray
-    curvature: np.ndarray
+    k: np.ndarray
+    rho: np.ndarray
+
+    @functools.cached_property
+    def curvature(self) -> np.ndarray:
+        f, k = self.resolvent_diag, self.k
+        return f * (self.rho * (1.0 - k * f) ** 2 + f**2)
 
 
 def profile_array(k) -> np.ndarray:
@@ -307,9 +319,11 @@ def _is_stable(a: np.ndarray, k: np.ndarray) -> bool:
 
 
 def _fields(rho: np.ndarray, k: np.ndarray, f: np.ndarray) -> CostGradientReport:
-    """Costs, gradients and curvatures from the resolvent diagonals ``f``.
+    """Costs and gradients from the resolvent diagonals ``f``; curvatures on demand.
 
-    ``k`` and ``f`` are one profile or a ``(P, n)`` stack of them.
+    ``k`` and ``f`` are one profile or a ``(P, n)`` stack of them.  The
+    report keeps a copy of ``k``, so a caller that later changes its profile
+    in place does not change the report's curvatures.
     """
     weight = 1.0 + rho * k**2
     j = 0.5 * weight * f
@@ -317,8 +331,7 @@ def _fields(rho: np.ndarray, k: np.ndarray, f: np.ndarray) -> CostGradientReport
     # appears here and in marginal_cost_from_cost; the two stay within a few
     # ulp of each other even where the gradient crosses zero.
     g = f * (rho * k - j)
-    h = f * (rho * (1.0 - k * f) ** 2 + f**2)
-    return CostGradientReport(resolvent_diag=f, cost=j, grad=g, curvature=h)
+    return CostGradientReport(resolvent_diag=f, cost=j, grad=g, k=k.copy(), rho=rho)
 
 
 def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGradientReport]:

@@ -11,9 +11,10 @@ the system matrices or the others' actions.
 
 Play runs in lockstep over an ``(R, n)`` stack of profiles, one per start.
 The gradient source is chosen once per run (:func:`_estimator`) and
-estimates the whole stack per stage: exact members are evaluated one at a
-time, while model-free members share one stacked estimate on the stage's
-common batch.  :func:`_lockstep` is the one loop over it: ``stages + 1``
+estimates the whole stack per stage: exact members take one call of the
+stacked kernel (:func:`~nashlq.game.evaluate` while only one plays),
+while model-free members share one stacked estimate on the stage's common
+batch.  :func:`_lockstep` is the one loop over it: ``stages + 1``
 evaluations, each followed by an update unless the budget is spent or the
 tolerance met; a member whose gradient meets the tolerance leaves the stack
 at that stage.  Every row of a stack gets the bits it would get alone, so
@@ -30,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import (
-    ActionProfile, GameSpec, evaluate, marginal_cost_from_cost, _frozen, _is_finite, _is_int, _profile,
+    ActionProfile, GameSpec, evaluate, marginal_cost_from_cost,
+    _evaluate_stack, _frozen, _is_finite, _is_int, _profile,
 )
 from .simulate import SimConfig, monte_carlo_cost
 
@@ -132,14 +134,19 @@ def project(value, lower, upper):
 def _estimator(spec: GameSpec, config: LearnConfig):
     """The run's gradient source: ``estimate(ks, stage) -> (costs, grads)``.
 
-    ``ks`` is an ``(R, n)`` stack and both results have its shape.  Exact
-    members are evaluated one at a time; a model-free stack takes one
-    estimate on the stage's shared batch.
+    ``ks`` is an ``(R, n)`` stack and both results have its shape.  An exact
+    stack takes one call of the stacked kernel, whose rows equal
+    :func:`~nashlq.game.evaluate`'s bits; a lone member takes ``evaluate``
+    itself, the cheaper path.  A model-free stack takes one estimate on the
+    stage's shared batch.
     """
     if config.mode == "exact":
         def estimate(ks, stage):
-            reports = [evaluate(spec, ks[i]) for i in range(len(ks))]
-            return np.array([r.cost for r in reports]), np.array([r.grad for r in reports])
+            if len(ks) == 1:
+                report = evaluate(spec, ks[0])
+                return report.cost[None], report.grad[None]
+            report = _evaluate_stack(spec, ks)[1]
+            return report.cost, report.grad
     else:
         def estimate(ks, stage):
             costs = monte_carlo_cost(spec, ks, config.sim, stage)
@@ -222,7 +229,10 @@ def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[Learn
             if not keep.any():
                 break
             members, ks, grads, lower, upper = (x[keep] for x in (members, ks, grads, lower, upper))
-        ks = np.minimum(np.maximum(ks - step * grads, lower), upper)
+        # A fresh array, clipped in place: recorded stages are never written to.
+        ks = ks - step * grads
+        np.maximum(ks, lower, out=ks)
+        np.minimum(ks, upper, out=ks)
 
     histories = [[] for _ in ends]  # per member, its (profiles, costs, grads) rows per segment
     for seg_members, seg_trace in segments:

@@ -152,7 +152,9 @@ def pair_integrals(eigs: np.ndarray, horizon: float, dt: float | None = None) ->
     step = horizon / steps
     z = s * step
     flat = z == 0.0
-    z = np.where(flat, 1.0, z)
+    # A negative stand-in for the masked zero-rate pairs, so that
+    # expm1(steps * z) stays finite for any number of steps.
+    z = np.where(flat, -1.0, z)
     trapezoid = step * 0.5 * (1.0 + np.exp(z)) * (np.expm1(steps * z) / np.expm1(z))
     return np.where(flat, horizon, trapezoid)
 

@@ -20,7 +20,7 @@ from nashlq import (
     second_derivative,
     stability_margin,
 )
-from nashlq.game import _evaluate_stack, _jacobian_stack
+from nashlq.game import _diagonals, _evaluate_stack, _jacobian_stack
 from util import fd_gradient, fd_hessian_diag, fd_jacobian, random_game, rel_gap
 
 # Costs at the published round-1 stage-250 gains of the 5-player benchmark,
@@ -103,7 +103,13 @@ def _outcome(call):
         report = call()
     except NotPositiveDefinite as err:
         return str(err)
-    return [field.tobytes() for field in vars(report).values()]
+    fields = (report.resolvent_diag, report.cost, report.grad, report.curvature)
+    return [field.tobytes() for field in fields]
+
+
+def eager_curvature(spec, k, f):
+    """The retired eager curvature, computed with every report's fields."""
+    return f * (spec.rho * (1.0 - k * f) ** 2 + f**2)
 
 
 def stacked_game(seed, n, count):
@@ -281,6 +287,22 @@ class TestSecondDerivative:
     def test_matches_second_differences(self, seed):
         spec, k = random_game(seed + 100)
         assert rel_gap(fd_hessian_diag(spec, k), second_derivative(spec, k)) < 1e-4
+
+    @given(st.integers(0, 10**6), st.integers(1, 20), st.integers(1, 9))
+    def test_on_demand_curvature_equals_eager_formula(self, seed, n, count):
+        spec, ks = stacked_game(seed, n, count)
+        _, report = _evaluate_stack(spec, ks)
+        expected = eager_curvature(spec, ks, report.resolvent_diag)
+        assert report.curvature.tobytes() == expected.tobytes()
+        assert _diagonals(_jacobian_stack(spec, ks)).tobytes() == expected.tobytes()
+        for k in ks:
+            profile = k.copy()
+            single = evaluate(spec, profile)
+            profile[:] = spec.k_upper  # the report keeps its own copy of the gains
+            expected = eager_curvature(spec, k, single.resolvent_diag)
+            assert single.curvature.tobytes() == expected.tobytes()
+            assert second_derivative(spec, k).tobytes() == expected.tobytes()
+            assert np.diag(pseudogradient_jacobian(spec, k)).tobytes() == expected.tobytes()
 
     @given(st.integers(0, 10**6))
     def test_strictly_positive(self, seed):

@@ -26,6 +26,7 @@ from nashlq import (
     scalar_game,
     substream,
 )
+from nashlq import learning
 from nashlq.game import _evaluate_stack, _profile
 from util import random_game
 
@@ -362,13 +363,41 @@ def _lockstep_case(draw):
     return spec, starts, config
 
 
+def _counted_lockstep(spec, starts, config):
+    """:func:`run_lockstep`, counting the exact estimate's stacked and single-profile calls."""
+    calls = {"stack": 0, "single": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learning, "_evaluate_stack", counted("stack", learning._evaluate_stack))
+        patch.setattr(learning, "evaluate", counted("single", learning.evaluate))
+        runs = run_lockstep(spec, starts, config)
+    return runs, calls
+
+
+def _expected_exact_calls(runs):
+    """One stacked call per stage with two or more members playing, then one per lone stage."""
+    ends = sorted(run.stages_used for run in runs)
+    shared = ends[-2] + 1 if len(ends) > 1 else 0
+    return {"stack": shared, "single": ends[-1] + 1 - shared}
+
+
 class TestLockstep:
     @settings(max_examples=120)
     @given(_lockstep_case())
     def test_each_member_equals_its_single_run(self, case):
         spec, starts, config = case
-        runs = run_lockstep(spec, starts, config)
+        runs, calls = _counted_lockstep(spec, starts, config)
         assert len(runs) == len(starts)
+        if config.mode == "exact":
+            assert calls == _expected_exact_calls(runs)
+        else:
+            assert calls == {"stack": 0, "single": 0}
         for run, start in zip(runs, starts):
             alone = run_gradient_play(spec, start, config)
             assert len(run.history) == len(alone.history)
@@ -384,10 +413,12 @@ class TestLockstep:
     def test_members_leave_at_different_stages(self):
         spec = five_player_game()
         config = LearnConfig(stages=20000, grad_tolerance=1e-9)
-        starts = [FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START]
-        runs = run_lockstep(spec, starts, config)
+        starts = [FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START, spec.k_upper]
+        runs, calls = _counted_lockstep(spec, starts, config)
         assert all(run.converged for run in runs)
-        assert runs[0].stages_used != runs[1].stages_used
+        assert len({run.stages_used for run in runs}) == 3
+        assert calls == _expected_exact_calls(runs)
+        assert calls["stack"] > 1 and calls["single"] > 1
         for run, start in zip(runs, starts):
             alone = run_gradient_play(spec, start, config)
             assert run.stages_used == alone.stages_used

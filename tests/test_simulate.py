@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -40,6 +42,23 @@ def loop_pair_integrals(eigs, horizon, dt, chunk=8192):
             w[-1] *= 0.5
         out += (np.exp(s[:, :, None] * t) * w).sum(axis=-1)
     return out
+
+
+def plus_one_trapezoid(eigs, horizon, dt):
+    """Reference: the closed-form trapezoid table with ``z = 1`` standing in for zero-rate pairs.
+
+    That stand-in overflows ``expm1(steps * z)`` beyond ~709 steps; the
+    overflowed entries are masked to the horizon, every other entry is kept.
+    """
+    s = eigs[:, None] + eigs[None, :]
+    steps = max(1, round(horizon / dt))
+    step = horizon / steps
+    z = s * step
+    flat = z == 0.0
+    z = np.where(flat, 1.0, z)
+    with np.errstate(over="ignore"):
+        trapezoid = step * 0.5 * (1.0 + np.exp(z)) * (np.expm1(steps * z) / np.expm1(z))
+    return np.where(flat, horizon, trapezoid), flat
 
 
 def max_rel(a, b):
@@ -365,6 +384,28 @@ class TestPairIntegrals:
         assert out[0, 1] == out[1, 0] == 3.0
         assert np.all(np.isfinite(out))
         assert max_rel(out, loop_pair_integrals(eigs, 3.0, 0.01)) <= 1e-12
+
+    def test_zero_rate_pair_on_a_long_grid_warns_nothing(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            out = pair_integrals(np.array([0.0]), 20.0, 0.01)
+        assert out[0, 0] == 20.0
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.floats(-8.0, 0.0), min_size=1, max_size=6),
+        st.floats(0.5, 300.0),
+        st.floats(0.005, 0.5),
+    )
+    def test_nonzero_rate_pairs_keep_their_bits(self, eigs, horizon, dt):
+        dt = min(dt, horizon)
+        eigs = np.array(eigs)
+        expected, flat = plus_one_trapezoid(eigs, horizon, dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pair_integrals(eigs, horizon, dt)
+        assert out[~flat].tobytes() == expected[~flat].tobytes()
+        assert np.all(out[flat] == horizon)
 
     def test_matrix_exponential_integral_identity(self):
         # trapezoid quadrature of exp(2(A - K) t) over [0, 50/lam_min]
