@@ -6,8 +6,8 @@ Subcommands: ``learn``, ``reproduce-paper``, ``check-rosen``, ``gen-matrix``,
 are flat CSV/JSON files meant for external plotting tools.
 
 Exit codes: 0 success, 1 uniqueness-condition violation found,
-2 invalid configuration, 3 solver failure (unstable profile),
-4 a ``reproduce-paper`` gate failed.
+2 invalid configuration or an output that cannot be written,
+3 solver failure (unstable profile), 4 a ``reproduce-paper`` gate failed.
 """
 
 from __future__ import annotations
@@ -403,6 +403,12 @@ def main(argv=None) -> int:
     except NotPositiveDefinite as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as err:
+        # Config files are read by read_config, which reports an OSError as a
+        # ConfigError, so one arriving here came from creating or writing an output.
+        target = "output" if err.filename is None else err.filename
+        print(f"error: cannot write {target}: {err.strerror or err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

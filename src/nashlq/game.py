@@ -24,11 +24,12 @@ stability check, here and in :mod:`nashlq.simulate`, uses its factor step.
 
 :func:`evaluate`, which gradient play calls once per stage, is the kernel's
 ``P = 1`` case without the stack axis: the same operations on 2-D arrays,
-with ``K - A`` and the pivot test from the kernel's own helpers, so it
-gives the same bits for any memory layout of ``A``, and a failed
-factorization or pivot check is handed to the kernel's own factor step,
-so it raises the same errors with the same messages.  The per-player
-formulas are stated once, for both.
+with ``K - A`` from the kernel's own helper, so it gives the same bits for
+any memory layout of ``A``.  Its pivot test makes the kernel's decision on
+Python scalars, one squared pivot at a time against ``PIVOT_RTOL`` times
+``||K - A||_inf``, and a failed factorization or pivot test is handed to
+the kernel's own factor step, so it raises the same errors with the same
+messages.  The per-player formulas are stated once, for both.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ STABILITY_MARGIN = 1e-6
 
 # Cholesky pivots below this fraction of ||K - A||_inf count as failure.
 PIVOT_RTOL = 1e-12
+
+_FLOAT = np.dtype(float)
 
 
 class NotPositiveDefinite(RuntimeError):
@@ -234,9 +237,15 @@ class CostGradientReport:
 
 
 def profile_array(k) -> np.ndarray:
-    """Coerce an :class:`ActionProfile` or array-like to a float vector."""
+    """Coerce an :class:`ActionProfile` or array-like to a float vector.
+
+    A float64 ``np.ndarray`` of at least one dimension is returned as it
+    is, which is what the coercion would return for it.
+    """
     if isinstance(k, ActionProfile):
         return k.k
+    if type(k) is np.ndarray and k.dtype is _FLOAT and k.ndim:
+        return k
     return np.atleast_1d(np.asarray(k, dtype=float))
 
 
@@ -271,6 +280,17 @@ def _pivot_check(chol: np.ndarray, s: np.ndarray):
     pivots = chol.diagonal(0, -2, -1).min(axis=-1) ** 2
     scale = abs(s).sum(axis=-1).max(axis=-1)
     return pivots > PIVOT_RTOL * scale, pivots, scale
+
+
+def _passes_pivot_test(chol: np.ndarray, s: np.ndarray) -> bool:
+    """:func:`_pivot_check`'s decision for one factor ``chol`` of ``s``, on Python scalars.
+
+    Cholesky pivots are nonnegative or NaN, so every squared pivot exceeds
+    the limit exactly when the squared smallest one does, NaN and inf
+    included.
+    """
+    limit = PIVOT_RTOL * float(abs(s).sum(axis=-1).max())
+    return all(p * p > limit for p in chol.diagonal().tolist())
 
 
 def _cholesky(s: np.ndarray) -> np.ndarray:
@@ -354,13 +374,16 @@ def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGra
 def _evaluate_one(spec: GameSpec, k: np.ndarray) -> CostGradientReport:
     """:func:`_evaluate_stack` of one validated profile, without the stack axis.
 
-    ``K - A`` comes from :func:`_closed_loop` and the pivot test from
-    :func:`_pivot_check`, as in the kernel; each further step is the kernel's
-    operation on a 2-D array, which numpy computes as it does each matrix of
-    a stack, so the report has the kernel's bits.  Only the resolvent's
-    diagonal is formed: ``(d + d) / 2`` is the kernel's symmetrization
-    restricted to it.  A factorization that breaks down or fails the pivot
-    check goes to :func:`_cholesky`, which raises the kernel's
+    ``K - A`` comes from :func:`_closed_loop`, as in the kernel, and the
+    pivot test from :func:`_passes_pivot_test`, which makes
+    :func:`_pivot_check`'s decision on Python scalars.  Each further step is
+    the kernel's operation on a 2-D array, which numpy computes as it does
+    each matrix of a stack, so the report has the kernel's bits.  Only the
+    resolvent's diagonal is formed, and it needs no symmetrization: the
+    kernel's ``(m + m^T) / 2`` leaves a diagonal entry unchanged, since
+    doubling and halving a finite double below ``DBL_MAX / 2`` are exact.
+    A factorization that breaks down or fails the pivot test goes to
+    :func:`_cholesky`, which raises the kernel's
     :class:`NotPositiveDefinite` for it.
     """
     s = _closed_loop(spec.a, k)
@@ -368,11 +391,10 @@ def _evaluate_one(spec: GameSpec, k: np.ndarray) -> CostGradientReport:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         chol = None
-    if chol is None or not _pivot_check(chol, s)[0]:
+    if chol is None or not _passes_pivot_test(chol, s):
         chol = _cholesky(s[None])[0]
     l_inv = np.linalg.inv(chol)
-    d = (l_inv.T @ l_inv).diagonal()
-    return _fields(spec.rho, k, (d + d) / 2.0)
+    return _fields(spec.rho, k, (l_inv.T @ l_inv).diagonal())
 
 
 def _jacobian_stack(spec: GameSpec, ks: np.ndarray) -> np.ndarray:

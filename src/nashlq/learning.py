@@ -40,7 +40,6 @@ __all__ = [
     "LearnConfig",
     "StageRecord",
     "LearnRun",
-    "project",
     "gradient_play_step",
     "run_gradient_play",
     "run_lockstep",
@@ -124,13 +123,6 @@ class LearnRun:
         )
 
 
-def project(value, lower, upper):
-    """Componentwise projection onto ``[lower, upper]``; idempotent."""
-    if np.any(np.asarray(lower) > np.asarray(upper)):
-        raise ValueError("projection bounds must satisfy lower <= upper")
-    return np.clip(value, lower, upper)
-
-
 def _estimator(spec: GameSpec, config: LearnConfig):
     """The run's gradient source: ``estimate(ks, stage) -> (costs, grads)``.
 
@@ -201,9 +193,11 @@ def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[Learn
 
     Each stage estimates, records and updates the members still playing; a
     member leaves at the stage its gradient meets the tolerance, all members
-    at the budget.  Recorded stages are kept as whole-stack arrays, one
-    segment per stretch of stages with the same members, and split into
-    per-member histories at the end.
+    at the budget.  The stop test reads each member's ``max|grad|`` as a
+    Python float and asks whether any is below the tolerance; a zero
+    tolerance skips it, since no ``|grad|`` is below zero.  Recorded stages
+    are kept as whole-stack arrays, one segment per stretch of stages with
+    the same members, and split into per-member histories at the end.
     """
     estimate = _estimator(spec, config)
     tol, last, step, record = config.grad_tolerance, config.stages, config.step_size, config.record_history
@@ -217,9 +211,12 @@ def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[Learn
         costs, grads = estimate(ks, stage)
         if record:
             trace.append((ks, costs, grads))
-        peak = abs(grads).max(axis=1)
-        if stage == last or peak.min() < tol:
-            converged = peak < tol
+        met = False
+        if tol > 0:
+            peak = abs(grads).max(axis=1)
+            met = any(p < tol for p in peak.tolist())
+        if stage == last or met:
+            converged = peak < tol if tol > 0 else np.zeros(len(ks), dtype=bool)
             leaving = converged | (stage == last)
             for i in np.flatnonzero(leaving):
                 ends[members[i]] = (stage, ks[i], bool(converged[i]))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +392,35 @@ class TestSimulate:
 
     def test_wrong_length_profile_is_config_error(self, tmp_path):
         assert run_cli("simulate", "--preset", "five-player", "--k", "1.0") == 2
+
+
+class TestUnwritableOutput:
+    """An ``--out`` below a regular file exits 2 with one ``error:`` line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn", "--preset", "scalar", "--stages", "3"],
+            ["reproduce-paper", "--mode", "exact", "--stages", "3"],
+            ["check-rosen", "--preset", "scalar", "--samples", "5"],
+            ["gen-matrix", "--n", "2"],
+            ["simulate", "--preset", "scalar", "--batch", "5", "--horizon", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exits_two_with_one_error_line(self, tmp_path, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        result = subprocess.run(
+            [sys.executable, "-m", "nashlq.cli", *argv, "--out", str(blocker / "x")],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {blocker}")
 
 
 def assert_config_error(capsys, code, out):

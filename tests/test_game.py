@@ -19,8 +19,12 @@ from nashlq import (
     resolvent,
     second_derivative,
     stability_margin,
+    substream,
 )
-from nashlq.game import _diagonals, _evaluate_stack, _jacobian_stack
+from nashlq.game import (
+    PIVOT_RTOL, _closed_loop, _diagonals, _evaluate_stack, _jacobian_stack, _passes_pivot_test,
+    _pivot_check, profile_array,
+)
 from util import fd_gradient, fd_hessian_diag, fd_jacobian, random_game, rel_gap
 
 # Costs at the published round-1 stage-250 gains of the 5-player benchmark,
@@ -112,6 +116,34 @@ def eager_curvature(spec, k, f):
     return f * (spec.rho * (1.0 - k * f) ** 2 + f**2)
 
 
+def retired_resolvent_diag(spec, k):
+    """The single path's retired resolvent diagonal, symmetrized as ``(d + d) / 2``."""
+    l_inv = np.linalg.inv(np.linalg.cholesky(_closed_loop(spec.a, k)))
+    d = (l_inv.T @ l_inv).diagonal()
+    return (d + d) / 2.0
+
+
+@st.composite
+def pivot_edge_case(draw):
+    """A random SPD matrix ``s``, its Cholesky factor, and the factor's pivot index to move.
+
+    ``s`` is scaled by a power of two.  Some cases set pivots of the factor
+    to NaN, inf or zero, or an entry of ``s`` to inf or NaN.
+    """
+    n = draw(st.integers(1, 8))
+    rng = substream(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, n))
+    s = (x @ x.T + n * np.eye(n)) * 2.0 ** draw(st.integers(-500, 500))
+    chol = np.linalg.cholesky(s)
+    specials = st.tuples(st.integers(0, n - 1), st.sampled_from([np.nan, np.inf, 0.0]))
+    for i, value in draw(st.lists(specials, max_size=2)):
+        chol[i, i] = value
+    entry = draw(st.sampled_from([None, np.inf, np.nan]))
+    if entry is not None:
+        s[rng.integers(n), rng.integers(n)] = entry
+    return s, chol, draw(st.integers(0, n - 1))
+
+
 def stacked_game(seed, n, count):
     """A random SDD game with ``n <= 20`` players and ``count`` box profiles."""
     spec, k = random_game(seed, n=n)
@@ -185,6 +217,57 @@ class TestProfileKernel:
         single = _outcome(lambda: evaluate(spec, k))
         assert isinstance(kernel, str) and re.match("K - A is " + message, kernel)
         assert single == kernel
+
+    @given(pivot_edge_case())
+    def test_scalar_pivot_test_makes_the_kernel_decision(self, case):
+        s, chol, index = case
+        # The moved pivot walks across the edge one ulp at a time, so its square
+        # lands on both sides of PIVOT_RTOL * ||s||_inf and, in some cases, on it.
+        edge = np.sqrt(PIVOT_RTOL * abs(s).sum(axis=-1).max())
+        pivots = {edge}
+        for direction in (0.0, np.inf):
+            pivot = edge
+            for _ in range(4):
+                pivot = np.nextafter(pivot, direction)
+                pivots.add(pivot)
+        outcomes = set()
+        for pivot in pivots:
+            chol[index, index] = pivot
+            decision = _passes_pivot_test(chol, s)
+            with np.errstate(all="ignore"):  # an inf pivot overflows its square
+                assert decision is bool(_pivot_check(chol, s)[0])
+            outcomes.add(decision)
+        others = np.delete(np.diagonal(chol), index)
+        if np.isfinite(s).all() and (others > 2.0 * edge).all():
+            assert outcomes == {True, False}
+
+    @given(st.integers(0, 10**6), st.integers(1, 20), st.integers(1, 9))
+    def test_resolvent_diag_equals_the_retired_symmetrization(self, seed, n, count):
+        spec, ks = stacked_game(seed, n, count)
+        for k in ks:
+            assert evaluate(spec, k).resolvent_diag.tobytes() == retired_resolvent_diag(spec, k).tobytes()
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.array([1.5, 2.0]),
+            np.array([[1.5, 2.0]]),
+            np.array([1.5, 2.0])[::-1],
+            np.array(1.5),
+            np.array([1, 2]),
+            np.array([1.5, 2.0], dtype=np.float32),
+            np.array([1.5, 2.0], dtype=">f8"),
+            np.array([1.5, 2.0]).view(np.matrix),
+            [1.5, 2.0],
+            2.5,
+        ],
+    )
+    def test_profile_array_is_the_float_coercion(self, value):
+        coerced = np.atleast_1d(np.asarray(value, dtype=float))
+        result = profile_array(value)
+        assert type(result) is np.ndarray and result.dtype == np.float64
+        assert result.shape == coerced.shape and result.tobytes() == coerced.tobytes()
+        assert (result is value) == (coerced is value)
 
     def test_unstable_profile_named_in_stack(self):
         spec = GameSpec(a=[[1.0, 0.0], [0.0, -1.0]], rho=0.0, k_upper=5.0)

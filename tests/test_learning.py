@@ -20,7 +20,6 @@ from nashlq import (
     gradient_play_step,
     marginal_cost_from_cost,
     monte_carlo_cost,
-    project,
     run_gradient_play,
     run_lockstep,
     scalar_game,
@@ -51,7 +50,7 @@ def _reference_step(spec, k, config, stage=0):
     if not spec.contains(k):
         raise ValueError("profile must lie in the action box")
     _, grad = _reference_stage_estimate(spec, k, config, stage)
-    return ActionProfile(project(k - config.step_size * grad, spec.k_lower, spec.k_upper))
+    return ActionProfile(np.clip(k - config.step_size * grad, spec.k_lower, spec.k_upper))
 
 
 def _reference_run(spec, k0, config):
@@ -78,7 +77,7 @@ def _reference_run(spec, k0, config):
             converged = True
             stages_used = stage
             break
-        k = project(k - config.step_size * grads, spec.k_lower, spec.k_upper)
+        k = np.clip(k - config.step_size * grads, spec.k_lower, spec.k_upper)
     else:
         costs, grads = _reference_stage_estimate(spec, k, config, config.stages)
         record(config.stages, k, costs, grads)
@@ -136,24 +135,30 @@ def _play_case(draw):
 
 
 class TestProject:
+    """Projection onto the action box, :meth:`GameSpec.clip`."""
+
+    BOX = GameSpec(a=[[-20.0]], rho=1.0, k_upper=3.0)
+
     def test_clips_above(self):
-        assert project(5.0, 0.0, 3.0) == 3.0
+        assert self.BOX.clip(5.0) == 3.0
 
     def test_clips_below(self):
-        assert project(-1.0, 0.0, 3.0) == 0.0
+        assert self.BOX.clip(-1.0) == 0.0
 
     def test_interior_fixed_point(self):
-        assert project(1.5, 0.0, 3.0) == 1.5
+        assert self.BOX.clip(1.5) == 1.5
 
     def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError, match="lower"):
-            project(1.0, 3.0, 0.0)
+        with pytest.raises(ValueError, match="empty action box"):
+            GameSpec(a=[[-20.0]], rho=1.0, k_lower=3.0, k_upper=0.0)
 
-    @given(st.floats(-100, 100), st.floats(-10, 5), st.floats(5, 20))
+    @given(st.floats(-100, 100), st.floats(-10, 5, exclude_max=True), st.floats(5, 20))
     def test_idempotent(self, value, lower, upper):
-        once = project(value, lower, upper)
-        assert project(once, lower, upper) == once
-        assert lower <= once <= upper
+        spec = GameSpec(a=[[-20.0]], rho=1.0, k_lower=lower, k_upper=upper)
+        once = spec.clip(value)
+        assert np.array_equal(once, np.clip([value], lower, upper))
+        assert np.array_equal(spec.clip(once), once)
+        assert lower <= once[0] <= upper
 
 
 class TestStep:
@@ -424,6 +429,28 @@ class TestLockstep:
             assert run.stages_used == alone.stages_used
             for name in ("profiles", "costs", "grads"):
                 assert _bits(getattr(run, name)) == _bits(getattr(alone, name))
+
+    def test_zero_tolerance_uses_every_stage(self):
+        spec = five_player_game()
+        config = LearnConfig(stages=60, grad_tolerance=0.0)
+        settle = LearnConfig(stages=20000, grad_tolerance=1e-12)
+        settled = run_gradient_play(spec, FIVE_PLAYER_ROUND1_START, settle).final.k
+        starts = [FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START, settled]
+        runs, calls = _counted_lockstep(spec, starts, config)
+        lone = [_counted_lockstep(spec, [start], config) for start in starts]
+        assert calls == {"stack": config.stages + 1, "single": 0}
+        assert all(single == {"stack": 0, "single": config.stages + 1} for _, single in lone)
+        for run, start, ([alone], _) in zip(runs, starts, lone):
+            ref = _reference_run(spec, start, config)
+            for played in (run, alone):
+                assert played.stages_used == config.stages and not played.converged
+                assert len(played.history) == len(ref.history) == config.stages + 1
+                for rec, expected in zip(played.history, ref.history):
+                    assert rec.stage == expected.stage
+                    assert _bits(rec.profile.k) == _bits(expected.profile.k)
+                    assert _bits(rec.cost) == _bits(expected.cost)
+                    assert _bits(rec.grad) == _bits(expected.grad)
+                assert _bits(played.final.k) == _bits(ref.final.k)
 
     def test_starts_are_validated(self):
         spec = scalar_game()
