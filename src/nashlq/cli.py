@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 uniqueness-condition violation found,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -71,6 +72,19 @@ REPRODUCE_DEFAULTS = {
 }
 
 
+class OutputError(ValueError):
+    """An output file or directory that cannot be created or written."""
+
+
+@contextlib.contextmanager
+def _writing(target):
+    """Report an ``OSError`` raised while creating or writing ``target`` as an :class:`OutputError`."""
+    try:
+        yield
+    except OSError as err:
+        raise OutputError(f"cannot write {err.filename or target}: {err.strerror or err}") from err
+
+
 def _fmt_vec(values) -> str:
     return "[" + ", ".join(f"{float(v):.6g}" for v in np.asarray(values).ravel()) + "]"
 
@@ -104,9 +118,10 @@ def cmd_learn(args) -> int:
         k0 = exp.game.k_lower + rng.random(exp.game.n) * (exp.game.k_upper - exp.game.k_lower)
     run = run_gradient_play(exp.game, k0, exp.learn)
 
-    exp.output_dir.mkdir(parents=True, exist_ok=True)
     _, suffix = HISTORY_FORMATS[exp.format]
-    history_path = write_history(exp.output_dir / f"history{suffix}", run, exp.format)
+    with _writing(exp.output_dir):
+        exp.output_dir.mkdir(parents=True, exist_ok=True)
+        history_path = write_history(exp.output_dir / f"history{suffix}", run, exp.format)
 
     print(f"mode {exp.learn.mode}: {run.stages_used} stages, converged={run.converged}")
     print(f"initial profile: {_fmt_vec(k0)}")
@@ -135,11 +150,6 @@ def cmd_reproduce_paper(args) -> int:
     else:
         runs = run_lockstep(exp.game, starts, exp.learn)
 
-    out = exp.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    for index, run in enumerate(runs, start=1):
-        write_history(out / f"round{index}.csv", run, "csv")
-
     finals = [run.final.k for run in runs]
     cross_gap = float(np.max(np.abs(finals[0] - finals[1])))
     published = (FIVE_PLAYER_ROUND1_FINAL, FIVE_PLAYER_ROUND2_FINAL)
@@ -150,7 +160,6 @@ def cmd_reproduce_paper(args) -> int:
         for index, k in enumerate(profiles, start=1)
     ]
     header = ["row", "round"] + [f"player_{i}" for i in range(1, exp.game.n + 1)]
-    write_csv(out / "comparison.csv", header, ([label, index, *k.tolist()] for label, index, k in rows))
 
     gaps = {"cross_round": cross_gap}
     if not exact:
@@ -186,7 +195,13 @@ def cmd_reproduce_paper(args) -> int:
         "checks": checks,
         "passed": passed,
     }
-    write_json(out / "summary.json", summary)
+    out = exp.output_dir
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        for index, run in enumerate(runs, start=1):
+            write_history(out / f"round{index}.csv", run, "csv")
+        write_csv(out / "comparison.csv", header, ([label, index, *k.tolist()] for label, index, k in rows))
+        write_json(out / "summary.json", summary)
 
     print(f"{'row':<16}{'round':<7}" + "".join(f"{h:<13}" for h in header[2:]).rstrip())
     for label, index, k in rows:
@@ -202,7 +217,8 @@ def cmd_reproduce_paper(args) -> int:
 def cmd_check_rosen(args) -> int:
     overrides = _overrides(args)
     out = Path(args.output_dir)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
 
     raw = read_config(args.config)
     if "ensemble" in raw:
@@ -225,7 +241,8 @@ def cmd_check_rosen(args) -> int:
                 for rec in result.violations
             ],
         }
-        write_json(out, payload)
+        with _writing(out):
+            write_json(out, payload)
         print(
             f"{ensemble.count} matrices x {sweep['samples_per_matrix']} samples "
             f"({sweep['generator']}): "
@@ -257,7 +274,8 @@ def cmd_check_rosen(args) -> int:
         else:
             payload["mu"] = {"at_witness": witness_mu, "at_lower_corner": corner_mu}
             print(f"mu at witness: {witness_mu:.6g}; mu at lower corner: {corner_mu:.6g}")
-    write_json(out, payload)
+    with _writing(out):
+        write_json(out, payload)
     print(f"report written to {out}")
     return EXIT_VIOLATION if report.violated else EXIT_OK
 
@@ -271,24 +289,23 @@ def cmd_gen_matrix(args) -> int:
     min_eig = float(np.linalg.eigvalsh(a).min())
 
     out = Path(args.output_dir)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_json(
-        out,
-        {
-            "n": ensemble.n,
-            "seed": ensemble.seed,
-            "offdiag_scale": ensemble.offdiag_scale,
-            "dominance_margin": ensemble.dominance_margin,
-            "matrix": a.tolist(),
-            "verification": {
-                "symmetric": bool(np.array_equal(a, a.T)),
-                "negative_diagonal": bool(np.all(np.diag(a) < 0)),
-                "gershgorin_margins": margins.tolist(),
-                "strictly_diagonally_dominant": bool(np.all(margins > 0)),
-                "min_eigenvalue": min_eig,
-            },
+    payload = {
+        "n": ensemble.n,
+        "seed": ensemble.seed,
+        "offdiag_scale": ensemble.offdiag_scale,
+        "dominance_margin": ensemble.dominance_margin,
+        "matrix": a.tolist(),
+        "verification": {
+            "symmetric": bool(np.array_equal(a, a.T)),
+            "negative_diagonal": bool(np.all(np.diag(a) < 0)),
+            "gershgorin_margins": margins.tolist(),
+            "strictly_diagonally_dominant": bool(np.all(margins > 0)),
+            "min_eigenvalue": min_eig,
         },
-    )
+    }
+    with _writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        write_json(out, payload)
     print(f"{ensemble.n}x{ensemble.n} matrix, gershgorin margins {_fmt_vec(margins)}")
     print(f"smallest eigenvalue: {min_eig:.6g}")
     print(f"matrix written to {out}")
@@ -319,10 +336,11 @@ def cmd_simulate(args) -> int:
 
     if args.output_dir:
         path = Path(args.output_dir)
-        path.parent.mkdir(parents=True, exist_ok=True)
         columns = (k, estimate, closed_form, rel)
         rows = zip(range(1, exp.game.n + 1), *(column.tolist() for column in columns))
-        write_csv(path, ["player", "k", "estimate", "closed_form", "rel_error"], rows)
+        with _writing(path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_csv(path, ["player", "k", "estimate", "closed_form", "rel_error"], rows)
         print(f"table written to {path}")
     return EXIT_OK
 
@@ -403,12 +421,6 @@ def main(argv=None) -> int:
     except NotPositiveDefinite as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
-    except OSError as err:
-        # Config files are read by read_config, which reports an OSError as a
-        # ConfigError, so one arriving here came from creating or writing an output.
-        target = "output" if err.filename is None else err.filename
-        print(f"error: cannot write {target}: {err.strerror or err}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

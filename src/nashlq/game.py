@@ -221,7 +221,9 @@ class CostGradientReport:
     stacked own-action partial derivatives, and ``k`` and ``rho`` the gains
     and tradeoffs they were evaluated at.  ``curvature``, the strictly
     positive second derivatives of each cost in its own action, is computed
-    on first access from these fields and then kept.
+    on first access from these fields and then kept.  ``rho`` is the spec's
+    read-only array.  A single profile's ``resolvent_diag`` is a read-only
+    view of a diagonal; a stack's is a writable copy.
     """
 
     resolvent_diag: np.ndarray

@@ -194,8 +194,7 @@ def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[Learn
     Each stage estimates, records and updates the members still playing; a
     member leaves at the stage its gradient meets the tolerance, all members
     at the budget.  The stop test reads each member's ``max|grad|`` as a
-    Python float and asks whether any is below the tolerance; a zero
-    tolerance skips it, since no ``|grad|`` is below zero.  Recorded stages
+    Python float and asks whether any is below the tolerance.  Recorded stages
     are kept as whole-stack arrays, one segment per stretch of stages with
     the same members, and split into per-member histories at the end.
     """
@@ -211,12 +210,9 @@ def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[Learn
         costs, grads = estimate(ks, stage)
         if record:
             trace.append((ks, costs, grads))
-        met = False
-        if tol > 0:
-            peak = abs(grads).max(axis=1)
-            met = any(p < tol for p in peak.tolist())
-        if stage == last or met:
-            converged = peak < tol if tol > 0 else np.zeros(len(ks), dtype=bool)
+        peak = abs(grads).max(axis=1)
+        if stage == last or any(p < tol for p in peak.tolist()):
+            converged = peak < tol
             leaving = converged | (stage == last)
             for i in np.flatnonzero(leaving):
                 ends[members[i]] = (stage, ks[i], bool(converged[i]))

@@ -1,8 +1,5 @@
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,19 +405,21 @@ class TestUnwritableOutput:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_exits_two_with_one_error_line(self, tmp_path, argv):
+    def test_exits_two_with_one_error_line(self, tmp_path, capsys, argv):
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")
-        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        result = subprocess.run(
-            [sys.executable, "-m", "nashlq.cli", *argv, "--out", str(blocker / "x")],
-            env=env, capture_output=True, text=True,
-        )
-        assert result.returncode == 2
-        assert "Traceback" not in result.stderr
-        lines = result.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {blocker}")
+        out = blocker / "x"
+        err = assert_config_error(capsys, run_cli(*argv, "--out", str(out)), out)
+        assert err.startswith(f"error: cannot write {blocker}")
+
+    def test_broken_stdout_is_not_an_output_error(self, tmp_path, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            run_cli("gen-matrix", "--n", "2", "--out", str(tmp_path / "m.json"))
 
 
 def assert_config_error(capsys, code, out):
