@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -25,7 +27,6 @@ import numpy as np
 from .analysis import (
     PreconditionViolated,
     conjecture_sweep,
-    generate_sdd_matrix,
     rosen_sweep,
     two_player_mu,
 )
@@ -45,7 +46,7 @@ from .presets import (
     FIVE_PLAYER_STAGES,
     PRESETS,
 )
-from .simulate import _INTEGRATORS, _MATRIX_KEY, _START_KEY, monte_carlo_cost, substream
+from .simulate import _INTEGRATORS, _START_KEY, monte_carlo_cost, substream
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -85,6 +86,20 @@ def _writing(target):
         raise OutputError(f"cannot write {err.filename or target}: {err.strerror or err}") from err
 
 
+def _output(path, directory: bool = False) -> Path:
+    """Create an output location before any work runs: the directory itself,
+    or a file's parent, refusing an existing directory as the file."""
+    path = Path(path)
+    with _writing(path):
+        if directory:
+            path.mkdir(parents=True, exist_ok=True)
+        elif path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        else:
+            path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _fmt_vec(values) -> str:
     return "[" + ", ".join(f"{float(v):.6g}" for v in np.asarray(values).ravel()) + "]"
 
@@ -112,6 +127,7 @@ def _parse_profile(text):
 
 def cmd_learn(args) -> int:
     exp = load_experiment(args.config, _overrides(args))
+    out = _output(exp.output_dir, directory=True)
     k0 = exp.k0
     if k0 is None:
         rng = substream(exp.sim.seed, *_START_KEY)
@@ -119,9 +135,8 @@ def cmd_learn(args) -> int:
     run = run_gradient_play(exp.game, k0, exp.learn)
 
     _, suffix = HISTORY_FORMATS[exp.format]
-    with _writing(exp.output_dir):
-        exp.output_dir.mkdir(parents=True, exist_ok=True)
-        history_path = write_history(exp.output_dir / f"history{suffix}", run, exp.format)
+    with _writing(out):
+        history_path = write_history(out / f"history{suffix}", run, exp.format)
 
     print(f"mode {exp.learn.mode}: {run.stages_used} stages, converged={run.converged}")
     print(f"initial profile: {_fmt_vec(k0)}")
@@ -135,16 +150,15 @@ def cmd_reproduce_paper(args) -> int:
     flags = dict(_overrides(args), mode=args.mode or "model-free")
     exp = load_experiment(None, {**flags, **resolve(flags, {}, REPRODUCE_DEFAULTS[flags["mode"]])})
     exact = exp.learn.mode == "exact"
+    if args.independent_rounds and exact:
+        raise ConfigError("--independent-rounds applies to model-free mode only; exact play draws no noise")
+    out = _output(exp.output_dir, directory=True)
     starts = (FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START)
     # By default both rounds play as one stack on the same per-stage noise
     # substreams, so they differ only in their starting profiles;
     # --independent-rounds plays each round alone, round 2 on its own stream.
     learns = [exp.learn, exp.learn]
     if args.independent_rounds:
-        if exact:
-            raise ConfigError(
-                "--independent-rounds applies to model-free mode only; exact play draws no noise"
-            )
         learns[1] = replace(exp.learn, sim=replace(exp.sim, seed=exp.sim.seed + 1))
         runs = [run_lockstep(exp.game, [start], learn)[0] for start, learn in zip(starts, learns)]
     else:
@@ -195,9 +209,7 @@ def cmd_reproduce_paper(args) -> int:
         "checks": checks,
         "passed": passed,
     }
-    out = exp.output_dir
     with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
         for index, run in enumerate(runs, start=1):
             write_history(out / f"round{index}.csv", run, "csv")
         write_csv(out / "comparison.csv", header, ([label, index, *k.tolist()] for label, index, k in rows))
@@ -216,10 +228,7 @@ def cmd_reproduce_paper(args) -> int:
 
 def cmd_check_rosen(args) -> int:
     overrides = _overrides(args)
-    out = Path(args.output_dir)
-    with _writing(out):
-        out.parent.mkdir(parents=True, exist_ok=True)
-
+    out = _output(args.output_dir)
     raw = read_config(args.config)
     if "ensemble" in raw:
         ensemble, sweep = load_ensemble(raw, overrides)
@@ -281,14 +290,11 @@ def cmd_check_rosen(args) -> int:
 
 
 def cmd_gen_matrix(args) -> int:
-    overrides = _overrides(args)
-    ensemble = load_matrix(args.config, overrides)
-    a = generate_sdd_matrix(ensemble, substream(ensemble.seed, *_MATRIX_KEY))
+    out = _output(args.output_dir)
+    ensemble, a = load_matrix(args.config, _overrides(args))
     offdiag = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
     margins = np.abs(np.diag(a)) - offdiag
     min_eig = float(np.linalg.eigvalsh(a).min())
-
-    out = Path(args.output_dir)
     payload = {
         "n": ensemble.n,
         "seed": ensemble.seed,
@@ -304,7 +310,6 @@ def cmd_gen_matrix(args) -> int:
         },
     }
     with _writing(out):
-        out.parent.mkdir(parents=True, exist_ok=True)
         write_json(out, payload)
     print(f"{ensemble.n}x{ensemble.n} matrix, gershgorin margins {_fmt_vec(margins)}")
     print(f"smallest eigenvalue: {min_eig:.6g}")
@@ -320,6 +325,7 @@ def cmd_simulate(args) -> int:
     k = np.asarray(k, dtype=float)
     if k.shape != (exp.game.n,):
         raise ConfigError(f"profile needs {exp.game.n} entries, got {k.shape[0] if k.ndim else 1}")
+    path = _output(args.output_dir) if args.output_dir else None
 
     estimate = monte_carlo_cost(exp.game, k, exp.sim)
     closed_form = cost(exp.game, k)
@@ -334,12 +340,10 @@ def cmd_simulate(args) -> int:
     for i in range(exp.game.n):
         print(f"{i + 1:>6}   {estimate[i]:<12.6g}  {closed_form[i]:<12.6g}  {rel[i]:.3e}")
 
-    if args.output_dir:
-        path = Path(args.output_dir)
+    if path:
         columns = (k, estimate, closed_form, rel)
         rows = zip(range(1, exp.game.n + 1), *(column.tolist() for column in columns))
         with _writing(path):
-            path.parent.mkdir(parents=True, exist_ok=True)
             write_csv(path, ["player", "k", "estimate", "closed_form", "rel_error"], rows)
         print(f"table written to {path}")
     return EXIT_OK

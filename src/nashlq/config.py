@@ -177,6 +177,12 @@ def _matrix_ensemble(section: dict, flags: dict) -> MatrixEnsembleConfig:
     return MatrixEnsembleConfig(**{**_ENSEMBLE_SIZE, **_given(flags, section, _ENSEMBLE_KEYS)})
 
 
+def _draw_matrix(ens: MatrixEnsembleConfig) -> tuple[np.ndarray, np.random.Generator]:
+    """The one matrix ``game.generate`` and ``gen-matrix`` draw, with the stream left after it."""
+    rng = substream(ens.seed, *_MATRIX_KEY)
+    return generate_sdd_matrix(ens, rng), rng
+
+
 def _game_from_section(section: dict) -> GameSpec:
     forms = [form for form in _GAME_FORMS if not section.keys().isdisjoint(form)]
     if len(forms) != 1 or forms[0][0] not in section:
@@ -191,8 +197,7 @@ def _game_from_section(section: dict) -> GameSpec:
         if "n" not in gen:
             raise ConfigError("section 'game.generate' needs an 'n' entry")
         ens = _matrix_ensemble(gen, {"count": 1})
-        rng = substream(ens.seed, *_MATRIX_KEY)
-        a = generate_sdd_matrix(ens, rng)
+        a, rng = _draw_matrix(ens)
         rho = gen.get("rho")
         if rho is None:
             rho = rng.uniform(0.0, 1.0, size=ens.n)
@@ -269,10 +274,12 @@ def load_ensemble(raw: dict, overrides: dict) -> tuple[MatrixEnsembleConfig, dic
 
 
 @_config_errors
-def load_matrix(config_path, overrides: dict) -> MatrixEnsembleConfig:
-    """The one-matrix ensemble ``gen-matrix`` draws: top-level file keys, flags winning."""
+def load_matrix(config_path, overrides: dict) -> tuple[MatrixEnsembleConfig, np.ndarray]:
+    """The one-matrix ensemble ``gen-matrix`` draws, from top-level file keys with
+    flags winning, and the matrix drawn from it."""
     raw = _section(read_config(config_path), "the config file", _MATRIX_KEYS)
     if overrides.get("n") is None and "n" not in raw:
         raise ConfigError("gen-matrix needs a dimension: pass --n or a config with 'n'")
     seed = resolve_seed(overrides.get("seed"), raw.get("seed"))
-    return _matrix_ensemble(raw, {**overrides, "count": 1, "seed": seed})
+    ensemble = _matrix_ensemble(raw, {**overrides, "count": 1, "seed": seed})
+    return ensemble, _draw_matrix(ensemble)[0]

@@ -10,16 +10,13 @@ the estimate through the marginal-cost identity, so no player ever needs
 the system matrices or the others' actions.
 
 Play runs in lockstep over an ``(R, n)`` stack of profiles, one per start.
-The gradient source is chosen once per run (:func:`_estimator`) and
-estimates the whole stack per stage: exact members take one call of the
-stacked kernel (:func:`~nashlq.game.evaluate` while only one plays),
-while model-free members share one stacked estimate on the stage's common
-batch.  :func:`_lockstep` is the one loop over it: ``stages + 1``
-evaluations, each followed by an update unless the budget is spent or the
-tolerance met; a member whose gradient meets the tolerance leaves the stack
-at that stage.  Every row of a stack gets the bits it would get alone, so
-:func:`run_lockstep` over R starts equals R calls of
-:func:`run_gradient_play`, which is the loop's one-member case.
+The gradient source is chosen once per run (:func:`_estimator`): per stage,
+an exact stack takes one call of the stacked kernel (a lone start takes
+:func:`~nashlq.game.evaluate`), a model-free stack one estimate on the
+stage's common batch.  In :func:`_lockstep`, the one loop over it, a member
+stops at the first stage its gradient meets the tolerance, or at the budget,
+and keeps its row, unchanged, until the last member stops.  Each row gets
+the bits it would get alone in :func:`run_gradient_play`, the one-start case;
 :func:`gradient_play_step` is one pass of the same update.
 """
 
@@ -123,26 +120,28 @@ class LearnRun:
         )
 
 
-def _estimator(spec: GameSpec, config: LearnConfig):
+def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
     """The run's gradient source: ``estimate(ks, stage) -> (costs, grads)``.
 
-    ``ks`` is an ``(R, n)`` stack and both results have its shape.  An exact
-    stack takes one call of the stacked kernel, whose rows equal
-    :func:`~nashlq.game.evaluate`'s bits; a lone member takes ``evaluate``
+    ``ks`` is the run's ``(rows, n)`` stack, which keeps its rows until the
+    last member stops, and both results have its shape.  An exact stack
+    takes one call of the stacked kernel, whose rows equal
+    :func:`~nashlq.game.evaluate`'s bits; a lone start takes ``evaluate``
     itself, the cheaper path.  A model-free stack takes one estimate on the
     stage's shared batch.
     """
-    if config.mode == "exact":
-        def estimate(ks, stage):
-            if len(ks) == 1:
-                report = evaluate(spec, ks[0])
-                return report.cost[None], report.grad[None]
-            report = _evaluate_stack(spec, ks)[1]
-            return report.cost, report.grad
-    else:
+    if config.mode == "model-free":
         def estimate(ks, stage):
             costs = monte_carlo_cost(spec, ks, config.sim, stage)
             return costs, marginal_cost_from_cost(costs, ks, spec.rho)
+    elif rows == 1:
+        def estimate(ks, stage):
+            report = evaluate(spec, ks[0])
+            return report.cost[None], report.grad[None]
+    else:
+        def estimate(ks, stage):
+            report = _evaluate_stack(spec, ks)[1]
+            return report.cost, report.grad
     return estimate
 
 
@@ -155,15 +154,8 @@ def gradient_play_step(spec: GameSpec, k, config: LearnConfig, stage: int = 0) -
     k = _profile(spec, k)
     if not spec.contains(k):
         raise ValueError("profile must lie in the action box")
-    _, grads = _estimator(spec, config)(k[None], stage)
+    _, grads = _estimator(spec, config, 1)(k[None], stage)
     return ActionProfile(spec.clip(k - config.step_size * grads[0]))
-
-
-def _start(spec: GameSpec, k0) -> np.ndarray:
-    k = _profile(spec, k0)
-    if not spec.contains(k):
-        raise ValueError("initial profile must lie in the action box")
-    return k
 
 
 def run_gradient_play(spec: GameSpec, k0, config: LearnConfig) -> LearnRun:
@@ -172,7 +164,7 @@ def run_gradient_play(spec: GameSpec, k0, config: LearnConfig) -> LearnRun:
     Every iterate is projected onto the action box.  The run is deterministic
     given the config (including the simulation seed in model-free mode).
     """
-    return _lockstep(spec, _start(spec, k0)[None], config)[0]
+    return run_lockstep(spec, [k0], config)[0]
 
 
 def run_lockstep(spec: GameSpec, starts, config: LearnConfig) -> list[LearnRun]:
@@ -182,29 +174,30 @@ def run_lockstep(spec: GameSpec, starts, config: LearnConfig) -> list[LearnRun]:
     each stage's ``(sim.seed, stage)`` batch (common random numbers).  Each
     run equals :func:`run_gradient_play` from its start bit for bit.
     """
-    ks = np.array([_start(spec, k0) for k0 in starts]).reshape(-1, spec.n)
+    ks = np.array([_profile(spec, k0) for k0 in starts]).reshape(-1, spec.n)
     if not len(ks):
         raise ValueError("starts must hold at least one profile")
+    if not all(map(spec.contains, ks)):
+        raise ValueError("initial profile must lie in the action box")
     return _lockstep(spec, ks, config)
 
 
 def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[LearnRun]:
     """The play loop over the ``(R, n)`` stack ``ks`` of validated starts.
 
-    Each stage estimates, records and updates the members still playing; a
-    member leaves at the stage its gradient meets the tolerance, all members
-    at the budget.  The stop test reads each member's ``max|grad|`` as a
-    Python float and asks whether any is below the tolerance.  Recorded stages
-    are kept as whole-stack arrays, one segment per stretch of stages with
-    the same members, and split into per-member histories at the end.
+    Each stage estimates, records and updates the whole stack.  A member
+    stops at the first stage its gradient meets the tolerance, or at the
+    budget, and its row holds its final profile until the last member stops.
+    The stop test reads each ``max|grad|`` as a Python float and asks whether
+    any is below the tolerance.  A run's history is its row of the recorded
+    stages up to its own stop.
     """
-    estimate = _estimator(spec, config)
+    estimate = _estimator(spec, config, len(ks))
     tol, last, step, record = config.grad_tolerance, config.stages, config.step_size, config.record_history
     # The box per row, so that projecting the stack needs no broadcasting.
     lower, upper = (np.repeat(bound[None], len(ks), axis=0) for bound in (spec.k_lower, spec.k_upper))
-    members = np.arange(len(ks))  # start index of each row of the stack
-    ends = [None] * len(ks)  # (stage, final profile, converged) per member
-    segments = []  # (members, per-stage (ks, costs, grads) stacks)
+    ends = np.full(len(ks), last)  # the stage each member stops at
+    held = None  # the stopped members' rows, once one has stopped
     trace = []
     for stage in range(last + 1):
         costs, grads = estimate(ks, stage)
@@ -212,31 +205,21 @@ def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[Learn
             trace.append((ks, costs, grads))
         peak = abs(grads).max(axis=1)
         if stage == last or any(p < tol for p in peak.tolist()):
-            converged = peak < tol
-            leaving = converged | (stage == last)
-            for i in np.flatnonzero(leaving):
-                ends[members[i]] = (stage, ks[i], bool(converged[i]))
-            segments.append((members, trace))
-            trace = []
-            keep = ~leaving
-            if not keep.any():
+            ends[(ends == last) & (peak < tol)] = stage
+            held = ends[:, None] < last
+            if stage == last or held.all():
                 break
-            members, ks, grads, lower, upper = (x[keep] for x in (members, ks, grads, lower, upper))
         # A fresh array, clipped in place: recorded stages are never written to.
-        ks = ks - step * grads
-        np.maximum(ks, lower, out=ks)
-        np.minimum(ks, upper, out=ks)
+        moved = ks - step * grads
+        np.maximum(moved, lower, out=moved)
+        np.minimum(moved, upper, out=moved)
+        ks = moved if held is None else np.where(held, ks, moved)
 
-    histories = [[] for _ in ends]  # per member, its (profiles, costs, grads) rows per segment
-    for seg_members, seg_trace in segments:
-        if seg_trace:
-            shape = (len(seg_trace), len(seg_members), spec.n)
-            blocks = [np.concatenate(column).reshape(shape) for column in zip(*seg_trace)]
-            for pos, member in enumerate(seg_members):
-                histories[member].append([block[:, pos] for block in blocks])
-    empty = _frozen(np.empty((0, spec.n)))
-    runs = []
-    for (stage, final, converged), parts in zip(ends, histories):
-        columns = [_frozen(np.concatenate(column)) for column in zip(*parts)] or [empty] * 3
-        runs.append(LearnRun(*columns, final=ActionProfile(final), converged=converged, stages_used=stage))
-    return runs
+    empty = _frozen(np.empty((len(ks), 0, spec.n)))
+    blocks = [_frozen(np.stack(column, axis=1)) for column in zip(*trace)] or [empty] * 3
+    converged = ((ends < last) | (peak < tol)).tolist()  # a stop before the budget met the tolerance
+    return [
+        LearnRun(*(block[r, :end + 1] for block in blocks), final=ActionProfile(k),
+                 converged=converged[r], stages_used=end)
+        for r, (k, end) in enumerate(zip(ks, ends.tolist()))
+    ]

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from nashlq import cli
+from nashlq import cli, config
 from nashlq.cli import EXIT_GATE, build_parser, main
 from nashlq.learning import LearnConfig, run_gradient_play
 from nashlq.output import read_history_csv
@@ -391,8 +391,13 @@ class TestSimulate:
         assert run_cli("simulate", "--preset", "five-player", "--k", "1.0") == 2
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("work ran before the output location was checked")
+
+
 class TestUnwritableOutput:
-    """An ``--out`` below a regular file exits 2 with one ``error:`` line, not a traceback."""
+    """An ``--out`` below a regular file exits 2 with one ``error:`` line, not a
+    traceback, before any stage, sweep, draw or estimate runs."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -405,12 +410,33 @@ class TestUnwritableOutput:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_exits_two_with_one_error_line(self, tmp_path, capsys, argv):
+    def test_exits_two_with_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
+        work = {cli: ("run_gradient_play", "run_lockstep", "rosen_sweep", "conjecture_sweep",
+                      "monte_carlo_cost", "substream"), config: ("generate_sdd_matrix",)}
+        for module, names in work.items():
+            for name in names:
+                monkeypatch.setattr(module, name, _never)
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")
         out = blocker / "x"
         err = assert_config_error(capsys, run_cli(*argv, "--out", str(out)), out)
         assert err.startswith(f"error: cannot write {blocker}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-rosen", "--preset", "five-player", "--samples", "5"],
+            ["gen-matrix", "--n", "2"],
+            ["simulate", "--preset", "scalar", "--k", "1.0", "--batch", "5", "--horizon", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_existing_directory_is_refused_as_a_file(self, tmp_path, capsys, argv):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {tmp_path}: Is a directory\n"
+        assert not any(tmp_path.iterdir())
 
     def test_broken_stdout_is_not_an_output_error(self, tmp_path, monkeypatch):
         class ClosedPipe:
@@ -424,7 +450,9 @@ class TestUnwritableOutput:
 
 def assert_config_error(capsys, code, out):
     assert code == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
+    assert captured.out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert not out.exists()
     return err

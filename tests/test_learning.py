@@ -386,10 +386,10 @@ def _counted_lockstep(spec, starts, config):
 
 
 def _expected_exact_calls(runs):
-    """One stacked call per stage with two or more members playing, then one per lone stage."""
-    ends = sorted(run.stages_used for run in runs)
-    shared = ends[-2] + 1 if len(ends) > 1 else 0
-    return {"stack": shared, "single": ends[-1] + 1 - shared}
+    """One call per stage up to the last member's stop: stacked for two or more
+    starts, since a stopped member keeps its row, and ``evaluate`` for one."""
+    stages = max(run.stages_used for run in runs) + 1
+    return {"stack": 0, "single": stages} if len(runs) == 1 else {"stack": stages, "single": 0}
 
 
 class TestLockstep:
@@ -423,12 +423,36 @@ class TestLockstep:
         assert all(run.converged for run in runs)
         assert len({run.stages_used for run in runs}) == 3
         assert calls == _expected_exact_calls(runs)
-        assert calls["stack"] > 1 and calls["single"] > 1
+        assert calls == {"stack": max(run.stages_used for run in runs) + 1, "single": 0}
         for run, start in zip(runs, starts):
             alone = run_gradient_play(spec, start, config)
             assert run.stages_used == alone.stages_used
             for name in ("profiles", "costs", "grads"):
                 assert _bits(getattr(run, name)) == _bits(getattr(alone, name))
+
+    @pytest.mark.parametrize("record_history", [True, False])
+    def test_settled_member_stops_at_stage_zero(self, record_history):
+        spec = five_player_game()
+        settle = LearnConfig(stages=20000, grad_tolerance=1e-12)
+        settled = run_gradient_play(spec, FIVE_PLAYER_ROUND1_START, settle).final.k
+        config = LearnConfig(stages=20000, grad_tolerance=1e-9, record_history=record_history)
+        starts = [settled, FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START]
+        runs, calls = _counted_lockstep(spec, starts, config)
+        assert [run.stages_used == 0 for run in runs] == [True, False, False]
+        assert all(run.converged for run in runs)
+        assert calls == _expected_exact_calls(runs)
+        assert _bits(runs[0].final.k) == _bits(settled)
+        for run, start in zip(runs, starts):
+            alone = run_gradient_play(spec, start, config)
+            assert (run.stages_used, run.converged) == (alone.stages_used, alone.converged)
+            assert _bits(run.final.k) == _bits(alone.final.k)
+            for name in ("profiles", "costs", "grads"):
+                assert _bits(getattr(run, name)) == _bits(getattr(alone, name))
+                rows = run.stages_used + 1 if record_history else 0
+                assert getattr(run, name).shape == (rows, spec.n)
+        if record_history:
+            assert len(runs[0].history) == 1
+            assert _bits(runs[0].profiles[0]) == _bits(settled)
 
     def test_zero_tolerance_uses_every_stage(self):
         spec = five_player_game()
