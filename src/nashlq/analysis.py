@@ -236,6 +236,14 @@ def _box_samples(spec: GameSpec, samples: int, rng: np.random.Generator) -> np.n
     return np.vstack([spec.k_lower, points])
 
 
+def _check_sweep(samples, generator: str = "sdd") -> None:
+    """Refuse an unknown generator, then a sample count that is not an integer >= 1."""
+    if generator not in ("sdd", "negative-definite"):
+        raise ValueError("generator must be 'sdd' or 'negative-definite'")
+    if not _is_int(samples) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+
+
 def rosen_sweep(spec: GameSpec, samples: int = 200, seed=0) -> RosenReport:
     """Sweep the action box and report the smallest ``G + G^T`` eigenvalue.
 
@@ -244,8 +252,7 @@ def rosen_sweep(spec: GameSpec, samples: int = 200, seed=0) -> RosenReport:
     witness is the first point attaining the minimum.  The sweep is sampled
     evidence, not a proof.
     """
-    if not _is_int(samples) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    _check_sweep(samples)
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
     points = _box_samples(spec, samples, rng)
     values = _in_blocks(lambda block: _rosen_values(_jacobian_stack(spec, block)), points)
@@ -296,8 +303,7 @@ def conjecture_sweep(
     keys.  A fraction ``spot_check_rate`` of extra box points per matrix
     cross-checks the closed-form Jacobian against finite differences.
     """
-    if generator not in ("sdd", "negative-definite"):
-        raise ValueError("generator must be 'sdd' or 'negative-definite'")
+    _check_sweep(samples_per_matrix, generator)
     if not (_is_finite(spot_check_rate) and spot_check_rate >= 0):
         raise ValueError(f"spot_check_rate must be a finite number >= 0, got {spot_check_rate!r}")
     spot_count = max(1, round(samples_per_matrix * spot_check_rate)) if spot_check_rate > 0 else 0

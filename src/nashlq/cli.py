@@ -26,12 +26,14 @@ import numpy as np
 
 from .analysis import (
     PreconditionViolated,
+    _check_sweep,
     conjecture_sweep,
     rosen_sweep,
     two_player_mu,
 )
 from .config import (
-    ConfigError, _experiment, load_ensemble, load_experiment, load_matrix, read_config, resolve,
+    ConfigError, _draw_matrix, _experiment, load_ensemble, load_experiment, load_matrix, read_config,
+    resolve,
 )
 from .game import GameSpec, NotPositiveDefinite, cost, stability_margin
 from .learning import _MODES, run_gradient_play, run_lockstep
@@ -228,10 +230,10 @@ def cmd_reproduce_paper(args) -> int:
 
 def cmd_check_rosen(args) -> int:
     overrides = _overrides(args)
-    out = _output(args.output_dir)
     raw = read_config(args.config)
     if "ensemble" in raw:
         ensemble, sweep = load_ensemble(raw, overrides)
+        out = _output(args.output_dir)
         result = conjecture_sweep(ensemble, **sweep)
         payload = {
             "ensemble": {**asdict(ensemble), **sweep},
@@ -262,6 +264,8 @@ def cmd_check_rosen(args) -> int:
 
     exp = _experiment(raw, overrides)
     samples = resolve(overrides, {}, {"samples": 1000})["samples"]
+    _check_sweep(samples)
+    out = _output(args.output_dir)
     report = rosen_sweep(exp.game, samples, seed=exp.sim.seed)
     payload = {
         "game": _game_dict(exp.game),
@@ -290,8 +294,9 @@ def cmd_check_rosen(args) -> int:
 
 
 def cmd_gen_matrix(args) -> int:
+    ensemble = load_matrix(args.config, _overrides(args))
     out = _output(args.output_dir)
-    ensemble, a = load_matrix(args.config, _overrides(args))
+    a = _draw_matrix(ensemble)[0]
     offdiag = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
     margins = np.abs(np.diag(a)) - offdiag
     min_eig = float(np.linalg.eigvalsh(a).min())

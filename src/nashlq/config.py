@@ -52,7 +52,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import BOX_FACTOR, MatrixEnsembleConfig, game_from_matrix, generate_sdd_matrix
+from .analysis import (
+    BOX_FACTOR, MatrixEnsembleConfig, _check_sweep, game_from_matrix, generate_sdd_matrix,
+)
 from .game import GameSpec, _is_finite, _real_array
 from .learning import LearnConfig
 from .output import HISTORY_FORMATS
@@ -270,16 +272,16 @@ def load_ensemble(raw: dict, overrides: dict) -> tuple[MatrixEnsembleConfig, dic
     if not (_is_finite(lo) and _is_finite(hi) and 0 <= lo <= hi):
         raise ConfigError(f"rho_range must be two finite numbers with 0 <= lo <= hi, got {[lo, hi]!r}")
     sweep["rho_range"] = (lo, hi)
+    _check_sweep(sweep["samples_per_matrix"], sweep["generator"])
     return ensemble, sweep
 
 
 @_config_errors
-def load_matrix(config_path, overrides: dict) -> tuple[MatrixEnsembleConfig, np.ndarray]:
-    """The one-matrix ensemble ``gen-matrix`` draws, from top-level file keys with
-    flags winning, and the matrix drawn from it."""
+def load_matrix(config_path, overrides: dict) -> MatrixEnsembleConfig:
+    """The one-matrix ensemble ``gen-matrix`` draws (with :func:`_draw_matrix`),
+    from top-level file keys with flags winning."""
     raw = _section(read_config(config_path), "the config file", _MATRIX_KEYS)
     if overrides.get("n") is None and "n" not in raw:
         raise ConfigError("gen-matrix needs a dimension: pass --n or a config with 'n'")
     seed = resolve_seed(overrides.get("seed"), raw.get("seed"))
-    ensemble = _matrix_ensemble(raw, {**overrides, "count": 1, "seed": seed})
-    return ensemble, _draw_matrix(ensemble)[0]
+    return _matrix_ensemble(raw, {**overrides, "count": 1, "seed": seed})

@@ -24,12 +24,15 @@ stability check, here and in :mod:`nashlq.simulate`, uses its factor step.
 
 :func:`evaluate`, which gradient play calls once per stage, is the kernel's
 ``P = 1`` case without the stack axis: the same operations on 2-D arrays,
-with ``K - A`` from the kernel's own helper, so it gives the same bits for
-any memory layout of ``A``.  Its pivot test makes the kernel's decision on
-Python scalars, one squared pivot at a time against ``PIVOT_RTOL`` times
-``||K - A||_inf``, and a failed factorization or pivot test is handed to
-the kernel's own factor step, so it raises the same errors with the same
-messages.  The per-player formulas are stated once, for both.
+with ``K - A`` made as the kernel makes it, from the spec's cached ``-A``,
+so it gives the same bits for any memory layout of ``A``.  Its pivot test
+makes the kernel's decision on Python scalars, one squared pivot at a time:
+first against ``PIVOT_RTOL`` times a certified upper bound on the computed
+``||K - A||_inf`` (from the spec's cached, upward-rounded ``||A||_inf``),
+and only where that does not decide against the computed norm itself.  A
+failed factorization or pivot test is handed to the kernel's own factor
+step, so it raises the same errors with the same messages.  The per-player
+formulas are stated once, for both.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ STABILITY_MARGIN = 1e-6
 
 # Cholesky pivots below this fraction of ||K - A||_inf count as failure.
 PIVOT_RTOL = 1e-12
+
+# Double precision's unit round-off, 2^-53.
+_UNIT_ROUNDOFF = 2.0**-53
 
 _FLOAT = np.dtype(float)
 
@@ -140,6 +146,10 @@ class GameSpec:
     ``max(0, a_ii + sum_j|a_ij| + margin)``, which makes ``K - A`` strictly
     diagonally dominant with positive diagonal for every profile in the box,
     hence positive definite.
+
+    Two read-only values are computed on first use and kept, for
+    :func:`evaluate`'s single-profile path: ``_neg_a``, ``-A`` in C order,
+    and ``_norm_a``, ``||A||_inf`` rounded up.
     """
 
     a: np.ndarray
@@ -194,6 +204,17 @@ class GameSpec:
     def clip(self, k) -> np.ndarray:
         """Project a profile onto the action box componentwise."""
         return np.minimum(np.maximum(profile_array(k), self.k_lower), self.k_upper)
+
+    @functools.cached_property
+    def _neg_a(self) -> np.ndarray:
+        """``-A``, C-ordered and read-only, the start of every single-profile ``K - A``."""
+        return _frozen(np.negative(self.a, order="C"))
+
+    @functools.cached_property
+    def _norm_a(self) -> float:
+        """``||A||_inf`` rounded up: each row's correctly rounded ``fsum``, one ulp higher."""
+        rows = (math.nextafter(math.fsum(map(abs, row)), math.inf) for row in self.a.tolist())
+        return max(rows, default=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,6 +293,19 @@ def _closed_loop(a: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return s
 
 
+def _closed_loop_one(spec: GameSpec, k: np.ndarray) -> np.ndarray:
+    """:func:`_closed_loop` of one profile, from the spec's cached ``-A``.
+
+    A C-ordered copy of ``-A`` with ``k`` added to its diagonal view: the
+    negation and the addition :func:`_closed_loop` makes, so the bits are the
+    same for any memory layout of ``A``, without negating ``A`` again.
+    """
+    s = spec._neg_a.copy()
+    diagonal = s.ravel()[:: len(k) + 1]
+    diagonal += k
+    return s
+
+
 def _pivot_check(chol: np.ndarray, s: np.ndarray):
     """Whether each factor passes, with its squared smallest pivot and ``||K - A||_inf``.
 
@@ -284,15 +318,23 @@ def _pivot_check(chol: np.ndarray, s: np.ndarray):
     return pivots > PIVOT_RTOL * scale, pivots, scale
 
 
-def _passes_pivot_test(chol: np.ndarray, s: np.ndarray) -> bool:
+def _passes_pivot_test(chol: np.ndarray, s: np.ndarray, bound: float) -> bool:
     """:func:`_pivot_check`'s decision for one factor ``chol`` of ``s``, on Python scalars.
 
     Cholesky pivots are nonnegative or NaN, so every squared pivot exceeds
     the limit exactly when the squared smallest one does, NaN and inf
-    included.
+    included.  ``bound``, which must be NaN or no smaller than the computed
+    ``||s||_inf``, decides first: its limit is no smaller than the norm's, as
+    rounding ``PIVOT_RTOL * x`` is monotone in ``x``, so passing it implies
+    passing the norm's.  An infinite or NaN bound passes no pivot.  When it
+    does not decide, the norm is computed and its limit decides.
     """
+    pivots = chol.diagonal().tolist()
+    limit = PIVOT_RTOL * bound
+    if all(p * p > limit for p in pivots):
+        return True
     limit = PIVOT_RTOL * float(abs(s).sum(axis=-1).max())
-    return all(p * p > limit for p in chol.diagonal().tolist())
+    return all(p * p > limit for p in pivots)
 
 
 def _cholesky(s: np.ndarray) -> np.ndarray:
@@ -373,12 +415,36 @@ def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGra
     return m, _fields(spec.rho, ks, _diagonals(m).copy())
 
 
+def _pivot_bound(spec: GameSpec, k: np.ndarray) -> float:
+    """A bound, for :func:`_passes_pivot_test`, on the kernel's computed ``||K - A||_inf``.
+
+    ``B = (max|k_i| + ||A||_inf) (1 + 4 n u)``, with ``u = 2^-53`` and the
+    spec's upward-rounded norm.  ``B`` is never below the computed norm: each
+    row of ``|K - A|`` sums terms no larger than ``|k_i| + |a_ij|``, and each
+    of its at most ``n`` roundings (the diagonal's subtraction, then the
+    additions) grows a sum of nonnegative terms by a factor of at most
+    ``1 + u``, so the computed norm is at most
+    ``(max|k_i| + ||A||_inf) (1 + u)^n``; ``B``'s factor covers that after
+    ``B``'s own two roundings, each losing at most a factor ``1 - u``.  A
+    product below ``2^-1022`` may round by more, but then every one of these
+    sums lies below ``2^-1021``, where floats are evenly spaced, and is
+    exact, so the computed norm is at most ``max|k_i| + ||A||_inf``, and so
+    at most ``B``, as ``1 + 4 n u >= 1``.  An overflow makes ``B``
+    infinite.  A NaN in ``k`` may be missed by ``max``, but it
+    makes a pivot NaN, or the factorization break down.
+    """
+    return (max(map(abs, k.tolist())) + spec._norm_a) * (1.0 + 4 * len(k) * _UNIT_ROUNDOFF)
+
+
 def _evaluate_one(spec: GameSpec, k: np.ndarray) -> CostGradientReport:
     """:func:`_evaluate_stack` of one validated profile, without the stack axis.
 
-    ``K - A`` comes from :func:`_closed_loop`, as in the kernel, and the
-    pivot test from :func:`_passes_pivot_test`, which makes
-    :func:`_pivot_check`'s decision on Python scalars.  Each further step is
+    ``K - A`` comes from :func:`_closed_loop_one`, with the kernel's bits for
+    any memory layout of ``A``.  The pivot test is :func:`_passes_pivot_test`,
+    which decides on Python scalars, first against ``PIVOT_RTOL`` times
+    :func:`_pivot_bound` (never below the computed ``||K - A||_inf``, by the
+    rounding argument stated there) and, only where that does not decide,
+    against ``PIVOT_RTOL`` times the computed norm.  Each further step is
     the kernel's operation on a 2-D array, which numpy computes as it does
     each matrix of a stack, so the report has the kernel's bits.  Only the
     resolvent's diagonal is formed, and it needs no symmetrization: the
@@ -388,12 +454,12 @@ def _evaluate_one(spec: GameSpec, k: np.ndarray) -> CostGradientReport:
     :func:`_cholesky`, which raises the kernel's
     :class:`NotPositiveDefinite` for it.
     """
-    s = _closed_loop(spec.a, k)
+    s = _closed_loop_one(spec, k)
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         chol = None
-    if chol is None or not _passes_pivot_test(chol, s):
+    if chol is None or not _passes_pivot_test(chol, s, _pivot_bound(spec, k)):
         chol = _cholesky(s[None])[0]
     l_inv = np.linalg.inv(chol)
     return _fields(spec.rho, k, (l_inv.T @ l_inv).diagonal())

@@ -182,15 +182,25 @@ def run_lockstep(spec: GameSpec, starts, config: LearnConfig) -> list[LearnRun]:
     return _lockstep(spec, ks, config)
 
 
+def _meets_tolerance(grads: np.ndarray, tol: float) -> list[bool]:
+    """Per row of ``grads``, whether ``max|grad| < tol``, on Python floats.
+
+    A row meets the tolerance when every entry ``g``, read as a Python float,
+    has ``-tol < g < tol``: exactly ``abs(row).max() < tol`` for a nonempty
+    row, NaN, infinities, ``-0.0`` and ``tol = 0`` included, without a numpy
+    reduction.
+    """
+    return [all(-tol < g < tol for g in row) for row in grads.tolist()]
+
+
 def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[LearnRun]:
     """The play loop over the ``(R, n)`` stack ``ks`` of validated starts.
 
     Each stage estimates, records and updates the whole stack.  A member
     stops at the first stage its gradient meets the tolerance, or at the
     budget, and its row holds its final profile until the last member stops.
-    The stop test reads each ``max|grad|`` as a Python float and asks whether
-    any is below the tolerance.  A run's history is its row of the recorded
-    stages up to its own stop.
+    The stop test is :func:`_meets_tolerance`.  A run's history is its row of
+    the recorded stages up to its own stop.
     """
     estimate = _estimator(spec, config, len(ks))
     tol, last, step, record = config.grad_tolerance, config.stages, config.step_size, config.record_history
@@ -203,9 +213,9 @@ def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[Learn
         costs, grads = estimate(ks, stage)
         if record:
             trace.append((ks, costs, grads))
-        peak = abs(grads).max(axis=1)
-        if stage == last or any(p < tol for p in peak.tolist()):
-            ends[(ends == last) & (peak < tol)] = stage
+        met = _meets_tolerance(grads, tol)
+        if stage == last or any(met):
+            ends[(ends == last) & met] = stage
             held = ends[:, None] < last
             if stage == last or held.all():
                 break
@@ -217,7 +227,7 @@ def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[Learn
 
     empty = _frozen(np.empty((len(ks), 0, spec.n)))
     blocks = [_frozen(np.stack(column, axis=1)) for column in zip(*trace)] or [empty] * 3
-    converged = ((ends < last) | (peak < tol)).tolist()  # a stop before the budget met the tolerance
+    converged = ((ends < last) | met).tolist()  # a stop before the budget met the tolerance
     return [
         LearnRun(*(block[r, :end + 1] for block in blocks), final=ActionProfile(k),
                  converged=converged[r], stages_used=end)

@@ -475,6 +475,25 @@ class TestConfigErrors:
         assert_config_error(capsys, run_cli(*argv, "--out", str(out)), out)
 
     @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["gen-matrix", "--n", "0"], None),
+            (["check-rosen", "--preset", "five-player", "--samples", "0"], None),
+            (["check-rosen"], "{not json"),
+            (["check-rosen"], {"ensemble": {"n": 2, "count": 1, "samples": 0}}),
+        ],
+        ids=["gen-matrix", "check-rosen-samples", "check-rosen-json", "check-rosen-ensemble-samples"],
+    )
+    def test_bad_input_makes_no_output_directory(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+            argv = [*argv, "--config", str(path)]
+        out = tmp_path / "new" / "dir" / "out.json"
+        assert_config_error(capsys, run_cli(*argv, "--out", str(out)), out)
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize(
         "command, config",
         [
             ("gen-matrix", "{not json"),

@@ -1,9 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nashlq import (
@@ -22,8 +23,8 @@ from nashlq import (
     substream,
 )
 from nashlq.game import (
-    PIVOT_RTOL, _closed_loop, _diagonals, _evaluate_stack, _jacobian_stack, _passes_pivot_test,
-    _pivot_check, profile_array,
+    PIVOT_RTOL, _closed_loop, _closed_loop_one, _diagonals, _evaluate_stack, _jacobian_stack,
+    _passes_pivot_test, _pivot_bound, _pivot_check, profile_array,
 )
 from util import fd_gradient, fd_hessian_diag, fd_jacobian, random_game, rel_gap
 
@@ -218,28 +219,75 @@ class TestProfileKernel:
         assert isinstance(kernel, str) and re.match("K - A is " + message, kernel)
         assert single == kernel
 
-    @given(pivot_edge_case())
-    def test_scalar_pivot_test_makes_the_kernel_decision(self, case):
+    @given(pivot_edge_case(), st.floats(1.0, 4.0))
+    def test_scalar_pivot_test_makes_the_kernel_decision(self, case, stretch):
         s, chol, index = case
         # The moved pivot walks across the edge one ulp at a time, so its square
         # lands on both sides of PIVOT_RTOL * ||s||_inf and, in some cases, on it.
-        edge = np.sqrt(PIVOT_RTOL * abs(s).sum(axis=-1).max())
+        norm = float(abs(s).sum(axis=-1).max())
+        edge = np.sqrt(PIVOT_RTOL * norm)
         pivots = {edge}
         for direction in (0.0, np.inf):
             pivot = edge
             for _ in range(4):
                 pivot = np.nextafter(pivot, direction)
                 pivots.add(pivot)
+        # Every bound the test may be given: the computed norm itself, one ulp
+        # above it, stretched, infinite, or NaN (which leaves the norm to decide).
+        bounds = (norm, math.nextafter(norm, math.inf), norm * stretch, math.inf, math.nan)
         outcomes = set()
         for pivot in pivots:
             chol[index, index] = pivot
-            decision = _passes_pivot_test(chol, s)
             with np.errstate(all="ignore"):  # an inf pivot overflows its square
-                assert decision is bool(_pivot_check(chol, s)[0])
-            outcomes.add(decision)
+                kernel = bool(_pivot_check(chol, s)[0])
+            for bound in bounds:
+                decision = _passes_pivot_test(chol, s, bound)
+                assert decision is kernel
+                outcomes.add(decision)
         others = np.delete(np.diagonal(chol), index)
         if np.isfinite(s).all() and (others > 2.0 * edge).all():
             assert outcomes == {True, False}
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(-500, 450),
+        st.one_of(st.integers(-500, 500), st.integers(40, 56)),
+        st.lists(st.sampled_from([math.inf, -math.inf]), max_size=1),
+    )
+    def test_pivot_bound_is_never_below_the_computed_norm(self, n, seed, a_scale, gap, specials):
+        # Entries with full mantissas, so the diagonal's subtraction and the row
+        # sums round, up as often as down.  Gains of one magnitude put max|k_i|
+        # in every row, and gains ~2^40-2^56 times the entries of A make every
+        # addition to a diagonal term round at the gain's ulp.
+        rng = substream(seed)
+        x = rng.uniform(-1.0, 1.0, (n, n)) * 2.0**a_scale
+        a = x + x.T - np.diag(abs(x).sum(axis=1) * 2.0 + 2.0**a_scale)
+        spec = GameSpec(a=a, rho=0.0, k_upper=2.0**600)
+        k = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0) * 2.0 ** (a_scale + gap)
+        k[: len(specials)] = specials
+        with np.errstate(over="ignore"):
+            norm = abs(_closed_loop(spec.a, k)).sum(axis=-1).max()
+        assert _pivot_bound(spec, k) >= norm
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @given(st.integers(0, 10**6), st.integers(1, 20))
+    def test_cached_negation_gives_the_closed_loop_bits(self, layout, seed, n):
+        spec, ks = stacked_game(seed, n, 2)
+        if layout == "F":
+            a = np.asfortranarray(spec.a)
+        elif layout == "strided":
+            a = np.zeros((2 * n, 3 * n))[::2, ::3]
+            a[...] = spec.a
+        else:
+            a = spec.a.copy()
+        # A fresh spec holding ``a`` as it is, so its cached -A is formed from that layout.
+        spec = GameSpec(a=spec.a, rho=spec.rho, k_upper=spec.k_upper, k_lower=spec.k_lower)
+        object.__setattr__(spec, "a", a)
+        for k in ks:
+            s = _closed_loop_one(spec, k)
+            assert s.flags.c_contiguous
+            assert s.tobytes() == _closed_loop(a, k).tobytes()
+        assert not spec._neg_a.flags.writeable
 
     @given(st.integers(0, 10**6), st.integers(1, 20), st.integers(1, 9))
     def test_resolvent_diag_equals_the_retired_symmetrization(self, seed, n, count):

@@ -1,3 +1,4 @@
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -392,7 +393,29 @@ def _expected_exact_calls(runs):
     return {"stack": 0, "single": stages} if len(runs) == 1 else {"stack": stages, "single": 0}
 
 
+@st.composite
+def _gradient_rows(draw):
+    """A tolerance and an ``(R, n)`` gradient stack whose entries sit on and
+    around it, with NaN, infinities, signed zeros and subnormals."""
+    tol = draw(st.one_of(st.sampled_from([0.0, 5e-324, 2.0**-1030, 1e-9, 1.0]), st.floats(0.0, 1e300)))
+    edges = [tol, math.nextafter(tol, 0.0), math.nextafter(tol, math.inf)]
+    specials = [0.0, math.nan, math.inf, 5e-324, 2.0**-1030] + edges
+    # Mostly inside the tolerance, so that one entry on an edge decides its row.
+    inside = st.floats(0.0, tol)
+    magnitude = st.one_of(st.sampled_from(specials), inside, inside, st.floats(0.0, allow_infinity=True))
+    entry = st.builds(lambda x, sign: sign * x, magnitude, st.sampled_from([1.0, -1.0]))
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    grads = np.array(draw(st.lists(entry, min_size=rows * n, max_size=rows * n)))
+    return grads.reshape(rows, n), tol
+
+
 class TestLockstep:
+    @settings(max_examples=300)
+    @given(_gradient_rows())
+    def test_float_stop_test_equals_the_peak_reduction(self, case):
+        grads, tol = case
+        assert learning._meets_tolerance(grads, tol) == (abs(grads).max(axis=1) < tol).tolist()
+
     @settings(max_examples=120)
     @given(_lockstep_case())
     def test_each_member_equals_its_single_run(self, case):
