@@ -36,8 +36,9 @@ from .game import (
     GameSpec,
     _evaluate_stack,
     _is_finite,
-    _is_int,
     _jacobian_stack,
+    _require_finite,
+    _require_int,
     pseudogradient_jacobian,
 )
 from .simulate import substream
@@ -76,7 +77,8 @@ class PreconditionViolated(ValueError):
 
 @dataclass(frozen=True)
 class MatrixEnsembleConfig:
-    """Shape of a random-matrix ensemble for uniqueness evidence runs."""
+    """Shape of a random-matrix ensemble for uniqueness evidence runs.  ``(n + 1) *
+    offdiag_scale + dominance_margin`` must be finite: it bounds every drawn entry."""
 
     n: int
     count: int
@@ -85,20 +87,15 @@ class MatrixEnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_int(self.n) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not _is_int(self.count) or self.count < 1:
-            raise ValueError(f"count must be an integer >= 1, got {self.count!r}")
-        if not (_is_finite(self.offdiag_scale) and self.offdiag_scale > 0):
-            raise ValueError(
-                f"offdiag_scale must be a positive finite number, got {self.offdiag_scale!r}"
-            )
-        if not (_is_finite(self.dominance_margin) and self.dominance_margin > 0):
-            raise ValueError(
-                f"dominance_margin must be a positive finite number, got {self.dominance_margin!r}"
-            )
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _require_int(self.n, "n", 1)
+        _require_int(self.count, "count", 1)
+        _require_finite(self.offdiag_scale, "offdiag_scale")
+        _require_finite(self.dominance_margin, "dominance_margin")
+        # an n beyond the float range has no finite bound
+        bound = (self.n + 1) * self.offdiag_scale + self.dominance_margin if _is_finite(self.n) else np.inf
+        if not _is_finite(bound):
+            raise ValueError(f"(n + 1) * offdiag_scale + dominance_margin must be finite, got {bound!r}")
+        _require_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,8 +205,7 @@ def game_from_matrix(a: np.ndarray, rho, box_factor: float = BOX_FACTOR) -> Game
 
     The box ceiling is ``box_factor * max(1, |a_ii|)`` per player.
     """
-    if not (_is_finite(box_factor) and box_factor > 0):
-        raise ValueError(f"box_factor must be a positive finite number, got {box_factor!r}")
+    _require_finite(box_factor, "box_factor")
     a = np.asarray(a, dtype=float)
     k_upper = box_factor * np.maximum(1.0, np.abs(np.diag(a)))
     return GameSpec(a=a, rho=rho, k_upper=k_upper)
@@ -236,12 +232,15 @@ def _box_samples(spec: GameSpec, samples: int, rng: np.random.Generator) -> np.n
     return np.vstack([spec.k_lower, points])
 
 
-def _check_sweep(samples, generator: str = "sdd") -> None:
-    """Refuse an unknown generator, then a sample count that is not an integer >= 1."""
+def _check_sweep(samples, generator: str = "sdd", rho_range=(0.0, 1.0)) -> None:
+    """Refuse an unknown generator, then a sample count that is not an integer
+    >= 1, then a ``rho_range`` that is not two finite numbers ``0 <= lo <= hi``."""
     if generator not in ("sdd", "negative-definite"):
         raise ValueError("generator must be 'sdd' or 'negative-definite'")
-    if not _is_int(samples) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    _require_int(samples, "samples", 1)
+    lo, hi = rho_range
+    if not (_is_finite(lo) and _is_finite(hi) and 0 <= lo <= hi):
+        raise ValueError(f"rho_range must be two finite numbers with 0 <= lo <= hi, got {rho_range!r}")
 
 
 def rosen_sweep(spec: GameSpec, samples: int = 200, seed=0) -> RosenReport:
@@ -303,9 +302,8 @@ def conjecture_sweep(
     keys.  A fraction ``spot_check_rate`` of extra box points per matrix
     cross-checks the closed-form Jacobian against finite differences.
     """
-    _check_sweep(samples_per_matrix, generator)
-    if not (_is_finite(spot_check_rate) and spot_check_rate >= 0):
-        raise ValueError(f"spot_check_rate must be a finite number >= 0, got {spot_check_rate!r}")
+    _check_sweep(samples_per_matrix, generator, rho_range)
+    _require_finite(spot_check_rate, "spot_check_rate", zero_ok=True)
     spot_count = max(1, round(samples_per_matrix * spot_check_rate)) if spot_check_rate > 0 else 0
     records = []
     gaps = []

@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import errno
 import functools
-import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -32,8 +31,8 @@ from .analysis import (
     two_player_mu,
 )
 from .config import (
-    ConfigError, _draw_matrix, _experiment, load_ensemble, load_experiment, load_matrix, read_config,
-    resolve,
+    ConfigError, _draw_matrix, _experiment, _read_profile, load_ensemble, load_experiment, load_matrix,
+    read_config, resolve,
 )
 from .game import GameSpec, NotPositiveDefinite, cost, stability_margin
 from .learning import _MODES, run_gradient_play, run_lockstep
@@ -110,25 +109,8 @@ def _game_dict(spec: GameSpec) -> dict:
     return {name: getattr(spec, name).tolist() for name in ("a", "rho", "k_lower", "k_upper")}
 
 
-def _overrides(args) -> dict:
-    """The flags under their config keys; an omitted flag is None."""
-    return dict(vars(args), k0=_parse_profile(getattr(args, "k0", None)))
-
-
-def _parse_profile(text):
-    if text is None:
-        return None
-    try:
-        profile = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"could not parse profile {text!r}; expected comma-separated floats") from None
-    if not all(math.isfinite(value) for value in profile):
-        raise ConfigError(f"profile {text!r} has a non-finite entry")
-    return profile
-
-
 def cmd_learn(args) -> int:
-    exp = load_experiment(args.config, _overrides(args))
+    exp = load_experiment(args.config, vars(args))
     out = _output(exp.output_dir, directory=True)
     k0 = exp.k0
     if k0 is None:
@@ -149,7 +131,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_reproduce_paper(args) -> int:
-    flags = dict(_overrides(args), mode=args.mode or "model-free")
+    flags = dict(vars(args), mode=args.mode or "model-free")
     exp = load_experiment(None, {**flags, **resolve(flags, {}, REPRODUCE_DEFAULTS[flags["mode"]])})
     exact = exp.learn.mode == "exact"
     if args.independent_rounds and exact:
@@ -229,7 +211,7 @@ def cmd_reproduce_paper(args) -> int:
 
 
 def cmd_check_rosen(args) -> int:
-    overrides = _overrides(args)
+    overrides = vars(args)
     raw = read_config(args.config)
     if "ensemble" in raw:
         ensemble, sweep = load_ensemble(raw, overrides)
@@ -294,7 +276,7 @@ def cmd_check_rosen(args) -> int:
 
 
 def cmd_gen_matrix(args) -> int:
-    ensemble = load_matrix(args.config, _overrides(args))
+    ensemble = load_matrix(args.config, vars(args))
     out = _output(args.output_dir)
     a = _draw_matrix(ensemble)[0]
     offdiag = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
@@ -323,17 +305,12 @@ def cmd_gen_matrix(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    exp = load_experiment(args.config, _overrides(args))
-    k = _parse_profile(args.k)
-    if k is None:
-        k = 0.5 * (exp.game.k_lower + exp.game.k_upper)
-    k = np.asarray(k, dtype=float)
-    if k.shape != (exp.game.n,):
-        raise ConfigError(f"profile needs {exp.game.n} entries, got {k.shape[0] if k.ndim else 1}")
+    exp = load_experiment(args.config, vars(args))
+    k = _read_profile(args.k, 0.5 * (exp.game.k_lower + exp.game.k_upper), exp.game.n, "k")
+    closed_form = cost(exp.game, k)  # an unstable profile fails here, before --out is made
     path = _output(args.output_dir) if args.output_dir else None
 
     estimate = monte_carlo_cost(exp.game, k, exp.sim)
-    closed_form = cost(exp.game, k)
     rel = np.abs(estimate - closed_form) / np.abs(closed_form)
 
     print(f"profile: {_fmt_vec(k)}  (stability margin {stability_margin(exp.game, k):.6g})")

@@ -29,7 +29,10 @@ and ``gen-matrix`` reads top-level keys ``{"n": 5, "offdiag_scale": 1.0,
 "dominance_margin": 0.1, "seed": 0}``, ``n`` required.  Integer fields must
 be JSON integers; real-valued fields, and each entry of an array field, JSON
 numbers.  A ``seed`` that neither flag nor file gives comes from
-``NASHLQ_SEED``, except in ``game.generate``.  ``game`` takes exactly one of
+``NASHLQ_SEED``, except in ``game.generate``.  A gain profile (``learn.k0``,
+``--k0``, ``simulate --k``) is ``n`` finite numbers, from a flag's
+comma-separated text or a file's JSON list; an empty field, as in ``1,,2``,
+is refused, and a file's JSON string is not split.  ``game`` takes exactly one of
 its three forms.  A key that no section above names is an error, not
 ignored, and so is a key given twice in one object; every file that
 ``learn`` or ``simulate`` reads also works for ``check-rosen``, and an
@@ -55,7 +58,7 @@ import numpy as np
 from .analysis import (
     BOX_FACTOR, MatrixEnsembleConfig, _check_sweep, game_from_matrix, generate_sdd_matrix,
 )
-from .game import GameSpec, _is_finite, _real_array
+from .game import GameSpec, _real_array
 from .learning import LearnConfig
 from .output import HISTORY_FORMATS
 from .presets import preset_game
@@ -162,6 +165,22 @@ def resolve_seed(flag_value, file_value=None, default: int = 0):
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
+def _read_profile(text, value, n: int, name: str) -> np.ndarray | None:
+    """The profile ``name``, ``n`` finite numbers: a flag's comma-separated ``text``
+    unless it is None, else ``value``, a file's JSON list; None if neither is given."""
+    if text is not None:
+        try:
+            value = [float(part) for part in text.split(",")]
+        except ValueError:
+            raise ConfigError(f"could not parse {name} {text!r}; expected comma-separated floats") from None
+    if value is None:
+        return None
+    profile = _real_array(value, name)
+    if profile.shape != (n,):
+        raise ConfigError(f"{name} must have {n} entries, got shape {profile.shape}")
+    return profile
+
+
 def _config_errors(load):
     """Report any invalid value met while building a config as :class:`ConfigError`."""
 
@@ -217,7 +236,8 @@ def load_experiment(config_path, overrides: dict | None = None) -> ExperimentCon
 
     Flag overrides use the keys ``preset, seed, mode, stages, step_size,
     batch_size, horizon, dt, integrator, grad_tolerance, k0, output_dir,
-    format``; any ``None`` override defers to the file, then to defaults.
+    format`` (``k0`` as the flag's comma-separated text); any ``None``
+    override defers to the file, then to defaults.
     """
     return _experiment(read_config(config_path), overrides or {})
 
@@ -239,13 +259,9 @@ def _experiment(raw: dict, overrides: dict) -> ExperimentConfig:
     sim = SimConfig(**_given(overrides, sim_raw, _SIM_KEYS), seed=seed)
     learn = LearnConfig(**_given(overrides, learn_raw, _LEARN_KEYS), sim=sim)
 
-    k0 = resolve(overrides, learn_raw, {"k0": None})["k0"]
-    if k0 is not None:
-        k0 = _real_array(k0, "k0")
-        if k0.shape != (game.n,):
-            raise ConfigError(f"k0 must have {game.n} entries, got shape {k0.shape}")
-        if not game.contains(k0):
-            raise ConfigError("k0 lies outside the action box")
+    k0 = _read_profile(overrides.get("k0"), learn_raw.get("k0"), game.n, "k0")
+    if k0 is not None and not game.contains(k0):
+        raise ConfigError("k0 lies outside the action box")
 
     top = resolve(overrides, raw, {"format": "csv", "output_dir": "runs"})
     if top["format"] not in HISTORY_FORMATS:
@@ -268,11 +284,7 @@ def load_ensemble(raw: dict, overrides: dict) -> tuple[MatrixEnsembleConfig, dic
     ensemble = _matrix_ensemble(section, {"seed": seed})
     sweep = resolve(overrides, section, _SWEEP_DEFAULTS)
     sweep["samples_per_matrix"] = sweep.pop("samples")
-    lo, hi = sweep["rho_range"]
-    if not (_is_finite(lo) and _is_finite(hi) and 0 <= lo <= hi):
-        raise ConfigError(f"rho_range must be two finite numbers with 0 <= lo <= hi, got {[lo, hi]!r}")
-    sweep["rho_range"] = (lo, hi)
-    _check_sweep(sweep["samples_per_matrix"], sweep["generator"])
+    _check_sweep(sweep["samples_per_matrix"], sweep["generator"], sweep["rho_range"])
     return ensemble, sweep
 
 

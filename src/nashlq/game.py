@@ -109,6 +109,21 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _require_int(value, name: str, low: int) -> None:
+    """Refuse ``value`` unless it is an integer as :func:`_is_int` takes it, ``>= low``."""
+    if not (_is_int(value) and value >= low):
+        wanted = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+
+
+def _require_finite(value, name: str, zero_ok: bool = False) -> None:
+    """Refuse ``value`` unless it is a finite number as :func:`_is_finite` takes
+    it, ``> 0``, or ``>= 0`` when ``zero_ok``."""
+    if not (_is_finite(value) and (value >= 0 if zero_ok else value > 0)):
+        wanted = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be a {wanted} finite number, got {value!r}")
+
+
 def _real_array(value, name: str) -> np.ndarray:
     """A float copy of ``value``, every entry a finite number.
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .game import (
     ActionProfile, GameSpec, evaluate, marginal_cost_from_cost,
-    _evaluate_stack, _frozen, _is_finite, _is_int, _profile,
+    _evaluate_stack, _frozen, _profile, _require_finite, _require_int,
 )
 from .simulate import SimConfig, monte_carlo_cost
 
@@ -63,14 +63,9 @@ class LearnConfig:
     record_history: bool = True
 
     def __post_init__(self):
-        if not _is_int(self.stages) or self.stages < 1:
-            raise ValueError(f"stages must be an integer >= 1, got {self.stages!r}")
-        if not (_is_finite(self.step_size) and self.step_size > 0):
-            raise ValueError(f"step_size must be a positive finite number, got {self.step_size!r}")
-        if not (_is_finite(self.grad_tolerance) and self.grad_tolerance >= 0):
-            raise ValueError(
-                f"grad_tolerance must be a nonnegative finite number, got {self.grad_tolerance!r}"
-            )
+        _require_int(self.stages, "stages", 1)
+        _require_finite(self.step_size, "step_size")
+        _require_finite(self.grad_tolerance, "grad_tolerance", zero_ok=True)
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
         if not isinstance(self.record_history, bool):

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, _cholesky, _closed_loop, _is_finite, _is_int, _profile, profile_array
+from .game import GameSpec, _cholesky, _closed_loop, _is_finite, _profile, profile_array
+from .game import _require_finite, _require_int
 
 __all__ = [
     "SQRT3",
@@ -57,7 +58,8 @@ _MOMENT_BLOCK = 2**17
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Batch size, sampling horizon, quadrature step, seed, and integrator."""
+    """Batch size (>= 1), sampling horizon (> 0), quadrature step ``0 < dt <= horizon``
+    with a finite ``horizon / dt`` (the trapezoid's step count), seed (>= 0), and integrator."""
 
     batch_size: int = 500
     horizon: float = 200.0
@@ -66,14 +68,13 @@ class SimConfig:
     integrator: str = "quadrature"
 
     def __post_init__(self):
-        if not _is_int(self.batch_size) or self.batch_size < 1:
-            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
-        if not (_is_finite(self.horizon) and self.horizon > 0):
-            raise ValueError(f"horizon must be a positive finite number, got {self.horizon!r}")
+        _require_int(self.batch_size, "batch_size", 1)
+        _require_finite(self.horizon, "horizon")
         if not (_is_finite(self.dt) and 0 < self.dt <= self.horizon):
             raise ValueError(f"dt must be a number with 0 < dt <= horizon, got {self.dt!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not _is_finite(float(self.horizon) / float(self.dt)):
+            raise ValueError(f"horizon / dt must be finite, got {self.horizon!r} / {self.dt!r}")
+        _require_int(self.seed, "seed", 0)
         if self.integrator not in _INTEGRATORS:
             raise ValueError(f"integrator must be one of {_INTEGRATORS}")
 

@@ -299,6 +299,11 @@ class TestConjectureSweep:
         with pytest.raises(ValueError, match="spot_check_rate"):
             conjecture_sweep(MatrixEnsembleConfig(n=2, count=1, seed=0), spot_check_rate=rate)
 
+    @pytest.mark.parametrize("rho_range", [(0.0, float("inf")), (0.5, 0.1), (True, 1.0)])
+    def test_bad_rho_range_rejected(self, rho_range):
+        with pytest.raises(ValueError, match="rho_range"):
+            conjecture_sweep(MatrixEnsembleConfig(n=2, count=1, seed=0), rho_range=rho_range)
+
 
 class TestStackedMatchesReference:
     """The stacked sweep and spot checks give the references' bits."""

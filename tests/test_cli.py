@@ -383,12 +383,15 @@ class TestSimulate:
     def test_unstable_profile_is_solver_failure(self, tmp_path):
         code = run_cli(
             "simulate", "--preset", "five-player", "--k=-5,-5,-5,-5,-5",
-            "--out", str(tmp_path / "sim.csv"),
+            "--out", str(tmp_path / "new" / "sim.csv"),
         )
         assert code == 3
+        assert not (tmp_path / "new").exists()
 
     def test_wrong_length_profile_is_config_error(self, tmp_path):
-        assert run_cli("simulate", "--preset", "five-player", "--k", "1.0") == 2
+        out = tmp_path / "new" / "sim.csv"
+        assert run_cli("simulate", "--preset", "five-player", "--k", "1.0", "--out", str(out)) == 2
+        assert not (tmp_path / "new").exists()
 
 
 def _never(*args, **kwargs):
@@ -468,6 +471,7 @@ class TestConfigErrors:
             ["gen-matrix", "--n", "0"],
             ["gen-matrix", "--n", "3", "--offdiag-scale", "0"],
             ["gen-matrix", "--n", "3", "--margin", "0"],
+            ["gen-matrix", "--n", "3", "--offdiag-scale", "1e308"],
         ],
     )
     def test_zero_flag_is_config_error_not_default(self, tmp_path, capsys, argv):
@@ -481,8 +485,12 @@ class TestConfigErrors:
             (["check-rosen", "--preset", "five-player", "--samples", "0"], None),
             (["check-rosen"], "{not json"),
             (["check-rosen"], {"ensemble": {"n": 2, "count": 1, "samples": 0}}),
+            (["gen-matrix", "--n", "3", "--margin", "1.7e308", "--offdiag-scale", "1e307"], None),
         ],
-        ids=["gen-matrix", "check-rosen-samples", "check-rosen-json", "check-rosen-ensemble-samples"],
+        ids=[
+            "gen-matrix", "check-rosen-samples", "check-rosen-json", "check-rosen-ensemble-samples",
+            "gen-matrix-infinite-diagonal",
+        ],
     )
     def test_bad_input_makes_no_output_directory(self, tmp_path, capsys, argv, config):
         if config is not None:
@@ -552,6 +560,11 @@ class TestConfigErrors:
             ("learn", {"game": {"generate": {"n": 2}, "a": [[-1.0, 0.0], [0.0, -1.0]]}}),
             ("learn", {"game": {"preset": "scalar", "generate": {"n": 1}}}),
             ("learn", {"game": {"generate": {"seed": 1}}}),
+            ("simulate", {"game": {"preset": "scalar"}, "sim": {"horizon": 1e300, "dt": 1e-10}}),
+            ("learn", {"game": {"preset": "scalar"}, "learn": {"mode": "model-free"},
+                       "sim": {"batch_size": 5, "horizon": 1e300, "dt": 1e-10}}),
+            ("gen-matrix", {"n": 3, "offdiag_scale": 1e308}),
+            ("learn", {"game": {"generate": {"n": 3, "offdiag_scale": 1e308}}}),
         ],
     )
     def test_bad_config_file(self, tmp_path, capsys, command, config):
@@ -637,6 +650,8 @@ class TestConfigErrors:
             ["simulate", "--preset", "scalar", "--k", "nan"],
             ["simulate", "--preset", "scalar", "--k", "inf"],
             ["learn", "--preset", "scalar", "--k0", "nan"],
+            ["learn", "--preset", "scalar", "--k0", "1,,"],
+            ["simulate", "--preset", "scalar", "--k", ",1"],
         ],
     )
     def test_non_finite_profile_is_config_error(self, tmp_path, capsys, argv):
