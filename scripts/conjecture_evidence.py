@@ -10,6 +10,10 @@ dominant class do not by themselves imply multiple equilibria; the
 certificate is sufficient, not necessary.
 
     python scripts/conjecture_evidence.py --count 100 --samples 200
+
+Exits 0 when every dominant-class ensemble is clean, 1 when one has a
+violation, and 2, with one ``error:`` line and before any sweep, on a bad
+argument.
 """
 
 import argparse
@@ -25,6 +29,16 @@ def run(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4, 5, 6])
     args = parser.parse_args(argv)
+    for flag, values, low in (
+        ("--count", [args.count], 1),
+        ("--samples", [args.samples], 1),
+        ("--seed", [args.seed], 0),
+        ("--dims", args.dims, 1),
+    ):
+        for value in values:
+            if value < low:
+                print(f"error: {flag} must be an integer >= {low}, got {value}", file=sys.stderr)
+                return 2
 
     print(f"diagonally dominant ensembles ({args.count} matrices per dimension):")
     clean = True
@@ -52,7 +66,7 @@ def run(argv=None):
             )
 
     print(f"\ndominant-class ensembles clean: {clean}")
-    return 0
+    return 0 if clean else 1
 
 
 if __name__ == "__main__":

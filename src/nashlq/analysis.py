@@ -70,6 +70,9 @@ NEGATIVE_DEFINITE_EIGS = (0.02, 2.0)
 # sweep's peak memory does not grow with its sample count.
 SWEEP_BLOCK = 4096
 
+# Finite-difference spot checks per matrix, as a fraction of its sweep samples.
+SPOT_CHECK_RATE = 0.01
+
 
 class PreconditionViolated(ValueError):
     """Inputs violate a documented precondition of the analysis routine."""
@@ -234,12 +237,13 @@ def _box_samples(spec: GameSpec, samples: int, rng: np.random.Generator) -> np.n
 
 def _check_sweep(samples, generator: str = "sdd", rho_range=(0.0, 1.0)) -> None:
     """Refuse an unknown generator, then a sample count that is not an integer
-    >= 1, then a ``rho_range`` that is not two finite numbers ``0 <= lo <= hi``."""
+    >= 1, then a ``rho_range`` that is not a list or tuple of two finite numbers
+    ``0 <= lo <= hi``."""
     if generator not in ("sdd", "negative-definite"):
         raise ValueError("generator must be 'sdd' or 'negative-definite'")
     _require_int(samples, "samples", 1)
-    lo, hi = rho_range
-    if not (_is_finite(lo) and _is_finite(hi) and 0 <= lo <= hi):
+    pair = isinstance(rho_range, (list, tuple)) and len(rho_range) == 2
+    if not (pair and all(map(_is_finite, rho_range)) and 0 <= rho_range[0] <= rho_range[1]):
         raise ValueError(f"rho_range must be two finite numbers with 0 <= lo <= hi, got {rho_range!r}")
 
 
@@ -291,7 +295,6 @@ def conjecture_sweep(
     samples_per_matrix: int = 200,
     rho_range: tuple[float, float] = (0.0, 1.0),
     generator: str = "sdd",
-    spot_check_rate: float = 0.01,
 ) -> SweepResult:
     """Sweep an ensemble of random games for uniqueness-certificate failures.
 
@@ -299,12 +302,11 @@ def conjecture_sweep(
     (the conjectured-safe class, where no violation is expected);
     ``generator="negative-definite"`` searches outside that class, where
     violations are genuine findings and are reported with full reproduction
-    keys.  A fraction ``spot_check_rate`` of extra box points per matrix
+    keys.  A fraction ``SPOT_CHECK_RATE`` of extra box points per matrix
     cross-checks the closed-form Jacobian against finite differences.
     """
     _check_sweep(samples_per_matrix, generator, rho_range)
-    _require_finite(spot_check_rate, "spot_check_rate", zero_ok=True)
-    spot_count = max(1, round(samples_per_matrix * spot_check_rate)) if spot_check_rate > 0 else 0
+    spot_count = max(1, round(samples_per_matrix * SPOT_CHECK_RATE)) if SPOT_CHECK_RATE > 0 else 0
     records = []
     gaps = []
     for index in range(ensemble.count):

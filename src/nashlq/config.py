@@ -147,8 +147,8 @@ def resolve(flags: dict, section: dict, defaults: dict) -> dict:
     return {**defaults, **_given(flags, section, defaults)}
 
 
-def resolve_seed(flag_value, file_value=None, default: int = 0):
-    """Seed precedence: flag, then config file, then NASHLQ_SEED, then default.
+def resolve_seed(flag_value, file_value=None):
+    """Seed precedence: flag, then config file, then NASHLQ_SEED, then 0.
 
     Only the environment's text is parsed here; the config that receives
     the seed checks that it is a nonnegative integer.
@@ -158,7 +158,7 @@ def resolve_seed(flag_value, file_value=None, default: int = 0):
             return candidate
     env = os.environ.get(SEED_ENV_VAR)
     if env is None:
-        return default
+        return 0
     try:
         return int(env)
     except ValueError:

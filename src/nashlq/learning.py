@@ -16,8 +16,7 @@ an exact stack takes one call of the stacked kernel (a lone start takes
 stage's common batch.  In :func:`_lockstep`, the one loop over it, a member
 stops at the first stage its gradient meets the tolerance, or at the budget,
 and keeps its row, unchanged, until the last member stops.  Each row gets
-the bits it would get alone in :func:`run_gradient_play`, the one-start case;
-:func:`gradient_play_step` is one pass of the same update.
+the bits it would get alone in :func:`run_gradient_play`, the one-start case.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "LearnConfig",
     "StageRecord",
     "LearnRun",
-    "gradient_play_step",
     "run_gradient_play",
     "run_lockstep",
 ]
@@ -60,7 +58,6 @@ class LearnConfig:
     mode: str = "exact"
     sim: SimConfig = field(default_factory=SimConfig)
     grad_tolerance: float = 0.0
-    record_history: bool = True
 
     def __post_init__(self):
         _require_int(self.stages, "stages", 1)
@@ -68,8 +65,6 @@ class LearnConfig:
         _require_finite(self.grad_tolerance, "grad_tolerance", zero_ok=True)
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-        if not isinstance(self.record_history, bool):
-            raise ValueError(f"record_history must be a bool, got {self.record_history!r}")
         if not isinstance(self.sim, SimConfig):
             raise ValueError(f"sim must be a SimConfig, got {self.sim!r}")
         if self.mode == "model-free" and self.grad_tolerance > 0:
@@ -78,7 +73,11 @@ class LearnConfig:
 
 @dataclass(frozen=True, eq=False)
 class StageRecord:
-    """Profile at the start of a stage with the cost and gradient seen there."""
+    """Profile at the start of a stage with the cost and gradient seen there.
+
+    Kept only for the benchmark's ``n20_collect``, which reads
+    :attr:`LearnRun.history`; the run's arrays hold the same rows.
+    """
 
     stage: int
     profile: ActionProfile
@@ -91,23 +90,30 @@ class LearnRun:
     """Staged history of a gradient-play run.
 
     Row ``l`` of ``profiles``, ``costs`` and ``grads`` (each of shape
-    ``(stages_used + 1, n)``, or ``(0, n)`` when history is not recorded)
-    holds the profile entering stage ``l`` together with the (exact or
-    estimated) cost and gradient used for that stage's update; the last row
-    evaluates the final profile, so ``final == profiles[-1]`` whenever history
-    is recorded.  ``history`` gives the same rows as :class:`StageRecord` entries.
+    ``(stages_used + 1, n)``) holds the profile entering stage ``l`` together
+    with the (exact or estimated) cost and gradient used for that stage's
+    update; the last row evaluates the final profile.
     """
 
     profiles: np.ndarray
     costs: np.ndarray
     grads: np.ndarray
-    final: ActionProfile
     converged: bool
-    stages_used: int
+
+    @functools.cached_property
+    def final(self) -> ActionProfile:
+        """The profile play ended at, ``profiles[-1]``."""
+        return ActionProfile(self.profiles[-1])
+
+    @property
+    def stages_used(self) -> int:
+        """The updates made, one fewer than the recorded stages."""
+        return len(self.profiles) - 1
 
     @functools.cached_property
     def history(self) -> tuple[StageRecord, ...]:
-        """One :class:`StageRecord` per stage, built the first time it is read."""
+        """One :class:`StageRecord` per stage, built the first time it is read;
+        kept only for the benchmark's ``n20_collect``."""
         rows = zip(self.profiles, self.costs, self.grads)
         return tuple(
             StageRecord(stage=stage, profile=ActionProfile(k), cost=j, grad=g)
@@ -138,19 +144,6 @@ def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
             report = _evaluate_stack(spec, ks)[1]
             return report.cost, report.grad
     return estimate
-
-
-def gradient_play_step(spec: GameSpec, k, config: LearnConfig, stage: int = 0) -> ActionProfile:
-    """One simultaneous update of all players from the shared profile ``k``.
-
-    Model-free estimates draw their noise from the ``(sim.seed, stage)``
-    substream, so a step is reproducible given its stage index.
-    """
-    k = _profile(spec, k)
-    if not spec.contains(k):
-        raise ValueError("profile must lie in the action box")
-    _, grads = _estimator(spec, config, 1)(k[None], stage)
-    return ActionProfile(spec.clip(k - config.step_size * grads[0]))
 
 
 def run_gradient_play(spec: GameSpec, k0, config: LearnConfig) -> LearnRun:
@@ -194,11 +187,11 @@ def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[Learn
     Each stage estimates, records and updates the whole stack.  A member
     stops at the first stage its gradient meets the tolerance, or at the
     budget, and its row holds its final profile until the last member stops.
-    The stop test is :func:`_meets_tolerance`.  A run's history is its row of
+    The stop test is :func:`_meets_tolerance`.  A run's arrays are its row of
     the recorded stages up to its own stop.
     """
     estimate = _estimator(spec, config, len(ks))
-    tol, last, step, record = config.grad_tolerance, config.stages, config.step_size, config.record_history
+    tol, last, step = config.grad_tolerance, config.stages, config.step_size
     # The box per row, so that projecting the stack needs no broadcasting.
     lower, upper = (np.repeat(bound[None], len(ks), axis=0) for bound in (spec.k_lower, spec.k_upper))
     ends = np.full(len(ks), last)  # the stage each member stops at
@@ -206,8 +199,7 @@ def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[Learn
     trace = []
     for stage in range(last + 1):
         costs, grads = estimate(ks, stage)
-        if record:
-            trace.append((ks, costs, grads))
+        trace.append((ks, costs, grads))
         met = _meets_tolerance(grads, tol)
         if stage == last or any(met):
             ends[(ends == last) & met] = stage
@@ -220,11 +212,9 @@ def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[Learn
         np.minimum(moved, upper, out=moved)
         ks = moved if held is None else np.where(held, ks, moved)
 
-    empty = _frozen(np.empty((len(ks), 0, spec.n)))
-    blocks = [_frozen(np.stack(column, axis=1)) for column in zip(*trace)] or [empty] * 3
+    blocks = [_frozen(np.stack(column, axis=1)) for column in zip(*trace)]
     converged = ((ends < last) | met).tolist()  # a stop before the budget met the tolerance
     return [
-        LearnRun(*(block[r, :end + 1] for block in blocks), final=ActionProfile(k),
-                 converged=converged[r], stages_used=end)
-        for r, (k, end) in enumerate(zip(ks, ends.tolist()))
+        LearnRun(*(block[r, :end + 1] for block in blocks), converged=converged[r])
+        for r, end in enumerate(ends.tolist())
     ]

@@ -658,12 +658,14 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert_config_error(capsys, run_cli(*argv, "--out", str(out)), out)
 
-    @pytest.mark.parametrize("rho_range", [[-0.1, 1.0], [0.5, 0.1], [0.0, "high"]])
+    @pytest.mark.parametrize(
+        "rho_range",
+        [[-0.1, 1.0], [0.5, 0.1], [0.0, "high"], [1.0], 3, [0.1, 0.2, 0.3], {"a": 1, "b": 2}],
+    )
     def test_bad_rho_range_named_where_it_enters(self, tmp_path, capsys, rho_range):
         path = tmp_path / "config.json"
         section = {"n": 3, "count": 2, "samples": 10, "rho_range": rho_range}
         path.write_text(json.dumps({"ensemble": section}), encoding="utf-8")
         out = tmp_path / "out"
-        assert run_cli("check-rosen", "--config", str(path), "--out", str(out)) == 2
-        assert capsys.readouterr().err.startswith("error: rho_range must be two finite numbers")
-        assert not out.exists()
+        err = assert_config_error(capsys, run_cli("check-rosen", "--config", str(path), "--out", str(out)), out)
+        assert err.startswith("error: rho_range must be two finite numbers")

@@ -18,7 +18,6 @@ from nashlq import (
     cost,
     exact_gradient,
     five_player_game,
-    gradient_play_step,
     marginal_cost_from_cost,
     monte_carlo_cost,
     run_gradient_play,
@@ -33,9 +32,9 @@ from util import random_game
 SCALAR_EQUILIBRIUM = np.sqrt(2.0) - 1.0
 
 
-# The loop that run_gradient_play and gradient_play_step replaced, kept as
-# the reference for the single stage loop: the stage estimate branched on
-# the mode at every stage, and a for...else tail evaluated the final profile.
+# The loop that run_gradient_play replaced, kept as the reference for the
+# single stage loop: the stage estimate branched on the mode at every stage,
+# and a for...else tail evaluated the final profile.
 # Exact estimates come from the stacked kernel, apart from evaluate's path.
 def _reference_stage_estimate(spec, k, config, stage):
     if config.mode == "exact":
@@ -64,10 +63,7 @@ def _reference_run(spec, k0, config):
     check_tol = config.mode == "exact" and tol > 0
 
     def record(stage, profile, costs, grads):
-        if config.record_history:
-            history.append(
-                StageRecord(stage=stage, profile=ActionProfile(profile), cost=costs, grad=grads)
-            )
+        history.append(StageRecord(stage=stage, profile=ActionProfile(profile), cost=costs, grad=grads))
 
     converged = False
     stages_used = config.stages
@@ -102,6 +98,13 @@ def _bits(array):
     return np.asarray(array, dtype=float).tobytes()
 
 
+def _assert_derived_fields(run):
+    """``final`` and ``stages_used`` are read off the recorded profiles."""
+    assert _bits(run.final.k) == _bits(run.profiles[-1])
+    assert run.stages_used == len(run.profiles) - 1
+    assert run.final is run.final
+
+
 @st.composite
 def _play_case(draw):
     """A random SDD game (n <= 8), a start in its box, and a learn config.
@@ -130,7 +133,6 @@ def _play_case(draw):
         mode=mode,
         sim=sim,
         grad_tolerance=tolerance,
-        record_history=draw(st.booleans()),
     )
     return spec, k0, config
 
@@ -162,38 +164,46 @@ class TestProject:
         assert lower <= once[0] <= upper
 
 
+def _one_step(spec, k, **config):
+    """The profile after one stage of play from ``k``."""
+    step = run_gradient_play(spec, k, LearnConfig(stages=1, **config)).profiles[1]
+    assert _bits(step) == _bits(_reference_step(spec, k, LearnConfig(**config)).k)
+    return step
+
+
 class TestStep:
     def test_scalar_step(self):
-        step = gradient_play_step(scalar_game(), [1.0], LearnConfig(step_size=1.0))
-        assert step.k[0] == pytest.approx(0.75, rel=1e-14)
+        step = _one_step(scalar_game(), [1.0], step_size=1.0)
+        assert step[0] == pytest.approx(0.75, rel=1e-14)
 
     def test_stationary_profile_is_fixed(self):
         # run the scalar game to its floating-point fixed point first
         spec = scalar_game()
         run = run_gradient_play(spec, [1.0], LearnConfig(stages=300))
-        again = gradient_play_step(spec, run.final, LearnConfig(step_size=1.0))
-        assert np.array_equal(again.k, run.final.k)
+        again = _one_step(spec, run.final, step_size=1.0)
+        assert np.array_equal(again, run.final.k)
 
     def test_projection_keeps_step_in_box(self):
         spec = scalar_game()
-        step = gradient_play_step(spec, [0.0], LearnConfig(step_size=50.0))
-        assert spec.contains(step.k)
+        step = _one_step(spec, [0.0], step_size=50.0)
+        assert spec.contains(step)
 
     def test_out_of_box_profile_rejected(self):
         with pytest.raises(ValueError, match="box"):
-            gradient_play_step(scalar_game(), [7.0], LearnConfig())
+            run_gradient_play(scalar_game(), [7.0], LearnConfig(stages=1))
 
     def test_model_free_step_matches_manual_composition(self):
         spec = five_player_game()
         sim = SimConfig(batch_size=64, horizon=100.0, dt=0.1, seed=21)
-        config = LearnConfig(mode="model-free", sim=sim, step_size=1.0)
-        k = np.array([1.0, 2.0, 1.5, 3.0, 1.2])
-        stepped = gradient_play_step(spec, k, config, stage=3)
-        estimate = monte_carlo_cost(spec, k, sim, stage=3)
-        manual = np.clip(
-            k - marginal_cost_from_cost(estimate, k, spec.rho), spec.k_lower, spec.k_upper
-        )
-        assert np.array_equal(stepped.k, manual)
+        config = LearnConfig(stages=4, mode="model-free", sim=sim, step_size=1.0)
+        run = run_gradient_play(spec, [1.0, 2.0, 1.5, 3.0, 1.2], config)
+        # each stage s draws its own batch, the (seed, s) substream
+        for stage, (k, stepped) in enumerate(zip(run.profiles, run.profiles[1:])):
+            estimate = monte_carlo_cost(spec, k, sim, stage=stage)
+            manual = np.clip(
+                k - marginal_cost_from_cost(estimate, k, spec.rho), spec.k_lower, spec.k_upper
+            )
+            assert np.array_equal(stepped, manual)
 
 
 class TestRun:
@@ -230,11 +240,6 @@ class TestRun:
         assert np.all(ks >= spec.k_lower[0]) and np.all(ks <= spec.k_upper[0])
         # a step this large must actually hit the bounds at least once
         assert np.any((ks == spec.k_lower[0]) | (ks == spec.k_upper[0]))
-
-    def test_record_history_off(self):
-        run = run_gradient_play(scalar_game(), [1.0], LearnConfig(stages=50, record_history=False))
-        assert run.history == ()
-        assert abs(run.final.k[0] - SCALAR_EQUILIBRIUM) < 1e-6
 
     def test_out_of_box_start_rejected(self):
         with pytest.raises(ValueError, match="box"):
@@ -336,11 +341,19 @@ class TestSingleLoopMatchesReference:
         assert run.converged == ref.converged
 
     @settings(max_examples=60)
-    @given(_play_case(), st.integers(1, 10**6))
-    def test_step_is_bit_identical_at_a_nonzero_stage(self, case, stage):
+    @given(_play_case())
+    def test_step_is_bit_identical_at_a_nonzero_stage(self, case):
         spec, k0, config = case
-        step = gradient_play_step(spec, k0, config, stage=stage)
-        assert _bits(step.k) == _bits(_reference_step(spec, k0, config, stage).k)
+        run = run_gradient_play(spec, k0, config)
+        for stage in range(1, run.stages_used):
+            step = _reference_step(spec, run.profiles[stage], config, stage)
+            assert _bits(run.profiles[stage + 1]) == _bits(step.k)
+
+    @settings(max_examples=60)
+    @given(_play_case())
+    def test_final_and_stages_used_derive_from_the_profiles(self, case):
+        spec, k0, config = case
+        _assert_derived_fields(run_gradient_play(spec, k0, config))
 
 
 @st.composite
@@ -364,7 +377,6 @@ def _lockstep_case(draw):
             step_size=config.step_size,
             mode="exact",
             grad_tolerance=tolerance,
-            record_history=config.record_history,
         )
     return spec, starts, config
 
@@ -448,17 +460,17 @@ class TestLockstep:
         assert calls == _expected_exact_calls(runs)
         assert calls == {"stack": max(run.stages_used for run in runs) + 1, "single": 0}
         for run, start in zip(runs, starts):
+            _assert_derived_fields(run)
             alone = run_gradient_play(spec, start, config)
             assert run.stages_used == alone.stages_used
             for name in ("profiles", "costs", "grads"):
                 assert _bits(getattr(run, name)) == _bits(getattr(alone, name))
 
-    @pytest.mark.parametrize("record_history", [True, False])
-    def test_settled_member_stops_at_stage_zero(self, record_history):
+    def test_settled_member_stops_at_stage_zero(self):
         spec = five_player_game()
         settle = LearnConfig(stages=20000, grad_tolerance=1e-12)
         settled = run_gradient_play(spec, FIVE_PLAYER_ROUND1_START, settle).final.k
-        config = LearnConfig(stages=20000, grad_tolerance=1e-9, record_history=record_history)
+        config = LearnConfig(stages=20000, grad_tolerance=1e-9)
         starts = [settled, FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START]
         runs, calls = _counted_lockstep(spec, starts, config)
         assert [run.stages_used == 0 for run in runs] == [True, False, False]
@@ -471,11 +483,9 @@ class TestLockstep:
             assert _bits(run.final.k) == _bits(alone.final.k)
             for name in ("profiles", "costs", "grads"):
                 assert _bits(getattr(run, name)) == _bits(getattr(alone, name))
-                rows = run.stages_used + 1 if record_history else 0
-                assert getattr(run, name).shape == (rows, spec.n)
-        if record_history:
-            assert len(runs[0].history) == 1
-            assert _bits(runs[0].profiles[0]) == _bits(settled)
+                assert getattr(run, name).shape == (run.stages_used + 1, spec.n)
+        assert len(runs[0].history) == 1
+        assert _bits(runs[0].profiles[0]) == _bits(settled)
 
     def test_zero_tolerance_uses_every_stage(self):
         spec = five_player_game()
@@ -526,10 +536,6 @@ class TestLearnRunArrays:
             assert np.array_equal(rec.cost, run.costs[stage])
             assert np.array_equal(rec.grad, run.grads[stage])
 
-    def test_history_off_leaves_empty_arrays(self):
-        run = run_gradient_play(five_player_game(), np.ones(5), LearnConfig(stages=3, record_history=False))
-        assert run.profiles.shape == run.costs.shape == run.grads.shape == (0, 5)
-
 
 class TestLearnConfig:
     @pytest.mark.parametrize(
@@ -550,9 +556,9 @@ class TestLearnConfig:
             {"grad_tolerance": "0"},
             {"mode": "model-free", "grad_tolerance": 0.5},
             {"mode": "model-free", "sim": None},
-            {"record_history": "no"},
-            {"record_history": None},
-            {"record_history": 1},
+            {"sim": {"batch_size": 10}},
+            {"stages": "10"},
+            {"step_size": -1.0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

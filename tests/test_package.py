@@ -21,8 +21,9 @@ ADDED_NAMES = {"SQRT3", "FIVE_PLAYER_STAGES", "FIVE_PLAYER_BATCH", "FIVE_PLAYER_
 # New public functions since then.
 NEW_NAMES = {"run_lockstep"}
 # Removed since then: ``project`` was a second name for ``np.clip``, and
-# ``GameSpec.clip`` projects onto the action box.
-REMOVED_NAMES = {"project"}
+# ``GameSpec.clip`` projects onto the action box; ``gradient_play_step`` was
+# one stage of ``run_gradient_play``, which only tests called.
+REMOVED_NAMES = {"project", "gradient_play_step"}
 
 
 def test_package_names():
