@@ -12,8 +12,8 @@ certificate is sufficient, not necessary.
     python scripts/conjecture_evidence.py --count 100 --samples 200
 
 Exits 0 when every dominant-class ensemble is clean, 1 when one has a
-violation, and 2, with one ``error:`` line and before any sweep, on a bad
-argument.
+violation, and 2, with one ``error:`` line, on a bad argument (before any
+sweep) or a sweep too large for memory.
 """
 
 import argparse
@@ -23,6 +23,14 @@ from nashlq import MatrixEnsembleConfig, conjecture_sweep
 
 
 def run(argv=None):
+    try:
+        return _run(argv)
+    except MemoryError as err:  # numpy's MemoryError names the allocation
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
+        return 2
+
+
+def _run(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=100, help="matrices per dimension")
     parser.add_argument("--samples", type=int, default=200, help="box samples per matrix")

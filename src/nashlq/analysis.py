@@ -10,13 +10,15 @@ up evidence (or surface a counterexample with a reproducible witness).
 
 A sweep is stacked: the sample points go through the profile kernel of
 :mod:`nashlq.game` and one stacked ``eigvalsh`` in blocks of at most
-``SWEEP_BLOCK`` profiles, so its cost per point is a few array operations
-rather than a Python-level factorization, and its memory does not grow with
-the sample count.  The reported ``min_eig`` is a single
-:func:`rosen_check` at the witness, so the pair reproduces exactly.  An
-ensemble's finite-difference spot checks are stacked the same way: each
-game's spot points are drawn in one call, and they and their ``2 n`` bumped
-neighbours go through the kernel in blocks of the same bound.
+``game.BLOCK_ENTRIES`` array entries, ``n^2`` per point, so its cost per
+point is a few array operations rather than a Python-level factorization,
+and its work arrays stay that size however many points there are (the
+points themselves take ``n`` doubles each).  The reported
+``min_eig`` is a single :func:`rosen_check` at the witness, so the pair
+reproduces exactly.  An ensemble's finite-difference spot checks are stacked
+the same way: each game's spot points are drawn in one call, and they and
+their ``2 n`` bumped neighbours go through the kernel in blocks of the same
+bound, ``2 n * n^2`` entries per point; a point is never split.
 
 The sample points are a Latin hypercube (McKay, Beckman & Conover, 1979)
 drawn in numpy on a child spawned from the sweep's stream: one uniform
@@ -35,6 +37,7 @@ from .game import (
     ActionProfile,
     GameSpec,
     _evaluate_stack,
+    _in_blocks,
     _is_finite,
     _jacobian_stack,
     _require_finite,
@@ -65,10 +68,6 @@ BOX_FACTOR = 10.0
 
 # Eigenvalue magnitudes of the counterexample search's negative definite draws.
 NEGATIVE_DEFINITE_EIGS = (0.02, 2.0)
-
-# Profiles per kernel call in a sweep; bounds the stacked work arrays, so a
-# sweep's peak memory does not grow with its sample count.
-SWEEP_BLOCK = 4096
 
 # Finite-difference spot checks per matrix, as a fraction of its sweep samples.
 SPOT_CHECK_RATE = 0.01
@@ -251,14 +250,14 @@ def rosen_sweep(spec: GameSpec, samples: int = 200, seed=0) -> RosenReport:
     """Sweep the action box and report the smallest ``G + G^T`` eigenvalue.
 
     ``seed`` may be an integer or a Generator to continue an existing stream.
-    The points are evaluated in stacked blocks of ``SWEEP_BLOCK``; the
-    witness is the first point attaining the minimum.  The sweep is sampled
-    evidence, not a proof.
+    The points are evaluated in stacked blocks of ``game.BLOCK_ENTRIES // n^2``
+    points (at least one); the witness is the first point attaining the
+    minimum.  The sweep is sampled evidence, not a proof.
     """
     _check_sweep(samples)
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
     points = _box_samples(spec, samples, rng)
-    values = _in_blocks(lambda block: _rosen_values(_jacobian_stack(spec, block)), points)
+    values = _in_blocks(lambda block: _rosen_values(_jacobian_stack(spec, block)), points, spec.n**2)
     witness = points[np.argmin(values)]
     # Report the witness's own single-profile check, so that
     # rosen_check(spec, witness) == min_eig holds by construction.
@@ -269,13 +268,6 @@ def rosen_sweep(spec: GameSpec, samples: int = 200, seed=0) -> RosenReport:
         samples=points.shape[0],
         violated=bool(min_eig <= 0.0),
     )
-
-
-def _in_blocks(fn, ks: np.ndarray, per_profile: int = 1) -> np.ndarray:
-    """``fn`` over blocks of the ``(P, n)`` stack ``ks``, joined (empty for ``P = 0``);
-    a block holds at most ``SWEEP_BLOCK`` kernel profiles, ``per_profile`` per row."""
-    step = max(1, SWEEP_BLOCK // per_profile)
-    return np.concatenate([fn(ks[i : i + step]) for i in range(0, len(ks), step)] or [[]])
 
 
 def _fd_jacobian_gap(spec: GameSpec, ks: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -322,7 +314,7 @@ def conjecture_sweep(
             SweepRecord(matrix_index=index, seed=ensemble.seed, spec=spec, report=report)
         )
         points = spec.k_lower + rng.random((spot_count, spec.n)) * (spec.k_upper - spec.k_lower)
-        gaps += _in_blocks(lambda block: _fd_jacobian_gap(spec, block), points, 2 * spec.n).tolist()
+        gaps += _in_blocks(lambda block: _fd_jacobian_gap(spec, block), points, 2 * spec.n**3).tolist()
     return SweepResult(
         records=tuple(records),
         min_eig=float(min(r.report.min_eig for r in records)),

@@ -6,8 +6,9 @@ Subcommands: ``learn``, ``reproduce-paper``, ``check-rosen``, ``gen-matrix``,
 are flat CSV/JSON files meant for external plotting tools.
 
 Exit codes: 0 success, 1 uniqueness-condition violation found,
-2 invalid configuration or an output that cannot be written,
-3 solver failure (unstable profile), 4 a ``reproduce-paper`` gate failed.
+2 invalid configuration, an output that cannot be written, or a request
+too large for memory, 3 solver failure (unstable profile),
+4 a ``reproduce-paper`` gate failed.
 """
 
 from __future__ import annotations
@@ -401,8 +402,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, MemoryError) as err:  # numpy's MemoryError names the allocation
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except NotPositiveDefinite as err:
         print(f"solver failure: {err}", file=sys.stderr)

@@ -19,20 +19,16 @@ All of them are the single-profile case of one kernel that takes a
 stack in one ``np.linalg.cholesky`` call (with a per-profile pivot check
 that raises :class:`NotPositiveDefinite` naming the first failing profile),
 and forms the stacked resolvents from the factors.  Sweeps over many
-profiles call the kernel once instead of once per profile, and every
-stability check, here and in :mod:`nashlq.simulate`, uses its factor step.
+profiles call the kernel in blocks through :func:`_in_blocks`, whose one
+bound, ``BLOCK_ENTRIES``, caps the array entries a block holds, so a block's
+row count follows from n.  Every stability check, here and in
+:mod:`nashlq.simulate`, uses the kernel's factor step.
 
 :func:`evaluate`, which gradient play calls once per stage, is the kernel's
-``P = 1`` case without the stack axis: the same operations on 2-D arrays,
-with ``K - A`` made as the kernel makes it, from the spec's cached ``-A``,
-so it gives the same bits for any memory layout of ``A``.  Its pivot test
-makes the kernel's decision on Python scalars, one squared pivot at a time:
-first against ``PIVOT_RTOL`` times a certified upper bound on the computed
-``||K - A||_inf`` (from the spec's cached, upward-rounded ``||A||_inf``),
-and only where that does not decide against the computed norm itself.  A
-failed factorization or pivot test is handed to the kernel's own factor
-step, so it raises the same errors with the same messages.  The per-player
-formulas are stated once, for both.
+``P = 1`` case without the stack axis (:func:`_evaluate_one`): the same
+operations on 2-D arrays, with the kernel's decisions and bits, and the
+kernel's errors for a failed factorization.  The per-player formulas are
+stated once, for both.
 """
 
 from __future__ import annotations
@@ -63,6 +59,10 @@ STABILITY_MARGIN = 1e-6
 
 # Cholesky pivots below this fraction of ||K - A||_inf count as failure.
 PIVOT_RTOL = 1e-12
+
+# Array entries one stacked block holds, e.g. P profiles of n^2 entries each;
+# bounds every blocked loop's work arrays, whatever n and the row count.
+BLOCK_ENTRIES = 2**17
 
 # Double precision's unit round-off, 2^-53.
 _UNIT_ROUNDOFF = 2.0**-53
@@ -430,6 +430,17 @@ def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGra
     return m, _fields(spec.rho, ks, _diagonals(m).copy())
 
 
+def _in_blocks(fn, rows: np.ndarray, entries_per_row: int) -> np.ndarray:
+    """``fn`` over blocks of ``rows``, joined along the first axis (empty for no rows).
+
+    A block holds ``max(1, BLOCK_ENTRIES // entries_per_row)`` rows, so at most
+    ``BLOCK_ENTRIES`` entries unless one row alone holds more; a row is never
+    split.  The kernel gives each row the same bits at any block size.
+    """
+    step = max(1, BLOCK_ENTRIES // entries_per_row)
+    return np.concatenate([fn(rows[i : i + step]) for i in range(0, len(rows), step)] or [[]])
+
+
 def _pivot_bound(spec: GameSpec, k: np.ndarray) -> float:
     """A bound, for :func:`_passes_pivot_test`, on the kernel's computed ``||K - A||_inf``.
 
@@ -455,11 +466,9 @@ def _evaluate_one(spec: GameSpec, k: np.ndarray) -> CostGradientReport:
     """:func:`_evaluate_stack` of one validated profile, without the stack axis.
 
     ``K - A`` comes from :func:`_closed_loop_one`, with the kernel's bits for
-    any memory layout of ``A``.  The pivot test is :func:`_passes_pivot_test`,
-    which decides on Python scalars, first against ``PIVOT_RTOL`` times
-    :func:`_pivot_bound` (never below the computed ``||K - A||_inf``, by the
-    rounding argument stated there) and, only where that does not decide,
-    against ``PIVOT_RTOL`` times the computed norm.  Each further step is
+    any memory layout of ``A``.  The pivot test, :func:`_passes_pivot_test`
+    on :func:`_pivot_bound`, makes the kernel's decision on Python scalars;
+    why it is the same decision is stated there.  Each further step is
     the kernel's operation on a 2-D array, which numpy computes as it does
     each matrix of a stack, so the report has the kernel's bits.  Only the
     resolvent's diagonal is formed, and it needs no symmetrization: the

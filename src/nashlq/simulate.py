@@ -13,7 +13,9 @@ and no time grid is ever built.
 A batch mean needs only the batch's second moment in modal coordinates,
 ``S = C^T C / B`` with ``C = x0 @ Q``, so a Monte Carlo stage costs
 O(B n^2 + n^3).  Per-trajectory costs, O(B n^3), are computed only by
-:func:`simulate_batch`, for callers that need the spread of the batch.
+:func:`simulate_batch`, for callers that need the spread of the batch, in
+blocks of at most ``game.BLOCK_ENTRIES // n^2`` trajectories, so no
+``(B, n, n)`` array is formed.
 
 :func:`monte_carlo_cost` also takes an ``(R, n)`` stack of profiles.  The
 stack shares one draw of the ``(seed, stage)`` batch (common random
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, _cholesky, _closed_loop, _is_finite, _profile, profile_array
+from .game import GameSpec, _cholesky, _closed_loop, _in_blocks, _is_finite, _profile, profile_array
 from .game import _require_finite, _require_int
 
 __all__ = [
@@ -50,10 +52,6 @@ __all__ = [
 SQRT3 = 1.7320508075688772
 
 _INTEGRATORS = ("quadrature", "exact")
-
-# Entries of per-trajectory moments (B, n, n) held at once; bounds the
-# temporaries of simulate_batch, so its memory does not grow with B.
-_MOMENT_BLOCK = 2**17
 
 
 @dataclass(frozen=True)
@@ -183,13 +181,12 @@ def _modal_cost(spec: GameSpec, k: np.ndarray, q: np.ndarray, w: np.ndarray, s: 
 
 
 def _batch_cost(spec: GameSpec, k, x0: np.ndarray, config: SimConfig) -> np.ndarray:
-    """Per-trajectory costs, shape ``(B, n)``: O(B n^3), in blocks of trajectories."""
+    """Per-trajectory costs, shape ``(B, n)``: O(B n^3), through :func:`game._in_blocks`
+    at ``n^2`` entries per trajectory, its ``(n, n)`` moment in modal coordinates."""
     q, w = _weights(spec, k, config)
-    coords = x0 @ q
-    step = max(1, _MOMENT_BLOCK // spec.n**2)
-    blocks = (coords[i : i + step] for i in range(0, coords.shape[0], step))
-    costs = [_modal_cost(spec, k, q, w, c[:, :, None] * c[:, None, :]) for c in blocks]
-    return np.concatenate(costs)
+    return _in_blocks(
+        lambda c: _modal_cost(spec, k, q, w, c[:, :, None] * c[:, None, :]), x0 @ q, spec.n**2
+    )
 
 
 def _mean_cost(spec: GameSpec, ks: np.ndarray, x0: np.ndarray, config: SimConfig) -> np.ndarray:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 import nashlq
-from nashlq import analysis
+from nashlq import analysis, game
 from nashlq import (
     GameSpec,
     MatrixEnsembleConfig,
@@ -38,8 +38,9 @@ def _reference_rosen_sweep(spec, samples, seed):
     points = analysis._box_samples(spec, samples, rng)
     best = np.inf
     witness = points[0]
-    for start in range(0, points.shape[0], analysis.SWEEP_BLOCK):
-        block = points[start : start + analysis.SWEEP_BLOCK]
+    step = max(1, game.BLOCK_ENTRIES // spec.n**2)
+    for start in range(0, points.shape[0], step):
+        block = points[start : start + step]
         g = _jacobian_stack(spec, block)
         values = np.linalg.eigvalsh(g + g.transpose(0, 2, 1)).min(axis=1)
         i = int(np.argmin(values))
@@ -209,16 +210,19 @@ class TestRosenSweep:
         spec, _ = random_game(seed, n=n)
         samples = 3 * block + seed % block
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(analysis, "SWEEP_BLOCK", block)
+            patch.setattr(game, "BLOCK_ENTRIES", block * n**2)
             report = rosen_sweep(spec, samples=samples, seed=seed)
         min_eig, witness = self.per_profile_min(spec, samples, seed)
         assert report.min_eig == min_eig
         assert np.array_equal(report.witness.k, witness)
 
     def test_sweep_past_one_default_block(self):
+        """Past one block of 4096 profiles: n^2 = 9 entries each."""
         spec, _ = random_game(4, n=3)
-        samples = analysis.SWEEP_BLOCK + 100
-        report = rosen_sweep(spec, samples=samples, seed=2)
+        samples = 4096 + 100
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(game, "BLOCK_ENTRIES", 4096 * 9)
+            report = rosen_sweep(spec, samples=samples, seed=2)
         min_eig, witness = self.per_profile_min(spec, samples, 2)
         assert report.samples == samples + 1
         assert report.min_eig == min_eig
@@ -310,7 +314,7 @@ class TestStackedMatchesReference:
     def test_sweep(self, seed, n, generator, samples, block):
         spec, _ = _ensemble_game(seed, n, generator)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(analysis, "SWEEP_BLOCK", block)
+            patch.setattr(game, "BLOCK_ENTRIES", block * n**2)
             report = rosen_sweep(spec, samples=samples, seed=seed)
             min_eig, witness, count = _reference_rosen_sweep(spec, samples, seed)
         assert report.min_eig == min_eig
@@ -324,8 +328,8 @@ class TestStackedMatchesReference:
         spec, rng = _ensemble_game(seed, n, generator)
         points = spec.k_lower + rng.random((count, n)) * (spec.k_upper - spec.k_lower)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(analysis, "SWEEP_BLOCK", block)
-            gaps = analysis._in_blocks(lambda ks: analysis._fd_jacobian_gap(spec, ks), points, 2 * n)
+            patch.setattr(game, "BLOCK_ENTRIES", block * n**2)  # block // (2 n) points per call
+            gaps = game._in_blocks(lambda ks: analysis._fd_jacobian_gap(spec, ks), points, 2 * n**3)
         assert gaps.tolist() == [_reference_fd_jacobian_gap(spec, point) for point in points]
 
     @given(
@@ -347,12 +351,12 @@ class TestStackedMatchesReference:
             return streams[-1]
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(analysis, "SWEEP_BLOCK", block)
+            patch.setattr(game, "BLOCK_ENTRIES", block * n**2)
             patch.setattr(analysis, "substream", recorded)
             patch.setattr(analysis, "SPOT_CHECK_RATE", rate)
             result = conjecture_sweep(ensemble, samples, generator=generator)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(analysis, "SWEEP_BLOCK", block)
+            patch.setattr(game, "BLOCK_ENTRIES", block * n**2)
             reports, gaps, ref_streams = _reference_conjecture_sweep(ensemble, samples, generator, rate)
         for record, (min_eig, witness, points) in zip(result.records, reports, strict=True):
             assert record.report.min_eig == min_eig
@@ -361,6 +365,56 @@ class TestStackedMatchesReference:
         assert result.spot_checked == len(gaps)
         assert result.spot_check_max_rel_err == functools.reduce(max, gaps, 0.0)
         assert [rng.random() for rng in streams] == [rng.random() for rng in ref_streams]
+
+
+class TestEntryBound:
+    """Every stacked call of an ensemble sweep, its ``rosen_sweep`` included, holds
+    at most ``game.BLOCK_ENTRIES`` entries, or the profiles of one row."""
+
+    @staticmethod
+    def spy(patch, n):
+        """Record ``(profiles, one row's profiles)`` of each Jacobian and kernel call."""
+        calls = []
+
+        def spied(fn, one_row):
+            def call(spec, ks):
+                calls.append((len(ks), one_row))
+                return fn(spec, ks)
+
+            return call
+
+        jacobian, kernel = game._jacobian_stack, game._evaluate_stack
+        patch.setattr(analysis, "_jacobian_stack", spied(jacobian, 1))
+        patch.setattr(game, "_evaluate_stack", spied(kernel, 1))  # inside _jacobian_stack
+        patch.setattr(analysis, "_evaluate_stack", spied(kernel, 2 * n))  # a spot point's bumps
+        return calls
+
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([5, 20, 60]),
+        GENERATORS,
+        st.integers(1, 300),
+        st.sampled_from([0.01, 0.1]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_blocks_stay_within_the_bound(self, seed, n, generator, samples, rate):
+        ensemble = MatrixEnsembleConfig(n=n, count=1, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "SPOT_CHECK_RATE", rate)
+            calls = self.spy(patch, n)
+            result = conjecture_sweep(ensemble, samples, generator=generator)
+        assert calls
+        for profiles, one_row in calls:
+            assert profiles * n**2 <= game.BLOCK_ENTRIES or profiles == one_row
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "SPOT_CHECK_RATE", rate)
+            patch.setattr(game, "BLOCK_ENTRIES", 2**62)  # one block per sweep and per spot check
+            whole = conjecture_sweep(ensemble, samples, generator=generator)
+        (record,), (reference,) = result.records, whole.records
+        assert record.report.min_eig == reference.report.min_eig
+        assert np.array_equal(record.report.witness.k, reference.report.witness.k)
+        assert result.spot_checked == whole.spot_checked
+        assert result.spot_check_max_rel_err == whole.spot_check_max_rel_err
 
 
 class TestJacobianConsistency:

@@ -451,6 +451,34 @@ class TestUnwritableOutput:
             run_cli("gen-matrix", "--n", "2", "--out", str(tmp_path / "m.json"))
 
 
+# What numpy's MemoryError says for an array it cannot allocate.
+ALLOCATION = "Unable to allocate 7.45 GiB for an array with shape (1000000001, 5) and data type float64"
+
+
+class TestOversizeRequest:
+    """A request too large for memory exits 2 with one ``error:`` line, not 1 (which
+    means a violation) with a traceback.  The callee raises; nothing is allocated."""
+
+    @pytest.mark.parametrize(
+        "argv, callee",
+        [
+            (["check-rosen", "--preset", "five-player", "--samples", "1000000000"], "rosen_sweep"),
+            (["gen-matrix", "--n", "100000"], "_draw_matrix"),
+        ],
+        ids=["check-rosen", "gen-matrix"],
+    )
+    @pytest.mark.parametrize("message", [ALLOCATION, ""], ids=["numpy", "bare"])
+    def test_exits_two_with_one_error_line(self, tmp_path, capsys, monkeypatch, argv, callee, message):
+        def oversize(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, callee, oversize)
+        assert run_cli(*argv, "--out", str(tmp_path / "out.json")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message or 'out of memory'}\n"
+
+
 def assert_config_error(capsys, code, out):
     assert code == 2
     captured = capsys.readouterr()

@@ -53,3 +53,13 @@ def test_bad_argument_exits_2_before_any_sweep(capsys, monkeypatch, argv, flag):
     assert captured.err.startswith(f"error: {flag} must be an integer >= ")
     assert len(captured.err.splitlines()) == 1
     assert captured.err.rstrip().endswith(f"got {argv[-1]}")
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 1.49 GiB for an array", ""])
+def test_oversize_sweep_exits_2_with_one_error_line(capsys, monkeypatch, message):
+    def oversize(*args, **kwargs):
+        raise MemoryError(message)  # nothing is allocated
+
+    monkeypatch.setattr(evidence, "conjecture_sweep", oversize)
+    assert evidence.run(TINY) == 2
+    assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashlq import simulate
+from nashlq import game
 from nashlq import (
     GameSpec,
     NotPositiveDefinite,
@@ -257,14 +257,14 @@ class TestMonteCarlo:
     def test_per_trajectory_costs_match_retired_einsum(
         self, seed, n, batch_size, integrator, horizon, dt, block
     ):
-        """Also across trajectory blocks: ``_MOMENT_BLOCK`` is patched down."""
+        """Also across trajectory blocks: ``game.BLOCK_ENTRIES`` is patched down."""
         spec, k = random_game(seed, n=n)
         config = SimConfig(
             batch_size=batch_size, horizon=horizon, dt=min(dt, horizon),
             seed=seed, integrator=integrator,
         )
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulate, "_MOMENT_BLOCK", block)
+            patch.setattr(game, "BLOCK_ENTRIES", block)
             batch = simulate_batch(spec, k, config)
         reference, scale = einsum_batch_cost(spec, k, batch.x0, config)
         assert rel_gap(batch.per_player_cost, reference) <= 1e-12
