@@ -7,7 +7,8 @@ are flat CSV/JSON files meant for external plotting tools.
 
 Exit codes: 0 success, 1 uniqueness-condition violation found,
 2 invalid configuration, an output that cannot be written, or a request
-too large for memory, 3 solver failure (unstable profile),
+too large for memory (the run removes the output directories it made
+that are still empty), 3 solver failure (unstable profile),
 4 a ``reproduce-paper`` gate failed.
 """
 
@@ -17,6 +18,7 @@ import argparse
 import contextlib
 import errno
 import functools
+import itertools
 import os
 import sys
 from dataclasses import asdict, replace
@@ -88,18 +90,26 @@ def _writing(target):
         raise OutputError(f"cannot write {err.filename or target}: {err.strerror or err}") from err
 
 
-def _output(path, directory: bool = False) -> Path:
+def _output(path, made: list[Path], directory: bool = False) -> Path:
     """Create an output location before any work runs: the directory itself,
-    or a file's parent, refusing an existing directory as the file."""
+    or a file's parent, refusing an existing directory as the file.  The
+    directories it makes are appended to ``made``, outermost first."""
     path = Path(path)
     with _writing(path):
-        if directory:
-            path.mkdir(parents=True, exist_ok=True)
-        elif path.is_dir():
+        if not directory and path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        else:
-            path.parent.mkdir(parents=True, exist_ok=True)
+        target = path if directory else path.parent
+        missing = itertools.takewhile(lambda p: not p.exists(), (target, *target.parents))
+        made.extend(reversed(list(missing)))
+        target.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _remove_empty(made: list[Path]) -> None:
+    """Remove the directories of ``made`` that are still empty, innermost first."""
+    for directory in reversed(made):
+        with contextlib.suppress(OSError):
+            directory.rmdir()
 
 
 def _fmt_vec(values) -> str:
@@ -110,9 +120,9 @@ def _game_dict(spec: GameSpec) -> dict:
     return {name: getattr(spec, name).tolist() for name in ("a", "rho", "k_lower", "k_upper")}
 
 
-def cmd_learn(args) -> int:
+def cmd_learn(args, made: list[Path]) -> int:
     exp = load_experiment(args.config, vars(args))
-    out = _output(exp.output_dir, directory=True)
+    out = _output(exp.output_dir, made, directory=True)
     k0 = exp.k0
     if k0 is None:
         rng = substream(exp.sim.seed, *_START_KEY)
@@ -131,13 +141,13 @@ def cmd_learn(args) -> int:
     return EXIT_OK
 
 
-def cmd_reproduce_paper(args) -> int:
+def cmd_reproduce_paper(args, made: list[Path]) -> int:
     flags = dict(vars(args), mode=args.mode or "model-free")
     exp = load_experiment(None, {**flags, **resolve(flags, {}, REPRODUCE_DEFAULTS[flags["mode"]])})
     exact = exp.learn.mode == "exact"
     if args.independent_rounds and exact:
         raise ConfigError("--independent-rounds applies to model-free mode only; exact play draws no noise")
-    out = _output(exp.output_dir, directory=True)
+    out = _output(exp.output_dir, made, directory=True)
     starts = (FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START)
     # By default both rounds play as one stack on the same per-stage noise
     # substreams, so they differ only in their starting profiles;
@@ -211,12 +221,12 @@ def cmd_reproduce_paper(args) -> int:
     return EXIT_OK if passed else EXIT_GATE
 
 
-def cmd_check_rosen(args) -> int:
+def cmd_check_rosen(args, made: list[Path]) -> int:
     overrides = vars(args)
     raw = read_config(args.config)
     if "ensemble" in raw:
         ensemble, sweep = load_ensemble(raw, overrides)
-        out = _output(args.output_dir)
+        out = _output(args.output_dir, made)
         result = conjecture_sweep(ensemble, **sweep)
         payload = {
             "ensemble": {**asdict(ensemble), **sweep},
@@ -248,7 +258,7 @@ def cmd_check_rosen(args) -> int:
     exp = _experiment(raw, overrides)
     samples = resolve(overrides, {}, {"samples": 1000})["samples"]
     _check_sweep(samples)
-    out = _output(args.output_dir)
+    out = _output(args.output_dir, made)
     report = rosen_sweep(exp.game, samples, seed=exp.sim.seed)
     payload = {
         "game": _game_dict(exp.game),
@@ -276,9 +286,9 @@ def cmd_check_rosen(args) -> int:
     return EXIT_VIOLATION if report.violated else EXIT_OK
 
 
-def cmd_gen_matrix(args) -> int:
+def cmd_gen_matrix(args, made: list[Path]) -> int:
     ensemble = load_matrix(args.config, vars(args))
-    out = _output(args.output_dir)
+    out = _output(args.output_dir, made)
     a = _draw_matrix(ensemble)[0]
     offdiag = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
     margins = np.abs(np.diag(a)) - offdiag
@@ -305,11 +315,11 @@ def cmd_gen_matrix(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, made: list[Path]) -> int:
     exp = load_experiment(args.config, vars(args))
     k = _read_profile(args.k, 0.5 * (exp.game.k_lower + exp.game.k_upper), exp.game.n, "k")
     closed_form = cost(exp.game, k)  # an unstable profile fails here, before --out is made
-    path = _output(args.output_dir) if args.output_dir else None
+    path = _output(args.output_dir, made) if args.output_dir else None
 
     estimate = monte_carlo_cost(exp.game, k, exp.sim)
     rel = np.abs(estimate - closed_form) / np.abs(closed_form)
@@ -359,7 +369,9 @@ _FLAGS = {
     "--margin": dict(dest="dominance_margin", type=float, metavar="F", help="diagonal dominance margin"),
 }
 
-# Each subcommand's handler, help line, default --out, and flags in help order.
+# Each subcommand's handler, called with the parsed flags and the list that
+# _output adds the directories it makes to, help line, default --out, and
+# flags in help order.
 _COMMANDS = {
     "learn": (cmd_learn, "run projected gradient play and write the staged history", None,
               "--config --seed --out --batch --horizon --dt --preset --mode --stages --step-size"
@@ -400,9 +412,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    made = []
     try:
-        return args.func(args)
+        return args.func(args, made)
     except (ValueError, MemoryError) as err:  # numpy's MemoryError names the allocation
+        _remove_empty(made)
         print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except NotPositiveDefinite as err:

@@ -417,6 +417,117 @@ class TestEntryBound:
         assert result.spot_check_max_rel_err == whole.spot_check_max_rel_err
 
 
+def _stack(seed, kind, p, n):
+    """A ``(p, n, n)`` stack of ``G`` for the pruning tests: random matrices, dominant
+    ones (which prune), diagonal ones with tied entries, or Jacobians over the
+    five-player box, whose row sums span eight orders of magnitude.  Random and
+    dominant matrices are scaled each by its own power of ten, over a span of
+    none, one or 24 decades."""
+    rng = substream(seed)
+    spread = rng.choice([0.0, 1.0, 24.0])
+    scale = 10.0 ** rng.uniform(-spread / 2, spread / 2, size=(p, 1, 1))
+    if kind == "game":
+        spec = five_player_game()
+        return _jacobian_stack(spec, analysis._box_samples(spec, p, rng)[:p])
+    if kind == "diagonal":
+        g = np.zeros((p, n, n))
+        g[:, range(n), range(n)] = rng.integers(-2, 3, size=(p, n)) * 10.0 ** rng.integers(-3, 4)
+        return g
+    g = rng.standard_normal((p, n, n))
+    if kind == "dominant":
+        g[:, range(n), range(n)] += n * rng.uniform(1.0, 3.0, size=(p, n))
+    return g * scale
+
+
+def _assert_sound(g):
+    """``_rosen_values`` against a plain ``eigvalsh`` of the same stack, which it
+    matches also in failing to converge on a NaN; the skipped rows."""
+    h = g + g.transpose(0, 2, 1)
+    try:
+        plain = np.linalg.eigvalsh(h).min(axis=1)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            analysis._rosen_values(g)
+        return np.zeros(len(g), dtype=bool)
+    values = analysis._rosen_values(g)
+    skipped = values == np.inf
+    assert values[~skipped].tobytes() == plain[~skipped].tobytes()
+    if skipped.any():
+        assert np.all(plain[skipped] > np.nanmin(plain))
+    assert np.argmin(values) == np.argmin(plain)
+    assert not skipped[np.isnan(h).any(axis=(1, 2))].any()
+    return skipped
+
+
+class TestPrunedRosenValues:
+    """The pruned eigensolve keeps every row that can hold the stack's minimum,
+    with a plain ``eigvalsh``'s bits, and skips only rows strictly above it."""
+
+    KINDS = st.sampled_from(["general", "dominant", "diagonal", "game"])
+
+    @given(st.integers(0, 10**6), KINDS, st.integers(1, 40), st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_eigvalsh(self, seed, kind, p, n):
+        skipped = _assert_sound(_stack(seed, kind, p, n))
+        if p == 1:
+            assert not skipped.any()
+
+    @given(st.integers(0, 10**6), KINDS, st.integers(2, 40), st.integers(1, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_nan_rows_are_kept(self, seed, kind, p, n, data):
+        g = _stack(seed, kind, p, n)
+        row, i, j = (data.draw(st.integers(0, size - 1)) for size in g.shape)
+        g[row, i, j] = np.nan
+        _assert_sound(g)
+
+    @given(st.integers(0, 10**6), KINDS, st.integers(1, 20), st.integers(1, 8), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_ties_of_the_minimum_are_kept(self, seed, kind, p, n, copies):
+        g = _stack(seed, kind, p, n)
+        h = g + g.transpose(0, 2, 1)
+        lowest = g[np.argmin(np.linalg.eigvalsh(h).min(axis=1))]
+        g = np.concatenate([g, np.repeat(lowest[None], copies, axis=0)])
+        plain = np.linalg.eigvalsh(g + g.transpose(0, 2, 1)).min(axis=1)
+        skipped = _assert_sound(g)
+        assert not skipped[plain == plain.min()].any()
+
+    def test_a_dominant_stack_prunes(self):
+        assert _assert_sound(_stack(3, "dominant", 40, 5)).sum() > 20
+        assert _assert_sound(_stack(3, "game", 40, 5)).sum() > 20
+
+
+class TestEigensolveCount:
+    """Most sweep points skip the eigensolve: count the finite values ``_rosen_values``
+    returns to ``rosen_sweep`` (its ``rosen_check`` solves one more)."""
+
+    @staticmethod
+    def solved(patch):
+        counts = []
+
+        def counted(g):
+            values = analysis._rosen_values.__wrapped__(g)
+            if len(g) > 1:
+                counts.append((int(np.isfinite(values).sum()), len(g)))
+            return values
+
+        counted.__wrapped__ = analysis._rosen_values
+        patch.setattr(analysis, "_rosen_values", counted)
+        return counts
+
+    def test_five_player_sweep(self, monkeypatch):
+        counts = self.solved(monkeypatch)
+        rosen_sweep(five_player_game(), samples=1000, seed=0)
+        ((solved, points),) = counts
+        assert points == 1001
+        assert solved <= 0.10 * points
+
+    def test_sdd_ensemble(self, monkeypatch):
+        counts = self.solved(monkeypatch)
+        conjecture_sweep(MatrixEnsembleConfig(n=5, count=20, seed=0), samples_per_matrix=200)
+        assert len(counts) == 20
+        assert all(solved <= 0.15 * points for solved, points in counts)
+
+
 class TestJacobianConsistency:
     @pytest.mark.parametrize("seed", range(5))
     def test_rosen_matrix_is_the_gradient_jacobian(self, seed):

@@ -457,26 +457,54 @@ ALLOCATION = "Unable to allocate 7.45 GiB for an array with shape (1000000001, 5
 
 class TestOversizeRequest:
     """A request too large for memory exits 2 with one ``error:`` line, not 1 (which
-    means a violation) with a traceback.  The callee raises; nothing is allocated."""
+    means a violation) with a traceback, and removes the directories its ``--out``
+    made.  The callee raises; nothing is allocated."""
+
+    @staticmethod
+    def oversize(monkeypatch, callee, message=ALLOCATION):
+        def raises(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, callee, raises)
 
     @pytest.mark.parametrize(
         "argv, callee",
         [
             (["check-rosen", "--preset", "five-player", "--samples", "1000000000"], "rosen_sweep"),
+            (["check-rosen", "--config", "ENSEMBLE", "--samples", "1000000000"], "conjecture_sweep"),
             (["gen-matrix", "--n", "100000"], "_draw_matrix"),
         ],
-        ids=["check-rosen", "gen-matrix"],
+        ids=["check-rosen", "check-rosen-ensemble", "gen-matrix"],
     )
     @pytest.mark.parametrize("message", [ALLOCATION, ""], ids=["numpy", "bare"])
     def test_exits_two_with_one_error_line(self, tmp_path, capsys, monkeypatch, argv, callee, message):
-        def oversize(*args, **kwargs):
-            raise MemoryError(message)
-
-        monkeypatch.setattr(cli, callee, oversize)
-        assert run_cli(*argv, "--out", str(tmp_path / "out.json")) == 2
+        ensemble = tmp_path / "ensemble.json"
+        ensemble.write_text(json.dumps({"ensemble": {"n": 3, "count": 2}}), encoding="utf-8")
+        argv = [str(ensemble) if arg == "ENSEMBLE" else arg for arg in argv]
+        self.oversize(monkeypatch, callee, message)
+        assert run_cli(*argv, "--out", str(tmp_path / "new" / "dir" / "out.json")) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message or 'out of memory'}\n"
+        assert not (tmp_path / "new").exists()
+
+    def test_keeps_directories_it_did_not_make(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "old").mkdir()
+        self.oversize(monkeypatch, "_draw_matrix")
+        assert run_cli("gen-matrix", "--n", "3", "--out", str(tmp_path / "old" / "new" / "m.json")) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["old"]
+        assert not any((tmp_path / "old").iterdir())
+
+    def test_keeps_a_directory_that_is_no_longer_empty(self, tmp_path, capsys, monkeypatch):
+        def fills_then_raises(ensemble):
+            (tmp_path / "new" / "partial").write_text("", encoding="utf-8")
+            raise MemoryError(ALLOCATION)
+
+        monkeypatch.setattr(cli, "_draw_matrix", fills_then_raises)
+        assert run_cli("gen-matrix", "--n", "3", "--out", str(tmp_path / "new" / "m.json")) == 2
+        assert capsys.readouterr().err == f"error: {ALLOCATION}\n"
+        assert [p.name for p in (tmp_path / "new").iterdir()] == ["partial"]
 
 
 def assert_config_error(capsys, code, out):
