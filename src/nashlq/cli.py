@@ -7,9 +7,12 @@ are flat CSV/JSON files meant for external plotting tools.
 
 Exit codes: 0 success, 1 uniqueness-condition violation found,
 2 invalid configuration, an output that cannot be written, or a request
-too large for memory (the run removes the output directories it made
-that are still empty), 3 solver failure (unstable profile),
-4 a ``reproduce-paper`` gate failed.
+too large for memory, 3 solver failure (an unstable profile, or one the
+pivot test refuses as numerically singular), 4 a ``reproduce-paper`` gate
+failed.  Each subcommand runs its work and writes inside one output guard,
+:func:`_output`: a run that fails after making its output location,
+whatever the exit code, or is interrupted, removes the directories it made
+that are still empty.
 """
 
 from __future__ import annotations
@@ -82,34 +85,32 @@ class OutputError(ValueError):
 
 
 @contextlib.contextmanager
-def _writing(target):
-    """Report an ``OSError`` raised while creating or writing ``target`` as an :class:`OutputError`."""
-    try:
-        yield
-    except OSError as err:
-        raise OutputError(f"cannot write {err.filename or target}: {err.strerror or err}") from err
+def _output(path, directory: bool = False):
+    """Guard a command's work and writes, run in the ``with`` block; yields ``path`` as a Path.
 
-
-def _output(path, made: list[Path], directory: bool = False) -> Path:
-    """Create an output location before any work runs: the directory itself,
-    or a file's parent, refusing an existing directory as the file.  The
-    directories it makes are appended to ``made``, outermost first."""
+    Makes the output location before the block runs: the directory itself,
+    or a file's parent, refusing an existing directory as the file.  An
+    ``OSError`` raised here or in the block is reported as an
+    :class:`OutputError`.  If anything is raised, an interrupt included,
+    the directories made here that are still empty are removed, innermost
+    first, before it propagates.
+    """
     path = Path(path)
-    with _writing(path):
+    target = path if directory else path.parent
+    made = []
+    try:
+        made = list(itertools.takewhile(lambda p: not p.exists(), (target, *target.parents)))
         if not directory and path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        target = path if directory else path.parent
-        missing = itertools.takewhile(lambda p: not p.exists(), (target, *target.parents))
-        made.extend(reversed(list(missing)))
         target.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _remove_empty(made: list[Path]) -> None:
-    """Remove the directories of ``made`` that are still empty, innermost first."""
-    for directory in reversed(made):
-        with contextlib.suppress(OSError):
-            directory.rmdir()
+        yield path
+    except BaseException as err:
+        for new in made:
+            with contextlib.suppress(OSError):
+                new.rmdir()
+        if isinstance(err, OSError):
+            raise OutputError(f"cannot write {err.filename or path}: {err.strerror or err}") from err
+        raise
 
 
 def _fmt_vec(values) -> str:
@@ -120,17 +121,15 @@ def _game_dict(spec: GameSpec) -> dict:
     return {name: getattr(spec, name).tolist() for name in ("a", "rho", "k_lower", "k_upper")}
 
 
-def cmd_learn(args, made: list[Path]) -> int:
+def cmd_learn(args) -> int:
     exp = load_experiment(args.config, vars(args))
-    out = _output(exp.output_dir, made, directory=True)
-    k0 = exp.k0
-    if k0 is None:
-        rng = substream(exp.sim.seed, *_START_KEY)
-        k0 = exp.game.k_lower + rng.random(exp.game.n) * (exp.game.k_upper - exp.game.k_lower)
-    run = run_gradient_play(exp.game, k0, exp.learn)
-
-    _, suffix = HISTORY_FORMATS[exp.format]
-    with _writing(out):
+    with _output(exp.output_dir, directory=True) as out:
+        k0 = exp.k0
+        if k0 is None:
+            rng = substream(exp.sim.seed, *_START_KEY)
+            k0 = exp.game.k_lower + rng.random(exp.game.n) * (exp.game.k_upper - exp.game.k_lower)
+        run = run_gradient_play(exp.game, k0, exp.learn)
+        _, suffix = HISTORY_FORMATS[exp.format]
         history_path = write_history(out / f"history{suffix}", run, exp.format)
 
     print(f"mode {exp.learn.mode}: {run.stages_used} stages, converged={run.converged}")
@@ -141,70 +140,69 @@ def cmd_learn(args, made: list[Path]) -> int:
     return EXIT_OK
 
 
-def cmd_reproduce_paper(args, made: list[Path]) -> int:
+def cmd_reproduce_paper(args) -> int:
     flags = dict(vars(args), mode=args.mode or "model-free")
     exp = load_experiment(None, {**flags, **resolve(flags, {}, REPRODUCE_DEFAULTS[flags["mode"]])})
     exact = exp.learn.mode == "exact"
     if args.independent_rounds and exact:
         raise ConfigError("--independent-rounds applies to model-free mode only; exact play draws no noise")
-    out = _output(exp.output_dir, made, directory=True)
-    starts = (FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START)
-    # By default both rounds play as one stack on the same per-stage noise
-    # substreams, so they differ only in their starting profiles;
-    # --independent-rounds plays each round alone, round 2 on its own stream.
-    learns = [exp.learn, exp.learn]
-    if args.independent_rounds:
-        learns[1] = replace(exp.learn, sim=replace(exp.sim, seed=exp.sim.seed + 1))
-        runs = [run_lockstep(exp.game, [start], learn)[0] for start, learn in zip(starts, learns)]
-    else:
-        runs = run_lockstep(exp.game, starts, exp.learn)
+    with _output(exp.output_dir, directory=True) as out:
+        starts = (FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START)
+        # By default both rounds play as one stack on the same per-stage noise
+        # substreams, so they differ only in their starting profiles;
+        # --independent-rounds plays each round alone, round 2 on its own stream.
+        learns = [exp.learn, exp.learn]
+        if args.independent_rounds:
+            learns[1] = replace(exp.learn, sim=replace(exp.sim, seed=exp.sim.seed + 1))
+            runs = [run_lockstep(exp.game, [start], learn)[0] for start, learn in zip(starts, learns)]
+        else:
+            runs = run_lockstep(exp.game, starts, exp.learn)
 
-    finals = [run.final.k for run in runs]
-    cross_gap = float(np.max(np.abs(finals[0] - finals[1])))
-    published = (FIVE_PLAYER_ROUND1_FINAL, FIVE_PLAYER_ROUND2_FINAL)
+        finals = [run.final.k for run in runs]
+        cross_gap = float(np.max(np.abs(finals[0] - finals[1])))
+        published = (FIVE_PLAYER_ROUND1_FINAL, FIVE_PLAYER_ROUND2_FINAL)
 
-    rows = [
-        (label, index, k)
-        for label, profiles in (("initial", starts), ("final", finals), ("published_final", published))
-        for index, k in enumerate(profiles, start=1)
-    ]
-    header = ["row", "round"] + [f"player_{i}" for i in range(1, exp.game.n + 1)]
+        rows = [
+            (label, index, k)
+            for label, profiles in (("initial", starts), ("final", finals), ("published_final", published))
+            for index, k in enumerate(profiles, start=1)
+        ]
+        header = ["row", "round"] + [f"player_{i}" for i in range(1, exp.game.n + 1)]
 
-    gaps = {"cross_round": cross_gap}
-    if not exact:
-        for index, (final, target) in enumerate(zip(finals, published), start=1):
-            gaps[f"round{index}_vs_published"] = float(np.max(np.abs(final - target)))
-    tolerance = 1e-6 if exact else 0.1
-    checks = {
-        name: {"tolerance": tolerance, "value": gap, "passed": gap <= tolerance}
-        for name, gap in gaps.items()
-    }
-    passed = all(c["passed"] for c in checks.values())
+        gaps = {"cross_round": cross_gap}
+        if not exact:
+            for index, (final, target) in enumerate(zip(finals, published), start=1):
+                gaps[f"round{index}_vs_published"] = float(np.max(np.abs(final - target)))
+        tolerance = 1e-6 if exact else 0.1
+        checks = {
+            name: {"tolerance": tolerance, "value": gap, "passed": gap <= tolerance}
+            for name, gap in gaps.items()
+        }
+        passed = all(c["passed"] for c in checks.values())
 
-    summary = {
-        "mode": exp.learn.mode,
-        "seed": exp.sim.seed,
-        "round_seeds": [learn.sim.seed for learn in learns],
-        "stages": exp.learn.stages,
-        "step_size": exp.learn.step_size,
-        "batch_size": exp.sim.batch_size,
-        "horizon": exp.sim.horizon,
-        "dt": exp.sim.dt,
-        "rounds": [
-            {
-                "start": start.tolist(),
-                "final": final.tolist(),
-                "stages_used": run.stages_used,
-                "converged": run.converged,
-            }
-            for start, final, run in zip(starts, finals, runs)
-        ],
-        "published_finals": [p.tolist() for p in published],
-        "cross_round_gap": cross_gap,
-        "checks": checks,
-        "passed": passed,
-    }
-    with _writing(out):
+        summary = {
+            "mode": exp.learn.mode,
+            "seed": exp.sim.seed,
+            "round_seeds": [learn.sim.seed for learn in learns],
+            "stages": exp.learn.stages,
+            "step_size": exp.learn.step_size,
+            "batch_size": exp.sim.batch_size,
+            "horizon": exp.sim.horizon,
+            "dt": exp.sim.dt,
+            "rounds": [
+                {
+                    "start": start.tolist(),
+                    "final": final.tolist(),
+                    "stages_used": run.stages_used,
+                    "converged": run.converged,
+                }
+                for start, final, run in zip(starts, finals, runs)
+            ],
+            "published_finals": [p.tolist() for p in published],
+            "cross_round_gap": cross_gap,
+            "checks": checks,
+            "passed": passed,
+        }
         for index, run in enumerate(runs, start=1):
             write_history(out / f"round{index}.csv", run, "csv")
         write_csv(out / "comparison.csv", header, ([label, index, *k.tolist()] for label, index, k in rows))
@@ -221,31 +219,30 @@ def cmd_reproduce_paper(args, made: list[Path]) -> int:
     return EXIT_OK if passed else EXIT_GATE
 
 
-def cmd_check_rosen(args, made: list[Path]) -> int:
+def cmd_check_rosen(args) -> int:
     overrides = vars(args)
     raw = read_config(args.config)
     if "ensemble" in raw:
         ensemble, sweep = load_ensemble(raw, overrides)
-        out = _output(args.output_dir, made)
-        result = conjecture_sweep(ensemble, **sweep)
-        payload = {
-            "ensemble": {**asdict(ensemble), **sweep},
-            "min_eig": result.min_eig,
-            "spot_checked": result.spot_checked,
-            "spot_check_max_rel_err": result.spot_check_max_rel_err,
-            "violations": [
-                {
-                    "matrix_index": rec.matrix_index,
-                    "seed": rec.seed,
-                    "game": _game_dict(rec.spec),
-                    "min_eig": rec.report.min_eig,
-                    "witness": rec.report.witness.k.tolist(),
-                    "samples": rec.report.samples,
-                }
-                for rec in result.violations
-            ],
-        }
-        with _writing(out):
+        with _output(args.output_dir) as out:
+            result = conjecture_sweep(ensemble, **sweep)
+            payload = {
+                "ensemble": {**asdict(ensemble), **sweep},
+                "min_eig": result.min_eig,
+                "spot_checked": result.spot_checked,
+                "spot_check_max_rel_err": result.spot_check_max_rel_err,
+                "violations": [
+                    {
+                        "matrix_index": rec.matrix_index,
+                        "seed": rec.seed,
+                        "game": _game_dict(rec.spec),
+                        "min_eig": rec.report.min_eig,
+                        "witness": rec.report.witness.k.tolist(),
+                        "samples": rec.report.samples,
+                    }
+                    for rec in result.violations
+                ],
+            }
             write_json(out, payload)
         print(
             f"{ensemble.count} matrices x {sweep['samples_per_matrix']} samples "
@@ -258,56 +255,56 @@ def cmd_check_rosen(args, made: list[Path]) -> int:
     exp = _experiment(raw, overrides)
     samples = resolve(overrides, {}, {"samples": 1000})["samples"]
     _check_sweep(samples)
-    out = _output(args.output_dir, made)
-    report = rosen_sweep(exp.game, samples, seed=exp.sim.seed)
-    payload = {
-        "game": _game_dict(exp.game),
-        "seed": exp.sim.seed,
-        "samples": report.samples,
-        "min_eig": report.min_eig,
-        "witness": report.witness.k.tolist(),
-        "violated": report.violated,
-    }
-    print(f"min eig of G + G^T over {report.samples} samples: {report.min_eig:.6g}")
-    print(f"witness profile: {_fmt_vec(report.witness.k)}")
-    if exp.game.n == 2:
-        a = exp.game.a
-        try:
-            witness_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *report.witness.k)
-            corner_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *exp.game.k_lower)
-        except PreconditionViolated as err:
-            print(f"mu not reported: {err}")
-        else:
-            payload["mu"] = {"at_witness": witness_mu, "at_lower_corner": corner_mu}
-            print(f"mu at witness: {witness_mu:.6g}; mu at lower corner: {corner_mu:.6g}")
-    with _writing(out):
+    with _output(args.output_dir) as out:
+        report = rosen_sweep(exp.game, samples, seed=exp.sim.seed)
+        payload = {
+            "game": _game_dict(exp.game),
+            "seed": exp.sim.seed,
+            "samples": report.samples,
+            "min_eig": report.min_eig,
+            "witness": report.witness.k.tolist(),
+            "violated": report.violated,
+        }
+        lines = [
+            f"min eig of G + G^T over {report.samples} samples: {report.min_eig:.6g}",
+            f"witness profile: {_fmt_vec(report.witness.k)}",
+        ]
+        if exp.game.n == 2:
+            a = exp.game.a
+            try:
+                witness_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *report.witness.k)
+                corner_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *exp.game.k_lower)
+            except PreconditionViolated as err:
+                lines.append(f"mu not reported: {err}")
+            else:
+                payload["mu"] = {"at_witness": witness_mu, "at_lower_corner": corner_mu}
+                lines.append(f"mu at witness: {witness_mu:.6g}; mu at lower corner: {corner_mu:.6g}")
         write_json(out, payload)
-    print(f"report written to {out}")
+    print(*lines, f"report written to {out}", sep="\n")
     return EXIT_VIOLATION if report.violated else EXIT_OK
 
 
-def cmd_gen_matrix(args, made: list[Path]) -> int:
+def cmd_gen_matrix(args) -> int:
     ensemble = load_matrix(args.config, vars(args))
-    out = _output(args.output_dir, made)
-    a = _draw_matrix(ensemble)[0]
-    offdiag = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
-    margins = np.abs(np.diag(a)) - offdiag
-    min_eig = float(np.linalg.eigvalsh(a).min())
-    payload = {
-        "n": ensemble.n,
-        "seed": ensemble.seed,
-        "offdiag_scale": ensemble.offdiag_scale,
-        "dominance_margin": ensemble.dominance_margin,
-        "matrix": a.tolist(),
-        "verification": {
-            "symmetric": bool(np.array_equal(a, a.T)),
-            "negative_diagonal": bool(np.all(np.diag(a) < 0)),
-            "gershgorin_margins": margins.tolist(),
-            "strictly_diagonally_dominant": bool(np.all(margins > 0)),
-            "min_eigenvalue": min_eig,
-        },
-    }
-    with _writing(out):
+    with _output(args.output_dir) as out:
+        a = _draw_matrix(ensemble)[0]
+        offdiag = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
+        margins = np.abs(np.diag(a)) - offdiag
+        min_eig = float(np.linalg.eigvalsh(a).min())
+        payload = {
+            "n": ensemble.n,
+            "seed": ensemble.seed,
+            "offdiag_scale": ensemble.offdiag_scale,
+            "dominance_margin": ensemble.dominance_margin,
+            "matrix": a.tolist(),
+            "verification": {
+                "symmetric": bool(np.array_equal(a, a.T)),
+                "negative_diagonal": bool(np.all(np.diag(a) < 0)),
+                "gershgorin_margins": margins.tolist(),
+                "strictly_diagonally_dominant": bool(np.all(margins > 0)),
+                "min_eigenvalue": min_eig,
+            },
+        }
         write_json(out, payload)
     print(f"{ensemble.n}x{ensemble.n} matrix, gershgorin margins {_fmt_vec(margins)}")
     print(f"smallest eigenvalue: {min_eig:.6g}")
@@ -315,14 +312,20 @@ def cmd_gen_matrix(args, made: list[Path]) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args, made: list[Path]) -> int:
+def cmd_simulate(args) -> int:
     exp = load_experiment(args.config, vars(args))
     k = _read_profile(args.k, 0.5 * (exp.game.k_lower + exp.game.k_upper), exp.game.n, "k")
-    closed_form = cost(exp.game, k)  # an unstable profile fails here, before --out is made
-    path = _output(args.output_dir, made) if args.output_dir else None
-
-    estimate = monte_carlo_cost(exp.game, k, exp.sim)
-    rel = np.abs(estimate - closed_form) / np.abs(closed_form)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, before --out is made
+        closed_form = cost(exp.game, k)  # an unstable profile raises here
+    if not np.all(np.isfinite(closed_form)):
+        raise ConfigError(f"the closed-form cost overflows at k = {_fmt_vec(k)}")
+    with _output(args.output_dir) if args.output_dir else contextlib.nullcontext() as path:
+        estimate = monte_carlo_cost(exp.game, k, exp.sim)
+        rel = np.abs(estimate - closed_form) / np.abs(closed_form)
+        if path:
+            columns = (k, estimate, closed_form, rel)
+            rows = zip(range(1, exp.game.n + 1), *(column.tolist() for column in columns))
+            write_csv(path, ["player", "k", "estimate", "closed_form", "rel_error"], rows)
 
     print(f"profile: {_fmt_vec(k)}  (stability margin {stability_margin(exp.game, k):.6g})")
     print(
@@ -332,12 +335,7 @@ def cmd_simulate(args, made: list[Path]) -> int:
     print("player   estimate      closed-form   rel-error")
     for i in range(exp.game.n):
         print(f"{i + 1:>6}   {estimate[i]:<12.6g}  {closed_form[i]:<12.6g}  {rel[i]:.3e}")
-
     if path:
-        columns = (k, estimate, closed_form, rel)
-        rows = zip(range(1, exp.game.n + 1), *(column.tolist() for column in columns))
-        with _writing(path):
-            write_csv(path, ["player", "k", "estimate", "closed_form", "rel_error"], rows)
         print(f"table written to {path}")
     return EXIT_OK
 
@@ -369,9 +367,8 @@ _FLAGS = {
     "--margin": dict(dest="dominance_margin", type=float, metavar="F", help="diagonal dominance margin"),
 }
 
-# Each subcommand's handler, called with the parsed flags and the list that
-# _output adds the directories it makes to, help line, default --out, and
-# flags in help order.
+# Each subcommand's handler, called with the parsed flags, help line, default
+# --out, and flags in help order.
 _COMMANDS = {
     "learn": (cmd_learn, "run projected gradient play and write the staged history", None,
               "--config --seed --out --batch --horizon --dt --preset --mode --stages --step-size"
@@ -412,11 +409,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    made = []
     try:
-        return args.func(args, made)
+        return args.func(args)
     except (ValueError, MemoryError) as err:  # numpy's MemoryError names the allocation
-        _remove_empty(made)
         print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except NotPositiveDefinite as err:

@@ -19,6 +19,10 @@ nested JSON object::
       "format": "csv"
     }
 
+``output_dir`` and ``format`` are ``learn``'s; ``check-rosen`` and
+``simulate`` write only where ``--out`` says, and ``reproduce-paper`` reads
+no file.
+
 ``check-rosen`` also takes an ensemble sweep in place of a game::
 
     {"ensemble": {"n": 5, "count": 100, "offdiag_scale": 1.0,
@@ -94,10 +98,14 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     game: GameSpec
     learn: LearnConfig
-    sim: SimConfig
     output_dir: Path
     format: str
     k0: np.ndarray | None
+
+    @property
+    def sim(self) -> SimConfig:
+        """The simulation settings, stored once, in ``learn``."""
+        return self.learn.sim
 
 
 def _unique_keys(pairs) -> dict:
@@ -267,7 +275,7 @@ def _experiment(raw: dict, overrides: dict) -> ExperimentConfig:
     if top["format"] not in HISTORY_FORMATS:
         raise ConfigError(f"format must be one of {tuple(HISTORY_FORMATS)}")
     return ExperimentConfig(
-        game=game, learn=learn, sim=sim, output_dir=Path(top["output_dir"]), format=top["format"], k0=k0
+        game=game, learn=learn, output_dir=Path(top["output_dir"]), format=top["format"], k0=k0
     )
 
 

@@ -160,7 +160,10 @@ class GameSpec:
     the lower bounds are lifted to
     ``max(0, a_ii + sum_j|a_ij| + margin)``, which makes ``K - A`` strictly
     diagonally dominant with positive diagonal for every profile in the box,
-    hence positive definite.
+    hence positive definite.  Positive definite on the whole box does not
+    mean every box profile passes the kernel: its relative pivot test
+    (``PIVOT_RTOL``) still refuses a profile whose ``K - A`` is numerically
+    singular, such as ``k = (1, 1e14)`` for ``A = -I`` and ``k_upper = 1e14``.
 
     Two read-only values are computed on first use and kept, for
     :func:`evaluate`'s single-profile path: ``_neg_a``, ``-A`` in C order,

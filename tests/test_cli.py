@@ -393,6 +393,17 @@ class TestSimulate:
         assert run_cli("simulate", "--preset", "five-player", "--k", "1.0", "--out", str(out)) == 2
         assert not (tmp_path / "new").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "preset, k", [("scalar", "1e300"), ("scalar", "1e160"), ("two-player", "1e200,1e200")]
+    )
+    def test_overflowing_cost_is_config_error(self, tmp_path, capsys, preset, k):
+        out = tmp_path / "new" / "sim.csv"
+        code = run_cli("simulate", "--preset", preset, "--k", k, "--batch", "3", "--out", str(out))
+        err = assert_config_error(capsys, code, out)
+        assert err.startswith("error: the closed-form cost overflows at k = [")
+        assert not (tmp_path / "new").exists()
+
 
 def _never(*args, **kwargs):
     raise AssertionError("work ran before the output location was checked")
@@ -505,6 +516,49 @@ class TestOversizeRequest:
         assert run_cli("gen-matrix", "--n", "3", "--out", str(tmp_path / "new" / "m.json")) == 2
         assert capsys.readouterr().err == f"error: {ALLOCATION}\n"
         assert [p.name for p in (tmp_path / "new").iterdir()] == ["partial"]
+
+
+class TestFailedRunLeavesNoDirectory:
+    """Whatever ends a run after its ``--out`` is made, a solver failure or an
+    interrupt, the directories it made that are still empty are removed."""
+
+    def test_solver_failure_after_output_is_made(self, tmp_path, capsys):
+        wide = tmp_path / "wide.json"
+        game = {"a": [[-1.0, 0.0], [0.0, -1.0]], "k_upper": [1e14, 1e14]}
+        wide.write_text(json.dumps({"game": game}), encoding="utf-8")
+        out = tmp_path / "new3" / "run"
+        code = run_cli("learn", "--config", str(wide), "--k0", "1,1e14", "--stages", "5", "--out", str(out))
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver failure: K - A is numerically singular")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "new3").exists()
+
+    @pytest.mark.parametrize(
+        "argv, callee",
+        [
+            (["learn", "--preset", "scalar", "--stages", "3", "--out", "{out}"], "run_gradient_play"),
+            (["reproduce-paper", "--mode", "exact", "--stages", "3", "--out", "{out}"], "run_lockstep"),
+            (["check-rosen", "--preset", "five-player", "--samples", "5", "--out", "{out}/r.json"],
+             "rosen_sweep"),
+            (["check-rosen", "--config", "{ensemble}", "--out", "{out}/r.json"], "conjecture_sweep"),
+            (["gen-matrix", "--n", "2", "--out", "{out}/m.json"], "_draw_matrix"),
+            (["simulate", "--preset", "scalar", "--batch", "5", "--horizon", "1", "--out", "{out}/s.csv"],
+             "monte_carlo_cost"),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else value,
+    )
+    def test_interrupt_propagates_and_removes_new_directories(self, tmp_path, monkeypatch, argv, callee):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        ensemble = tmp_path / "ensemble.json"
+        ensemble.write_text(json.dumps({"ensemble": {"n": 2, "count": 1, "samples": 5}}), encoding="utf-8")
+        monkeypatch.setattr(cli, callee, interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*(arg.format(out=tmp_path / "kb" / "new", ensemble=ensemble) for arg in argv))
+        assert [p.name for p in tmp_path.iterdir()] == ["ensemble.json"]
 
 
 def assert_config_error(capsys, code, out):
