@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import (
+    PRUNE_SLACK,
     ActionProfile,
     GameSpec,
     _evaluate_stack,
@@ -79,10 +80,6 @@ NEGATIVE_DEFINITE_EIGS = (0.02, 2.0)
 
 # Finite-difference spot checks per matrix, as a fraction of its sweep samples.
 SPOT_CHECK_RATE = 0.01
-
-# Slack of the sweep's eigensolve pruning per unit of a matrix's infinity norm,
-# far above the round-off it covers (see _rosen_values).
-PRUNE_SLACK = 2.0**-26
 
 
 class PreconditionViolated(ValueError):

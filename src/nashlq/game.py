@@ -21,8 +21,11 @@ that raises :class:`NotPositiveDefinite` naming the first failing profile),
 and forms the stacked resolvents from the factors.  Sweeps over many
 profiles call the kernel in blocks through :func:`_in_blocks`, whose one
 bound, ``BLOCK_ENTRIES``, caps the array entries a block holds, so a block's
-row count follows from n.  Every stability check, here and in
-:mod:`nashlq.simulate`, uses the kernel's factor step.
+row count follows from n.  Every stability check here uses the kernel's
+factor step.  :mod:`nashlq.simulate` certifies a profile from the
+eigenvalues of the one ``eigh`` of ``A - K`` its costs need anyway, and hands
+any profile those cannot certify to the same factor step, which raises the
+same :class:`NotPositiveDefinite`.
 
 :func:`evaluate`, which gradient play calls once per stage, is the kernel's
 ``P = 1`` case without the stack axis (:func:`_evaluate_one`): the same
@@ -59,6 +62,12 @@ STABILITY_MARGIN = 1e-6
 
 # Cholesky pivots below this fraction of ||K - A||_inf count as failure.
 PIVOT_RTOL = 1e-12
+
+# Slack per unit of a matrix's infinity norm, far above the round-off of
+# LAPACK's eigenvalues it covers: the Rosen sweep's eigensolve pruning
+# (analysis._rosen_values) and the model-free stability certificate
+# (simulate._checked_modes) state the argument.
+PRUNE_SLACK = 2.0**-26
 
 # Array entries one stacked block holds, e.g. P profiles of n^2 entries each;
 # bounds every blocked loop's work arrays, whatever n and the row count.
@@ -164,6 +173,8 @@ class GameSpec:
     mean every box profile passes the kernel: its relative pivot test
     (``PIVOT_RTOL``) still refuses a profile whose ``K - A`` is numerically
     singular, such as ``k = (1, 1e14)`` for ``A = -I`` and ``k_upper = 1e14``.
+    A box on which some player with ``rho_i > 0`` has ``rho_i k_i^2`` beyond
+    the float range at a corner is refused, as its costs would overflow.
 
     Two read-only values are computed on first use and kept, for
     :func:`evaluate`'s single-profile path: ``_neg_a``, ``-A`` in C order,
@@ -204,6 +215,10 @@ class GameSpec:
                 "empty action box: need k_lower < k_upper componentwise "
                 f"(after any stability lift, k_lower={k_lower})"
             )
+        # Costs weigh each player's state by 1 + rho_i k_i^2, largest at a corner.
+        for r, low, high in zip(rho.tolist(), k_lower.tolist(), k_upper.tolist()):
+            if r > 0 and not math.isfinite(r * max(low * low, high * high)):
+                raise ValueError(f"action box too wide: rho * k^2 overflows at a corner for rho = {r:g}")
 
         object.__setattr__(self, "a", _frozen(a))
         object.__setattr__(self, "rho", _frozen(rho))

@@ -17,9 +17,16 @@ O(B n^2 + n^3).  Per-trajectory costs, O(B n^3), are computed only by
 blocks of at most ``game.BLOCK_ENTRIES // n^2`` trajectories, so no
 ``(B, n, n)`` array is formed.
 
+Every cost takes one ``eigh`` of ``A - K`` per profile, and its eigenvalues
+also certify stability (:func:`_checked_modes` states why that is sound):
+a profile they cannot certify goes to the kernel's factor check,
+:func:`game._cholesky`, which raises the kernel's :class:`NotPositiveDefinite`
+for it.  The check comes before any state is drawn or any cost formed, so
+an unstable profile yields no number.
+
 :func:`monte_carlo_cost` also takes an ``(R, n)`` stack of profiles.  The
 stack shares one draw of the ``(seed, stage)`` batch (common random
-numbers), one stability check, and one stacked ``eigh``, pair-integral
+numbers), and one stacked ``eigh``, stability certificate, pair-integral
 table and modal reduction; numpy works matrix by matrix over a leading
 axis, so row ``r`` of the estimate is the one-profile call on ``k[r]``
 bit for bit.
@@ -31,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, _cholesky, _closed_loop, _in_blocks, _is_finite, _profile, profile_array
-from .game import _require_finite, _require_int
+from .game import PIVOT_RTOL, PRUNE_SLACK, GameSpec, _cholesky, _closed_loop, _in_blocks, _is_finite
+from .game import _UNIT_ROUNDOFF, _profile, _require_finite, _require_int, profile_array
 
 __all__ = [
     "SQRT3",
@@ -107,24 +114,11 @@ def sample_initial_state(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-SQRT3, SQRT3, size=shape)
 
 
-def _profiles(spec: GameSpec, k) -> np.ndarray:
-    """``k`` as one profile of shape ``(n,)`` or a stack of shape ``(R, n)``."""
-    ks = profile_array(k)
-    if ks.ndim == 2 and ks.shape[1] == spec.n:
-        return ks
-    return _profile(spec, ks)
-
-
-def _modes(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of ``A - K`` at one validated profile or each row of a stack."""
-    return np.linalg.eigh(-_closed_loop(spec.a, ks))
-
-
 def simulate_state(spec: GameSpec, k, x0, t: float) -> np.ndarray:
     """Closed-loop state ``x(t) = exp((A - K) t) x0`` via the symmetric modes."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    lam, q = _modes(spec, _profile(spec, k))
+    lam, q = np.linalg.eigh(-_closed_loop(spec.a, _profile(spec, k)))
     x0 = np.asarray(x0, dtype=float)
     return q @ (np.exp(lam * t) * (q.T @ x0))
 
@@ -143,26 +137,64 @@ def pair_integrals(eigs: np.ndarray, horizon: float, dt: float | None = None) ->
     hence positive semidefinite.
     """
     eigs = np.asarray(eigs, dtype=float)
-    s = eigs[..., :, None] + eigs[..., None, :]
-    if dt is None:
-        denom = np.where(s == 0.0, 1.0, s)
-        return np.where(s == 0.0, horizon, np.expm1(s * horizon) / denom)
-    steps = max(1, round(horizon / dt))
-    step = horizon / steps
-    z = s * step
-    flat = z == 0.0
-    # A negative stand-in for the masked zero-rate pairs, so that
-    # expm1(steps * z) stays finite for any number of steps.
-    z = np.where(flat, -1.0, z)
-    trapezoid = step * 0.5 * (1.0 + np.exp(z)) * (np.expm1(steps * z) / np.expm1(z))
-    return np.where(flat, horizon, trapezoid)
+    z = eigs[..., :, None] + eigs[..., None, :]
+    if dt is not None:
+        steps = max(1, round(horizon / dt))
+        step = horizon / steps
+        z = z * step
+    # Zero-rate pairs, if any, are masked to the horizon.  A negative stand-in
+    # for them keeps expm1(steps * z) finite for any number of steps.
+    flat = None if z.all() else z == 0.0
+    if flat is not None:
+        z = np.where(flat, -1.0, z)
+    table = (np.expm1(z * horizon) / z if dt is None
+             else step * 0.5 * (1.0 + np.exp(z)) * (np.expm1(steps * z) / np.expm1(z)))
+    return table if flat is None else np.where(flat, horizon, table)
 
 
-def _weights(spec: GameSpec, ks: np.ndarray, config: SimConfig):
-    """Modal basis and pair-integral table of the closed loop at each profile."""
-    lam, q = _modes(spec, ks)
-    dt = None if config.integrator == "exact" else config.dt
-    return q, pair_integrals(lam, config.horizon, dt)
+def _checked_modes(spec: GameSpec, k, config: SimConfig):
+    """``k`` as one profile of shape ``(n,)`` or a stack of shape ``(R, n)``,
+    with the modal basis and pair-integral table of ``A - K`` at each
+    profile, once the whole stack is certified stable.
+
+    ``S = K - A`` is built once, and one ``eigh`` of ``-S`` gives both the
+    modes and the certificate.  With ``B = (max|k| + ||A||_inf) (1 + 4 n u)``
+    over the stack, which bounds every matrix's computed ``||S||_inf`` as
+    :func:`game._pivot_bound` states, the stack passes when
+    ``-max(lam) - tau B - 2^-1022 > PIVOT_RTOL B``, ``tau = PRUNE_SLACK``.
+    Otherwise (NaN, infinity or an eigensolver failure included)
+    :func:`game._cholesky` decides, raising :class:`NotPositiveDefinite`
+    with the message and index it has always given.
+
+    A pass is sound: every Cholesky pivot would pass ``_cholesky``'s test.
+    LAPACK computes each eigenvalue within ``e(n) u ||S||_2`` of the stored
+    matrix's (LAPACK Users' Guide, section 4.7).  A Cholesky factorization
+    that runs to completion has ``L L^T = S + E`` with
+    ``||E||_2 <= n gamma_{n+1} ||S + E||_2``, ``gamma_m = m u / (1 - m u)``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    section 10.1), and it runs to completion when
+    ``lambda_min(S) > 20 n^{3/2} u ||S||_2``.  Each squared pivot is a
+    pivot of ``S + E``, hence at least ``lambda_min(S) - ||E||_2``.  As
+    ``||S||_2 <= ||S||_inf <= B``, a pass leaves every computed squared pivot
+    above ``PIVOT_RTOL B``, so above the test's limit, whenever
+    ``tau > (e(n) + n^2 + 2 n + 8) u``, which ``tau = 2^27 u`` meets even for
+    ``e(n) = n^2`` at every ``n <= 8000``; the ``2^-1022`` covers what the
+    roundings may lose below the normal range.
+    """
+    ks = profile_array(k)
+    if ks.ndim != 2 or ks.shape[1] != spec.n:
+        ks = _profile(spec, ks)
+    s = _closed_loop(spec.a, ks)
+    try:
+        lam, q = np.linalg.eigh(-s)
+    except np.linalg.LinAlgError:
+        _cholesky(s.reshape(-1, spec.n, spec.n))
+        raise
+    # numpy's max keeps a NaN, so a non-finite profile never passes
+    bound = (float(abs(ks).max()) + spec._norm_a) * (1.0 + 4 * spec.n * _UNIT_ROUNDOFF)
+    if not -float(lam.max()) - PRUNE_SLACK * bound - 2.0**-1022 > PIVOT_RTOL * bound:
+        _cholesky(s.reshape(-1, spec.n, spec.n))
+    return ks, q, pair_integrals(lam, config.horizon, None if config.integrator == "exact" else config.dt)
 
 
 def _modal_cost(spec: GameSpec, k: np.ndarray, q: np.ndarray, w: np.ndarray, s: np.ndarray):
@@ -180,23 +212,21 @@ def _modal_cost(spec: GameSpec, k: np.ndarray, q: np.ndarray, w: np.ndarray, s: 
     return (1.0 + spec.rho * k**2) * np.maximum(base, 0.0)
 
 
-def _batch_cost(spec: GameSpec, k, x0: np.ndarray, config: SimConfig) -> np.ndarray:
+def _batch_cost(spec: GameSpec, k, q: np.ndarray, w: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Per-trajectory costs, shape ``(B, n)``: O(B n^3), through :func:`game._in_blocks`
     at ``n^2`` entries per trajectory, its ``(n, n)`` moment in modal coordinates."""
-    q, w = _weights(spec, k, config)
     return _in_blocks(
         lambda c: _modal_cost(spec, k, q, w, c[:, :, None] * c[:, None, :]), x0 @ q, spec.n**2
     )
 
 
-def _mean_cost(spec: GameSpec, ks: np.ndarray, x0: np.ndarray, config: SimConfig) -> np.ndarray:
+def _mean_cost(spec: GameSpec, ks: np.ndarray, q: np.ndarray, w: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Mean cost over the rows of ``x0`` at each profile, shape ``ks.shape``.
 
     O(B n^2 + n^3) per profile.  The mean of the per-trajectory moments is
     the batch's second moment in modal coordinates, ``S = C^T C / B`` with
     ``C = x0 @ Q``.
     """
-    q, w = _weights(spec, ks, config)
     coords = x0 @ q
     return _modal_cost(spec, ks, q, w, (np.swapaxes(coords, -1, -2) @ coords) / x0.shape[0])
 
@@ -206,18 +236,12 @@ def trajectory_cost(spec: GameSpec, k, x0, config: SimConfig) -> np.ndarray:
 
     Integrates ``x_i(t)^2 + rho_i u_i(t)^2 = (1 + rho_i k_i^2) x_i(t)^2``
     over ``[0, horizon]`` from the given initial state, exactly or by
-    composite trapezoid depending on ``config.integrator``.
+    composite trapezoid depending on ``config.integrator``.  Raises
+    :class:`NotPositiveDefinite` if the profile leaves the stable region,
+    as :func:`monte_carlo_cost` does.
     """
     x0 = np.asarray(x0, dtype=float)
-    return _mean_cost(spec, _profile(spec, k), x0[None, :], config)
-
-
-def _draw_batch(spec: GameSpec, k, config: SimConfig, stage: int):
-    """Stability-check ``k`` (one profile or a stack), then draw the
-    ``(seed, stage)`` batch of states once for all of it."""
-    ks = _profiles(spec, k)
-    _cholesky(_closed_loop(spec.a, ks.reshape(-1, spec.n)))  # stability check up front
-    return ks, sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
+    return _mean_cost(spec, *_checked_modes(spec, _profile(spec, k), config), x0[None, :])
 
 
 def simulate_batch(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> TrajectoryBatch:
@@ -228,8 +252,9 @@ def simulate_batch(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> Traj
     batch is later processed.  Raises :class:`NotPositiveDefinite` before
     simulating if the profile leaves the stable region.
     """
-    k, x0 = _draw_batch(spec, _profile(spec, k), config, stage)
-    return TrajectoryBatch(x0=x0, per_player_cost=_batch_cost(spec, k, x0, config))
+    k, q, w = _checked_modes(spec, _profile(spec, k), config)
+    x0 = sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
+    return TrajectoryBatch(x0=x0, per_player_cost=_batch_cost(spec, k, q, w, x0))
 
 
 def monte_carlo_cost(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> np.ndarray:
@@ -246,7 +271,9 @@ def monte_carlo_cost(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> np
     BLAS reduction, so the estimate is deterministic for a given
     ``(seed, stage)`` and equals ``simulate_batch(...).per_player_cost.mean(0)``
     to round-off.  Raises :class:`NotPositiveDefinite` before sampling if
-    the profile leaves the stable region.
+    the profile leaves the stable region; the check reads the eigenvalues of
+    the one ``eigh`` of ``A - K`` the estimate needs (:func:`_checked_modes`).
     """
-    k, x0 = _draw_batch(spec, k, config, stage)
-    return _mean_cost(spec, k, x0, config)
+    ks, q, w = _checked_modes(spec, k, config)  # before the draw, so an unstable stack draws nothing
+    x0 = sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
+    return _mean_cost(spec, ks, q, w, x0)

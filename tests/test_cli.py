@@ -561,6 +561,13 @@ class TestFailedRunLeavesNoDirectory:
         assert [p.name for p in tmp_path.iterdir()] == ["ensemble.json"]
 
 
+# A box on which the cost's weight 1 + rho k^2 overflows at the upper corner.
+OVERFLOWING_BOX = {
+    "game": {"a": [[-1.0]], "rho": 1.0, "k_upper": 1e200},
+    "learn": {"k0": [1e170], "stages": 3, "mode": "exact"},
+}
+
+
 def assert_config_error(capsys, code, out):
     assert code == 2
     captured = capsys.readouterr()
@@ -596,10 +603,12 @@ class TestConfigErrors:
             (["check-rosen"], "{not json"),
             (["check-rosen"], {"ensemble": {"n": 2, "count": 1, "samples": 0}}),
             (["gen-matrix", "--n", "3", "--margin", "1.7e308", "--offdiag-scale", "1e307"], None),
+            (["learn"], OVERFLOWING_BOX),
+            (["check-rosen", "--samples", "20"], OVERFLOWING_BOX),
         ],
         ids=[
             "gen-matrix", "check-rosen-samples", "check-rosen-json", "check-rosen-ensemble-samples",
-            "gen-matrix-infinite-diagonal",
+            "gen-matrix-infinite-diagonal", "learn-overflowing-box", "check-rosen-overflowing-box",
         ],
     )
     def test_bad_input_makes_no_output_directory(self, tmp_path, capsys, argv, config):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -557,6 +558,37 @@ class TestGameSpec:
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError, match="box"):
             GameSpec(a=[[-1.0]], rho=0.0, k_upper=1.0, k_lower=2.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rho": 1.0, "k_upper": 1e200},
+            {"rho": 1.0, "k_upper": 1.4e154},
+            {"rho": 1e-300, "k_upper": 1e160},  # k^2 overflows before rho scales it, as in the kernel
+            {"a": [[-1e201]], "rho": 1.0, "k_lower": -1e200, "k_upper": 1.0},
+            {"a": -np.eye(2), "rho": [0.0, 1.0], "k_upper": [1.0, 1e155]},
+        ],
+    )
+    def test_overflowing_box_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="overflows at a corner"):
+            GameSpec(**{"a": [[-1.0]], **kwargs})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rho": 0.0, "k_upper": 2.0**600},
+            {"a": -np.eye(2), "rho": [0.0, 1.0], "k_upper": [1e200, 1.0]},
+        ],
+    )
+    def test_overflow_check_skips_players_without_tradeoff(self, kwargs):
+        GameSpec(**{"a": [[-1.0]], **kwargs})
+
+    def test_widest_finite_box_has_finite_costs(self):
+        spec = GameSpec(a=[[-1.0]], rho=1.0, k_upper=1.3e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate(spec, spec.k_upper)
+        assert np.all(np.isfinite(report.cost)) and np.all(np.isfinite(report.grad))
 
     def test_unstable_matrix_lifts_lower_bounds(self):
         spec = GameSpec(a=[[1.0, 0.0], [0.0, -1.0]], rho=0.0, k_upper=5.0)

@@ -6,16 +6,19 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashlq import game
+from nashlq import game, learning, simulate
 from nashlq import (
     GameSpec,
+    LearnConfig,
     NotPositiveDefinite,
     SimConfig,
     cost,
     five_player_game,
     monte_carlo_cost,
     pair_integrals,
+    run_lockstep,
     sample_initial_state,
+    scalar_game,
     simulate_batch,
     simulate_state,
     substream,
@@ -59,6 +62,116 @@ def plus_one_trapezoid(eigs, horizon, dt):
     with np.errstate(over="ignore"):
         trapezoid = step * 0.5 * (1.0 + np.exp(z)) * (np.expm1(steps * z) / np.expm1(z))
     return np.where(flat, horizon, trapezoid), flat
+
+
+def retired_pair_integrals(eigs, horizon, dt=None):
+    """Reference: the retired pair-integral table, which masked zero-rate
+    pairs with ``np.where`` whether or not any pair had a zero rate."""
+    eigs = np.asarray(eigs, dtype=float)
+    s = eigs[..., :, None] + eigs[..., None, :]
+    if dt is None:
+        denom = np.where(s == 0.0, 1.0, s)
+        return np.where(s == 0.0, horizon, np.expm1(s * horizon) / denom)
+    steps = max(1, round(horizon / dt))
+    step = horizon / steps
+    z = s * step
+    flat = z == 0.0
+    z = np.where(flat, -1.0, z)
+    trapezoid = step * 0.5 * (1.0 + np.exp(z)) * (np.expm1(steps * z) / np.expm1(z))
+    return np.where(flat, horizon, trapezoid)
+
+
+def retired_draw(spec, ks, config, stage):
+    """Reference: the retired stage's start, a Cholesky check of every
+    ``K - A`` (``game._cholesky``), then the ``(seed, stage)`` draw."""
+    game._cholesky(game._closed_loop(spec.a, ks.reshape(-1, spec.n)))
+    return sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
+
+
+def retired_modes(spec, ks, config):
+    """Reference: the retired second ``K - A``, its ``eigh`` and the pair-integral table."""
+    lam, q = np.linalg.eigh(-game._closed_loop(spec.a, ks))
+    return q, retired_pair_integrals(lam, config.horizon, None if config.integrator == "exact" else config.dt)
+
+
+def retired_modal_cost(spec, k, q, w, s):
+    """Reference: the retired costs from modal second moments ``s``."""
+    base = np.sum((q @ (w * s)) * q, axis=-1)
+    return (1.0 + spec.rho * k**2) * np.maximum(base, 0.0)
+
+
+def retired_mean_cost(spec, ks, q, w, x0):
+    """Reference: the retired batch mean through the modal second moment."""
+    coords = x0 @ q
+    return retired_modal_cost(spec, ks, q, w, (np.swapaxes(coords, -1, -2) @ coords) / x0.shape[0])
+
+
+def retired_monte_carlo_cost(spec, ks, config, stage=0):
+    """Reference: the retired stage, check, draw, modes and batch mean in that order."""
+    ks = np.asarray(ks, dtype=float)
+    x0 = retired_draw(spec, ks, config, stage)
+    return retired_mean_cost(spec, ks, *retired_modes(spec, ks, config), x0)
+
+
+def retired_simulate_batch(spec, k, config, stage=0):
+    """Reference: the retired draw and per-trajectory costs, in ``game._in_blocks``'s blocks."""
+    x0 = retired_draw(spec, k, config, stage)
+    q, w = retired_modes(spec, k, config)
+    costs = game._in_blocks(
+        lambda c: retired_modal_cost(spec, k, q, w, c[:, :, None] * c[:, None, :]), x0 @ q, spec.n**2
+    )
+    return x0, costs
+
+
+def outcome(fn):
+    """``None`` if ``fn()`` returns, else the type and message of its stability error."""
+    try:
+        fn()
+    except (NotPositiveDefinite, np.linalg.LinAlgError) as err:
+        return type(err), str(err)
+    return None
+
+
+def certificate_case(seed, n, kinds, coupling, walk):
+    """A spec and an ``(R, n)`` stack with one row per entry of ``kinds``.
+
+    ``A`` has a nonpositive diagonal and a first row that dominates both the
+    gains and ``|A|``'s row sums, so the certificate's norm bound ``B`` is
+    ``||K - A||_inf`` up to its ``(1 + 4 n u)``, the sharpest case.  The last
+    player is coupled to the others by ``coupling`` times the other entries.
+    Row kinds: ``"spd"`` is strictly diagonally dominant; ``"indefinite"``
+    has one negative diagonal entry of ``K - A``; ``"nonfinite"`` has a NaN
+    or infinite gain; ``"near"`` sets the last gain so that the last
+    Cholesky pivot, squared, is ``(1 + walk) PIVOT_RTOL ||K - A||_inf`` in
+    exact arithmetic.
+    """
+    rng = substream(seed)
+    a = rng.uniform(-1.0, 1.0, size=(n, n))
+    a = (a + a.T) / 2.0
+    np.fill_diagonal(a, -rng.uniform(0.0, 1.0, size=n))
+    a[-1, :-1] *= coupling
+    a[:-1, -1] *= coupling
+    a[-1, -1] = 0.0
+    a[0, 0] = -10.0 * n
+    spec = GameSpec(a=a, rho=0.0, k_upper=np.full(n, 1e6))
+    offdiag = np.abs(a).sum(axis=1) - np.abs(np.diag(a))
+    rows = []
+    for kind in kinds:
+        k = np.diag(a) + offdiag + rng.uniform(0.01, 3.0, size=n)
+        k[0] = 10.0 * n
+        if kind == "indefinite":
+            i = int(rng.integers(n))
+            k[i] = a[i, i] - rng.uniform(1e-3, 2.0)
+        elif kind == "nonfinite":
+            k[int(rng.integers(n))] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == "near":
+            s11 = np.diag(k[:-1]) - a[:-1, :-1]
+            b = a[:-1, -1]
+            k[-1] = b @ np.linalg.solve(s11, b) if n > 1 else 0.0
+            norm = np.abs(np.diag(k) - a).sum(axis=1).max()
+            k[-1] += (1.0 + walk) * game.PIVOT_RTOL * norm
+        rows.append(k)
+    return spec, np.array(rows)
 
 
 def max_rel(a, b):
@@ -187,6 +300,14 @@ class TestTrajectoryCost:
         direct = (1.0 + spec.rho * np.asarray(k) ** 2) * (weights[:, None] * states**2).sum(axis=0)
         lib = trajectory_cost(spec, k, x0, config)
         assert np.max(np.abs(lib - direct) / direct) < 1e-10
+
+    def test_unstable_profile_raises_like_monte_carlo_cost(self):
+        spec, config = scalar_game(), SimConfig(batch_size=8, horizon=10.0)
+        with pytest.raises(NotPositiveDefinite) as refused:
+            trajectory_cost(spec, [-5.0], [1.0], config)
+        with pytest.raises(NotPositiveDefinite) as sibling:
+            monte_carlo_cost(spec, [-5.0], config)
+        assert str(refused.value) == str(sibling.value)
 
     def test_truncation_monotone_in_horizon(self):
         spec, k = random_game(10)
@@ -328,6 +449,138 @@ class TestMonteCarlo:
         assert means[0] > means[1] > means[2]
         span_violations = int(np.sum(errors[1000] >= errors[10]))
         assert span_violations <= 1
+
+
+class TestRetiredPath:
+    """Every cost keeps the bits of the retired Cholesky-then-eigh stage."""
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 20),
+        st.integers(1, 4),
+        st.integers(1, 300),
+        st.sampled_from(["quadrature", "exact"]),
+        st.sampled_from([5.0, 200.0]),
+        st.sampled_from([0.01, 0.1]),
+        st.booleans(),
+    )
+    def test_monte_carlo_and_trajectory_costs(self, seed, n, count, batch_size, integrator, horizon, dt, flat):
+        spec, k = random_game(seed, n=n)
+        rng = substream(seed, 1)
+        others = [spec.k_lower + rng.random(n) * (spec.k_upper - spec.k_lower) for _ in range(count - 1)]
+        ks = np.array([k] + others)
+        if flat and count == 1:
+            ks = ks[0]  # one profile, without the stack axis
+        config = SimConfig(batch_size=batch_size, horizon=horizon, dt=dt, seed=seed, integrator=integrator)
+        estimate = monte_carlo_cost(spec, ks, config, stage=seed % 7)
+        assert estimate.tobytes() == retired_monte_carlo_cost(spec, ks, config, stage=seed % 7).tobytes()
+        x0 = sample_initial_state(rng, n)
+        for row in ks.reshape(-1, n):
+            reference = retired_mean_cost(spec, row, *retired_modes(spec, row, config), x0[None, :])
+            assert trajectory_cost(spec, row, x0, config).tobytes() == reference.tobytes()
+
+    @settings(max_examples=30)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 12),
+        st.integers(1, 200),
+        st.sampled_from(["quadrature", "exact"]),
+    )
+    def test_simulate_batch(self, seed, n, batch_size, integrator):
+        spec, k = random_game(seed, n=n)
+        config = SimConfig(batch_size=batch_size, horizon=50.0, dt=0.05, seed=seed, integrator=integrator)
+        batch = simulate_batch(spec, k, config, stage=seed % 5)
+        x0, costs = retired_simulate_batch(spec, k, config, stage=seed % 5)
+        assert batch.x0.tobytes() == x0.tobytes()
+        assert batch.per_player_cost.tobytes() == costs.tobytes()
+
+    @settings(max_examples=15)
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 3), st.sampled_from(["quadrature", "exact"]))
+    def test_lockstep_model_free_rows(self, seed, n, count, integrator):
+        spec, k = random_game(seed, n=n)
+        rng = substream(seed, 1)
+        starts = [k] + [spec.k_lower + rng.random(n) * (spec.k_upper - spec.k_lower) for _ in range(count - 1)]
+        sim = SimConfig(batch_size=40, horizon=20.0, dt=0.05, seed=seed, integrator=integrator)
+        self.assert_lockstep_rows(spec, starts, LearnConfig(stages=6, step_size=0.5, mode="model-free", sim=sim))
+
+    def test_lockstep_five_player_study(self):
+        # the published study's game, starts and simulation settings, for a few stages
+        sim = SimConfig(batch_size=500, horizon=200.0, dt=0.01, seed=0)
+        starts = [[1.0] * 5, [2.0, 2.0, 2.0, 5.0, 2.0]]
+        self.assert_lockstep_rows(five_player_game(), starts, LearnConfig(stages=8, mode="model-free", sim=sim))
+
+    @staticmethod
+    def assert_lockstep_rows(spec, starts, config):
+        runs = run_lockstep(spec, starts, config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(learning, "monte_carlo_cost", retired_monte_carlo_cost)
+            reference = run_lockstep(spec, starts, config)
+        for run, expected in zip(runs, reference, strict=True):
+            for field in ("profiles", "costs", "grads"):
+                assert getattr(run, field).tobytes() == getattr(expected, field).tobytes()
+
+    @settings(max_examples=80)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+        st.integers(1, 8),
+        st.sampled_from([None, 0.01, 0.1, 0.5]),
+        st.booleans(),
+    )
+    def test_pair_integrals_with_and_without_zero_rate_pairs(self, seed, count, n, dt, zero_rate):
+        eigs = -substream(seed).uniform(0.0, 8.0, size=(count, n))
+        if zero_rate:
+            if n > 1:
+                eigs[-1, -2:] = [0.7, -0.7]  # a pair summing to zero
+            eigs[0, 0] = 0.0  # lam_0 + lam_0 = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pair_integrals(eigs, 5.0, dt)
+        assert out.tobytes() == retired_pair_integrals(eigs, 5.0, dt).tobytes()
+        assert np.any(out == 5.0) == zero_rate
+
+
+class TestStabilityCertificate:
+    """The eigenvalue certificate of ``_checked_modes`` decides as ``_cholesky`` does."""
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 20),
+        st.lists(st.sampled_from(["spd", "near", "indefinite", "nonfinite"]), min_size=1, max_size=4),
+        st.floats(0.0, 8.0),
+    )
+    def test_raises_exactly_when_cholesky_does(self, seed, n, kinds, coupling):
+        """The stack and each of its rows alone, as a one-row stack.
+
+        Near-singular rows walk the last pivot across ``PIVOT_RTOL
+        ||K - A||_inf`` in relative steps of ``+-10^-2`` down to ``+-10^-10``,
+        at a coupling of ``10^-coupling``.  At n >= 8, within about ``10^-5``
+        of the limit, the eigensolver's round-off exceeds the distance, which
+        only the slack covers.
+        """
+        config = SimConfig(batch_size=1, horizon=1.0)
+        for walk in [sign * 10.0**-e for e in range(2, 11) for sign in (-1.0, 1.0)]:
+            spec, stack = certificate_case(seed, n, kinds, 10.0**-coupling, walk)
+            for ks in [stack, *stack[:, None]]:
+                expected = outcome(lambda: game._cholesky(game._closed_loop(spec.a, ks)))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = outcome(lambda: simulate._checked_modes(spec, ks, config))
+                assert got == expected, (walk, ks)
+
+    def test_stable_stages_take_no_factorization(self, monkeypatch):
+        def refuse(s):
+            raise AssertionError("a stable stack went to the factor check")
+
+        monkeypatch.setattr(simulate, "_cholesky", refuse)
+        config = SimConfig(batch_size=50, horizon=200.0, dt=0.01)
+        for seed in range(20):
+            spec, k = random_game(seed, n=1 + seed % 20)
+            ks = spec.k_lower + substream(seed, 1).random((3, spec.n)) * (spec.k_upper - spec.k_lower)
+            monte_carlo_cost(spec, np.vstack([k, ks]), config)
+            simulate_batch(spec, k, config)
 
 
 class TestPairIntegrals:
