@@ -178,7 +178,9 @@ class GameSpec:
 
     Two read-only values are computed on first use and kept, for
     :func:`evaluate`'s single-profile path: ``_neg_a``, ``-A`` in C order,
-    and ``_norm_a``, ``||A||_inf`` rounded up.
+    and ``_norm_a``, ``||A||_inf`` rounded up.  ``_square_overflows`` is
+    set at construction: whether ``k_i^2`` overflows at a corner of the box
+    for some player, necessarily one with ``rho_i = 0`` (:func:`_weighted_gains`).
     """
 
     a: np.ndarray
@@ -216,9 +218,13 @@ class GameSpec:
                 f"(after any stability lift, k_lower={k_lower})"
             )
         # Costs weigh each player's state by 1 + rho_i k_i^2, largest at a corner.
+        square_overflows = False
         for r, low, high in zip(rho.tolist(), k_lower.tolist(), k_upper.tolist()):
-            if r > 0 and not math.isfinite(r * max(low * low, high * high)):
+            square = max(low * low, high * high)
+            if r > 0 and not math.isfinite(r * square):
                 raise ValueError(f"action box too wide: rho * k^2 overflows at a corner for rho = {r:g}")
+            square_overflows = square_overflows or not math.isfinite(square)
+        object.__setattr__(self, "_square_overflows", square_overflows)
 
         object.__setattr__(self, "a", _frozen(a))
         object.__setattr__(self, "rho", _frozen(rho))
@@ -415,15 +421,31 @@ def _is_stable(a: np.ndarray, k: np.ndarray) -> bool:
     return True
 
 
-def _fields(rho: np.ndarray, k: np.ndarray, f: np.ndarray) -> CostGradientReport:
+def _weighted_gains(spec: GameSpec, k: np.ndarray) -> np.ndarray:
+    """``k``, one profile or a stack, as the cost weight ``1 + rho_i k_i^2`` reads it.
+
+    A ``rho_i = 0`` player's gain is read as 0, so that its weight is exactly
+    1 also where ``k_i^2`` overflows and ``0 * inf`` would give NaN; it is 1
+    for any other gain anyway.  Only a spec whose box reaches such a gain
+    (``GameSpec._square_overflows``) pays for the substitution.
+    """
+    return np.where(spec.rho > 0, k, 0.0) if spec._square_overflows else k
+
+
+def _weight(spec: GameSpec, k: np.ndarray) -> np.ndarray:
+    """Each player's cost weight ``1 + rho_i k_i^2`` at one profile or a stack."""
+    return 1.0 + spec.rho * _weighted_gains(spec, k) ** 2
+
+
+def _fields(spec: GameSpec, k: np.ndarray, f: np.ndarray) -> CostGradientReport:
     """Costs and gradients from the resolvent diagonals ``f``; curvatures on demand.
 
     ``k`` and ``f`` are one profile or a ``(P, n)`` stack of them.  The
     report keeps a copy of ``k``, so a caller that later changes its profile
     in place does not change the report's curvatures.
     """
-    weight = 1.0 + rho * k**2
-    j = 0.5 * weight * f
+    rho = spec.rho
+    j = 0.5 * _weight(spec, k) * f
     # grad = rho*k*f - weight*f^2/2, factored so the same (rho*k - J) term
     # appears here and in marginal_cost_from_cost; the two stay within a few
     # ulp of each other even where the gradient crosses zero.
@@ -445,7 +467,7 @@ def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGra
     l_inv = np.linalg.inv(_cholesky(_closed_loop(spec.a, ks)))
     m = l_inv.transpose(0, 2, 1) @ l_inv
     m = (m + m.transpose(0, 2, 1)) / 2.0
-    return m, _fields(spec.rho, ks, _diagonals(m).copy())
+    return m, _fields(spec, ks, _diagonals(m).copy())
 
 
 def _in_blocks(fn, rows: np.ndarray, entries_per_row: int) -> np.ndarray:
@@ -504,7 +526,7 @@ def _evaluate_one(spec: GameSpec, k: np.ndarray) -> CostGradientReport:
     if chol is None or not _passes_pivot_test(chol, s, _pivot_bound(spec, k)):
         chol = _cholesky(s[None])[0]
     l_inv = np.linalg.inv(chol)
-    return _fields(spec.rho, k, (l_inv.T @ l_inv).diagonal())
+    return _fields(spec, k, (l_inv.T @ l_inv).diagonal())
 
 
 def _jacobian_stack(spec: GameSpec, ks: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .game import (
     ActionProfile, GameSpec, evaluate, marginal_cost_from_cost,
-    _evaluate_stack, _frozen, _profile, _require_finite, _require_int,
+    _evaluate_stack, _frozen, _profile, _require_finite, _require_int, _weighted_gains,
 )
 from .simulate import SimConfig, monte_carlo_cost
 
@@ -134,7 +134,7 @@ def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
     if config.mode == "model-free":
         def estimate(ks, stage):
             costs = monte_carlo_cost(spec, ks, config.sim, stage)
-            return costs, marginal_cost_from_cost(costs, ks, spec.rho)
+            return costs, marginal_cost_from_cost(costs, _weighted_gains(spec, ks), spec.rho)
     elif rows == 1:
         def estimate(ks, stage):
             report = evaluate(spec, ks[0])
@@ -212,7 +212,8 @@ def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[Learn
         np.minimum(moved, upper, out=moved)
         ks = moved if held is None else np.where(held, ks, moved)
 
-    blocks = [_frozen(np.stack(column, axis=1)) for column in zip(*trace)]
+    # One (stages, R, n) array per field, viewed member-major.
+    blocks = [_frozen(np.array(column).swapaxes(0, 1)) for column in zip(*trace)]
     converged = ((ends < last) | met).tolist()  # a stop before the budget met the tolerance
     return [
         LearnRun(*(block[r, :end + 1] for block in blocks), converged=converged[r])

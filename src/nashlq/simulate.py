@@ -10,12 +10,14 @@ therefore needs only an n-by-n table of per-mode-pair integrals of
 the trapezoid sum is a geometric series, so both variants are closed forms
 and no time grid is ever built.
 
-A batch mean needs only the batch's second moment in modal coordinates,
-``S = C^T C / B`` with ``C = x0 @ Q``, so a Monte Carlo stage costs
-O(B n^2 + n^3).  Per-trajectory costs, O(B n^3), are computed only by
-:func:`simulate_batch`, for callers that need the spread of the batch, in
-blocks of at most ``game.BLOCK_ENTRIES // n^2`` trajectories, so no
-``(B, n, n)`` array is formed.
+A batch mean needs only the batch's second moment ``Sigma = x0^T x0 / B``:
+in the modal coordinates of a profile it is ``S = Q^T Sigma Q``.  A Monte
+Carlo stage forms ``Sigma`` once, O(B n^2), and each profile of a stack
+takes O(n^3) from it, so a stage over ``R`` profiles costs
+O(B n^2 + R n^3).  Per-trajectory costs, O(B n^3), are computed only by
+:func:`simulate_batch` and :func:`trajectory_cost`, in blocks of at most
+``game.BLOCK_ENTRIES // n^2`` trajectories, so no ``(B, n, n)`` array is
+formed.
 
 Every cost takes one ``eigh`` of ``A - K`` per profile, and its eigenvalues
 also certify stability (:func:`_checked_modes` states why that is sound):
@@ -26,10 +28,10 @@ an unstable profile yields no number.
 
 :func:`monte_carlo_cost` also takes an ``(R, n)`` stack of profiles.  The
 stack shares one draw of the ``(seed, stage)`` batch (common random
-numbers), and one stacked ``eigh``, stability certificate, pair-integral
-table and modal reduction; numpy works matrix by matrix over a leading
-axis, so row ``r`` of the estimate is the one-profile call on ``k[r]``
-bit for bit.
+numbers) and its one ``Sigma``, and one stacked ``eigh``, stability
+certificate, pair-integral table and modal reduction; numpy works matrix
+by matrix over a leading axis, so row ``r`` of the estimate is the
+one-profile call on ``k[r]`` bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import PIVOT_RTOL, PRUNE_SLACK, GameSpec, _cholesky, _closed_loop, _in_blocks, _is_finite
-from .game import _UNIT_ROUNDOFF, _profile, _require_finite, _require_int, profile_array
+from .game import _UNIT_ROUNDOFF, _profile, _require_finite, _require_int, _weight, profile_array
 
 __all__ = [
     "SQRT3",
@@ -205,11 +207,11 @@ def _modal_cost(spec: GameSpec, k: np.ndarray, q: np.ndarray, w: np.ndarray, s: 
 
     The sampled cost integral is ``sum_mp q_im q_ip W_mp S_mp`` with
     ``d_im = q_im c_m`` expanded over the modal coordinates ``c``:
-    ``S = c c^T`` for one trajectory, ``S = C^T C / B`` for a batch mean.
+    ``S = c c^T`` for one trajectory, ``S = Q^T Sigma Q`` for a batch mean.
     """
     base = np.sum((q @ (w * s)) * q, axis=-1)
     # the integrand is a square; clamp eigensolver round-off
-    return (1.0 + spec.rho * k**2) * np.maximum(base, 0.0)
+    return _weight(spec, k) * np.maximum(base, 0.0)
 
 
 def _batch_cost(spec: GameSpec, k, q: np.ndarray, w: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -220,28 +222,19 @@ def _batch_cost(spec: GameSpec, k, q: np.ndarray, w: np.ndarray, x0: np.ndarray)
     )
 
 
-def _mean_cost(spec: GameSpec, ks: np.ndarray, q: np.ndarray, w: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Mean cost over the rows of ``x0`` at each profile, shape ``ks.shape``.
-
-    O(B n^2 + n^3) per profile.  The mean of the per-trajectory moments is
-    the batch's second moment in modal coordinates, ``S = C^T C / B`` with
-    ``C = x0 @ Q``.
-    """
-    coords = x0 @ q
-    return _modal_cost(spec, ks, q, w, (np.swapaxes(coords, -1, -2) @ coords) / x0.shape[0])
-
-
 def trajectory_cost(spec: GameSpec, k, x0, config: SimConfig) -> np.ndarray:
     """Finite-horizon cost of one trajectory for every player.
 
     Integrates ``x_i(t)^2 + rho_i u_i(t)^2 = (1 + rho_i k_i^2) x_i(t)^2``
     over ``[0, horizon]`` from the given initial state, exactly or by
-    composite trapezoid depending on ``config.integrator``.  Raises
+    composite trapezoid depending on ``config.integrator``: the one-row case
+    of :func:`simulate_batch`'s per-trajectory costs, whose modal moment is
+    the outer product ``c c^T`` of ``c = x0 @ Q``.  Raises
     :class:`NotPositiveDefinite` if the profile leaves the stable region,
     as :func:`monte_carlo_cost` does.
     """
     x0 = np.asarray(x0, dtype=float)
-    return _mean_cost(spec, *_checked_modes(spec, _profile(spec, k), config), x0[None, :])
+    return _batch_cost(spec, *_checked_modes(spec, _profile(spec, k), config), x0[None, :])[0]
 
 
 def simulate_batch(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> TrajectoryBatch:
@@ -266,14 +259,16 @@ def monte_carlo_cost(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> np
     stable region raises for its first unstable row, naming its index.
 
     Unbiased for the horizon-truncated cost.  The batch is the one
-    :func:`simulate_batch` draws from the ``(seed, stage)`` substream, and
-    its mean is taken through the batch's modal second moment in a single
-    BLAS reduction, so the estimate is deterministic for a given
-    ``(seed, stage)`` and equals ``simulate_batch(...).per_player_cost.mean(0)``
-    to round-off.  Raises :class:`NotPositiveDefinite` before sampling if
-    the profile leaves the stable region; the check reads the eigenvalues of
-    the one ``eigh`` of ``A - K`` the estimate needs (:func:`_checked_modes`).
+    :func:`simulate_batch` draws from the ``(seed, stage)`` substream.  Its
+    second moment ``Sigma = x0^T x0 / B`` is formed once, O(B n^2), and
+    serves every row: a profile's modal moment is ``Q^T Sigma Q``, O(n^3).
+    The estimate is deterministic for a given ``(seed, stage)`` and equals
+    ``simulate_batch(...).per_player_cost.mean(0)`` to round-off.  Raises
+    :class:`NotPositiveDefinite` before sampling if the profile leaves the
+    stable region; the check reads the eigenvalues of the one ``eigh`` of
+    ``A - K`` the estimate needs (:func:`_checked_modes`).
     """
     ks, q, w = _checked_modes(spec, k, config)  # before the draw, so an unstable stack draws nothing
     x0 = sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
-    return _mean_cost(spec, ks, q, w, x0)
+    second = (x0.T @ x0) / config.batch_size
+    return _modal_cost(spec, ks, q, w, np.swapaxes(q, -1, -2) @ second @ q)

@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 from nashlq import (
     ActionProfile,
     GameSpec,
+    LearnConfig,
     NotPositiveDefinite,
+    SimConfig,
     cost,
     evaluate,
     exact_gradient,
     five_player_game,
     marginal_cost_from_cost,
+    monte_carlo_cost,
     pseudogradient_jacobian,
     resolvent,
+    run_gradient_play,
     second_derivative,
     stability_margin,
     substream,
@@ -589,6 +593,38 @@ class TestGameSpec:
             warnings.simplefilter("error")
             report = evaluate(spec, spec.k_upper)
         assert np.all(np.isfinite(report.cost)) and np.all(np.isfinite(report.grad))
+
+    def test_zero_tradeoff_weight_is_one_at_any_gain(self):
+        """A ``rho_i = 0`` gain whose square overflows is weighted by exactly 1,
+        without a warning, in every cost path; gains whose squares are finite
+        keep the bits of a box that reaches no such gain."""
+        sim = SimConfig(batch_size=20, horizon=5.0, dt=0.1)
+        a = [[-1.0, 0.3], [0.3, -2.0]]
+        cases = [
+            (GameSpec(a=[[-1.0]], rho=0.0, k_upper=2.0**600), k, None) for k in ([2.0**600], [2.0**599])
+        ] + [
+            (GameSpec(a=a, rho=[0.0, 0.5], k_upper=[2.0**600, 4.0]), k,
+             GameSpec(a=a, rho=[0.0, 0.5], k_upper=[1e150, 4.0]))
+            for k in ([0.7, 1.5], [3.0, 4.0])
+        ]
+        for wide, k, narrow in cases:
+            assert wide._square_overflows
+            with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+                warnings.simplefilter("error")
+                report = evaluate(wide, k)
+                jacobian = pseudogradient_jacobian(wide, k)
+                sampled = monte_carlo_cost(wide, k, sim)
+                run = run_gradient_play(wide, k, LearnConfig(stages=2, mode="model-free", sim=sim))
+            assert report.cost[0] == 0.5 * report.resolvent_diag[0]
+            assert all(np.all(np.isfinite(x)) for x in (report.grad, jacobian, sampled, run.grads))
+            if narrow is not None:
+                assert not narrow._square_overflows
+                assert report.cost.tobytes() == evaluate(narrow, k).cost.tobytes()
+                assert report.grad.tobytes() == evaluate(narrow, k).grad.tobytes()
+                assert jacobian.tobytes() == pseudogradient_jacobian(narrow, k).tobytes()
+                assert sampled.tobytes() == monte_carlo_cost(narrow, k, sim).tobytes()
+                expected = run_gradient_play(narrow, k, LearnConfig(stages=2, mode="model-free", sim=sim))
+                assert run.grads.tobytes() == expected.grads.tobytes()
 
     def test_unstable_matrix_lifts_lower_bounds(self):
         spec = GameSpec(a=[[1.0, 0.0], [0.0, -1.0]], rho=0.0, k_upper=5.0)

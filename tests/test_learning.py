@@ -521,11 +521,20 @@ class TestLockstep:
 
 class TestLearnRunArrays:
     def test_arrays_hold_every_stage(self):
-        run = run_gradient_play(five_player_game(), FIVE_PLAYER_ROUND1_START, LearnConfig(stages=6))
-        for name in ("profiles", "costs", "grads"):
-            assert getattr(run, name).shape == (run.stages_used + 1, 5)
-        assert np.array_equal(run.profiles[-1], run.final.k)
-        assert np.array_equal(run.profiles[0], FIVE_PLAYER_ROUND1_START)
+        """Read-only, alone and in lockstep, for both gradient sources."""
+        starts = [FIVE_PLAYER_ROUND1_START, FIVE_PLAYER_ROUND2_START]
+        played = []
+        for mode in ("exact", "model-free"):
+            config = LearnConfig(stages=6, mode=mode, sim=SimConfig(batch_size=10, horizon=20.0))
+            played.append([run_gradient_play(five_player_game(), starts[0], config)])
+            played.append(run_lockstep(five_player_game(), starts, config))
+        for runs in played:
+            for run, start in zip(runs, starts):
+                for name in ("profiles", "costs", "grads"):
+                    assert getattr(run, name).shape == (run.stages_used + 1, 5)
+                    assert not getattr(run, name).flags.writeable
+                assert np.array_equal(run.profiles[-1], run.final.k)
+                assert np.array_equal(run.profiles[0], start)
 
     def test_history_is_built_once_from_the_arrays(self):
         run = run_gradient_play(scalar_game(), [1.0], LearnConfig(stages=4))
