@@ -427,7 +427,8 @@ def _weighted_gains(spec: GameSpec, k: np.ndarray) -> np.ndarray:
     A ``rho_i = 0`` player's gain is read as 0, so that its weight is exactly
     1 also where ``k_i^2`` overflows and ``0 * inf`` would give NaN; it is 1
     for any other gain anyway.  Only a spec whose box reaches such a gain
-    (``GameSpec._square_overflows``) pays for the substitution.
+    (``GameSpec._square_overflows``) pays for the substitution, so the
+    guarantee covers gains inside the box; profiles are not checked against it.
     """
     return np.where(spec.rho > 0, k, 0.0) if spec._square_overflows else k
 

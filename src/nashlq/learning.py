@@ -212,8 +212,8 @@ def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[Learn
         np.minimum(moved, upper, out=moved)
         ks = moved if held is None else np.where(held, ks, moved)
 
-    # One (stages, R, n) array per field, viewed member-major.
-    blocks = [_frozen(np.array(column).swapaxes(0, 1)) for column in zip(*trace)]
+    # One read-only (stages, R, n) array per field, viewed member-major.
+    blocks = [_frozen(np.array(column)).swapaxes(0, 1) for column in zip(*trace)]
     converged = ((ends < last) | met).tolist()  # a stop before the budget met the tolerance
     return [
         LearnRun(*(block[r, :end + 1] for block in blocks), converged=converged[r])

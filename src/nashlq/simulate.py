@@ -14,7 +14,10 @@ A batch mean needs only the batch's second moment ``Sigma = x0^T x0 / B``:
 in the modal coordinates of a profile it is ``S = Q^T Sigma Q``.  A Monte
 Carlo stage forms ``Sigma`` once, O(B n^2), and each profile of a stack
 takes O(n^3) from it, so a stage over ``R`` profiles costs
-O(B n^2 + R n^3).  Per-trajectory costs, O(B n^3), are computed only by
+O(B n^2 + R n^3).  A batch of ``B <= n`` states is itself the smaller
+factor of ``Sigma``: there each profile takes ``S = C^T C / B`` with
+``C = x0 @ Q``, O(B n^2), and a batch of one costs what its trajectory
+does, bit for bit.  Per-trajectory costs, O(B n^3), are computed only by
 :func:`simulate_batch` and :func:`trajectory_cost`, in blocks of at most
 ``game.BLOCK_ENTRIES // n^2`` trajectories, so no ``(B, n, n)`` array is
 formed.
@@ -262,6 +265,8 @@ def monte_carlo_cost(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> np
     :func:`simulate_batch` draws from the ``(seed, stage)`` substream.  Its
     second moment ``Sigma = x0^T x0 / B`` is formed once, O(B n^2), and
     serves every row: a profile's modal moment is ``Q^T Sigma Q``, O(n^3).
+    A batch of ``B <= n`` states is the smaller factor of ``Sigma``, and a
+    row's moment is ``C^T C / B`` with ``C = x0 @ Q``, O(B n^2).
     The estimate is deterministic for a given ``(seed, stage)`` and equals
     ``simulate_batch(...).per_player_cost.mean(0)`` to round-off.  Raises
     :class:`NotPositiveDefinite` before sampling if the profile leaves the
@@ -270,5 +275,10 @@ def monte_carlo_cost(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> np
     """
     ks, q, w = _checked_modes(spec, k, config)  # before the draw, so an unstable stack draws nothing
     x0 = sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
-    second = (x0.T @ x0) / config.batch_size
-    return _modal_cost(spec, ks, q, w, np.swapaxes(q, -1, -2) @ second @ q)
+    if config.batch_size <= spec.n:
+        # A batch of at most n states is itself the smaller factor of Sigma.
+        coords = x0 @ q
+        moment = (np.swapaxes(coords, -1, -2) @ coords) / config.batch_size
+    else:
+        moment = np.swapaxes(q, -1, -2) @ ((x0.T @ x0) / config.batch_size) @ q
+    return _modal_cost(spec, ks, q, w, moment)

@@ -26,6 +26,7 @@ from nashlq import (
     second_derivative,
     stability_margin,
     substream,
+    trajectory_cost,
 )
 from nashlq.game import (
     PIVOT_RTOL, _closed_loop, _closed_loop_one, _diagonals, _evaluate_stack, _jacobian_stack,
@@ -594,10 +595,10 @@ class TestGameSpec:
             report = evaluate(spec, spec.k_upper)
         assert np.all(np.isfinite(report.cost)) and np.all(np.isfinite(report.grad))
 
-    def test_zero_tradeoff_weight_is_one_at_any_gain(self):
-        """A ``rho_i = 0`` gain whose square overflows is weighted by exactly 1,
-        without a warning, in every cost path; gains whose squares are finite
-        keep the bits of a box that reaches no such gain."""
+    def test_zero_tradeoff_weight_is_one_across_the_box(self):
+        """A ``rho_i = 0`` gain inside the box whose square overflows is weighted
+        by exactly 1, without a warning, in every cost path; gains whose squares
+        are finite keep the bits of a box that reaches no such gain."""
         sim = SimConfig(batch_size=20, horizon=5.0, dt=0.1)
         a = [[-1.0, 0.3], [0.3, -2.0]]
         cases = [
@@ -614,15 +615,19 @@ class TestGameSpec:
                 report = evaluate(wide, k)
                 jacobian = pseudogradient_jacobian(wide, k)
                 sampled = monte_carlo_cost(wide, k, sim)
+                closed = cost(wide, k)
+                single = trajectory_cost(wide, k, np.ones(wide.n), sim)
                 run = run_gradient_play(wide, k, LearnConfig(stages=2, mode="model-free", sim=sim))
             assert report.cost[0] == 0.5 * report.resolvent_diag[0]
-            assert all(np.all(np.isfinite(x)) for x in (report.grad, jacobian, sampled, run.grads))
+            assert closed.tobytes() == report.cost.tobytes()
+            assert all(np.all(np.isfinite(x)) for x in (report.grad, jacobian, sampled, single, run.grads))
             if narrow is not None:
                 assert not narrow._square_overflows
                 assert report.cost.tobytes() == evaluate(narrow, k).cost.tobytes()
                 assert report.grad.tobytes() == evaluate(narrow, k).grad.tobytes()
                 assert jacobian.tobytes() == pseudogradient_jacobian(narrow, k).tobytes()
                 assert sampled.tobytes() == monte_carlo_cost(narrow, k, sim).tobytes()
+                assert single.tobytes() == trajectory_cost(narrow, k, np.ones(wide.n), sim).tobytes()
                 expected = run_gradient_play(narrow, k, LearnConfig(stages=2, mode="model-free", sim=sim))
                 assert run.grads.tobytes() == expected.grads.tobytes()
 

@@ -533,6 +533,8 @@ class TestLearnRunArrays:
                 for name in ("profiles", "costs", "grads"):
                     assert getattr(run, name).shape == (run.stages_used + 1, 5)
                     assert not getattr(run, name).flags.writeable
+                    with pytest.raises(ValueError):
+                        getattr(run, name).setflags(write=True)
                 assert np.array_equal(run.profiles[-1], run.final.k)
                 assert np.array_equal(run.profiles[0], start)
 

@@ -125,7 +125,8 @@ def second_moment_bound(spec, ks, config, stage=0):
     Both evaluate ``g_i sum_mp q_im q_ip W_mp S_mp``, ``g_i = 1 + rho_i k_i^2``,
     on the same draw ``X0`` and modes, with ``S = Q^T X0^T X0 Q / B`` formed
     in different orders: the retired ``C^T C / B`` with ``C = X0 Q``, the stage
-    ``Q^T (X0^T X0 / B) Q``.  Either is a triple product with inner lengths
+    ``Q^T (X0^T X0 / B) Q`` once ``B > n`` (up to ``B = n`` the stage is the
+    retired mean, and the gap is 0).  Either is a triple product with inner lengths
     ``B``, ``n`` and ``n`` and one division, so its computed ``S_mp`` is within
     ``gamma_{B+2n+1} M_mp`` of the exact value, ``M = |Q|^T |X0|^T |X0| |Q| / B``
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 3.5),
@@ -384,15 +385,12 @@ class TestMonteCarlo:
         assert np.max(np.abs(estimate - exact) / exact) < 0.10
 
     def test_single_trajectory_batch_degenerates(self):
-        """The per-trajectory path bit for bit; the batch mean, whose moment
-        ``Q^T (x x^T) Q`` rounds otherwise than ``c c^T``, within its bound."""
         spec, k = random_game(12)
         config = SimConfig(batch_size=1, horizon=25.0, seed=3)
         batch = simulate_batch(spec, k, config)
-        single = trajectory_cost(spec, k, batch.x0[0], config)
-        assert batch.per_player_cost[0].tobytes() == single.tobytes()
-        gap = abs(monte_carlo_cost(spec, k, config) - single)
-        assert np.all(gap <= second_moment_bound(spec, k, config))
+        assert np.array_equal(
+            monte_carlo_cost(spec, k, config), trajectory_cost(spec, k, batch.x0[0], config)
+        )
 
     @settings(max_examples=40)
     @given(
@@ -412,8 +410,10 @@ class TestMonteCarlo:
             seed=seed, integrator=integrator,
         )
         batch = simulate_batch(spec, k, config, stage=3)
-        gap = abs(monte_carlo_cost(spec, k, config, stage=3) - batch.per_player_cost.mean(axis=0))
-        assert np.all(gap <= second_moment_bound(spec, k, config, stage=3))
+        mean = batch.per_player_cost.mean(axis=0)
+        estimate = monte_carlo_cost(spec, k, config, stage=3)
+        assert max_rel(estimate, mean) <= 1e-12
+        assert np.all(abs(estimate - mean) <= second_moment_bound(spec, k, config, stage=3))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -503,8 +503,9 @@ class TestMonteCarlo:
 
 class TestRetiredPath:
     """Every cost keeps the bits of the retired Cholesky-then-eigh stage,
-    except the batch mean, whose second moment is formed in another order:
-    it stays within :func:`second_moment_bound` of the retired one."""
+    except the batch mean of more than ``n`` states, whose second moment is
+    formed in another order: it stays within :func:`second_moment_bound` of
+    the retired one."""
 
     @settings(max_examples=60)
     @given(
@@ -546,16 +547,20 @@ class TestRetiredPath:
     def test_batch_mean_is_second_moment_of_retired_draw_and_modes(
         self, seed, n, count, batch_size, integrator, horizon, dt
     ):
-        """Bit for bit: the retired draw and modes, ``Sigma = X0^T X0 / B`` once,
-        then ``Q^T Sigma Q`` per row into the retired modal cost."""
+        """Bit for bit: the retired draw and modes, then, past ``B = n``,
+        ``Sigma = X0^T X0 / B`` once and ``Q^T Sigma Q`` per row into the
+        retired modal cost; up to ``B = n``, the retired batch mean."""
         spec, k = random_game(seed, n=n)
         rng = substream(seed, 1)
         ks = np.array([k] + [spec.k_lower + rng.random(n) * (spec.k_upper - spec.k_lower) for _ in range(count - 1)])
         config = SimConfig(batch_size=batch_size, horizon=horizon, dt=dt, seed=seed, integrator=integrator)
         x0 = retired_draw(spec, ks, config, seed % 7)
         q, w = retired_modes(spec, ks, config)
-        second = (x0.T @ x0) / batch_size
-        expected = retired_modal_cost(spec, ks, q, w, np.swapaxes(q, -1, -2) @ second @ q)
+        if batch_size <= n:
+            expected = retired_mean_cost(spec, ks, q, w, x0)
+        else:
+            second = (x0.T @ x0) / batch_size
+            expected = retired_modal_cost(spec, ks, q, w, np.swapaxes(q, -1, -2) @ second @ q)
         assert monte_carlo_cost(spec, ks, config, stage=seed % 7).tobytes() == expected.tobytes()
 
     @settings(max_examples=30)
