@@ -14,14 +14,10 @@ A sweep is stacked: the sample points go through the profile kernel of
 point is a few array operations rather than a Python-level factorization,
 and its work arrays stay that size however many points there are (the
 points themselves take ``n`` doubles each).  Most points skip the
-eigensolve: a point whose Gershgorin lower bound on the smallest eigenvalue
-lies above its block's smallest diagonal entry, an upper bound on the
-block's smallest eigenvalue, cannot hold the minimum.  A slack of
-``PRUNE_SLACK`` times each matrix's norm on both sides covers the round-off
-of the bounds and of LAPACK's eigenvalues, so every skipped point's
-computed value lies strictly above its block's minimum, and so above the
-sweep's; the minimum, its first witness and every reported number are
-those of a full solve (:func:`_rosen_values` states the argument).  The
+eigensolve: a point whose Gershgorin lower bound on the smallest eigenvalue,
+less a round-off slack, lies above its block's smallest diagonal entry
+cannot hold the minimum (:func:`_rosen_values`), so the minimum, its first
+witness and every reported number are those of a full solve.  The
 reported ``min_eig`` is a single :func:`rosen_check` at the witness, so the
 pair reproduces exactly.  An ensemble's finite-difference spot checks are stacked
 the same way: each game's spot points are drawn in one call, and they and
@@ -42,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import (
-    PRUNE_SLACK,
     ActionProfile,
     GameSpec,
+    _eigenvalue_slack,
     _evaluate_stack,
     _in_blocks,
     _is_finite,
@@ -156,27 +152,22 @@ def _rosen_values(g: np.ndarray) -> np.ndarray:
     (h_ii - sum_{j != i} |h_ij|)``; each diagonal entry bounds it from above,
     so ``lambda_min(H_q) <= d`` for the stack's smallest diagonal entry ``d``
     and the matrix ``q`` holding it.  Matrix ``p`` is skipped only when
-    ``b_p - s_p > d + s_q``, with a per-matrix slack ``s_p = tau ||H_p||_inf +
-    2^-1022`` and ``tau = PRUNE_SLACK``; only the kept matrices go through one
-    stacked ``eigvalsh``, which gives each the bits it gets alone.
+    ``b_p - s_p > d + s_q``, with ``s_p`` the :func:`game._eigenvalue_slack`
+    of ``||H_p||_inf``; only the kept matrices go through one stacked
+    ``eigvalsh``, which gives each the bits it gets alone.
 
-    A skip is sound.  LAPACK computes each eigenvalue within ``e(n) u ||H||_2
-    <= e(n) u ||H||_inf`` of the stored matrix's, with ``u = 2^-53`` and
-    ``e(n)`` "a modestly growing function of n" (LAPACK Users' Guide, section
-    4.7).  The computed ``b_p``, norms and test err on each side by at most
-    ``(n + 3) u`` times that side's norm, since ``|b_p|`` and ``|d|`` are at
-    most their matrices' norms.  So whenever ``tau (1 - n u) > (e(n) + n + 3)
-    u``, which ``tau = 2^-26 = 2^27 u`` meets even for ``e(n) = n^2`` at every
-    ``n <= 11000``, a skipped matrix's computed minimum lies strictly above
-    matrix ``q``'s, so it neither is nor ties the stack's minimum.  The
-    ``2^-1022`` covers the at most ``2^-1075`` that each rounding may lose
-    below the normal range.  Matrix ``q`` is never skipped, as ``b_q <= d``;
+    A skip is sound.  The computed ``b_p``, norms and test err on each side
+    by at most ``(n + 3) u`` times that side's norm, ``u = 2^-53``, since
+    ``|b_p|`` and ``|d|`` are at most their matrices' norms; the slack covers
+    that and the eigenvalues' round-off, so a skipped matrix's computed
+    minimum lies strictly above matrix ``q``'s, and it neither is nor ties
+    the stack's minimum.  Matrix ``q`` is never skipped, as ``b_q <= d``;
     a NaN or an overflow in a matrix keeps it, and in matrix ``q`` keeps all.
     """
     h = g + g.transpose(0, 2, 1)
     diag = h.diagonal(0, 1, 2)
     sums = abs(h).sum(axis=2)
-    slack = PRUNE_SLACK * sums.max(axis=1) + 2.0**-1022
+    slack = _eigenvalue_slack(sums.max(axis=1))
     lowest = diag.min(axis=1)
     q = np.argmin(lowest)
     keep = ~((diag + abs(diag) - sums).min(axis=1) - slack > lowest[q] + slack[q])
@@ -295,12 +286,11 @@ def rosen_sweep(spec: GameSpec, samples: int = 200, seed=0) -> RosenReport:
     ``seed`` may be an integer or a Generator to continue an existing stream.
     The points are evaluated in stacked blocks of ``game.BLOCK_ENTRIES // n^2``
     points (at least one); the witness is the first point attaining the
-    minimum.  Within a block, only points whose Gershgorin lower bound, less
-    its slack, is not above the block's smallest diagonal entry, plus its
-    matrix's slack, are eigensolved (:func:`_rosen_values`).  Pruning each
-    block on its own is sound: a skipped point lies strictly above its
-    block's minimum, so above the sweep's, and the witness is the point a
-    full solve picks.  The sweep is sampled evidence, not a proof.
+    minimum.  Within a block, only the points that may hold the block's
+    minimum are eigensolved (:func:`_rosen_values`); a skipped point lies
+    strictly above its block's minimum, so above the sweep's, and the witness
+    is the point a full solve picks.  The sweep is sampled evidence, not a
+    proof.
     """
     _check_sweep(samples)
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)

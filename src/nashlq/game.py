@@ -21,11 +21,11 @@ that raises :class:`NotPositiveDefinite` naming the first failing profile),
 and forms the stacked resolvents from the factors.  Sweeps over many
 profiles call the kernel in blocks through :func:`_in_blocks`, whose one
 bound, ``BLOCK_ENTRIES``, caps the array entries a block holds, so a block's
-row count follows from n.  Every stability check here uses the kernel's
-factor step.  :mod:`nashlq.simulate` certifies a profile from the
-eigenvalues of the one ``eigh`` of ``A - K`` its costs need anyway, and hands
-any profile those cannot certify to the same factor step, which raises the
-same :class:`NotPositiveDefinite`.
+row count follows from n.  Every stability decision is made here: by the
+kernel's factor step, or, for :mod:`nashlq.simulate`, by
+:func:`_stable_modes`, which certifies a stack from the eigenvalues of the
+one ``eigh`` of ``A - K`` its costs need anyway and hands a stack those
+cannot certify to the same factor step.
 
 :func:`evaluate`, which gradient play calls once per stage, is the kernel's
 ``P = 1`` case without the stack axis (:func:`_evaluate_one`): the same
@@ -63,10 +63,8 @@ STABILITY_MARGIN = 1e-6
 # Cholesky pivots below this fraction of ||K - A||_inf count as failure.
 PIVOT_RTOL = 1e-12
 
-# Slack per unit of a matrix's infinity norm, far above the round-off of
-# LAPACK's eigenvalues it covers: the Rosen sweep's eigensolve pruning
-# (analysis._rosen_values) and the model-free stability certificate
-# (simulate._checked_modes) state the argument.
+# Slack per unit of a matrix's infinity norm on a computed eigenvalue;
+# _eigenvalue_slack states why it suffices.
 PRUNE_SLACK = 2.0**-26
 
 # Array entries one stacked block holds, e.g. P profiles of n^2 entries each;
@@ -176,11 +174,12 @@ class GameSpec:
     A box on which some player with ``rho_i > 0`` has ``rho_i k_i^2`` beyond
     the float range at a corner is refused, as its costs would overflow.
 
-    Two read-only values are computed on first use and kept, for
-    :func:`evaluate`'s single-profile path: ``_neg_a``, ``-A`` in C order,
-    and ``_norm_a``, ``||A||_inf`` rounded up.  ``_square_overflows`` is
-    set at construction: whether ``k_i^2`` overflows at a corner of the box
-    for some player, necessarily one with ``rho_i = 0`` (:func:`_weighted_gains`).
+    Two read-only values are computed on first use and kept: ``_neg_a``,
+    ``-A`` in C order, for :func:`evaluate`'s single-profile path, and
+    ``_norm_a``, ``||A||_inf`` rounded up, for :func:`_pivot_bound`.
+    ``_square_overflows`` is set at construction: whether ``k_i^2`` overflows
+    at a corner of the box for some player, necessarily one with
+    ``rho_i = 0`` (:func:`_weighted_gains`).
     """
 
     a: np.ndarray
@@ -352,28 +351,24 @@ def _pivot_check(chol: np.ndarray, s: np.ndarray):
     a factor passes when its squared smallest pivot exceeds ``PIVOT_RTOL``
     times the infinity norm of its matrix.
     """
-    pivots = chol.diagonal(0, -2, -1).min(axis=-1) ** 2
+    # np.square multiplies; a numpy scalar's ** 2 calls libm's pow, which may round otherwise
+    pivots = np.square(chol.diagonal(0, -2, -1).min(axis=-1))
     scale = abs(s).sum(axis=-1).max(axis=-1)
     return pivots > PIVOT_RTOL * scale, pivots, scale
 
 
 def _passes_pivot_test(chol: np.ndarray, s: np.ndarray, bound: float) -> bool:
-    """:func:`_pivot_check`'s decision for one factor ``chol`` of ``s``, on Python scalars.
+    """:func:`_pivot_check`'s decision for one factor ``chol`` of ``s``, first on Python scalars.
 
-    Cholesky pivots are nonnegative or NaN, so every squared pivot exceeds
-    the limit exactly when the squared smallest one does, NaN and inf
-    included.  ``bound``, which must be NaN or no smaller than the computed
-    ``||s||_inf``, decides first: its limit is no smaller than the norm's, as
-    rounding ``PIVOT_RTOL * x`` is monotone in ``x``, so passing it implies
-    passing the norm's.  An infinite or NaN bound passes no pivot.  When it
-    does not decide, the norm is computed and its limit decides.
+    ``bound``, NaN or no smaller than the computed ``||s||_inf``
+    (:func:`_pivot_bound`), decides a pass: its limit is no smaller than the
+    norm's, as rounding ``PIVOT_RTOL * x`` is monotone in ``x``, and as
+    Cholesky pivots are nonnegative or NaN, every squared pivot exceeds a
+    limit exactly when the smallest does.  A NaN or infinite bound passes no
+    pivot.  Otherwise :func:`_pivot_check` decides.
     """
-    pivots = chol.diagonal().tolist()
     limit = PIVOT_RTOL * bound
-    if all(p * p > limit for p in pivots):
-        return True
-    limit = PIVOT_RTOL * float(abs(s).sum(axis=-1).max())
-    return all(p * p > limit for p in pivots)
+    return all(p * p > limit for p in chol.diagonal().tolist()) or bool(_pivot_check(chol, s)[0])
 
 
 def _cholesky(s: np.ndarray) -> np.ndarray:
@@ -419,6 +414,76 @@ def _is_stable(a: np.ndarray, k: np.ndarray) -> bool:
     except NotPositiveDefinite:
         return False
     return True
+
+
+def _pivot_bound(spec: GameSpec, gain: float) -> float:
+    """A bound on the kernel's computed ``||K - A||_inf`` at every profile whose
+    gains are at most ``gain`` in magnitude, for the pivot test.
+
+    ``B = (gain + ||A||_inf) (1 + 4 n u)``, with ``u = 2^-53`` and the
+    spec's upward-rounded norm.  ``B`` is never below the computed norm: each
+    row of ``|K - A|`` sums terms no larger than ``|k_i| + |a_ij|``, and each
+    of its at most ``n`` roundings (the diagonal's subtraction, then the
+    additions) grows a sum of nonnegative terms by a factor of at most
+    ``1 + u``, so the computed norm is at most ``(gain + ||A||_inf) (1 +
+    u)^n``; ``B``'s factor covers that after ``B``'s own two roundings, each
+    losing at most a factor ``1 - u``.  A product below ``2^-1022`` may round
+    by more, but then every one of these sums lies below ``2^-1021``, where
+    floats are evenly spaced, and is exact, so the computed norm is at most
+    ``gain + ||A||_inf``, and so at most ``B``, as ``1 + 4 n u >= 1``.  An
+    overflow makes ``B`` infinite, and a NaN ``gain`` makes it NaN.
+    """
+    return (gain + spec._norm_a) * (1.0 + 4 * spec.n * _UNIT_ROUNDOFF)
+
+
+def _eigenvalue_slack(norm: float | np.ndarray) -> float | np.ndarray:
+    """``PRUNE_SLACK * norm + 2^-1022``, the round-off slack of a test on a computed
+    eigenvalue of a symmetric matrix of infinity norm ``norm`` (a float or an array).
+
+    LAPACK computes each eigenvalue within ``e(n) u ||H||_2 <= e(n) u ||H||_inf``
+    of the stored matrix's, ``u = 2^-53``, with ``e(n)`` "a modestly growing
+    function of n" (LAPACK Users' Guide, section 4.7).  A test whose own
+    roundings add at most ``c(n) u ||H||_inf`` stays sound while
+    ``PRUNE_SLACK (1 - n u) > (e(n) + c(n)) u``, which ``PRUNE_SLACK = 2^27 u``
+    meets for ``e(n) = n^2``: at every ``n <= 11000`` for ``c(n) = n + 3``
+    (:func:`analysis._rosen_values`), and at every ``n <= 8000`` for
+    ``c(n) = n^2 + 2 n + 8`` (:func:`_stable_modes`).  The ``2^-1022`` covers
+    the at most ``2^-1075`` that each rounding may lose below the normal range.
+    """
+    return PRUNE_SLACK * norm + 2.0**-1022
+
+
+def _stable_modes(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of ``A - K`` at one profile or each row of
+    an ``(R, n)`` stack, once the whole stack is certified stable.
+
+    One ``eigh`` of ``-S``, ``S = K - A``, gives both.  The stack passes when
+    ``-max(lam) - slack > PIVOT_RTOL B``, with ``B`` the :func:`_pivot_bound`
+    at its largest gain (numpy's max keeps a NaN, which passes nothing) and
+    the slack :func:`_eigenvalue_slack` of ``B``.  Otherwise, an eigensolver
+    failure included, :func:`_cholesky` decides, and raises its
+    :class:`NotPositiveDefinite`.
+
+    A pass is sound: every pivot would pass ``_cholesky``'s test.  A Cholesky
+    factorization that runs to completion has ``L L^T = S + E`` with
+    ``||E||_2 <= n gamma_{n+1} ||S + E||_2``, ``gamma_m = m u / (1 - m u)``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, section
+    10.1), and it runs to completion when ``lambda_min(S) > 20 n^{3/2} u
+    ||S||_2``.  Each squared pivot is a pivot of ``S + E``, so at least
+    ``lambda_min(S) - ||E||_2``; as ``||S||_2 <= ||S||_inf <= B``, this bound
+    and the test's roundings lose at most ``(n^2 + 2 n + 8) u B``, which the
+    slack covers.
+    """
+    s = _closed_loop(spec.a, ks)
+    try:
+        lam, q = np.linalg.eigh(-s)
+    except np.linalg.LinAlgError:
+        _cholesky(s.reshape(-1, spec.n, spec.n))
+        raise
+    bound = _pivot_bound(spec, float(abs(ks).max()))
+    if not -float(lam.max()) - _eigenvalue_slack(bound) > PIVOT_RTOL * bound:
+        _cholesky(s.reshape(-1, spec.n, spec.n))
+    return lam, q
 
 
 def _weighted_gains(spec: GameSpec, k: np.ndarray) -> np.ndarray:
@@ -482,49 +547,29 @@ def _in_blocks(fn, rows: np.ndarray, entries_per_row: int) -> np.ndarray:
     return np.concatenate([fn(rows[i : i + step]) for i in range(0, len(rows), step)] or [[]])
 
 
-def _pivot_bound(spec: GameSpec, k: np.ndarray) -> float:
-    """A bound, for :func:`_passes_pivot_test`, on the kernel's computed ``||K - A||_inf``.
-
-    ``B = (max|k_i| + ||A||_inf) (1 + 4 n u)``, with ``u = 2^-53`` and the
-    spec's upward-rounded norm.  ``B`` is never below the computed norm: each
-    row of ``|K - A|`` sums terms no larger than ``|k_i| + |a_ij|``, and each
-    of its at most ``n`` roundings (the diagonal's subtraction, then the
-    additions) grows a sum of nonnegative terms by a factor of at most
-    ``1 + u``, so the computed norm is at most
-    ``(max|k_i| + ||A||_inf) (1 + u)^n``; ``B``'s factor covers that after
-    ``B``'s own two roundings, each losing at most a factor ``1 - u``.  A
-    product below ``2^-1022`` may round by more, but then every one of these
-    sums lies below ``2^-1021``, where floats are evenly spaced, and is
-    exact, so the computed norm is at most ``max|k_i| + ||A||_inf``, and so
-    at most ``B``, as ``1 + 4 n u >= 1``.  An overflow makes ``B``
-    infinite.  A NaN in ``k`` may be missed by ``max``, but it
-    makes a pivot NaN, or the factorization break down.
-    """
-    return (max(map(abs, k.tolist())) + spec._norm_a) * (1.0 + 4 * len(k) * _UNIT_ROUNDOFF)
-
-
 def _evaluate_one(spec: GameSpec, k: np.ndarray) -> CostGradientReport:
     """:func:`_evaluate_stack` of one validated profile, without the stack axis.
 
     ``K - A`` comes from :func:`_closed_loop_one`, with the kernel's bits for
     any memory layout of ``A``.  The pivot test, :func:`_passes_pivot_test`
-    on :func:`_pivot_bound`, makes the kernel's decision on Python scalars;
-    why it is the same decision is stated there.  Each further step is
-    the kernel's operation on a 2-D array, which numpy computes as it does
-    each matrix of a stack, so the report has the kernel's bits.  Only the
-    resolvent's diagonal is formed, and it needs no symmetrization: the
-    kernel's ``(m + m^T) / 2`` leaves a diagonal entry unchanged, since
-    doubling and halving a finite double below ``DBL_MAX / 2`` are exact.
-    A factorization that breaks down or fails the pivot test goes to
-    :func:`_cholesky`, which raises the kernel's
-    :class:`NotPositiveDefinite` for it.
+    on :func:`_pivot_bound`, makes the kernel's decision, on Python scalars
+    wherever the bound decides.  Each further step is the kernel's operation
+    on a 2-D array, which numpy computes as it does each matrix of a stack,
+    so the report has the kernel's bits.  Only the resolvent's diagonal is
+    formed, and it needs no symmetrization: the kernel's ``(m + m^T) / 2``
+    leaves a diagonal entry unchanged, since doubling and halving a finite
+    double below ``DBL_MAX / 2`` are exact.  A factorization that breaks down
+    or fails the pivot test goes to :func:`_cholesky`, which raises the
+    kernel's :class:`NotPositiveDefinite` for it.
     """
     s = _closed_loop_one(spec, k)
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         chol = None
-    if chol is None or not _passes_pivot_test(chol, s, _pivot_bound(spec, k)):
+    # Python's max, faster here than numpy's, may miss a NaN gain, but that
+    # makes a pivot NaN or the factorization break down.
+    if chol is None or not _passes_pivot_test(chol, s, _pivot_bound(spec, max(map(abs, k.tolist())))):
         chol = _cholesky(s[None])[0]
     l_inv = np.linalg.inv(chol)
     return _fields(spec, k, (l_inv.T @ l_inv).diagonal())

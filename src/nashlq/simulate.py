@@ -22,12 +22,10 @@ does, bit for bit.  Per-trajectory costs, O(B n^3), are computed only by
 ``game.BLOCK_ENTRIES // n^2`` trajectories, so no ``(B, n, n)`` array is
 formed.
 
-Every cost takes one ``eigh`` of ``A - K`` per profile, and its eigenvalues
-also certify stability (:func:`_checked_modes` states why that is sound):
-a profile they cannot certify goes to the kernel's factor check,
-:func:`game._cholesky`, which raises the kernel's :class:`NotPositiveDefinite`
-for it.  The check comes before any state is drawn or any cost formed, so
-an unstable profile yields no number.
+Every cost takes one ``eigh`` of ``A - K`` per profile, whose eigenvalues
+also certify stability, or else the kernel raises its
+:class:`NotPositiveDefinite` (:func:`game._stable_modes`), before any state
+is drawn or any cost formed: an unstable profile yields no number.
 
 :func:`monte_carlo_cost` also takes an ``(R, n)`` stack of profiles.  The
 stack shares one draw of the ``(seed, stage)`` batch (common random
@@ -43,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import PIVOT_RTOL, PRUNE_SLACK, GameSpec, _cholesky, _closed_loop, _in_blocks, _is_finite
-from .game import _UNIT_ROUNDOFF, _profile, _require_finite, _require_int, _weight, profile_array
+from .game import GameSpec, _closed_loop, _in_blocks, _profile, _require_finite, _require_int
+from .game import _stable_modes, _weight, profile_array
 
 __all__ = [
     "SQRT3",
@@ -68,8 +66,11 @@ _INTEGRATORS = ("quadrature", "exact")
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Batch size (>= 1), sampling horizon (> 0), quadrature step ``0 < dt <= horizon``
-    with a finite ``horizon / dt`` (the trapezoid's step count), seed (>= 0), and integrator."""
+    """Batch size (>= 1), sampling horizon (> 0), quadrature step ``dt`` (> 0), seed
+    (>= 0), and integrator.  Only ``"quadrature"`` reads ``dt``.  It needs
+    ``dt <= horizon`` and a finite ``horizon / dt``, the trapezoid's step
+    count, checked as ``1 <= horizon / dt < inf``: for doubles the rounded
+    quotient is at least 1 exactly when ``dt <= horizon``."""
 
     batch_size: int = 500
     horizon: float = 200.0
@@ -80,10 +81,9 @@ class SimConfig:
     def __post_init__(self):
         _require_int(self.batch_size, "batch_size", 1)
         _require_finite(self.horizon, "horizon")
-        if not (_is_finite(self.dt) and 0 < self.dt <= self.horizon):
-            raise ValueError(f"dt must be a number with 0 < dt <= horizon, got {self.dt!r}")
-        if not _is_finite(float(self.horizon) / float(self.dt)):
-            raise ValueError(f"horizon / dt must be finite, got {self.horizon!r} / {self.dt!r}")
+        _require_finite(self.dt, "dt")
+        if self.integrator == "quadrature" and not 1 <= self.horizon / self.dt < np.inf:
+            raise ValueError(f"quadrature needs dt <= horizon and a finite horizon / dt, got {self.dt!r}")
         _require_int(self.seed, "seed", 0)
         if self.integrator not in _INTEGRATORS:
             raise ValueError(f"integrator must be one of {_INTEGRATORS}")
@@ -160,45 +160,11 @@ def pair_integrals(eigs: np.ndarray, horizon: float, dt: float | None = None) ->
 def _checked_modes(spec: GameSpec, k, config: SimConfig):
     """``k`` as one profile of shape ``(n,)`` or a stack of shape ``(R, n)``,
     with the modal basis and pair-integral table of ``A - K`` at each
-    profile, once the whole stack is certified stable.
-
-    ``S = K - A`` is built once, and one ``eigh`` of ``-S`` gives both the
-    modes and the certificate.  With ``B = (max|k| + ||A||_inf) (1 + 4 n u)``
-    over the stack, which bounds every matrix's computed ``||S||_inf`` as
-    :func:`game._pivot_bound` states, the stack passes when
-    ``-max(lam) - tau B - 2^-1022 > PIVOT_RTOL B``, ``tau = PRUNE_SLACK``.
-    Otherwise (NaN, infinity or an eigensolver failure included)
-    :func:`game._cholesky` decides, raising :class:`NotPositiveDefinite`
-    with the message and index it has always given.
-
-    A pass is sound: every Cholesky pivot would pass ``_cholesky``'s test.
-    LAPACK computes each eigenvalue within ``e(n) u ||S||_2`` of the stored
-    matrix's (LAPACK Users' Guide, section 4.7).  A Cholesky factorization
-    that runs to completion has ``L L^T = S + E`` with
-    ``||E||_2 <= n gamma_{n+1} ||S + E||_2``, ``gamma_m = m u / (1 - m u)``
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
-    section 10.1), and it runs to completion when
-    ``lambda_min(S) > 20 n^{3/2} u ||S||_2``.  Each squared pivot is a
-    pivot of ``S + E``, hence at least ``lambda_min(S) - ||E||_2``.  As
-    ``||S||_2 <= ||S||_inf <= B``, a pass leaves every computed squared pivot
-    above ``PIVOT_RTOL B``, so above the test's limit, whenever
-    ``tau > (e(n) + n^2 + 2 n + 8) u``, which ``tau = 2^27 u`` meets even for
-    ``e(n) = n^2`` at every ``n <= 8000``; the ``2^-1022`` covers what the
-    roundings may lose below the normal range.
-    """
+    profile, once :func:`game._stable_modes` has certified the whole stack."""
     ks = profile_array(k)
     if ks.ndim != 2 or ks.shape[1] != spec.n:
         ks = _profile(spec, ks)
-    s = _closed_loop(spec.a, ks)
-    try:
-        lam, q = np.linalg.eigh(-s)
-    except np.linalg.LinAlgError:
-        _cholesky(s.reshape(-1, spec.n, spec.n))
-        raise
-    # numpy's max keeps a NaN, so a non-finite profile never passes
-    bound = (float(abs(ks).max()) + spec._norm_a) * (1.0 + 4 * spec.n * _UNIT_ROUNDOFF)
-    if not -float(lam.max()) - PRUNE_SLACK * bound - 2.0**-1022 > PIVOT_RTOL * bound:
-        _cholesky(s.reshape(-1, spec.n, spec.n))
+    lam, q = _stable_modes(spec, ks)
     return ks, q, pair_integrals(lam, config.horizon, None if config.integrator == "exact" else config.dt)
 
 
@@ -259,7 +225,8 @@ def monte_carlo_cost(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> np
     ``k`` is one profile, giving costs of shape ``(n,)``, or an ``(R, n)``
     stack, giving one row of costs per profile from one shared batch: row
     ``r`` equals the call on ``k[r]`` bit for bit.  A stack that leaves the
-    stable region raises for its first unstable row, naming its index.
+    stable region raises :class:`NotPositiveDefinite` before sampling, for
+    its first unstable row (:func:`game._stable_modes`).
 
     Unbiased for the horizon-truncated cost.  The batch is the one
     :func:`simulate_batch` draws from the ``(seed, stage)`` substream.  Its
@@ -268,10 +235,7 @@ def monte_carlo_cost(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> np
     A batch of ``B <= n`` states is the smaller factor of ``Sigma``, and a
     row's moment is ``C^T C / B`` with ``C = x0 @ Q``, O(B n^2).
     The estimate is deterministic for a given ``(seed, stage)`` and equals
-    ``simulate_batch(...).per_player_cost.mean(0)`` to round-off.  Raises
-    :class:`NotPositiveDefinite` before sampling if the profile leaves the
-    stable region; the check reads the eigenvalues of the one ``eigh`` of
-    ``A - K`` the estimate needs (:func:`_checked_modes`).
+    ``simulate_batch(...).per_player_cost.mean(0)`` to round-off.
     """
     ks, q, w = _checked_modes(spec, k, config)  # before the draw, so an unstable stack draws nothing
     x0 = sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))

@@ -380,6 +380,16 @@ class TestSimulate:
         assert float(k) == 1.0
         assert abs(float(est) - float(exact)) / float(exact) < 0.1
 
+    def test_exact_integrator_ignores_the_default_step(self, capsys):
+        # the default dt, 0.1, exceeds the horizon, but only the quadrature reads it
+        code = run_cli(
+            "simulate", "--preset", "scalar", "--k", "1", "--integrator", "exact",
+            "--horizon", "0.05", "--batch", "5",
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert "horizon 0.05, dt 0.1, integrator exact" in captured.out
+
     def test_unstable_profile_is_solver_failure(self, tmp_path):
         code = run_cli(
             "simulate", "--preset", "five-player", "--k=-5,-5,-5,-5,-5",

@@ -4,8 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nashlq import (
@@ -89,9 +88,10 @@ class TestResolvent:
 
 def cho_resolvent(spec, k):
     """The retired per-profile resolvent: scipy ``cho_factor`` + ``cho_solve``."""
+    linalg = pytest.importorskip("scipy.linalg")
     s = np.diag(k) - spec.a
-    c = scipy.linalg.cho_factor(s, lower=True, check_finite=False)
-    m = scipy.linalg.cho_solve(c, np.eye(spec.n), check_finite=False)
+    c = linalg.cho_factor(s, lower=True, check_finite=False)
+    m = linalg.cho_solve(c, np.eye(spec.n), check_finite=False)
     return (m + m.T) / 2.0
 
 
@@ -130,18 +130,24 @@ def retired_resolvent_diag(spec, k):
     return (d + d) / 2.0
 
 
+def spd_case(n, seed, scale):
+    """A random SPD matrix of order ``n`` scaled by ``2^scale``, its Cholesky
+    factor, and the stream that drew it."""
+    rng = substream(seed)
+    x = rng.standard_normal((n, n))
+    s = (x @ x.T + n * np.eye(n)) * 2.0**scale
+    return s, np.linalg.cholesky(s), rng
+
+
 @st.composite
 def pivot_edge_case(draw):
-    """A random SPD matrix ``s``, its Cholesky factor, and the factor's pivot index to move.
+    """A :func:`spd_case` ``s``, its Cholesky factor, and the factor's pivot index to move.
 
-    ``s`` is scaled by a power of two.  Some cases set pivots of the factor
-    to NaN, inf or zero, or an entry of ``s`` to inf or NaN.
+    Some cases set pivots of the factor to NaN, inf or zero, or an entry of
+    ``s`` to inf or NaN.
     """
     n = draw(st.integers(1, 8))
-    rng = substream(draw(st.integers(0, 2**32 - 1)))
-    x = rng.standard_normal((n, n))
-    s = (x @ x.T + n * np.eye(n)) * 2.0 ** draw(st.integers(-500, 500))
-    chol = np.linalg.cholesky(s)
+    s, chol, rng = spd_case(n, draw(st.integers(0, 2**32 - 1)), draw(st.integers(-500, 500)))
     specials = st.tuples(st.integers(0, n - 1), st.sampled_from([np.nan, np.inf, 0.0]))
     for i, value in draw(st.lists(specials, max_size=2)):
         chol[i, i] = value
@@ -225,6 +231,9 @@ class TestProfileKernel:
         assert isinstance(kernel, str) and re.match("K - A is " + message, kernel)
         assert single == kernel
 
+    # A one-matrix factor, whose smallest pivot is a numpy scalar: its ** 2
+    # would call libm's pow, which rounds 3.995286157371701e-07 ** 2 down.
+    @example(spd_case(1, 184, -3)[:2] + (0,), 1.0)
     @given(pivot_edge_case(), st.floats(1.0, 4.0))
     def test_scalar_pivot_test_makes_the_kernel_decision(self, case, stretch):
         s, chol, index = case
@@ -244,10 +253,12 @@ class TestProfileKernel:
         outcomes = set()
         for pivot in pivots:
             chol[index, index] = pivot
-            with np.errstate(all="ignore"):  # an inf pivot overflows its square
+            # the largest finite pivot overflows its square, also where the scalar
+            # test defers to the kernel's
+            with np.errstate(all="ignore"):
                 kernel = bool(_pivot_check(chol, s)[0])
-            for bound in bounds:
-                decision = _passes_pivot_test(chol, s, bound)
+                decisions = [_passes_pivot_test(chol, s, bound) for bound in bounds]
+            for decision in decisions:
                 assert decision is kernel
                 outcomes.add(decision)
         others = np.delete(np.diagonal(chol), index)
@@ -259,8 +270,10 @@ class TestProfileKernel:
         st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(-500, 450),
         st.one_of(st.integers(-500, 500), st.integers(40, 56)),
         st.lists(st.sampled_from([math.inf, -math.inf]), max_size=1),
+        st.integers(1, 4), st.lists(st.integers(0, 3), max_size=2),
     )
-    def test_pivot_bound_is_never_below_the_computed_norm(self, n, seed, a_scale, gap, specials):
+    def test_pivot_bound_is_never_below_the_computed_norm(self, n, seed, a_scale, gap, specials,
+                                                          rows, nan_rows):
         # Entries with full mantissas, so the diagonal's subtraction and the row
         # sums round, up as often as down.  Gains of one magnitude put max|k_i|
         # in every row, and gains ~2^40-2^56 times the entries of A make every
@@ -269,11 +282,18 @@ class TestProfileKernel:
         x = rng.uniform(-1.0, 1.0, (n, n)) * 2.0**a_scale
         a = x + x.T - np.diag(abs(x).sum(axis=1) * 2.0 + 2.0**a_scale)
         spec = GameSpec(a=a, rho=0.0, k_upper=2.0**600)
-        k = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0) * 2.0 ** (a_scale + gap)
-        k[: len(specials)] = specials
-        with np.errstate(over="ignore"):
-            norm = abs(_closed_loop(spec.a, k)).sum(axis=-1).max()
-        assert _pivot_bound(spec, k) >= norm
+        ks = rng.choice([-1.0, 1.0], (rows, n)) * rng.uniform(0.5, 1.0, (rows, 1)) * 2.0 ** (a_scale + gap)
+        ks[0, : len(specials)] = specials
+        nan_rows = [r for r in nan_rows if r < rows]
+        ks[nan_rows, rng.integers(n)] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = abs(_closed_loop(spec.a, ks)).sum(axis=-1).max(axis=-1)
+        # The lone profile's bound, from Python's max; then the stack's, from
+        # numpy's, which keeps a NaN, as the stability certificate takes it.
+        if not nan_rows:
+            assert _pivot_bound(spec, max(map(abs, ks[0].tolist()))) >= norms[0]
+        stack = _pivot_bound(spec, float(abs(ks).max()))
+        assert math.isnan(stack) if nan_rows else stack >= norms.max()
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @given(st.integers(0, 10**6), st.integers(1, 20))

@@ -2,11 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashlq import game, learning, simulate
+from nashlq import game, learning
 from nashlq import (
     GameSpec,
     LearnConfig,
@@ -634,7 +633,7 @@ class TestRetiredPath:
 
 
 class TestStabilityCertificate:
-    """The eigenvalue certificate of ``_checked_modes`` decides as ``_cholesky`` does."""
+    """The eigenvalue certificate, ``game._stable_modes``, decides as ``_cholesky`` does."""
 
     @settings(max_examples=200)
     @given(
@@ -652,25 +651,28 @@ class TestStabilityCertificate:
         of the limit, the eigensolver's round-off exceeds the distance, which
         only the slack covers.
         """
-        config = SimConfig(batch_size=1, horizon=1.0)
         for walk in [sign * 10.0**-e for e in range(2, 11) for sign in (-1.0, 1.0)]:
             spec, stack = certificate_case(seed, n, kinds, 10.0**-coupling, walk)
             for ks in [stack, *stack[:, None]]:
                 expected = outcome(lambda: game._cholesky(game._closed_loop(spec.a, ks)))
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    got = outcome(lambda: simulate._checked_modes(spec, ks, config))
+                    got = outcome(lambda: game._stable_modes(spec, ks))
                 assert got == expected, (walk, ks)
 
     def test_stable_stages_take_no_factorization(self, monkeypatch):
         def refuse(s):
             raise AssertionError("a stable stack went to the factor check")
 
-        monkeypatch.setattr(simulate, "_cholesky", refuse)
         config = SimConfig(batch_size=50, horizon=200.0, dt=0.01)
+        cases = []
         for seed in range(20):
             spec, k = random_game(seed, n=1 + seed % 20)
             ks = spec.k_lower + substream(seed, 1).random((3, spec.n)) * (spec.k_upper - spec.k_lower)
+            cases.append((spec, k, ks))
+        # only now: building a spec runs the factor check on its box's lower corner
+        monkeypatch.setattr(game, "_cholesky", refuse)
+        for spec, k, ks in cases:
             monte_carlo_cost(spec, np.vstack([k, ks]), config)
             simulate_batch(spec, k, config)
 
@@ -756,6 +758,7 @@ class TestPairIntegrals:
         # trapezoid quadrature of exp(2(A - K) t) over [0, 50/lam_min]
         # approaches (K - A)^{-1}/2; the quadrature side uses expm powers,
         # independent of the eigendecomposition route used by the library
+        linalg = pytest.importorskip("scipy.linalg")
         rng = substream(77)
         for _ in range(5):
             n = int(rng.integers(2, 5))
@@ -765,7 +768,7 @@ class TestPairIntegrals:
             horizon = 50.0 / eigs.min()
             steps = int(np.ceil(horizon / 1e-3))
             dt = horizon / steps
-            step_matrix = scipy.linalg.expm(-2.0 * ka * dt)
+            step_matrix = linalg.expm(-2.0 * ka * dt)
             total = 0.5 * np.eye(n) + 0.5 * np.linalg.matrix_power(step_matrix, steps)
             power = step_matrix.copy()
             for _j in range(1, steps):
@@ -797,11 +800,21 @@ class TestSimConfig:
             {"dt": "0.1"},
             {"horizon": "200"},
             {"horizon": 10**400},
+            # the exact integrator never reads dt, but it must still be a step
+            {"dt": 0.0, "integrator": "exact"},
+            {"dt": float("inf"), "integrator": "exact"},
+            {"dt": float("nan"), "integrator": "exact"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("horizon, dt", [(0.05, 0.1), (1e300, 1e-10)])
+    def test_exact_integrator_takes_any_positive_step(self, horizon, dt):
+        # dt > horizon, or a horizon / dt that overflows, would refuse the quadrature
+        config = SimConfig(horizon=horizon, dt=dt, integrator="exact")
+        assert (config.horizon, config.dt) == (horizon, dt)
 
     def test_numpy_integers_accepted(self):
         config = SimConfig(batch_size=np.int64(4), seed=np.uint32(7))
