@@ -290,7 +290,10 @@ def rosen_sweep(spec: GameSpec, samples: int = 200, seed=0) -> RosenReport:
     minimum are eigensolved (:func:`_rosen_values`); a skipped point lies
     strictly above its block's minimum, so above the sweep's, and the witness
     is the point a full solve picks.  The sweep is sampled evidence, not a
-    proof.
+    proof.  A violation at a witness whose Jacobian has a zero diagonal
+    entry raises ``ValueError``: each curvature is strictly positive at a
+    stable profile, so a computed 0 has underflowed, which a box too wide to
+    sweep allows.
     """
     _check_sweep(samples)
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
@@ -300,6 +303,8 @@ def rosen_sweep(spec: GameSpec, samples: int = 200, seed=0) -> RosenReport:
     # Report the witness's own single-profile check, so that
     # rosen_check(spec, witness) == min_eig holds by construction.
     min_eig = rosen_check(spec, witness)
+    if min_eig <= 0.0 and not pseudogradient_jacobian(spec, witness).diagonal().all():
+        raise ValueError(f"curvature underflows to 0 at witness {witness.tolist()}: box too wide to sweep")
     return RosenReport(
         min_eig=min_eig,
         witness=ActionProfile(witness),

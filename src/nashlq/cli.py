@@ -5,14 +5,14 @@ Subcommands: ``learn``, ``reproduce-paper``, ``check-rosen``, ``gen-matrix``,
 (flags win); ``NASHLQ_SEED`` supplies a default seed.  Histories and reports
 are flat CSV/JSON files meant for external plotting tools.
 
-Exit codes: 0 success, 1 uniqueness-condition violation found,
-2 invalid configuration, an output that cannot be written, or a request
-too large for memory, 3 solver failure (an unstable profile, or one the
-pivot test refuses as numerically singular), 4 a ``reproduce-paper`` gate
-failed.  Each subcommand runs its work and writes inside one output guard,
-:func:`_output`: a run that fails after making its output location,
-whatever the exit code, or is interrupted, removes the directories it made
-that are still empty.
+Exit codes: 0 success, 1 uniqueness-condition violation found, 2 invalid
+configuration (an action box too wide to sweep included), an output that
+cannot be written, or a request too large for memory, 3 solver failure (an
+unstable profile, or one the pivot test refuses as numerically singular), 4
+a ``reproduce-paper`` gate failed.  Each subcommand runs its work and writes
+inside one output guard, :func:`_output`: a run that fails after making its
+output location, whatever the exit code, or is interrupted, removes the
+directories it made that are still empty.
 """
 
 from __future__ import annotations
@@ -272,8 +272,11 @@ def cmd_check_rosen(args) -> int:
         if exp.game.n == 2:
             a = exp.game.a
             try:
-                witness_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *report.witness.k)
-                corner_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *exp.game.k_lower)
+                with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                    witness_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *report.witness.k)
+                    corner_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *exp.game.k_lower)
+                if not np.isfinite([witness_mu, corner_mu]).all():
+                    raise PreconditionViolated("mu overflows the float range in this box")
             except PreconditionViolated as err:
                 lines.append(f"mu not reported: {err}")
             else:
@@ -328,9 +331,10 @@ def cmd_simulate(args) -> int:
             write_csv(path, ["player", "k", "estimate", "closed_form", "rel_error"], rows)
 
     print(f"profile: {_fmt_vec(k)}  (stability margin {stability_margin(exp.game, k):.6g})")
+    dt = f"dt {exp.sim.dt:g}, " if exp.sim.integrator == "quadrature" else ""
     print(
         f"batch {exp.sim.batch_size}, horizon {exp.sim.horizon:g}, "
-        f"dt {exp.sim.dt:g}, integrator {exp.sim.integrator}, seed {exp.sim.seed}"
+        f"{dt}integrator {exp.sim.integrator}, seed {exp.sim.seed}"
     )
     print("player   estimate      closed-form   rel-error")
     for i in range(exp.game.n):

@@ -14,24 +14,20 @@ A report's curvatures are computed on first access, from the resolvent
 diagonals, tradeoffs and gains it stores, so gradient play, which never
 reads them, does not pay for them.
 
-All of them are the single-profile case of one kernel that takes a
-``(P, n)`` stack of profiles: it builds every ``K - A``, factors the whole
-stack in one ``np.linalg.cholesky`` call (with a per-profile pivot check
-that raises :class:`NotPositiveDefinite` naming the first failing profile),
-and forms the stacked resolvents from the factors.  Sweeps over many
-profiles call the kernel in blocks through :func:`_in_blocks`, whose one
-bound, ``BLOCK_ENTRIES``, caps the array entries a block holds, so a block's
-row count follows from n.  Every stability decision is made here: by the
-kernel's factor step, or, for :mod:`nashlq.simulate`, by
+All of them run through one kernel, :func:`_evaluate_stack`, which takes
+one profile of shape ``(n,)`` or a ``(P, n)`` stack of them: it builds
+every ``K - A`` from the spec's cached ``-A``, factors them in one
+``np.linalg.cholesky`` call, makes the pivot decision once (a failure
+raises :class:`NotPositiveDefinite`, naming the first failing profile of a
+stack), and forms the resolvents from the factors.  :func:`evaluate`, which
+gradient play calls once per stage, is the kernel on one profile.  Sweeps
+over many profiles call the kernel in blocks through :func:`_in_blocks`,
+whose one bound, ``BLOCK_ENTRIES``, caps the array entries a block holds,
+so a block's row count follows from n.  Every stability decision is made
+here: by the kernel's factor step, or, for :mod:`nashlq.simulate`, by
 :func:`_stable_modes`, which certifies a stack from the eigenvalues of the
 one ``eigh`` of ``A - K`` its costs need anyway and hands a stack those
 cannot certify to the same factor step.
-
-:func:`evaluate`, which gradient play calls once per stage, is the kernel's
-``P = 1`` case without the stack axis (:func:`_evaluate_one`): the same
-operations on 2-D arrays, with the kernel's decisions and bits, and the
-kernel's errors for a failed factorization.  The per-player formulas are
-stated once, for both.
 """
 
 from __future__ import annotations
@@ -175,11 +171,11 @@ class GameSpec:
     the float range at a corner is refused, as its costs would overflow.
 
     Two read-only values are computed on first use and kept: ``_neg_a``,
-    ``-A`` in C order, for :func:`evaluate`'s single-profile path, and
-    ``_norm_a``, ``||A||_inf`` rounded up, for :func:`_pivot_bound`.
-    ``_square_overflows`` is set at construction: whether ``k_i^2`` overflows
-    at a corner of the box for some player, necessarily one with
-    ``rho_i = 0`` (:func:`_weighted_gains`).
+    ``-A`` in C order, for the kernel's ``K - A``, and ``_norm_a``,
+    ``||A||_inf`` rounded up, for :func:`_pivot_bound`.  Two are set at
+    construction: ``n``, the number of players, and ``_square_overflows``,
+    whether ``k_i^2`` overflows at a corner of the box for some player,
+    necessarily one with ``rho_i = 0`` (:func:`_weighted_gains`).
     """
 
     a: np.ndarray
@@ -200,14 +196,16 @@ class GameSpec:
 
         k_upper = _vector(self.k_upper, n, "k_upper")
         k_lower = np.zeros(n) if self.k_lower is None else _vector(self.k_lower, n, "k_lower")
+        object.__setattr__(self, "a", _frozen(a))
+        object.__setattr__(self, "n", n)
 
         # Stability must hold on the whole box; K - A is smallest (in the
         # Loewner order) at the lower corner, so one check there suffices.
-        if not _is_stable(a, k_lower):
+        if not _is_stable(self, k_lower):
             offdiag = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
             lift = np.maximum(0.0, np.diag(a) + offdiag + STABILITY_MARGIN)
             k_lower = np.maximum(k_lower, lift)
-            if not _is_stable(a, k_lower):
+            if not _is_stable(self, k_lower):
                 raise NotPositiveDefinite(
                     "stability lift failed; state matrix is numerically degenerate"
                 )
@@ -224,15 +222,9 @@ class GameSpec:
                 raise ValueError(f"action box too wide: rho * k^2 overflows at a corner for rho = {r:g}")
             square_overflows = square_overflows or not math.isfinite(square)
         object.__setattr__(self, "_square_overflows", square_overflows)
-
-        object.__setattr__(self, "a", _frozen(a))
         object.__setattr__(self, "rho", _frozen(rho))
         object.__setattr__(self, "k_upper", _frozen(k_upper))
         object.__setattr__(self, "k_lower", _frozen(k_lower))
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
 
     def contains(self, k) -> bool:
         """True when the profile lies in the action box."""
@@ -245,7 +237,7 @@ class GameSpec:
 
     @functools.cached_property
     def _neg_a(self) -> np.ndarray:
-        """``-A``, C-ordered and read-only, the start of every single-profile ``K - A``."""
+        """``-A``, C-ordered and read-only, the start of every ``K - A`` the kernel forms."""
         return _frozen(np.negative(self.a, order="C"))
 
     @functools.cached_property
@@ -281,8 +273,9 @@ class CostGradientReport:
     and tradeoffs they were evaluated at.  ``curvature``, the strictly
     positive second derivatives of each cost in its own action, is computed
     on first access from these fields and then kept.  ``rho`` is the spec's
-    read-only array.  A single profile's ``resolvent_diag`` is a read-only
-    view of a diagonal; a stack's is a writable copy.
+    read-only array.  ``resolvent_diag`` is a read-only view of the
+    diagonal of the kernel's ``(K - A)^{-1}``: shape ``(n,)`` for one
+    profile, and ``(P, n)``, one row per profile, for a stack.
     """
 
     resolvent_diag: np.ndarray
@@ -322,25 +315,17 @@ def _diagonals(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[:-2] + (-1,))[..., :: x.shape[-1] + 1]
 
 
-def _closed_loop(a: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """``K - A``, C-ordered, for one profile or each row of a ``(P, n)`` stack."""
-    s = np.empty(ks.shape + ks.shape[-1:])
-    np.negative(a, out=s)
-    diagonal = _diagonals(s)
-    diagonal += ks
-    return s
+def _closed_loop(spec: GameSpec, ks: np.ndarray) -> np.ndarray:
+    """``K - A``, C-ordered, for one profile or each row of a ``(P, n)`` stack.
 
-
-def _closed_loop_one(spec: GameSpec, k: np.ndarray) -> np.ndarray:
-    """:func:`_closed_loop` of one profile, from the spec's cached ``-A``.
-
-    A C-ordered copy of ``-A`` with ``k`` added to its diagonal view: the
-    negation and the addition :func:`_closed_loop` makes, so the bits are the
-    same for any memory layout of ``A``, without negating ``A`` again.
+    A copy of the spec's cached ``-A``, or ``P`` of them, with each profile
+    added to its diagonal; negation is exact, so the bits are those of ``-A``
+    formed from ``A`` in any memory layout.
     """
-    s = spec._neg_a.copy()
-    diagonal = s.ravel()[:: len(k) + 1]
-    diagonal += k
+    lone = ks.ndim == 1
+    s = spec._neg_a.copy() if lone else np.repeat(spec._neg_a[None], len(ks), axis=0)
+    diagonal = s.ravel()[:: len(ks) + 1] if lone else _diagonals(s)  # the first is cheaper
+    diagonal += ks
     return s
 
 
@@ -358,9 +343,10 @@ def _pivot_check(chol: np.ndarray, s: np.ndarray):
 
 
 def _passes_pivot_test(chol: np.ndarray, s: np.ndarray, bound: float) -> bool:
-    """:func:`_pivot_check`'s decision for one factor ``chol`` of ``s``, first on Python scalars.
+    """:func:`_pivot_check`'s decision for the factor ``chol`` of ``s``, one
+    matrix (on Python scalars) or a stack (every factor passes).
 
-    ``bound``, NaN or no smaller than the computed ``||s||_inf``
+    ``bound``, NaN or no smaller than each computed ``||s||_inf``
     (:func:`_pivot_bound`), decides a pass: its limit is no smaller than the
     norm's, as rounding ``PIVOT_RTOL * x`` is monotone in ``x``, and as
     Cholesky pivots are nonnegative or NaN, every squared pivot exceeds a
@@ -368,31 +354,39 @@ def _passes_pivot_test(chol: np.ndarray, s: np.ndarray, bound: float) -> bool:
     pivot.  Otherwise :func:`_pivot_check` decides.
     """
     limit = PIVOT_RTOL * bound
-    return all(p * p > limit for p in chol.diagonal().tolist()) or bool(_pivot_check(chol, s)[0])
+    if chol.ndim == 2:
+        passed = all(p * p > limit for p in chol.diagonal().tolist())
+    else:
+        passed = bool(np.square(chol.diagonal(0, -2, -1).min()) > limit)
+    return passed or bool(_pivot_check(chol, s)[0].all())
 
 
-def _cholesky(s: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a ``(P, n, n)`` stack of symmetric matrices.
+def _cholesky(s: np.ndarray, bound: float = math.nan) -> np.ndarray:
+    """Lower Cholesky factors of one symmetric matrix or a ``(P, n, n)`` stack.
 
     One ``np.linalg.cholesky`` call factors the whole stack.  A matrix fails
     when its factorization breaks down or a squared pivot falls to
-    ``PIVOT_RTOL`` times its infinity norm; the first failure raises
-    :class:`NotPositiveDefinite`, naming its index when the stack holds more
-    than one matrix.
+    ``PIVOT_RTOL`` times its infinity norm, as :func:`_passes_pivot_test`
+    decides on ``bound`` (NaN leaves it to :func:`_pivot_check`).  The first
+    failure raises :class:`NotPositiveDefinite`, naming its index when the
+    stack holds more than one matrix.
     """
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        # Refactor one at a time up to the first breakdown; NaN marks it.
-        chol = np.full_like(s, np.nan)
-        for i, matrix in enumerate(s):
-            try:
-                chol[i] = np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                break
-    passed, pivots, scale = _pivot_check(chol, s)
-    if passed.all():
+        chol = None
+    if chol is not None and _passes_pivot_test(chol, s, bound):
         return chol
+    # Refactor one at a time, each with the bits it had in the stack, up to
+    # the first breakdown; NaN marks it.
+    s = s.reshape((-1,) + s.shape[-2:])
+    chol = np.full_like(s, np.nan)
+    for i, matrix in enumerate(s):
+        try:
+            chol[i] = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            break
+    passed, pivots, scale = _pivot_check(chol, s)
     i = int(np.argmin(passed))
     where = f" at profile {i}" if len(s) > 1 else ""
     lam_min = float(np.linalg.eigvalsh(s[i]).min())
@@ -407,10 +401,10 @@ def _cholesky(s: np.ndarray) -> np.ndarray:
     )
 
 
-def _is_stable(a: np.ndarray, k: np.ndarray) -> bool:
+def _is_stable(spec: GameSpec, k: np.ndarray) -> bool:
     """True when ``K - A`` at the profile ``k`` passes the kernel's factor check."""
     try:
-        _cholesky(_closed_loop(a, k[None]))
+        _cholesky(_closed_loop(spec, k))
     except NotPositiveDefinite:
         return False
     return True
@@ -474,15 +468,15 @@ def _stable_modes(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarra
     and the test's roundings lose at most ``(n^2 + 2 n + 8) u B``, which the
     slack covers.
     """
-    s = _closed_loop(spec.a, ks)
+    s = _closed_loop(spec, ks)
     try:
         lam, q = np.linalg.eigh(-s)
     except np.linalg.LinAlgError:
-        _cholesky(s.reshape(-1, spec.n, spec.n))
+        _cholesky(s)
         raise
     bound = _pivot_bound(spec, float(abs(ks).max()))
     if not -float(lam.max()) - _eigenvalue_slack(bound) > PIVOT_RTOL * bound:
-        _cholesky(s.reshape(-1, spec.n, spec.n))
+        _cholesky(s)
     return lam, q
 
 
@@ -520,20 +514,26 @@ def _fields(spec: GameSpec, k: np.ndarray, f: np.ndarray) -> CostGradientReport:
 
 
 def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGradientReport]:
-    """The profile kernel: resolvents and per-player fields of a ``(P, n)`` stack.
+    """The profile kernel: ``L^{-T} L^{-1}`` and the per-player fields of one
+    profile, shape ``(n,)``, or of each row of a ``(P, n)`` stack.
 
-    Returns ``M = (K - A)^{-1}`` for every profile, shape ``(P, n, n)``, and a
-    report whose fields have shape ``(P, n)``.  With ``K - A = L L^T`` from
-    one stacked Cholesky call, ``M = L^{-T} L^{-1}``, averaged with its
-    transpose so it is exactly symmetric.  Every public profile function is
-    the ``P = 1`` case of this kernel (:func:`evaluate` through
-    :func:`_evaluate_one`); numpy's stacked factorizations and products work
-    matrix by matrix, so a profile gets the same bits alone or inside a stack.
+    :func:`_closed_loop` forms ``K - A``, and :func:`_cholesky` factors it,
+    on the :func:`_pivot_bound` of its largest gain.  With ``K - A = L
+    L^T``, ``M = L^{-T} L^{-1}``; the report reads M's diagonal as it is,
+    since the ``(M + M^T) / 2`` of :func:`resolvent` and
+    :func:`_jacobian_stack`, which read all of M, leaves a diagonal entry
+    unchanged: doubling and halving a finite double below ``DBL_MAX / 2``
+    are exact.  Numpy's stacked factorizations and products work matrix by
+    matrix, so a profile gets the same bits alone or inside a stack.
     """
-    l_inv = np.linalg.inv(_cholesky(_closed_loop(spec.a, ks)))
-    m = l_inv.transpose(0, 2, 1) @ l_inv
-    m = (m + m.transpose(0, 2, 1)) / 2.0
-    return m, _fields(spec, ks, _diagonals(m).copy())
+    lone = ks.ndim == 1
+    # Python's max, faster here than numpy's, may miss a NaN gain, but that
+    # makes a pivot NaN or the factorization break down.
+    gain = max(map(abs, ks.tolist())) if lone else float(abs(ks).max())
+    l_inv = np.linalg.inv(_cholesky(_closed_loop(spec, ks), _pivot_bound(spec, gain)))
+    # A lone profile's 2-D views, cheaper than numpy's generic ones.
+    m = (l_inv.T if lone else l_inv.swapaxes(-1, -2)) @ l_inv
+    return m, _fields(spec, ks, m.diagonal() if lone else m.diagonal(0, -2, -1))
 
 
 def _in_blocks(fn, rows: np.ndarray, entries_per_row: int) -> np.ndarray:
@@ -547,34 +547,6 @@ def _in_blocks(fn, rows: np.ndarray, entries_per_row: int) -> np.ndarray:
     return np.concatenate([fn(rows[i : i + step]) for i in range(0, len(rows), step)] or [[]])
 
 
-def _evaluate_one(spec: GameSpec, k: np.ndarray) -> CostGradientReport:
-    """:func:`_evaluate_stack` of one validated profile, without the stack axis.
-
-    ``K - A`` comes from :func:`_closed_loop_one`, with the kernel's bits for
-    any memory layout of ``A``.  The pivot test, :func:`_passes_pivot_test`
-    on :func:`_pivot_bound`, makes the kernel's decision, on Python scalars
-    wherever the bound decides.  Each further step is the kernel's operation
-    on a 2-D array, which numpy computes as it does each matrix of a stack,
-    so the report has the kernel's bits.  Only the resolvent's diagonal is
-    formed, and it needs no symmetrization: the kernel's ``(m + m^T) / 2``
-    leaves a diagonal entry unchanged, since doubling and halving a finite
-    double below ``DBL_MAX / 2`` are exact.  A factorization that breaks down
-    or fails the pivot test goes to :func:`_cholesky`, which raises the
-    kernel's :class:`NotPositiveDefinite` for it.
-    """
-    s = _closed_loop_one(spec, k)
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        chol = None
-    # Python's max, faster here than numpy's, may miss a NaN gain, but that
-    # makes a pivot NaN or the factorization break down.
-    if chol is None or not _passes_pivot_test(chol, s, _pivot_bound(spec, max(map(abs, k.tolist())))):
-        chol = _cholesky(s[None])[0]
-    l_inv = np.linalg.inv(chol)
-    return _fields(spec, k, (l_inv.T @ l_inv).diagonal())
-
-
 def _jacobian_stack(spec: GameSpec, ks: np.ndarray) -> np.ndarray:
     """:func:`pseudogradient_jacobian` of a ``(P, n)`` stack, shape ``(P, n, n)``.
 
@@ -583,7 +555,7 @@ def _jacobian_stack(spec: GameSpec, ks: np.ndarray) -> np.ndarray:
     """
     m, report = _evaluate_stack(spec, ks)
     coeff = 2.0 * report.cost - spec.rho * ks
-    g = coeff[:, :, None] * m**2
+    g = coeff[:, :, None] * ((m + m.transpose(0, 2, 1)) / 2.0) ** 2
     _diagonals(g)[:] = report.curvature
     return g
 
@@ -595,12 +567,13 @@ def resolvent(spec: GameSpec, k) -> np.ndarray:
     diagonal entry plus the cross terms needed by
     :func:`pseudogradient_jacobian`.
     """
-    return _evaluate_stack(spec, _profile(spec, k)[None])[0][0]
+    m = _evaluate_stack(spec, _profile(spec, k))[0]
+    return (m + m.T) / 2.0
 
 
 def evaluate(spec: GameSpec, k) -> CostGradientReport:
     """Costs, gradients, and curvatures from a single factorization."""
-    return _evaluate_one(spec, _profile(spec, k))
+    return _evaluate_stack(spec, _profile(spec, k))[1]
 
 
 def cost(spec: GameSpec, k) -> np.ndarray:
@@ -644,4 +617,4 @@ def pseudogradient_jacobian(spec: GameSpec, k) -> np.ndarray:
 
 def stability_margin(spec: GameSpec, k) -> float:
     """Smallest eigenvalue of ``K - A``; positive iff the closed loop is stable."""
-    return float(np.linalg.eigvalsh(_closed_loop(spec.a, _profile(spec, k)[None])).min())
+    return float(np.linalg.eigvalsh(_closed_loop(spec, _profile(spec, k))).min())

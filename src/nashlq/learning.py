@@ -11,12 +11,13 @@ the system matrices or the others' actions.
 
 Play runs in lockstep over an ``(R, n)`` stack of profiles, one per start.
 The gradient source is chosen once per run (:func:`_estimator`): per stage,
-an exact stack takes one call of the stacked kernel (a lone start takes
-:func:`~nashlq.game.evaluate`), a model-free stack one estimate on the
-stage's common batch.  In :func:`_lockstep`, the one loop over it, a member
-stops at the first stage its gradient meets the tolerance, or at the budget,
-and keeps its row, unchanged, until the last member stops.  Each row gets
-the bits it would get alone in :func:`run_gradient_play`, the one-start case.
+an exact stack takes one call of the profile kernel (a lone start takes it
+through :func:`~nashlq.game.evaluate`), a model-free stack one estimate on
+the stage's common batch.  In :func:`_lockstep`, the one loop over it, a
+member stops at the first stage its gradient meets the tolerance, or at the
+budget, and keeps its row, unchanged, until the last member stops.  Each row
+gets the bits it would get alone in :func:`run_gradient_play`, the one-start
+case.
 """
 
 from __future__ import annotations
@@ -126,10 +127,10 @@ def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
 
     ``ks`` is the run's ``(rows, n)`` stack, which keeps its rows until the
     last member stops, and both results have its shape.  An exact stack
-    takes one call of the stacked kernel, whose rows equal
-    :func:`~nashlq.game.evaluate`'s bits; a lone start takes ``evaluate``
-    itself, the cheaper path.  A model-free stack takes one estimate on the
-    stage's shared batch.
+    takes one call of the profile kernel; a lone start takes
+    :func:`~nashlq.game.evaluate`, the kernel on its one profile, with the
+    same bits.  A model-free stack takes one estimate on the stage's shared
+    batch.
     """
     if config.mode == "model-free":
         def estimate(ks, stage):

@@ -123,7 +123,7 @@ def simulate_state(spec: GameSpec, k, x0, t: float) -> np.ndarray:
     """Closed-loop state ``x(t) = exp((A - K) t) x0`` via the symmetric modes."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    lam, q = np.linalg.eigh(-_closed_loop(spec.a, _profile(spec, k)))
+    lam, q = np.linalg.eigh(-_closed_loop(spec, _profile(spec, k)))
     x0 = np.asarray(x0, dtype=float)
     return q @ (np.exp(lam * t) * (q.T @ x0))
 

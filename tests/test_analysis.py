@@ -233,6 +233,16 @@ class TestRosenSweep:
         with pytest.raises(ValueError, match="samples"):
             rosen_sweep(five_player_game(), samples=samples)
 
+    @pytest.mark.parametrize("rho, k_upper", [(0.0, 4.149515568880993e180), (1.0, 1e120)])
+    def test_underflowed_curvature_is_not_a_violation(self, rho, k_upper):
+        # The curvature, about 1 / k^3 at large gains, is positive at every stable
+        # profile, but underflows to 0 past k ~ 1e108, which would read as min_eig = 0.
+        spec = GameSpec(a=[[-1.0]], rho=rho, k_upper=k_upper)
+        with pytest.raises(ValueError, match=r"curvature underflows to 0 at witness \[") as err:
+            rosen_sweep(spec, samples=20)
+        witness = [float(err.value.args[0].split("[")[1].split("]")[0])]
+        assert pseudogradient_jacobian(spec, witness)[0, 0] == 0.0
+
 
 class TestBoxSamples:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 300))

@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,23 @@ class TestCheckRosen:
         assert "mu" not in report
         assert "mu not reported" in capsys.readouterr().out
 
+    def test_two_player_mu_overflow_is_not_reported(self, tmp_path, capsys):
+        config = tmp_path / "game.json"
+        game = {"a": [[-2.0, -0.5], [-0.5, -2.0]], "rho": 1.0, "k_upper": 1e60}
+        config.write_text(json.dumps({"game": game}), encoding="utf-8")
+        out = tmp_path / "rosen.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("check-rosen", "--config", str(config), "--out", str(out))
+        assert code == 0
+        assert "mu not reported: mu overflows" in capsys.readouterr().out
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        assert "mu" not in report and not report["violated"]
+
     def test_sdd_ensemble_clean(self, tmp_path):
         config = tmp_path / "sweep.json"
         config.write_text(
@@ -388,7 +406,13 @@ class TestSimulate:
         )
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, "")
-        assert "horizon 0.05, dt 0.1, integrator exact" in captured.out
+        assert "batch 5, horizon 0.05, integrator exact, seed 0\n" in captured.out
+        assert "dt" not in captured.out
+
+    def test_quadrature_prints_its_step(self, capsys):
+        code = run_cli("simulate", "--preset", "scalar", "--k", "1", "--horizon", "1", "--dt", "0.05", "--batch", "5")
+        assert code == 0
+        assert "batch 5, horizon 1, dt 0.05, integrator quadrature, seed 0\n" in capsys.readouterr().out
 
     def test_unstable_profile_is_solver_failure(self, tmp_path):
         code = run_cli(
@@ -615,10 +639,13 @@ class TestConfigErrors:
             (["gen-matrix", "--n", "3", "--margin", "1.7e308", "--offdiag-scale", "1e307"], None),
             (["learn"], OVERFLOWING_BOX),
             (["check-rosen", "--samples", "20"], OVERFLOWING_BOX),
+            (["check-rosen", "--samples", "20"], {"game": {"a": [[-1.0]], "rho": 0.0, "k_upper": 4.149515568880993e180}}),
+            (["check-rosen", "--samples", "20"], {"game": {"a": [[-1.0]], "rho": 1.0, "k_upper": 1e120}}),
         ],
         ids=[
             "gen-matrix", "check-rosen-samples", "check-rosen-json", "check-rosen-ensemble-samples",
             "gen-matrix-infinite-diagonal", "learn-overflowing-box", "check-rosen-overflowing-box",
+            "check-rosen-underflowing-curvature", "check-rosen-underflowing-curvature-rho",
         ],
     )
     def test_bad_input_makes_no_output_directory(self, tmp_path, capsys, argv, config):

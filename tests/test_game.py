@@ -28,7 +28,7 @@ from nashlq import (
     trajectory_cost,
 )
 from nashlq.game import (
-    PIVOT_RTOL, _closed_loop, _closed_loop_one, _diagonals, _evaluate_stack, _jacobian_stack,
+    PIVOT_RTOL, _closed_loop, _diagonals, _evaluate_stack, _jacobian_stack,
     _passes_pivot_test, _pivot_bound, _pivot_check, profile_array,
 )
 from util import fd_gradient, fd_hessian_diag, fd_jacobian, random_game, rel_gap
@@ -125,7 +125,7 @@ def eager_curvature(spec, k, f):
 
 def retired_resolvent_diag(spec, k):
     """The single path's retired resolvent diagonal, symmetrized as ``(d + d) / 2``."""
-    l_inv = np.linalg.inv(np.linalg.cholesky(_closed_loop(spec.a, k)))
+    l_inv = np.linalg.inv(np.linalg.cholesky(_closed_loop(spec, k)))
     d = (l_inv.T @ l_inv).diagonal()
     return (d + d) / 2.0
 
@@ -250,17 +250,24 @@ class TestProfileKernel:
         # Every bound the test may be given: the computed norm itself, one ulp
         # above it, stretched, infinite, or NaN (which leaves the norm to decide).
         bounds = (norm, math.nextafter(norm, math.inf), norm * stretch, math.inf, math.nan)
+        drawn = chol.copy()
         outcomes = set()
         for pivot in pivots:
             chol[index, index] = pivot
+            # The drawn factor and the moved one as a stack, whose norms are both ||s||_inf.
+            chols, ss = np.stack([drawn, chol]), np.stack([s, s])
             # the largest finite pivot overflows its square, also where the scalar
             # test defers to the kernel's
             with np.errstate(all="ignore"):
                 kernel = bool(_pivot_check(chol, s)[0])
                 decisions = [_passes_pivot_test(chol, s, bound) for bound in bounds]
+                stacked = bool(_pivot_check(chols, ss)[0].all())
+                stack_decisions = [_passes_pivot_test(chols, ss, bound) for bound in bounds]
             for decision in decisions:
                 assert decision is kernel
                 outcomes.add(decision)
+            for decision in stack_decisions:
+                assert decision is stacked
         others = np.delete(np.diagonal(chol), index)
         if np.isfinite(s).all() and (others > 2.0 * edge).all():
             assert outcomes == {True, False}
@@ -287,7 +294,7 @@ class TestProfileKernel:
         nan_rows = [r for r in nan_rows if r < rows]
         ks[nan_rows, rng.integers(n)] = np.nan
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = abs(_closed_loop(spec.a, ks)).sum(axis=-1).max(axis=-1)
+            norms = abs(_closed_loop(spec, ks)).sum(axis=-1).max(axis=-1)
         # The lone profile's bound, from Python's max; then the stack's, from
         # numpy's, which keeps a NaN, as the stability certificate takes it.
         if not nan_rows:
@@ -309,10 +316,16 @@ class TestProfileKernel:
         # A fresh spec holding ``a`` as it is, so its cached -A is formed from that layout.
         spec = GameSpec(a=spec.a, rho=spec.rho, k_upper=spec.k_upper, k_lower=spec.k_lower)
         object.__setattr__(spec, "a", a)
-        for k in ks:
-            s = _closed_loop_one(spec, k)
+        spec.__dict__.pop("_neg_a", None)  # formed again, from ``a`` as it is
+        # The kernel's K - A, each profile alone and then the stack, against the
+        # retired formula: -A negated from ``a`` into a C-ordered array, then K added.
+        for k in (*ks, ks):
+            expected = np.empty(k.shape + k.shape[-1:])
+            np.negative(a, out=expected)
+            _diagonals(expected)[...] += k
+            s = _closed_loop(spec, k)
             assert s.flags.c_contiguous
-            assert s.tobytes() == _closed_loop(a, k).tobytes()
+            assert s.tobytes() == expected.tobytes()
         assert not spec._neg_a.flags.writeable
 
     @given(st.integers(0, 10**6), st.integers(1, 20), st.integers(1, 9))

@@ -83,13 +83,13 @@ def retired_pair_integrals(eigs, horizon, dt=None):
 def retired_draw(spec, ks, config, stage):
     """Reference: the retired stage's start, a Cholesky check of every
     ``K - A`` (``game._cholesky``), then the ``(seed, stage)`` draw."""
-    game._cholesky(game._closed_loop(spec.a, ks.reshape(-1, spec.n)))
+    game._cholesky(game._closed_loop(spec, ks.reshape(-1, spec.n)))
     return sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
 
 
 def retired_modes(spec, ks, config):
     """Reference: the retired second ``K - A``, its ``eigh`` and the pair-integral table."""
-    lam, q = np.linalg.eigh(-game._closed_loop(spec.a, ks))
+    lam, q = np.linalg.eigh(-game._closed_loop(spec, ks))
     return q, retired_pair_integrals(lam, config.horizon, None if config.integrator == "exact" else config.dt)
 
 
@@ -654,7 +654,7 @@ class TestStabilityCertificate:
         for walk in [sign * 10.0**-e for e in range(2, 11) for sign in (-1.0, 1.0)]:
             spec, stack = certificate_case(seed, n, kinds, 10.0**-coupling, walk)
             for ks in [stack, *stack[:, None]]:
-                expected = outcome(lambda: game._cholesky(game._closed_loop(spec.a, ks)))
+                expected = outcome(lambda: game._cholesky(game._closed_loop(spec, ks)))
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     got = outcome(lambda: game._stable_modes(spec, ks))
