@@ -21,12 +21,14 @@ witness and every reported number are those of a full solve.  The
 reported ``min_eig`` is a single :func:`rosen_check` at the witness, so the
 pair reproduces exactly.  An ensemble's finite-difference spot checks are stacked
 the same way: each game's spot points are drawn in one call, and they and
-their ``2 n`` bumped neighbours go through the kernel in blocks of the same
-bound, ``2 n * n^2`` entries per point; a point is never split.
+their ``2 n`` bumped neighbours go through one kernel call per block of the
+same bound, ``(2 n + 1) * n^2`` entries per point, which gives both the
+points' Jacobians and the bumps' gradients; a point is never split.
 
 The sample points are a Latin hypercube (McKay, Beckman & Conover, 1979)
 drawn in numpy on a child spawned from the sweep's stream: one uniform
-jitter per cell, then one shuffle of the strata per coordinate.  These are
+jitter per cell, then the strata of every coordinate shuffled by one
+``permuted`` call, which draws as a shuffle per coordinate does.  These are
 the draws ``scipy.stats.qmc.LatinHypercube`` made from the same stream, so
 earlier runs keep their points and witnesses bit for bit.
 """
@@ -44,6 +46,7 @@ from .game import (
     _evaluate_stack,
     _in_blocks,
     _is_finite,
+    _jacobian,
     _jacobian_stack,
     _require_finite,
     _require_int,
@@ -211,14 +214,13 @@ def generate_sdd_matrix(config: MatrixEnsembleConfig, rng: np.random.Generator) 
     """
     n = config.n
     a = np.zeros((n, n))
-    upper = np.triu_indices(n, 1)
-    if upper[0].size:
-        vals = rng.uniform(-config.offdiag_scale, config.offdiag_scale, size=upper[0].size)
-        a[upper] = vals
-        a.T[upper] = vals
+    index = np.arange(n)
+    upper = index[:, None] < index  # filled in row-major order
+    vals = rng.uniform(-config.offdiag_scale, config.offdiag_scale, size=n * (n - 1) // 2)
+    a[upper] = vals
+    a.T[upper] = vals
     offdiag = np.sum(np.abs(a), axis=1)
-    diag = -(offdiag + config.dominance_margin + rng.uniform(0.0, config.offdiag_scale, size=n))
-    a[np.diag_indices(n)] = diag
+    a.flat[:: n + 1] = -(offdiag + config.dominance_margin + rng.uniform(0.0, config.offdiag_scale, size=n))
     return a
 
 
@@ -251,18 +253,17 @@ def _box_samples(spec: GameSpec, samples: int, rng: np.random.Generator) -> np.n
     """Latin-hypercube points over the box, plus the lower corner.
 
     Each coordinate puts one point in each of ``samples`` equal strata: a
-    shuffled stratum index minus a uniform jitter, drawn from a child
-    spawned off ``rng`` in the order of
-    ``scipy.stats.qmc.LatinHypercube(d=n, seed=rng)``.  That keeps earlier
-    runs' points and witnesses, and ``rng``'s later draws.  Violations, if
-    any, are expected near the lower boundary, so the corner is always
-    evaluated.
+    shuffled stratum index minus a uniform jitter.  A child spawned off
+    ``rng`` draws the jitter, then shuffles every coordinate's strata in one
+    ``permuted`` call, coordinate by coordinate, as
+    ``scipy.stats.qmc.LatinHypercube(d=n, seed=rng)`` draws them.  That
+    keeps earlier runs' points and witnesses, and ``rng``'s later draws.
+    Violations, if any, are expected near the lower boundary, so the corner
+    is always evaluated.
     """
     child = rng.spawn(1)[0]
     jitter = child.uniform(size=(samples, spec.n))
-    strata = np.tile(np.arange(1, samples + 1), (spec.n, 1))
-    for row in strata:
-        child.shuffle(row)
+    strata = child.permuted(np.tile(np.arange(1, samples + 1), (spec.n, 1)), axis=1)
     unit = (strata.T - jitter) / samples
     points = spec.k_lower + unit * (spec.k_upper - spec.k_lower)
     return np.vstack([spec.k_lower, points])
@@ -315,12 +316,14 @@ def rosen_sweep(spec: GameSpec, samples: int = 200, seed=0) -> RosenReport:
 
 def _fd_jacobian_gap(spec: GameSpec, ks: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Per row of a ``(P, n)`` stack, the relative gap between the closed-form
-    Jacobian and differenced gradients; one kernel call takes all ``2 n P`` bumps."""
-    n = spec.n
-    g = _jacobian_stack(spec, ks)
+    Jacobian and differenced gradients; one kernel call takes the ``P`` points
+    and their ``2 n P`` bumps."""
+    n, p = spec.n, len(ks)
     bumps = step * np.eye(n)
     bumped = np.concatenate([ks[:, None] + bumps, ks[:, None] - bumps], axis=1)
-    grads = _evaluate_stack(spec, bumped.reshape(-1, n))[1].grad.reshape(-1, 2 * n, n)
+    m, report = _evaluate_stack(spec, np.concatenate([ks, bumped.reshape(-1, n)]))
+    g = _jacobian(spec, ks, m[:p], report.cost[:p], report.curvature[:p])
+    grads = report.grad[p:].reshape(-1, 2 * n, n)
     fd = (grads[:, :n] - grads[:, n:]).transpose(0, 2, 1) / (2 * step)
     return np.max(np.abs(fd - g), axis=(1, 2)) / np.max(np.abs(g), axis=(1, 2))
 
@@ -357,7 +360,8 @@ def conjecture_sweep(
             SweepRecord(matrix_index=index, seed=ensemble.seed, spec=spec, report=report)
         )
         points = spec.k_lower + rng.random((spot_count, spec.n)) * (spec.k_upper - spec.k_lower)
-        gaps += _in_blocks(lambda block: _fd_jacobian_gap(spec, block), points, 2 * spec.n**3).tolist()
+        entries = (2 * spec.n + 1) * spec.n**2  # a point and its 2 n bumps
+        gaps += _in_blocks(lambda block: _fd_jacobian_gap(spec, block), points, entries).tolist()
     return SweepResult(
         records=tuple(records),
         min_eig=float(min(r.report.min_eig for r in records)),

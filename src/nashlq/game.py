@@ -369,7 +369,9 @@ def _cholesky(s: np.ndarray, bound: float = math.nan) -> np.ndarray:
     ``PIVOT_RTOL`` times its infinity norm, as :func:`_passes_pivot_test`
     decides on ``bound`` (NaN leaves it to :func:`_pivot_check`).  The first
     failure raises :class:`NotPositiveDefinite`, naming its index when the
-    stack holds more than one matrix.
+    stack holds more than one matrix.  A failing matrix with a NaN or an
+    infinite entry, which a NaN, infinite or overflowing gain puts there, is
+    named with that entry, not an eigenvalue: ``eigvalsh`` of it means nothing.
     """
     try:
         chol = np.linalg.cholesky(s)
@@ -389,6 +391,13 @@ def _cholesky(s: np.ndarray, bound: float = math.nan) -> np.ndarray:
     passed, pivots, scale = _pivot_check(chol, s)
     i = int(np.argmin(passed))
     where = f" at profile {i}" if len(s) > 1 else ""
+    bad = np.argwhere(~np.isfinite(s[i]))
+    if bad.size:
+        row, col = bad[0].tolist()
+        raise NotPositiveDefinite(
+            f"K - A has a non-finite entry{where} ({s[i, row, col]:g} at ({row}, {col})); "
+            "a gain is NaN, infinite or too large"
+        )
     lam_min = float(np.linalg.eigvalsh(s[i]).min())
     if np.isnan(pivots[i]):
         raise NotPositiveDefinite(
@@ -521,7 +530,7 @@ def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGra
     on the :func:`_pivot_bound` of its largest gain.  With ``K - A = L
     L^T``, ``M = L^{-T} L^{-1}``; the report reads M's diagonal as it is,
     since the ``(M + M^T) / 2`` of :func:`resolvent` and
-    :func:`_jacobian_stack`, which read all of M, leaves a diagonal entry
+    :func:`_jacobian`, which read all of M, leaves a diagonal entry
     unchanged: doubling and halving a finite double below ``DBL_MAX / 2``
     are exact.  Numpy's stacked factorizations and products work matrix by
     matrix, so a profile gets the same bits alone or inside a stack.
@@ -547,17 +556,27 @@ def _in_blocks(fn, rows: np.ndarray, entries_per_row: int) -> np.ndarray:
     return np.concatenate([fn(rows[i : i + step]) for i in range(0, len(rows), step)] or [[]])
 
 
-def _jacobian_stack(spec: GameSpec, ks: np.ndarray) -> np.ndarray:
-    """:func:`pseudogradient_jacobian` of a ``(P, n)`` stack, shape ``(P, n, n)``.
+def _jacobian(spec: GameSpec, ks: np.ndarray, m: np.ndarray, cost: np.ndarray,
+              curvature: np.ndarray) -> np.ndarray:
+    """:func:`pseudogradient_jacobian` from kernel results that already exist:
+    the profiles ``ks``, one ``(n,)`` or a ``(P, n)`` stack, and their
+    C-ordered ``L^{-T} L^{-1}``, costs and curvatures.
 
     The row factor ``(1 + rho_i k_i^2) M_ii - rho_i k_i`` is ``2 J_i - rho_i k_i``
     and the diagonal is the report's curvature, so neither formula is repeated.
     """
-    m, report = _evaluate_stack(spec, ks)
-    coeff = 2.0 * report.cost - spec.rho * ks
-    g = coeff[:, :, None] * ((m + m.transpose(0, 2, 1)) / 2.0) ** 2
-    _diagonals(g)[:] = report.curvature
+    coeff = 2.0 * cost - spec.rho * ks
+    g = coeff[..., None] * ((m + m.swapaxes(-1, -2)) / 2.0) ** 2
+    _diagonals(g)[:] = curvature
     return g
+
+
+def _jacobian_stack(spec: GameSpec, ks: np.ndarray) -> np.ndarray:
+    """:func:`pseudogradient_jacobian` of one profile ``(n,)`` or of each row of a
+    ``(P, n)`` stack, shape ``(n, n)`` or ``(P, n, n)``: one kernel call, on the
+    kernel's lone path for one profile, then :func:`_jacobian`."""
+    m, report = _evaluate_stack(spec, ks)
+    return _jacobian(spec, ks, m, report.cost, report.curvature)
 
 
 def resolvent(spec: GameSpec, k) -> np.ndarray:
@@ -610,9 +629,10 @@ def pseudogradient_jacobian(spec: GameSpec, k) -> np.ndarray:
 
     The diagonal equals :func:`second_derivative`.  Off the diagonal,
     ``d M_ii / d k_j = -M_ij^2`` gives
-    ``G_ij = ((1 + rho_i k_i^2) M_ii - rho_i k_i) * M_ij^2``.
+    ``G_ij = ((1 + rho_i k_i^2) M_ii - rho_i k_i) * M_ij^2``.  One kernel
+    call on its lone path, whose bits a stack's row shares.
     """
-    return _jacobian_stack(spec, _profile(spec, k)[None])[0]
+    return _jacobian_stack(spec, _profile(spec, k))
 
 
 def stability_margin(spec: GameSpec, k) -> float:

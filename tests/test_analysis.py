@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import qmc
 
 import nashlq
 from nashlq import analysis, game
@@ -151,6 +150,23 @@ class TestGenerateSdd:
         a = generate_sdd_matrix(config, substream(2))
         assert a.shape == (1, 1) and a[0, 0] < 0
 
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_matches_the_retired_index_form(self, n):
+        """Bit for bit the matrix of the retired ``triu_indices``/``diag_indices``
+        form, and the stream's next draw is unchanged."""
+        config = MatrixEnsembleConfig(n=n, count=1, offdiag_scale=0.7, dominance_margin=0.3)
+        rng, ref_rng = substream(n, 11), substream(n, 11)
+        reference = np.zeros((n, n))
+        upper = np.triu_indices(n, 1)
+        if upper[0].size:
+            vals = ref_rng.uniform(-0.7, 0.7, size=upper[0].size)
+            reference[upper] = vals
+            reference.T[upper] = vals
+        offdiag = np.sum(np.abs(reference), axis=1)
+        reference[np.diag_indices(n)] = -(offdiag + 0.3 + ref_rng.uniform(0.0, 0.7, size=n))
+        assert generate_sdd_matrix(config, rng).tobytes() == reference.tobytes()
+        assert rng.random() == ref_rng.random()
+
     def test_offdiag_within_scale(self):
         config = MatrixEnsembleConfig(n=5, count=1, offdiag_scale=0.3, seed=0)
         a = generate_sdd_matrix(config, substream(3))
@@ -250,11 +266,29 @@ class TestBoxSamples:
     def test_matches_scipy_latin_hypercube(self, seed, n, samples):
         """Bit for bit the points of the scipy sampler the sweep used to call,
         and the parent stream's next draw is unchanged."""
+        qmc = pytest.importorskip("scipy.stats").qmc
         spec, _ = random_game(seed, n=n)
         rng, ref_rng = substream(seed), substream(seed)
         unit = qmc.LatinHypercube(d=n, seed=ref_rng).random(samples)
         reference = np.vstack([spec.k_lower, spec.k_lower + unit * (spec.k_upper - spec.k_lower)])
         assert np.array_equal(analysis._box_samples(spec, samples, rng), reference)
+        assert rng.random() == ref_rng.random()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_retired_per_row_shuffle(self, seed, n, samples):
+        """Bit for bit the points of the retired loop, which shuffled the strata
+        one coordinate at a time, and the parent stream's next draw is unchanged."""
+        spec, _ = random_game(seed, n=n)
+        rng, ref_rng = substream(seed), substream(seed)
+        child = ref_rng.spawn(1)[0]
+        jitter = child.uniform(size=(samples, n))
+        strata = np.tile(np.arange(1, samples + 1), (n, 1))
+        for row in strata:
+            child.shuffle(row)
+        unit = (strata.T - jitter) / samples
+        reference = np.vstack([spec.k_lower, spec.k_lower + unit * (spec.k_upper - spec.k_lower)])
+        assert analysis._box_samples(spec, samples, rng).tobytes() == reference.tobytes()
         assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("n, samples", [(1, 1), (3, 7), (5, 200), (2, 1000)])
@@ -338,8 +372,9 @@ class TestStackedMatchesReference:
         spec, rng = _ensemble_game(seed, n, generator)
         points = spec.k_lower + rng.random((count, n)) * (spec.k_upper - spec.k_lower)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(game, "BLOCK_ENTRIES", block * n**2)  # block // (2 n) points per call
-            gaps = game._in_blocks(lambda ks: analysis._fd_jacobian_gap(spec, ks), points, 2 * n**3)
+            patch.setattr(game, "BLOCK_ENTRIES", block * n**2)  # block // (2 n + 1) points per call
+            entries = (2 * n + 1) * n**2
+            gaps = game._in_blocks(lambda ks: analysis._fd_jacobian_gap(spec, ks), points, entries)
         assert gaps.tolist() == [_reference_fd_jacobian_gap(spec, point) for point in points]
 
     @given(
@@ -388,7 +423,7 @@ class TestEntryBound:
 
         def spied(fn, one_row):
             def call(spec, ks):
-                calls.append((len(ks), one_row))
+                calls.append((len(np.atleast_2d(ks)), one_row))  # a lone (n,) profile is one
                 return fn(spec, ks)
 
             return call
@@ -396,7 +431,7 @@ class TestEntryBound:
         jacobian, kernel = game._jacobian_stack, game._evaluate_stack
         patch.setattr(analysis, "_jacobian_stack", spied(jacobian, 1))
         patch.setattr(game, "_evaluate_stack", spied(kernel, 1))  # inside _jacobian_stack
-        patch.setattr(analysis, "_evaluate_stack", spied(kernel, 2 * n))  # a spot point's bumps
+        patch.setattr(analysis, "_evaluate_stack", spied(kernel, 2 * n + 1))  # a spot point and its bumps
         return calls
 
     @given(

@@ -21,6 +21,7 @@ from nashlq import (
     monte_carlo_cost,
     pseudogradient_jacobian,
     resolvent,
+    rosen_check,
     run_gradient_play,
     second_derivative,
     stability_margin,
@@ -198,12 +199,16 @@ class TestProfileKernel:
             a=np.asfortranarray(spec.a), rho=spec.rho, k_upper=spec.k_upper, k_lower=spec.k_lower
         )
         assert not spec_f.a.flags.c_contiguous or n == 1
+        # The Jacobian and the Rosen check take the kernel's lone path.
+        rosen = np.linalg.eigvalsh(jac + jac.transpose(0, 2, 1)).min(axis=1)
         for i, k in enumerate(ks):
             single = evaluate(spec_f, k)
             assert np.array_equal(report.resolvent_diag[i], single.resolvent_diag)
             assert np.array_equal(report.cost[i], single.cost)
             assert np.array_equal(report.grad[i], single.grad)
             assert np.array_equal(report.curvature[i], single.curvature)
+            assert pseudogradient_jacobian(spec_f, k).tobytes() == jac[i].tobytes()
+            assert rosen_check(spec_f, k) == rosen[i]
         # Shifted down by the smallest eigenvalue of K - A, a profile is
         # singular to round-off, which fails the pivot check or the
         # factorization; shifted one further, the factorization breaks down.
@@ -373,6 +378,22 @@ class TestProfileKernel:
         with pytest.raises(NotPositiveDefinite) as err:
             evaluate(spec, [0.5, 0.0])
         assert "profile 0" not in str(err.value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gain_named_without_an_eigenvalue(self, value):
+        spec = GameSpec(a=[[1.0, 0.0], [0.0, -1.0]], rho=0.0, k_upper=5.0)
+        entry = re.escape(f"({value:g} at (1, 1))")
+        lone = np.array([2.0, value])
+        stack = np.array([[2.0, 0.5], [3.0, 1.0], [2.0, value], [0.5, 0.0]])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for call in (lambda: evaluate(spec, lone), lambda: _evaluate_stack(spec, lone[None])):
+                with pytest.raises(NotPositiveDefinite, match=r"^K - A has a non-finite entry " + entry):
+                    call()
+            with pytest.raises(NotPositiveDefinite, match="non-finite entry at profile 2 " + entry):
+                _evaluate_stack(spec, stack)
+            with pytest.raises(NotPositiveDefinite, match="non-finite entry at profile 2 " + entry):
+                _jacobian_stack(spec, stack)
 
 
 class TestCost:
