@@ -35,6 +35,7 @@ earlier runs keep their points and witnesses bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,17 +193,24 @@ def two_player_mu(a11: float, a12: float, a22: float, k1: float, k2: float) -> f
 
     Under strict diagonal dominance with negative diagonal (``a11 < -|a12|``,
     ``a22 < -|a12|``) and nonnegative gains, ``mu > 0`` is equivalent to
-    ``G + G^T`` being positive definite at ``(k1, k2)``.
+    ``G + G^T`` being positive definite at ``(k1, k2)``.  A NaN gain, or a
+    ``mu`` outside the float range, raises :class:`PreconditionViolated`, so
+    every ``mu`` returned is finite.
     """
     if not (a11 < -abs(a12) and a22 < -abs(a12)):
         raise PreconditionViolated(
             "need a11 < -|a12| and a22 < -|a12| (strict diagonal dominance, negative diagonal)"
         )
-    if k1 < 0 or k2 < 0:
+    if not (k1 >= 0 and k2 >= 0):
         raise PreconditionViolated("gains must be nonnegative")
     d1 = k1 - a11
     d2 = k2 - a22
-    return 4.0 * d1**3 * d2**3 - a12**4 * (d1 + d2) ** 2
+    mu = np.inf  # kept where a Python float's ** raises OverflowError; numpy's gives inf
+    with np.errstate(over="ignore", invalid="ignore"), contextlib.suppress(OverflowError):
+        mu = 4.0 * d1**3 * d2**3 - a12**4 * (d1 + d2) ** 2
+    if not np.isfinite(mu):
+        raise PreconditionViolated("mu overflows the float range in this box")
+    return mu
 
 
 def generate_sdd_matrix(config: MatrixEnsembleConfig, rng: np.random.Generator) -> np.ndarray:

@@ -117,8 +117,15 @@ def _fmt_vec(values) -> str:
     return "[" + ", ".join(f"{float(v):.6g}" for v in np.asarray(values).ravel()) + "]"
 
 
-def _game_dict(spec: GameSpec) -> dict:
-    return {name: getattr(spec, name).tolist() for name in ("a", "rho", "k_lower", "k_upper")}
+def _sweep_record(spec: GameSpec, seed, report) -> dict:
+    """One game's ``check-rosen`` JSON record: the game, its seed and its sweep's result."""
+    return {
+        "game": {name: getattr(spec, name).tolist() for name in ("a", "rho", "k_lower", "k_upper")},
+        "seed": seed,
+        "samples": report.samples,
+        "min_eig": report.min_eig,
+        "witness": report.witness.k.tolist(),
+    }
 
 
 def cmd_learn(args) -> int:
@@ -232,14 +239,7 @@ def cmd_check_rosen(args) -> int:
                 "spot_checked": result.spot_checked,
                 "spot_check_max_rel_err": result.spot_check_max_rel_err,
                 "violations": [
-                    {
-                        "matrix_index": rec.matrix_index,
-                        "seed": rec.seed,
-                        "game": _game_dict(rec.spec),
-                        "min_eig": rec.report.min_eig,
-                        "witness": rec.report.witness.k.tolist(),
-                        "samples": rec.report.samples,
-                    }
+                    {**_sweep_record(rec.spec, rec.seed, rec.report), "matrix_index": rec.matrix_index}
                     for rec in result.violations
                 ],
             }
@@ -257,14 +257,7 @@ def cmd_check_rosen(args) -> int:
     _check_sweep(samples)
     with _output(args.output_dir) as out:
         report = rosen_sweep(exp.game, samples, seed=exp.sim.seed)
-        payload = {
-            "game": _game_dict(exp.game),
-            "seed": exp.sim.seed,
-            "samples": report.samples,
-            "min_eig": report.min_eig,
-            "witness": report.witness.k.tolist(),
-            "violated": report.violated,
-        }
+        payload = {**_sweep_record(exp.game, exp.sim.seed, report), "violated": report.violated}
         lines = [
             f"min eig of G + G^T over {report.samples} samples: {report.min_eig:.6g}",
             f"witness profile: {_fmt_vec(report.witness.k)}",
@@ -272,11 +265,8 @@ def cmd_check_rosen(args) -> int:
         if exp.game.n == 2:
             a = exp.game.a
             try:
-                with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                    witness_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *report.witness.k)
-                    corner_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *exp.game.k_lower)
-                if not np.isfinite([witness_mu, corner_mu]).all():
-                    raise PreconditionViolated("mu overflows the float range in this box")
+                witness_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *report.witness.k)
+                corner_mu = two_player_mu(a[0, 0], a[0, 1], a[1, 1], *exp.game.k_lower)
             except PreconditionViolated as err:
                 lines.append(f"mu not reported: {err}")
             else:

@@ -124,8 +124,8 @@ def read_config(path) -> dict:
         return {}
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    except OSError as err:
-        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from None
+    except (OSError, UnicodeDecodeError) as err:  # a file that is not UTF-8 has no strerror
+        raise ConfigError(f"cannot read config file {path}: {getattr(err, 'strerror', err)}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file is not valid JSON: {err}") from None
     if not isinstance(raw, dict):
@@ -272,8 +272,10 @@ def _experiment(raw: dict, overrides: dict) -> ExperimentConfig:
         raise ConfigError("k0 lies outside the action box")
 
     top = resolve(overrides, raw, {"format": "csv", "output_dir": "runs"})
-    if top["format"] not in HISTORY_FORMATS:
+    if not (isinstance(top["format"], str) and top["format"] in HISTORY_FORMATS):
         raise ConfigError(f"format must be one of {tuple(HISTORY_FORMATS)}")
+    if not isinstance(top["output_dir"], str):
+        raise ConfigError(f"output_dir must be a JSON string, got {top['output_dir']!r}")
     return ExperimentConfig(
         game=game, learn=learn, output_dir=Path(top["output_dir"]), format=top["format"], k0=k0
     )

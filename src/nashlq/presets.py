@@ -90,7 +90,6 @@ PRESETS = {
 
 
 def preset_game(name: str) -> GameSpec:
-    try:
+    if isinstance(name, str) and name in PRESETS:
         return PRESETS[name]()
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
+    raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")

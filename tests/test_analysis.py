@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,19 @@ class TestTwoPlayerMu:
     def test_gain_precondition(self):
         with pytest.raises(PreconditionViolated, match="nonnegative"):
             two_player_mu(-2.0, -0.5, -2.0, -1.0, 0.0)
+
+    @pytest.mark.parametrize("gains", [(np.nan, 0.0), (0.0, np.nan)])
+    def test_nan_gain_is_refused(self, gains):
+        with pytest.raises(PreconditionViolated, match="nonnegative"):
+            two_player_mu(-2.0, -0.5, -2.0, *gains)
+
+    @pytest.mark.parametrize("scalar", [float, np.float64], ids=["python", "numpy"])
+    def test_overflow_is_refused_without_a_warning(self, scalar):
+        args = map(scalar, (-2.0, -0.5, -2.0, 1e120, 1e120))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionViolated, match="mu overflows the float range"):
+                two_player_mu(*args)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sign_matches_eigenvalue_test(self, seed):

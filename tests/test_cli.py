@@ -767,6 +767,45 @@ class TestConfigErrors:
         err = assert_config_error(capsys, run_cli(command, "--config", str(path), "--out", str(out)), out)
         assert key in err and "twice" in err
 
+    @pytest.mark.parametrize(
+        "config, line",
+        [
+            ({"game": {"preset": ["scalar"]}},
+             "unknown preset ['scalar']; choose from ['diagonal', 'five-player', 'scalar', 'two-player']"),
+            ({"game": {"preset": "scalar"}, "format": ["csv"]}, "format must be one of ('csv', 'json-lines')"),
+            ({"game": {"preset": "scalar"}, "output_dir": 5}, "output_dir must be a JSON string, got 5"),
+            ({"game": {"a": [[-1.0, 0.0, 0.0]]}}, "state matrix must be square, got shape (1, 3)"),
+        ],
+        ids=["preset", "format", "output_dir", "non-square-a"],
+    )
+    def test_error_line_names_the_input(self, tmp_path, capsys, monkeypatch, config, line):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        err = assert_config_error(capsys, run_cli("learn", "--config", str(path)), tmp_path / "runs")
+        assert err == f"error: {line}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+    def test_unreadable_config_file_is_named(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf-8":
+            path.write_bytes(b"\xff\xfe")
+        out = tmp_path / "out"
+        err = assert_config_error(capsys, run_cli("learn", "--config", str(path), "--out", str(out)), out)
+        assert err.startswith(f"error: cannot read config file {path}: ")
+
+    @pytest.mark.parametrize(
+        "argv", [["gen-matrix", "--n", "3"], ["learn", "--preset", "scalar"], ["check-rosen", "--preset", "scalar"]]
+    )
+    def test_non_integer_env_seed_is_config_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv(config.SEED_ENV_VAR, "abc")
+        out = tmp_path / "out"
+        err = assert_config_error(capsys, run_cli(*argv, "--out", str(out)), out)
+        assert err == "error: NASHLQ_SEED must be an integer, got 'abc'\n"
+
     def test_preset_with_ensemble_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"ensemble": {"n": 2, "count": 2, "samples": 5}}), encoding="utf-8")
