@@ -13,7 +13,7 @@ certificate is sufficient, not necessary.
 
 Exits 0 when every dominant-class ensemble is clean, 1 when one has a
 violation, and 2, with one ``error:`` line, on a bad argument (before any
-sweep) or a sweep too large for memory.
+sweep) or a sweep too large for memory or for numpy's array shapes.
 """
 
 import argparse
@@ -25,7 +25,7 @@ from nashlq import MatrixEnsembleConfig, conjecture_sweep
 def run(argv=None):
     try:
         return _run(argv)
-    except MemoryError as err:  # numpy's MemoryError names the allocation
+    except (ValueError, MemoryError) as err:  # numpy's MemoryError names the allocation
         print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 2
 

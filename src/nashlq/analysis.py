@@ -277,12 +277,19 @@ def _box_samples(spec: GameSpec, samples: int, rng: np.random.Generator) -> np.n
     return np.vstack([spec.k_lower, points])
 
 
+# Each ensemble generator's draw of one matrix for an ensemble from a stream.
+_GENERATORS = {
+    "sdd": generate_sdd_matrix,
+    "negative-definite": lambda ensemble, rng: generate_negative_definite_matrix(ensemble.n, rng),
+}
+
+
 def _check_sweep(samples, generator: str = "sdd", rho_range=(0.0, 1.0)) -> None:
     """Refuse an unknown generator, then a sample count that is not an integer
     >= 1, then a ``rho_range`` that is not a list or tuple of two finite numbers
     ``0 <= lo <= hi``."""
-    if generator not in ("sdd", "negative-definite"):
-        raise ValueError("generator must be 'sdd' or 'negative-definite'")
+    if generator not in tuple(_GENERATORS):  # a JSON list or object is refused, not hashed
+        raise ValueError(f"generator must be {' or '.join(map(repr, _GENERATORS))}")
     _require_int(samples, "samples", 1)
     pair = isinstance(rho_range, (list, tuple)) and len(rho_range) == 2
     if not (pair and all(map(_is_finite, rho_range)) and 0 <= rho_range[0] <= rho_range[1]):
@@ -357,10 +364,7 @@ def conjecture_sweep(
     gaps = []
     for index in range(ensemble.count):
         rng = substream(ensemble.seed, index)
-        if generator == "sdd":
-            a = generate_sdd_matrix(ensemble, rng)
-        else:
-            a = generate_negative_definite_matrix(ensemble.n, rng)
+        a = _GENERATORS[generator](ensemble, rng)
         rho = rng.uniform(rho_range[0], rho_range[1], size=ensemble.n)
         spec = game_from_matrix(a, rho)
         report = rosen_sweep(spec, samples_per_matrix, seed=rng)

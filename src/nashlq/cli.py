@@ -29,13 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    PreconditionViolated,
-    _check_sweep,
-    conjecture_sweep,
-    rosen_sweep,
-    two_player_mu,
-)
+from .analysis import PreconditionViolated, conjecture_sweep, rosen_sweep, two_player_mu
 from .config import (
     ConfigError, _draw_matrix, _experiment, _read_profile, load_ensemble, load_experiment, load_matrix,
     read_config, resolve,
@@ -61,22 +55,19 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_GATE = 4
 
-# Gradient-play iterates stay below the published starting gains for this
-# system, so quadrature at this step keeps the sampled-cost bias well under
-# the Monte Carlo noise floor; 0.1 s is too coarse for the fastest closed
+# The bundled study, per mode, as a config file that reproduce-paper's flags
+# override.  Gradient-play iterates stay below the published starting gains
+# for this system, so quadrature at dt = 0.01 keeps the sampled-cost bias well
+# under the Monte Carlo noise floor; 0.1 s is too coarse for the fastest closed
 # loop modes here (rates up to ~8 1/s once gains approach 4).
-REPRODUCE_DT = 0.01
-EXACT_STAGE_CAP = 20000
-EXACT_TOLERANCE = 1e-9
-
-# The study's settings, for each reproduce-paper flag left out, by mode.
-_STUDY = dict(
-    preset="five-player", batch_size=FIVE_PLAYER_BATCH, horizon=FIVE_PLAYER_HORIZON, dt=REPRODUCE_DT,
-    output_dir="runs/reproduce-paper",
-)
-REPRODUCE_DEFAULTS = {
-    "model-free": {**_STUDY, "stages": FIVE_PLAYER_STAGES, "grad_tolerance": 0.0},
-    "exact": {**_STUDY, "stages": EXACT_STAGE_CAP, "grad_tolerance": EXACT_TOLERANCE},
+STUDY = {
+    mode: {
+        "game": {"preset": "five-player"},
+        "learn": {"mode": mode, "stages": stages, "grad_tolerance": tolerance},
+        "sim": {"batch_size": FIVE_PLAYER_BATCH, "horizon": FIVE_PLAYER_HORIZON, "dt": 0.01},
+        "output_dir": "runs/reproduce-paper",
+    }
+    for mode, stages, tolerance in (("model-free", FIVE_PLAYER_STAGES, 0.0), ("exact", 20000, 1e-9))
 }
 
 
@@ -148,8 +139,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_reproduce_paper(args) -> int:
-    flags = dict(vars(args), mode=args.mode or "model-free")
-    exp = load_experiment(None, {**flags, **resolve(flags, {}, REPRODUCE_DEFAULTS[flags["mode"]])})
+    exp = _experiment(STUDY[args.mode or "model-free"], vars(args))
     exact = exp.learn.mode == "exact"
     if args.independent_rounds and exact:
         raise ConfigError("--independent-rounds applies to model-free mode only; exact play draws no noise")
@@ -254,7 +244,6 @@ def cmd_check_rosen(args) -> int:
 
     exp = _experiment(raw, overrides)
     samples = resolve(overrides, {}, {"samples": 1000})["samples"]
-    _check_sweep(samples)
     with _output(args.output_dir) as out:
         report = rosen_sweep(exp.game, samples, seed=exp.sim.seed)
         payload = {**_sweep_record(exp.game, exp.sim.seed, report), "violated": report.violated}

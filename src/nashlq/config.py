@@ -19,9 +19,9 @@ nested JSON object::
       "format": "csv"
     }
 
-``output_dir`` and ``format`` are ``learn``'s; ``check-rosen`` and
-``simulate`` write only where ``--out`` says, and ``reproduce-paper`` reads
-no file.
+``output_dir`` and ``format`` are ``learn``'s, though every file's are checked;
+``check-rosen`` and ``simulate`` write only where ``--out`` says.
+``reproduce-paper`` reads no file: its flags override ``cli.STUDY``, such a config.
 
 ``check-rosen`` also takes an ensemble sweep in place of a game::
 
@@ -59,9 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    BOX_FACTOR, MatrixEnsembleConfig, _check_sweep, game_from_matrix, generate_sdd_matrix,
-)
+from .analysis import BOX_FACTOR, MatrixEnsembleConfig, game_from_matrix, generate_sdd_matrix
 from .game import GameSpec, _real_array
 from .learning import LearnConfig
 from .output import HISTORY_FORMATS
@@ -202,6 +200,17 @@ def _config_errors(load):
     return checked
 
 
+def _top(raw: dict, overrides: dict) -> dict:
+    """The run's ``format`` and ``output_dir``, flags winning; the file's own are checked too."""
+    top = resolve(overrides, raw, {"format": "csv", "output_dir": "runs"})
+    for values in (raw, top):
+        if values.get("format", "csv") not in tuple(HISTORY_FORMATS):  # a JSON list is refused, not hashed
+            raise ConfigError(f"format must be one of {tuple(HISTORY_FORMATS)}")
+        if not isinstance(values.get("output_dir", ""), str):
+            raise ConfigError(f"output_dir must be a JSON string, got {values['output_dir']!r}")
+    return top
+
+
 def _matrix_ensemble(section: dict, flags: dict) -> MatrixEnsembleConfig:
     return MatrixEnsembleConfig(**{**_ENSEMBLE_SIZE, **_given(flags, section, _ENSEMBLE_KEYS)})
 
@@ -271,11 +280,7 @@ def _experiment(raw: dict, overrides: dict) -> ExperimentConfig:
     if k0 is not None and not game.contains(k0):
         raise ConfigError("k0 lies outside the action box")
 
-    top = resolve(overrides, raw, {"format": "csv", "output_dir": "runs"})
-    if not (isinstance(top["format"], str) and top["format"] in HISTORY_FORMATS):
-        raise ConfigError(f"format must be one of {tuple(HISTORY_FORMATS)}")
-    if not isinstance(top["output_dir"], str):
-        raise ConfigError(f"output_dir must be a JSON string, got {top['output_dir']!r}")
+    top = _top(raw, overrides)
     return ExperimentConfig(
         game=game, learn=learn, output_dir=Path(top["output_dir"]), format=top["format"], k0=k0
     )
@@ -287,6 +292,7 @@ def load_ensemble(raw: dict, overrides: dict) -> tuple[MatrixEnsembleConfig, dic
     ensemble and the :func:`~nashlq.analysis.conjecture_sweep` keyword arguments,
     flags winning."""
     _section(raw, "the config file", _EXPERIMENT_KEYS + ("ensemble",))
+    _top(raw, overrides)
     if overrides.get("preset") is not None:
         raise ConfigError("--preset does not apply to a config file with an 'ensemble' section")
     section = _section(raw["ensemble"], "section 'ensemble'", _ENSEMBLE_KEYS + tuple(_SWEEP_DEFAULTS))
@@ -294,7 +300,6 @@ def load_ensemble(raw: dict, overrides: dict) -> tuple[MatrixEnsembleConfig, dic
     ensemble = _matrix_ensemble(section, {"seed": seed})
     sweep = resolve(overrides, section, _SWEEP_DEFAULTS)
     sweep["samples_per_matrix"] = sweep.pop("samples")
-    _check_sweep(sweep["samples_per_matrix"], sweep["generator"], sweep["rho_range"])
     return ensemble, sweep
 
 

@@ -355,6 +355,19 @@ class TestConjectureSweep:
         with pytest.raises(ValueError, match="generator"):
             conjecture_sweep(MatrixEnsembleConfig(n=2, count=1, seed=0), generator="cauchy")
 
+    @pytest.mark.parametrize("generator", [["sdd"], {"sdd": 1}, None])
+    def test_non_string_generator_rejected_by_name(self, generator):
+        with pytest.raises(ValueError, match="^generator must be 'sdd' or 'negative-definite'$"):
+            conjecture_sweep(MatrixEnsembleConfig(n=2, count=1, seed=0), generator=generator)
+
+    @pytest.mark.parametrize("samples", [0, 2.5, True, "10"])
+    def test_both_sweeps_refuse_samples_alike(self, samples):
+        with pytest.raises(ValueError) as lone:
+            rosen_sweep(five_player_game(), samples)
+        with pytest.raises(ValueError) as ensemble:
+            conjecture_sweep(MatrixEnsembleConfig(n=2, count=1, seed=0), samples)
+        assert str(lone.value) == str(ensemble.value) == f"samples must be an integer >= 1, got {samples!r}"
+
     @pytest.mark.parametrize(
         "rho_range",
         [(0.0, float("inf")), (0.5, 0.1), (True, 1.0), [1.0], 3, [0.1, 0.2, 0.3], {"a": 1, "b": 2}],

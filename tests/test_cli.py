@@ -238,6 +238,38 @@ class TestReproducePaper:
             run_cli("reproduce-paper", "--config", str(tmp_path / "missing.json"))
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("mode", ["model-free", "exact"])
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--seed", "3", "--out", "x", "--batch", "7", "--horizon", "5", "--dt", "0.5", "--stages", "2",
+              "--step-size", "0.5"]],
+        ids=["study", "flags"],
+    )
+    def test_study_resolves_as_a_learn_config_file(self, tmp_path, monkeypatch, mode, flags):
+        monkeypatch.delenv(config.SEED_ENV_VAR, raising=False)
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(cli.STUDY[mode]), encoding="utf-8")
+        learn_args = build_parser().parse_args(["learn", "--config", str(path), "--mode", mode, *flags])
+        from_file = config.load_experiment(str(path), vars(learn_args))
+
+        class Resolved(Exception):
+            pass
+
+        def resolved(raw, overrides):
+            raise Resolved(config._experiment(raw, overrides))
+
+        monkeypatch.setattr(cli, "_experiment", resolved)
+        with pytest.raises(Resolved) as stop:
+            run_cli("reproduce-paper", "--mode", mode, *flags)
+        exp = stop.value.args[0]
+        for name in ("a", "rho", "k_lower", "k_upper"):
+            assert np.array_equal(getattr(exp.game, name), getattr(from_file.game, name))
+        assert np.array_equal(exp.game.a, preset_game("five-player").a)
+        assert exp.learn == from_file.learn and exp.learn.mode == mode
+        assert (exp.output_dir, exp.format, exp.k0) == (from_file.output_dir, from_file.format, None)
+        if not flags:
+            assert (exp.sim.dt, str(exp.output_dir)) == (0.01, "runs/reproduce-paper")
+
     def test_explicit_flags_reach_summary(self, tmp_path):
         out = tmp_path / "rp"
         code = run_cli(
@@ -569,6 +601,17 @@ class TestFailedRunLeavesNoDirectory:
         assert len(captured.err.splitlines()) == 1
         assert not (tmp_path / "new3").exists()
 
+    def test_failed_stability_lift_makes_no_directory(self, tmp_path, capsys):
+        degenerate = tmp_path / "degenerate.json"
+        game = {"a": [[1e20, 1e20], [1e20, 1e20]], "rho": 0.0, "k_upper": 1e22}
+        degenerate.write_text(json.dumps({"game": game}), encoding="utf-8")
+        out = tmp_path / "new" / "run"
+        assert run_cli("learn", "--config", str(degenerate), "--out", str(out)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "solver failure: stability lift failed; state matrix is numerically degenerate\n"
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize(
         "argv, callee",
         [
@@ -641,11 +684,13 @@ class TestConfigErrors:
             (["check-rosen", "--samples", "20"], OVERFLOWING_BOX),
             (["check-rosen", "--samples", "20"], {"game": {"a": [[-1.0]], "rho": 0.0, "k_upper": 4.149515568880993e180}}),
             (["check-rosen", "--samples", "20"], {"game": {"a": [[-1.0]], "rho": 1.0, "k_upper": 1e120}}),
+            (["check-rosen"], {"ensemble": {"n": 2, "count": 1, "generator": "x"}}),
         ],
         ids=[
             "gen-matrix", "check-rosen-samples", "check-rosen-json", "check-rosen-ensemble-samples",
             "gen-matrix-infinite-diagonal", "learn-overflowing-box", "check-rosen-overflowing-box",
             "check-rosen-underflowing-curvature", "check-rosen-underflowing-curvature-rho",
+            "check-rosen-ensemble-generator",
         ],
     )
     def test_bad_input_makes_no_output_directory(self, tmp_path, capsys, argv, config):
@@ -768,21 +813,37 @@ class TestConfigErrors:
         assert key in err and "twice" in err
 
     @pytest.mark.parametrize(
-        "config, line",
+        "argv, config, line",
         [
-            ({"game": {"preset": ["scalar"]}},
+            (["learn"], {"game": {"preset": ["scalar"]}},
              "unknown preset ['scalar']; choose from ['diagonal', 'five-player', 'scalar', 'two-player']"),
-            ({"game": {"preset": "scalar"}, "format": ["csv"]}, "format must be one of ('csv', 'json-lines')"),
-            ({"game": {"preset": "scalar"}, "output_dir": 5}, "output_dir must be a JSON string, got 5"),
-            ({"game": {"a": [[-1.0, 0.0, 0.0]]}}, "state matrix must be square, got shape (1, 3)"),
+            (["learn"], {"game": {"preset": "scalar"}, "format": ["csv"]},
+             "format must be one of ('csv', 'json-lines')"),
+            (["learn"], {"game": {"preset": "scalar"}, "output_dir": 5}, "output_dir must be a JSON string, got 5"),
+            (["learn"], {"game": {"a": [[-1.0, 0.0, 0.0]]}}, "state matrix must be square, got shape (1, 3)"),
+            # a file's output_dir and format are checked whether or not a flag overrides them
+            (["check-rosen"], {"game": {"preset": "scalar"}, "output_dir": 5},
+             "output_dir must be a JSON string, got 5"),
+            (["check-rosen"], {"ensemble": {"n": 2, "count": 1}, "output_dir": 5},
+             "output_dir must be a JSON string, got 5"),
+            (["check-rosen"], {"ensemble": {"n": 2, "count": 1}, "format": "xml"},
+             "format must be one of ('csv', 'json-lines')"),
+            (["learn", "--out", "x"], {"game": {"preset": "scalar"}, "output_dir": 5},
+             "output_dir must be a JSON string, got 5"),
+            (["learn", "--format", "csv"], {"game": {"preset": "scalar"}, "format": ["csv"]},
+             "format must be one of ('csv', 'json-lines')"),
+            (["simulate", "--out", "x.csv"], {"game": {"preset": "scalar"}, "output_dir": ["runs"]},
+             "output_dir must be a JSON string, got ['runs']"),
         ],
-        ids=["preset", "format", "output_dir", "non-square-a"],
+        ids=["preset", "format", "output_dir", "non-square-a", "check-rosen-output_dir",
+             "check-rosen-ensemble-output_dir", "check-rosen-ensemble-format", "learn-out-output_dir",
+             "learn-format-format", "simulate-out-output_dir"],
     )
-    def test_error_line_names_the_input(self, tmp_path, capsys, monkeypatch, config, line):
+    def test_error_line_names_the_input(self, tmp_path, capsys, monkeypatch, argv, config, line):
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        err = assert_config_error(capsys, run_cli("learn", "--config", str(path)), tmp_path / "runs")
+        err = assert_config_error(capsys, run_cli(*argv, "--config", str(path)), tmp_path / "runs")
         assert err == f"error: {line}\n"
         assert list(tmp_path.iterdir()) == [path]
 

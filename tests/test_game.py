@@ -618,6 +618,15 @@ class TestGameSpec:
         with pytest.raises(ValueError, match="box"):
             GameSpec(a=[[-1.0]], rho=0.0, k_upper=1.0, k_lower=2.0)
 
+    def test_failed_stability_lift_raises(self):
+        # the lifted corner K - A is singular in floating point
+        with pytest.raises(NotPositiveDefinite, match="^stability lift failed; state matrix is numerically"):
+            GameSpec(a=[[1e20, 1e20], [1e20, 1e20]], rho=0.0, k_upper=1e22)
+
+    def test_profile_must_be_a_vector(self):
+        with pytest.raises(ValueError, match=re.escape("action profile must be a vector, got shape (1, 2)")):
+            ActionProfile([[1.0, 2.0]])
+
     @pytest.mark.parametrize(
         "kwargs",
         [

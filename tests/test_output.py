@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from nashlq.output import (
     read_history_csv,
     read_history_jsonl,
     write_csv,
+    write_history,
     write_history_csv,
     write_history_jsonl,
     write_json,
@@ -95,6 +97,19 @@ class TestJsonl:
         expected_k = np.array([rec.profile.k for rec in run.history])
         assert np.array_equal(data["k"], expected_k)
         assert np.array_equal(data["J"], np.array([rec.cost for rec in run.history]))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = write_history_jsonl(tmp_path / "history.jsonl", small_run(2))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("\n".join(lines) + "  \n", encoding="utf-8")
+        data = read_history_jsonl(path)
+        assert np.array_equal(data["stage"], [0, 1, 2])
+
+
+def test_unknown_history_format_is_refused(tmp_path):
+    with pytest.raises(ValueError, match="^unknown history format 'xml'$"):
+        write_history(tmp_path / "history.xml", small_run(1), "xml")
+    assert not any(tmp_path.iterdir())
 
 
 class TestJsonReport:

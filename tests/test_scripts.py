@@ -63,3 +63,17 @@ def test_oversize_sweep_exits_2_with_one_error_line(capsys, monkeypatch, message
     monkeypatch.setattr(evidence, "conjecture_sweep", oversize)
     assert evidence.run(TINY) == 2
     assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--count", "1", "--samples", "2", "--dims", "100000000000000000000"],
+        ["--count", "1", "--samples", "100000000000000000000", "--dims", "2"],
+    ],
+    ids=["dims", "samples"],
+)
+def test_sweep_beyond_numpy_shapes_exits_2_with_one_error_line(capsys, argv):
+    assert evidence.run(argv) == 2  # numpy refuses the shape before allocating
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

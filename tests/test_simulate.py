@@ -660,6 +660,17 @@ class TestStabilityCertificate:
                     got = outcome(lambda: game._stable_modes(spec, ks))
                 assert got == expected, (walk, ks)
 
+    def test_eigensolver_failure_on_a_stable_stack_is_raised(self, monkeypatch):
+        def fails(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        spec, k = random_game(0, n=3)
+        ks = np.vstack([k, spec.k_lower])
+        game._cholesky(game._closed_loop(spec, ks))  # the factor check passes the stack
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            game._stable_modes(spec, ks)
+
     def test_stable_stages_take_no_factorization(self, monkeypatch):
         def refuse(s):
             raise AssertionError("a stable stack went to the factor check")
