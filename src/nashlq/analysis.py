@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .game import (
     _is_finite,
     _jacobian,
     _jacobian_stack,
+    _require_each,
     _require_finite,
     _require_int,
     pseudogradient_jacobian,
@@ -82,6 +84,14 @@ NEGATIVE_DEFINITE_EIGS = (0.02, 2.0)
 SPOT_CHECK_RATE = 0.01
 
 
+# Each MatrixEnsembleConfig field's own rule, rule(value, name), in the order a
+# config's ensemble section lists them; config applies it also to a file's value
+# a flag overrides.
+_ENSEMBLE_RULES = {"n": partial(_require_int, low=1), "offdiag_scale": _require_finite,
+                   "dominance_margin": _require_finite, "seed": partial(_require_int, low=0),
+                   "count": partial(_require_int, low=1)}
+
+
 class PreconditionViolated(ValueError):
     """Inputs violate a documented precondition of the analysis routine."""
 
@@ -98,15 +108,11 @@ class MatrixEnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_int(self.n, "n", 1)
-        _require_int(self.count, "count", 1)
-        _require_finite(self.offdiag_scale, "offdiag_scale")
-        _require_finite(self.dominance_margin, "dominance_margin")
+        _require_each(vars(self), _ENSEMBLE_RULES)
         # an n beyond the float range has no finite bound
         bound = (self.n + 1) * self.offdiag_scale + self.dominance_margin if _is_finite(self.n) else np.inf
         if not _is_finite(bound):
             raise ValueError(f"(n + 1) * offdiag_scale + dominance_margin must be finite, got {bound!r}")
-        _require_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,8 +2,9 @@
 
 Every subcommand reads its file through :func:`read_config` and resolves
 each value by one rule (:func:`resolve`): a flag that is not ``None`` wins,
-then the file's value, then the default.  An ``experiment`` file is a single
-nested JSON object::
+then the file's value, then the default.  A file's value meets its own rule
+(its type, range or allowed choice, ``_RULES``) whether or not a flag
+overrides it.  An ``experiment`` file is a single nested JSON object::
 
     {
       "game": {"preset": "five-player"}           # or explicit matrices
@@ -59,12 +60,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import BOX_FACTOR, MatrixEnsembleConfig, game_from_matrix, generate_sdd_matrix
-from .game import GameSpec, _real_array
-from .learning import LearnConfig
+from .analysis import _ENSEMBLE_RULES, BOX_FACTOR, MatrixEnsembleConfig, _check_sweep
+from .analysis import game_from_matrix, generate_sdd_matrix
+from .game import GameSpec, _real_array, _require_choice, _require_each
+from .learning import _LEARN_RULES, LearnConfig
 from .output import HISTORY_FORMATS
 from .presets import preset_game
-from .simulate import _MATRIX_KEY, SimConfig, substream
+from .simulate import _MATRIX_KEY, _SIM_RULES, SimConfig, substream
 
 __all__ = [
     "ConfigError", "ExperimentConfig", "read_config", "resolve", "resolve_seed",
@@ -73,15 +75,17 @@ __all__ = [
 
 SEED_ENV_VAR = "NASHLQ_SEED"
 
-# The keys each part of a config file takes.  Those of sim, learn and an
-# ensemble are also flag keys; SimConfig and LearnConfig hold their defaults.
-_SIM_KEYS = ("batch_size", "horizon", "dt", "integrator")
-_LEARN_KEYS = ("stages", "step_size", "mode", "grad_tolerance")
+# The keys each part of a config file takes.  Sim, learn and an ensemble take
+# the fields of SimConfig, LearnConfig and MatrixEnsembleConfig, the keys of
+# their rules (_SIM_RULES, _LEARN_RULES, _ENSEMBLE_RULES), and those are also
+# flag keys; the config classes hold their defaults.
 _MATRIX_KEYS = ("n", "offdiag_scale", "dominance_margin", "seed")  # a gen-matrix file
-_ENSEMBLE_KEYS = _MATRIX_KEYS + ("count",)
 # check-rosen's ensemble size when neither flag nor file gives one.
 _ENSEMBLE_SIZE = {"n": 5, "count": 100}
 _SWEEP_DEFAULTS = {"samples": 200, "rho_range": (0.0, 1.0), "generator": "sdd"}
+# learn's format and output_dir when neither flag nor file gives one; resolving
+# them checks a file's own, for every subcommand.
+_TOP_DEFAULTS = {"format": "csv", "output_dir": "runs"}
 _EXPERIMENT_KEYS = ("game", "learn", "sim", "output_dir", "format")
 # 'game' takes exactly one of these forms; each form needs its first key.
 _GAME_FORMS = (("preset",), ("generate",), ("a", "rho", "k_upper", "k_lower"))
@@ -90,6 +94,18 @@ _GENERATE_KEYS = _MATRIX_KEYS + ("rho", "box_factor")
 
 class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
+
+
+def _require_text(value, name: str) -> None:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a JSON string, got {value!r}")
+
+
+# Each flag key's own rule, rule(value, name): type, range or allowed choice,
+# no rule across keys.  A file's value meets it whether or not a flag overrides it.
+_RULES = {**_SIM_RULES, **_LEARN_RULES, **_ENSEMBLE_RULES, "samples": lambda value, name: _check_sweep(value),
+          "preset": lambda value, name: preset_game(value), "output_dir": _require_text,
+          "format": functools.partial(_require_choice, choices=tuple(HISTORY_FORMATS))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +158,13 @@ def _section(value, name: str, keys) -> dict:
 
 
 def _given(flags: dict, section: dict, keys) -> dict:
-    """Per key: the flag unless it is None, else the file's value; keys neither sets are left out."""
+    """Per key: the flag unless it is None, else the file's value; keys neither sets are left out.
+
+    Each file value read here meets its rule in ``_RULES``, if it has one,
+    whether or not a flag overrides it.
+    """
     values = {key: section[key] for key in keys if key in section}
+    _require_each(values, _RULES)
     values.update((key, flags[key]) for key in keys if flags.get(key) is not None)
     return values
 
@@ -173,8 +194,11 @@ def resolve_seed(flag_value, file_value=None):
 
 def _read_profile(text, value, n: int, name: str) -> np.ndarray | None:
     """The profile ``name``, ``n`` finite numbers: a flag's comma-separated ``text``
-    unless it is None, else ``value``, a file's JSON list; None if neither is given."""
+    unless it is None, else ``value``, a file's JSON list; None if neither is given.
+    A ``value`` that ``text`` overrides must still hold only finite numbers."""
     if text is not None:
+        if value is not None:
+            _real_array(value, name)
         try:
             value = [float(part) for part in text.split(",")]
         except ValueError:
@@ -200,19 +224,8 @@ def _config_errors(load):
     return checked
 
 
-def _top(raw: dict, overrides: dict) -> dict:
-    """The run's ``format`` and ``output_dir``, flags winning; the file's own are checked too."""
-    top = resolve(overrides, raw, {"format": "csv", "output_dir": "runs"})
-    for values in (raw, top):
-        if values.get("format", "csv") not in tuple(HISTORY_FORMATS):  # a JSON list is refused, not hashed
-            raise ConfigError(f"format must be one of {tuple(HISTORY_FORMATS)}")
-        if not isinstance(values.get("output_dir", ""), str):
-            raise ConfigError(f"output_dir must be a JSON string, got {values['output_dir']!r}")
-    return top
-
-
 def _matrix_ensemble(section: dict, flags: dict) -> MatrixEnsembleConfig:
-    return MatrixEnsembleConfig(**{**_ENSEMBLE_SIZE, **_given(flags, section, _ENSEMBLE_KEYS)})
+    return MatrixEnsembleConfig(**{**_ENSEMBLE_SIZE, **_given(flags, section, _ENSEMBLE_RULES)})
 
 
 def _draw_matrix(ens: MatrixEnsembleConfig) -> tuple[np.ndarray, np.random.Generator]:
@@ -264,23 +277,23 @@ def _experiment(raw: dict, overrides: dict) -> ExperimentConfig:
     """:func:`load_experiment` of a config file's already-read object."""
     _section(raw, "the config file", _EXPERIMENT_KEYS)
     game_section = _section(raw.get("game", {}), "section 'game'", sum(_GAME_FORMS, ()))
-    if overrides.get("preset") is not None:
-        game_section = {"preset": overrides["preset"]}
+    if overrides.get("preset") is not None:  # the flag's preset wins; a file's must still name one
+        game_section = _given(overrides, game_section, ("preset",))
     if not game_section:
         raise ConfigError("no game configured: pass --preset or a config file with a 'game' section")
     game = _game_from_section(game_section)
 
-    learn_raw = _section(raw.get("learn", {}), "section 'learn'", _LEARN_KEYS + ("k0",))
-    sim_raw = _section(raw.get("sim", {}), "section 'sim'", _SIM_KEYS + ("seed",))
+    learn_raw = _section(raw.get("learn", {}), "section 'learn'", (*_LEARN_RULES, "k0"))
+    sim_raw = _section(raw.get("sim", {}), "section 'sim'", _SIM_RULES)
     seed = resolve_seed(overrides.get("seed"), sim_raw.get("seed"))
-    sim = SimConfig(**_given(overrides, sim_raw, _SIM_KEYS), seed=seed)
-    learn = LearnConfig(**_given(overrides, learn_raw, _LEARN_KEYS), sim=sim)
+    sim = SimConfig(**_given({**overrides, "seed": seed}, sim_raw, _SIM_RULES))
+    learn = LearnConfig(**_given(overrides, learn_raw, _LEARN_RULES), sim=sim)
 
     k0 = _read_profile(overrides.get("k0"), learn_raw.get("k0"), game.n, "k0")
     if k0 is not None and not game.contains(k0):
         raise ConfigError("k0 lies outside the action box")
 
-    top = _top(raw, overrides)
+    top = resolve(overrides, raw, _TOP_DEFAULTS)
     return ExperimentConfig(
         game=game, learn=learn, output_dir=Path(top["output_dir"]), format=top["format"], k0=k0
     )
@@ -292,10 +305,10 @@ def load_ensemble(raw: dict, overrides: dict) -> tuple[MatrixEnsembleConfig, dic
     ensemble and the :func:`~nashlq.analysis.conjecture_sweep` keyword arguments,
     flags winning."""
     _section(raw, "the config file", _EXPERIMENT_KEYS + ("ensemble",))
-    _top(raw, overrides)
+    resolve(overrides, raw, _TOP_DEFAULTS)  # checks the file's format and output_dir
     if overrides.get("preset") is not None:
         raise ConfigError("--preset does not apply to a config file with an 'ensemble' section")
-    section = _section(raw["ensemble"], "section 'ensemble'", _ENSEMBLE_KEYS + tuple(_SWEEP_DEFAULTS))
+    section = _section(raw["ensemble"], "section 'ensemble'", (*_ENSEMBLE_RULES, *_SWEEP_DEFAULTS))
     seed = resolve_seed(overrides.get("seed"), section.get("seed"))
     ensemble = _matrix_ensemble(section, {"seed": seed})
     sweep = resolve(overrides, section, _SWEEP_DEFAULTS)

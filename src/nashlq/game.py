@@ -16,18 +16,23 @@ reads them, does not pay for them.
 
 All of them run through one kernel, :func:`_evaluate_stack`, which takes
 one profile of shape ``(n,)`` or a ``(P, n)`` stack of them: it builds
-every ``K - A`` from the spec's cached ``-A``, factors them in one
-``np.linalg.cholesky`` call, makes the pivot decision once (a failure
+every ``K - A`` from the spec's cached ``-A``, factors and inverts them in
+one call each of the LAPACK gufuncs behind numpy's public ``cholesky`` and
+``inv`` (:func:`_cholesky`), makes the pivot decision once (a failure
 raises :class:`NotPositiveDefinite`, naming the first failing profile of a
-stack), and forms the resolvents from the factors.  :func:`evaluate`, which
-gradient play calls once per stage, is the kernel on one profile.  Sweeps
-over many profiles call the kernel in blocks through :func:`_in_blocks`,
-whose one bound, ``BLOCK_ENTRIES``, caps the array entries a block holds,
-so a block's row count follows from n.  Every stability decision is made
-here: by the kernel's factor step, or, for :mod:`nashlq.simulate`, by
-:func:`_stable_modes`, which certifies a stack from the eigenvalues of the
-one ``eigh`` of ``A - K`` its costs need anyway and hands a stack those
-cannot certify to the same factor step.
+stack), and forms the resolvents from the inverse factors.  A breakdown is
+read from the NaN the gufunc writes into that matrix's factor, not from an
+exception.  The gufuncs' module, ``numpy.linalg._umath_linalg``, is
+private, but ships in every numpy from 1.25 on, and ``tests/test_game.py``
+holds the public route as the reference its bits must equal.
+:func:`evaluate`, which gradient play calls once per stage, is the kernel
+on one profile.  Sweeps over many profiles call the kernel in blocks
+through :func:`_in_blocks`, whose one bound, ``BLOCK_ENTRIES``, caps the
+array entries a block holds, so a block's row count follows from n.  Every
+stability decision is made here: by the kernel's factor step, or, for
+:mod:`nashlq.simulate`, by :func:`_stable_modes`, which certifies a stack
+from the eigenvalues of the one ``eigh`` of ``A - K`` its costs need
+anyway and hands a stack those cannot certify to the same factor step.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "NotPositiveDefinite",
@@ -125,6 +131,20 @@ def _require_finite(value, name: str, zero_ok: bool = False) -> None:
     if not (_is_finite(value) and (value >= 0 if zero_ok else value > 0)):
         wanted = "nonnegative" if zero_ok else "positive"
         raise ValueError(f"{name} must be a {wanted} finite number, got {value!r}")
+
+
+def _require_choice(value, name: str, choices: tuple) -> None:
+    """Refuse ``value`` unless it equals one of ``choices``; a JSON list is compared, not hashed."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}")
+
+
+def _require_each(values: dict, rules: dict) -> None:
+    """Apply each of ``rules``, a name's ``rule(value, name)``, to the value ``values`` holds
+    for that name, if any, in the order of ``rules``."""
+    for name, rule in rules.items():
+        if name in values:
+            rule(values[name], name)
 
 
 def _real_array(value, name: str) -> np.ndarray:
@@ -361,11 +381,20 @@ def _passes_pivot_test(chol: np.ndarray, s: np.ndarray, bound: float) -> bool:
     return passed or bool(_pivot_check(chol, s)[0].all())
 
 
-def _cholesky(s: np.ndarray, bound: float = math.nan) -> np.ndarray:
-    """Lower Cholesky factors of one symmetric matrix or a ``(P, n, n)`` stack.
+def _cholesky(s: np.ndarray, bound: float = math.nan, inverse: bool = False) -> np.ndarray:
+    """Lower Cholesky factors ``L`` of one symmetric matrix or a ``(P, n, n)``
+    stack, or their inverses ``L^{-1}`` when ``inverse``.
 
-    One ``np.linalg.cholesky`` call factors the whole stack.  A matrix fails
-    when its factorization breaks down or a squared pivot falls to
+    One call of numpy's ``cholesky_lo`` gufunc factors the whole stack, and
+    one of its ``inv`` gufunc inverts the factors when ``inverse``, both under
+    one ``np.errstate`` that ignores every floating-point flag.  They are the
+    gufuncs behind numpy's public ``cholesky`` and ``inv``, giving their bits
+    without their per-call Python work.  Their module,
+    ``numpy.linalg._umath_linalg``, is private but ships in every numpy from
+    1.25 on, and ``tests/test_game.py`` checks the bits against the public
+    route.  A breakdown shows as the NaN the gufunc writes into that matrix's
+    factor; the other matrices keep their own bits.  A matrix fails when its
+    factor holds such a NaN or a squared pivot falls to
     ``PIVOT_RTOL`` times its infinity norm, as :func:`_passes_pivot_test`
     decides on ``bound`` (NaN leaves it to :func:`_pivot_check`).  The first
     failure raises :class:`NotPositiveDefinite`, naming its index when the
@@ -373,22 +402,13 @@ def _cholesky(s: np.ndarray, bound: float = math.nan) -> np.ndarray:
     infinite entry, which a NaN, infinite or overflowing gain puts there, is
     named with that entry, not an eigenvalue: ``eigvalsh`` of it means nothing.
     """
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        chol = None
-    if chol is not None and _passes_pivot_test(chol, s, bound):
-        return chol
-    # Refactor one at a time, each with the bits it had in the stack, up to
-    # the first breakdown; NaN marks it.
+    with np.errstate(all="ignore"):
+        chol = _umath_linalg.cholesky_lo(s)
+        result = _umath_linalg.inv(chol) if inverse else chol
+    if _passes_pivot_test(chol, s, bound):
+        return result
     s = s.reshape((-1,) + s.shape[-2:])
-    chol = np.full_like(s, np.nan)
-    for i, matrix in enumerate(s):
-        try:
-            chol[i] = np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError:
-            break
-    passed, pivots, scale = _pivot_check(chol, s)
+    passed, pivots, scale = _pivot_check(chol.reshape(s.shape), s)
     i = int(np.argmin(passed))
     where = f" at profile {i}" if len(s) > 1 else ""
     bad = np.argwhere(~np.isfinite(s[i]))
@@ -480,7 +500,7 @@ def _stable_modes(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarra
     s = _closed_loop(spec, ks)
     try:
         lam, q = np.linalg.eigh(-s)
-    except np.linalg.LinAlgError:
+    except ValueError:  # numpy's error for an eigensolver that does not converge is one
         _cholesky(s)
         raise
     bound = _pivot_bound(spec, float(abs(ks).max()))
@@ -526,8 +546,8 @@ def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGra
     """The profile kernel: ``L^{-T} L^{-1}`` and the per-player fields of one
     profile, shape ``(n,)``, or of each row of a ``(P, n)`` stack.
 
-    :func:`_closed_loop` forms ``K - A``, and :func:`_cholesky` factors it,
-    on the :func:`_pivot_bound` of its largest gain.  With ``K - A = L
+    :func:`_closed_loop` forms ``K - A``, and :func:`_cholesky` factors and
+    inverts it, on the :func:`_pivot_bound` of its largest gain.  With ``K - A = L
     L^T``, ``M = L^{-T} L^{-1}``; the report reads M's diagonal as it is,
     since the ``(M + M^T) / 2`` of :func:`resolvent` and
     :func:`_jacobian`, which read all of M, leaves a diagonal entry
@@ -539,7 +559,7 @@ def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGra
     # Python's max, faster here than numpy's, may miss a NaN gain, but that
     # makes a pivot NaN or the factorization break down.
     gain = max(map(abs, ks.tolist())) if lone else float(abs(ks).max())
-    l_inv = np.linalg.inv(_cholesky(_closed_loop(spec, ks), _pivot_bound(spec, gain)))
+    l_inv = _cholesky(_closed_loop(spec, ks), _pivot_bound(spec, gain), inverse=True)
     # A lone profile's 2-D views, cheaper than numpy's generic ones.
     m = (l_inv.T if lone else l_inv.swapaxes(-1, -2)) @ l_inv
     return m, _fields(spec, ks, m.diagonal() if lone else m.diagonal(0, -2, -1))

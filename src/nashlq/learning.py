@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import (
-    ActionProfile, GameSpec, evaluate, marginal_cost_from_cost,
-    _evaluate_stack, _frozen, _profile, _require_finite, _require_int, _weighted_gains,
+    ActionProfile, GameSpec, evaluate, marginal_cost_from_cost, _evaluate_stack, _frozen, _profile,
+    _require_choice, _require_each, _require_finite, _require_int, _weighted_gains,
 )
 from .simulate import SimConfig, monte_carlo_cost
 
@@ -42,6 +42,13 @@ __all__ = [
 ]
 
 _MODES = ("exact", "model-free")
+
+# Each LearnConfig field's own rule but sim's, rule(value, name), in the order a
+# config's learn section lists them; config applies it also to a file's value a
+# flag overrides.
+_LEARN_RULES = {"stages": functools.partial(_require_int, low=1), "step_size": _require_finite,
+                "mode": functools.partial(_require_choice, choices=_MODES),
+                "grad_tolerance": functools.partial(_require_finite, zero_ok=True)}
 
 
 @dataclass(frozen=True)
@@ -61,11 +68,7 @@ class LearnConfig:
     grad_tolerance: float = 0.0
 
     def __post_init__(self):
-        _require_int(self.stages, "stages", 1)
-        _require_finite(self.step_size, "step_size")
-        _require_finite(self.grad_tolerance, "grad_tolerance", zero_ok=True)
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
+        _require_each(vars(self), _LEARN_RULES)
         if not isinstance(self.sim, SimConfig):
             raise ValueError(f"sim must be a SimConfig, got {self.sim!r}")
         if self.mode == "model-free" and self.grad_tolerance > 0:

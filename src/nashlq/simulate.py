@@ -38,11 +38,12 @@ one-profile call on ``k[r]`` bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .game import GameSpec, _closed_loop, _in_blocks, _profile, _require_finite, _require_int
-from .game import _stable_modes, _weight, profile_array
+from .game import GameSpec, _closed_loop, _in_blocks, _profile, _require_choice, _require_each
+from .game import _require_finite, _require_int, _stable_modes, _weight, profile_array
 
 __all__ = [
     "SQRT3",
@@ -63,6 +64,12 @@ SQRT3 = 1.7320508075688772
 
 _INTEGRATORS = ("quadrature", "exact")
 
+# Each SimConfig field's own rule, rule(value, name), in the order a config's
+# sim section lists them; config applies it also to a file's value a flag overrides.
+_SIM_RULES = {"batch_size": partial(_require_int, low=1), "horizon": _require_finite, "dt": _require_finite,
+              "integrator": partial(_require_choice, choices=_INTEGRATORS),
+              "seed": partial(_require_int, low=0)}
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -79,14 +86,9 @@ class SimConfig:
     integrator: str = "quadrature"
 
     def __post_init__(self):
-        _require_int(self.batch_size, "batch_size", 1)
-        _require_finite(self.horizon, "horizon")
-        _require_finite(self.dt, "dt")
+        _require_each(vars(self), _SIM_RULES)
         if self.integrator == "quadrature" and not 1 <= self.horizon / self.dt < np.inf:
             raise ValueError(f"quadrature needs dt <= horizon and a finite horizon / dt, got {self.dt!r}")
-        _require_int(self.seed, "seed", 0)
-        if self.integrator not in _INTEGRATORS:
-            raise ValueError(f"integrator must be one of {_INTEGRATORS}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -867,6 +867,52 @@ class TestConfigErrors:
         err = assert_config_error(capsys, run_cli(*argv, "--out", str(out)), out)
         assert err == "error: NASHLQ_SEED must be an integer, got 'abc'\n"
 
+    @pytest.mark.parametrize(
+        "argv, config, line",
+        [
+            (["learn", "--stages", "3"], {"game": {"preset": "scalar"}, "learn": {"stages": "x"}},
+             "stages must be an integer >= 1, got 'x'"),
+            (["learn", "--preset", "scalar"], {"game": {"preset": 5}}, "unknown preset 5; choose from"),
+            (["learn", "--seed", "1"], {"game": {"preset": "scalar"}, "sim": {"seed": "x"}},
+             "seed must be a nonnegative integer, got 'x'"),
+            (["check-rosen", "--samples", "5"], {"ensemble": {"n": 2, "count": 1, "samples": "x"}},
+             "samples must be an integer >= 1, got 'x'"),
+            (["check-rosen", "--seed", "1"], {"ensemble": {"n": 2, "count": 1, "seed": -1}},
+             "seed must be a nonnegative integer, got -1"),
+            (["learn", "--mode", "exact"], {"game": {"preset": "scalar"}, "learn": {"mode": "fast"}},
+             "mode must be one of ('exact', 'model-free')"),
+            (["simulate", "--dt", "0.1"], {"game": {"preset": "scalar"}, "sim": {"dt": 0}},
+             "dt must be a positive finite number, got 0"),
+            (["learn", "--k0", "1"], {"game": {"preset": "scalar"}, "learn": {"k0": ["x"]}},
+             "k0 must hold only finite numbers"),
+            (["gen-matrix", "--n", "3"], {"n": 2.5}, "n must be an integer >= 1, got 2.5"),
+        ],
+        ids=["learn-stages", "learn-preset", "learn-seed", "check-rosen-samples", "check-rosen-seed",
+             "learn-mode", "simulate-dt", "learn-k0", "gen-matrix-n"],
+    )
+    def test_file_value_a_flag_overrides_is_still_checked(self, tmp_path, capsys, argv, config, line):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        err = assert_config_error(capsys, run_cli(*argv, "--config", str(path), "--out", str(out)), out)
+        assert err.startswith(f"error: {line}")
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["learn", "--mode", "exact"],
+             {"game": {"preset": "scalar"}, "learn": {"mode": "model-free", "grad_tolerance": 1e-9}}),
+            (["simulate", "--horizon", "1.0"], {"game": {"preset": "scalar"}, "sim": {"horizon": 0.01}}),
+        ],
+        ids=["mode-with-tolerance", "horizon-below-dt"],
+    )
+    def test_overridden_file_value_meets_no_rule_across_keys(self, tmp_path, argv, config):
+        """A file's value is checked on its own rule only: each of these pairs
+        breaks a rule across keys that the flag's value keeps."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli(*argv, "--config", str(path), "--out", str(tmp_path / "out")) == 0
+
     def test_preset_with_ensemble_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"ensemble": {"n": 2, "count": 2, "samples": 5}}), encoding="utf-8")

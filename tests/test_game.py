@@ -29,8 +29,8 @@ from nashlq import (
     trajectory_cost,
 )
 from nashlq.game import (
-    PIVOT_RTOL, _closed_loop, _diagonals, _evaluate_stack, _jacobian_stack,
-    _passes_pivot_test, _pivot_bound, _pivot_check, profile_array,
+    PIVOT_RTOL, _cholesky, _closed_loop, _diagonals, _evaluate_stack, _jacobian_stack,
+    _passes_pivot_test, _pivot_bound, _pivot_check, _stable_modes, profile_array,
 )
 from util import fd_gradient, fd_hessian_diag, fd_jacobian, random_game, rel_gap
 
@@ -394,6 +394,90 @@ class TestProfileKernel:
                 _evaluate_stack(spec, stack)
             with pytest.raises(NotPositiveDefinite, match="non-finite entry at profile 2 " + entry):
                 _jacobian_stack(spec, stack)
+
+
+def public_cholesky(s, bound=math.nan, inverse=False):
+    """The factor step's success path through numpy's public ``cholesky`` and
+    ``inv`` wrappers: the reference whose bits the kernel's gufunc calls give."""
+    chol = np.linalg.cholesky(s)
+    return np.linalg.inv(chol) if inverse else chol
+
+
+def spd_stack(seed, n, count, scale):
+    """``count`` random SPD matrices of order ``n``, scaled by ``2^scale``."""
+    x = substream(seed).standard_normal((count, n, n))
+    return (x @ x.swapaxes(-1, -2) + n * np.eye(n)) * 2.0**scale
+
+
+def kernel_outputs(spec, ks):
+    """Every kernel result on the stack ``ks`` and on each of its rows alone, as bytes."""
+    m, report = _evaluate_stack(spec, ks)
+    outputs = [m, report.resolvent_diag, report.cost, report.grad, report.curvature,
+               _jacobian_stack(spec, ks)]
+    for k in ks:
+        single = evaluate(spec, k)
+        outputs += [resolvent(spec, k), single.resolvent_diag, single.cost, single.grad,
+                    single.curvature, pseudogradient_jacobian(spec, k)]
+    return [output.tobytes() for output in outputs]
+
+
+# A diagonal game whose failing profiles have exact eigenvalues and pivots.
+SPLIT_GAME = {"a": [[1.0, 0.0], [0.0, -1.0]], "rho": 0.0, "k_upper": 5.0}
+UNSTABLE = ("K - A is not positive definite{} (smallest eigenvalue {}); "
+            "the closed loop is not stable at this profile")
+NON_FINITE = "K - A has a non-finite entry{} ({} at ({}, {})); a gain is NaN, infinite or too large"
+SINGULAR = "K - A is numerically singular{} (pivot 9.99201e-14 vs scale 1.5, smallest eigenvalue 9.99201e-14)"
+
+
+class TestFactorStep:
+    """The kernel's factor step calls numpy's LAPACK gufuncs directly, once per
+    factor and inverse, and reads a breakdown from the NaN they write."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 50), st.integers(-200, 200))
+    def test_gufuncs_give_the_public_route_bits(self, seed, n, count, scale):
+        s = spd_stack(seed, n, count, scale)
+        for matrices in (s, *s):  # the stack, then each matrix alone
+            for inverse in (False, True):
+                factor = _cholesky(matrices, inverse=inverse)
+                assert factor.tobytes() == public_cholesky(matrices, inverse=inverse).tobytes()
+        spec, ks = stacked_game(seed, n, count - 1)
+        outputs = kernel_outputs(spec, ks)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("nashlq.game._cholesky", public_cholesky)
+            assert outputs == kernel_outputs(spec, ks)
+
+    @pytest.mark.parametrize(
+        "ks, message",
+        [
+            ([[2.0, 0.5], [3.0, 1.0], [0.5, 0.0], [2.0, 2.0]], UNSTABLE.format(" at profile 2", -0.5)),
+            ([0.5, 0.0], UNSTABLE.format("", -0.5)),
+            # a breakdown ahead of a numerically singular profile is the one named
+            ([[2.0, 0.5], [0.0, 0.0], [1.0 + 1e-13, 0.5]], UNSTABLE.format(" at profile 1", -1)),
+            ([2.0, math.nan], NON_FINITE.format("", "nan", 1, 1)),
+            ([math.inf, 1.0], NON_FINITE.format("", "inf", 0, 0)),
+            ([[2.0, 0.5], [2.0, math.inf], [0.5, 0.0]], NON_FINITE.format(" at profile 1", "inf", 1, 1)),
+            ([[2.0, 0.5], [0.5, 0.0], [math.nan, 1.0]], UNSTABLE.format(" at profile 1", -0.5)),
+            ([1.0 + 1e-13, 0.5], SINGULAR.format("")),
+            ([[2.0, 0.5], [3.0, 1.0], [1.0 + 1e-13, 0.5], [0.0, 0.0]], SINGULAR.format(" at profile 2")),
+        ],
+        ids=["unstable-in-stack", "unstable-lone", "breakdown-before-singular", "nan-gain", "inf-gain",
+             "inf-gain-in-stack", "unstable-before-nan", "singular-lone", "singular-in-stack"],
+    )
+    def test_failure_raises_the_retired_message_without_a_warning(self, ks, message):
+        """Each failure raises the message the retired route (numpy's public
+        wrappers, then a one-matrix-at-a-time refactor) gave, and no warning."""
+        spec = GameSpec(**SPLIT_GAME)
+        ks = np.array(ks)
+        calls = [lambda: _evaluate_stack(spec, ks), lambda: _jacobian_stack(spec, ks),
+                 lambda: _cholesky(_closed_loop(spec, ks)), lambda: _stable_modes(spec, ks)]
+        if ks.ndim == 1:
+            calls += [lambda: evaluate(spec, ks), lambda: pseudogradient_jacobian(spec, ks)]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(NotPositiveDefinite) as err:
+                    call()
+                assert str(err.value) == message
 
 
 class TestCost:
