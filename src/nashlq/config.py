@@ -40,9 +40,11 @@ comma-separated text or a file's JSON list; an empty field, as in ``1,,2``,
 is refused, and a file's JSON string is not split.  ``game`` takes exactly one of
 its three forms.  A key that no section above names is an error, not
 ignored, and so is a key given twice in one object; every file that
-``learn`` or ``simulate`` reads also works for ``check-rosen``, and an
-``ensemble`` file takes no ``--preset``.  ``game.generate`` and
-``gen-matrix`` draw their matrix from one substream,
+``learn`` or ``simulate`` reads also works for ``check-rosen``.  An
+``ensemble`` file takes no ``--preset``; its ``game``, ``learn`` and
+``sim`` sections, which the sweep does not use, meet an experiment
+file's rules, and its ``learn`` or ``sim`` needs a ``game``.
+``game.generate`` and ``gen-matrix`` draw their matrix from one substream,
 ``(seed, *simulate._MATRIX_KEY)``, which no model-free stage's
 ``(seed, stage)`` stream shares.
 
@@ -303,7 +305,7 @@ def _experiment(raw: dict, overrides: dict) -> ExperimentConfig:
 def load_ensemble(raw: dict, overrides: dict) -> tuple[MatrixEnsembleConfig, dict]:
     """The ``ensemble`` sweep of a ``check-rosen`` file's already-read object: the
     ensemble and the :func:`~nashlq.analysis.conjecture_sweep` keyword arguments,
-    flags winning."""
+    flags winning.  The file's other sections meet an experiment file's rules."""
     _section(raw, "the config file", _EXPERIMENT_KEYS + ("ensemble",))
     resolve(overrides, raw, _TOP_DEFAULTS)  # checks the file's format and output_dir
     if overrides.get("preset") is not None:
@@ -313,6 +315,11 @@ def load_ensemble(raw: dict, overrides: dict) -> tuple[MatrixEnsembleConfig, dic
     ensemble = _matrix_ensemble(section, {"seed": seed})
     sweep = resolve(overrides, section, _SWEEP_DEFAULTS)
     sweep["samples_per_matrix"] = sweep.pop("samples")
+    orphan = next((key for key in ("learn", "sim") if key in raw), None)
+    if orphan is not None and "game" not in raw:
+        raise ConfigError(f"section '{orphan}' needs a 'game' section")
+    if "game" in raw:  # unused, but checked as an experiment file's
+        _experiment({key: value for key, value in raw.items() if key != "ensemble"}, overrides)
     return ensemble, sweep
 
 

@@ -33,6 +33,11 @@ stability decision is made here: by the kernel's factor step, or, for
 :mod:`nashlq.simulate`, by :func:`_stable_modes`, which certifies a stack
 from the eigenvalues of the one ``eigh`` of ``A - K`` its costs need
 anyway and hands a stack those cannot certify to the same factor step.
+Every ``simulate`` entry, ``simulate_state`` included, takes its modes
+from :func:`_stable_modes`, so ``K - A`` is formed and decomposed only in
+this module.  :func:`stability_margin`, which reports the smallest
+eigenvalue of ``K - A`` whatever its sign, is by design the one public
+function that reads an uncertified ``K - A``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .game import GameSpec
+from .game import GameSpec, _frozen
 
 __all__ = [
     "FIVE_PLAYER_A",
@@ -34,9 +34,7 @@ __all__ = [
 
 
 def _const(values) -> np.ndarray:
-    a = np.array(values, dtype=float)
-    a.setflags(write=False)
-    return a
+    return _frozen(np.array(values, dtype=float))
 
 
 FIVE_PLAYER_A = _const([

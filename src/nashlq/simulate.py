@@ -22,10 +22,12 @@ does, bit for bit.  Per-trajectory costs, O(B n^3), are computed only by
 ``game.BLOCK_ENTRIES // n^2`` trajectories, so no ``(B, n, n)`` array is
 formed.
 
-Every cost takes one ``eigh`` of ``A - K`` per profile, whose eigenvalues
+Every entry, :func:`simulate_state` included, takes one ``eigh`` of
+``A - K`` per profile from :func:`game._stable_modes`, whose eigenvalues
 also certify stability, or else the kernel raises its
-:class:`NotPositiveDefinite` (:func:`game._stable_modes`), before any state
-is drawn or any cost formed: an unstable profile yields no number.
+:class:`NotPositiveDefinite`, before any state is drawn or any cost formed:
+an unstable profile yields no number.  This module forms no ``K - A`` of
+its own.
 
 :func:`monte_carlo_cost` also takes an ``(R, n)`` stack of profiles.  The
 stack shares one draw of the ``(seed, stage)`` batch (common random
@@ -42,7 +44,7 @@ from functools import partial
 
 import numpy as np
 
-from .game import GameSpec, _closed_loop, _in_blocks, _profile, _require_choice, _require_each
+from .game import GameSpec, _in_blocks, _profile, _require_choice, _require_each
 from .game import _require_finite, _require_int, _stable_modes, _weight, profile_array
 
 __all__ = [
@@ -122,10 +124,10 @@ def sample_initial_state(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def simulate_state(spec: GameSpec, k, x0, t: float) -> np.ndarray:
-    """Closed-loop state ``x(t) = exp((A - K) t) x0`` via the symmetric modes."""
-    if t < 0:
+    """Closed-loop state ``x(t) = exp((A - K) t) x0`` via :func:`game._stable_modes`' certified modes."""
+    if not t >= 0:  # a NaN t too
         raise ValueError("t must be nonnegative")
-    lam, q = np.linalg.eigh(-_closed_loop(spec, _profile(spec, k)))
+    lam, q = _stable_modes(spec, _profile(spec, k))
     x0 = np.asarray(x0, dtype=float)
     return q @ (np.exp(lam * t) * (q.T @ x0))
 
@@ -145,17 +147,21 @@ def pair_integrals(eigs: np.ndarray, horizon: float, dt: float | None = None) ->
     """
     eigs = np.asarray(eigs, dtype=float)
     z = eigs[..., :, None] + eigs[..., None, :]
-    if dt is not None:
-        steps = max(1, round(horizon / dt))
-        step = horizon / steps
-        z = z * step
-    # Zero-rate pairs, if any, are masked to the horizon.  A negative stand-in
-    # for them keeps expm1(steps * z) finite for any number of steps.
-    flat = None if z.all() else z == 0.0
-    if flat is not None:
-        z = np.where(flat, -1.0, z)
-    table = (np.expm1(z * horizon) / z if dt is None
-             else step * 0.5 * (1.0 + np.exp(z)) * (np.expm1(steps * z) / np.expm1(z)))
+    # A horizon so long that a rate times a time passes the float range gives
+    # -inf there, whose exp and expm1 are the limits 0 and -1; the sum z keeps
+    # its own overflow warning.
+    with np.errstate(over="ignore"):
+        if dt is not None:
+            steps = max(1, round(horizon / dt))
+            step = horizon / steps
+            z = z * step
+        # Zero-rate pairs, if any, are masked to the horizon.  A negative stand-in
+        # for them keeps expm1(steps * z) finite for any number of steps.
+        flat = None if z.all() else z == 0.0
+        if flat is not None:
+            z = np.where(flat, -1.0, z)
+        table = (np.expm1(z * horizon) / z if dt is None
+                 else step * 0.5 * (1.0 + np.exp(z)) * (np.expm1(steps * z) / np.expm1(z)))
     return table if flat is None else np.where(flat, horizon, table)
 
 

@@ -446,6 +446,20 @@ class TestSimulate:
         assert code == 0
         assert "batch 5, horizon 1, dt 0.05, integrator quadrature, seed 0\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--integrator", "exact"], ["simulate", "--dt", "1"],
+         ["learn", "--mode", "model-free", "--integrator", "exact", "--stages", "2"]],
+        ids=["simulate-exact", "simulate-quadrature", "learn-model-free"],
+    )
+    def test_huge_horizon_warns_nothing(self, tmp_path, capsys, argv):
+        """``rate * horizon`` overflows to -inf, whose table entry is the limit."""
+        argv = [*argv, "--preset", "scalar", "--horizon", "1e308", "--batch", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(*argv, *(["--k", "1"] if argv[0] == "simulate" else ["--out", str(tmp_path)]))
+        assert (code, capsys.readouterr().err) == (0, "")
+
     def test_unstable_profile_is_solver_failure(self, tmp_path):
         code = run_cli(
             "simulate", "--preset", "five-player", "--k=-5,-5,-5,-5,-5",
@@ -645,6 +659,10 @@ OVERFLOWING_BOX = {
 }
 
 
+# A small check-rosen ensemble section.
+ENSEMBLE = {"ensemble": {"n": 2, "count": 1, "samples": 5}}
+
+
 def assert_config_error(capsys, code, out):
     assert code == 2
     captured = capsys.readouterr()
@@ -834,10 +852,21 @@ class TestConfigErrors:
              "format must be one of ('csv', 'json-lines')"),
             (["simulate", "--out", "x.csv"], {"game": {"preset": "scalar"}, "output_dir": ["runs"]},
              "output_dir must be a JSON string, got ['runs']"),
+            # an ensemble file's other sections meet an experiment file's rules, though unused
+            (["check-rosen"], {**ENSEMBLE, "game": {"preset": "bogus"}},
+             "unknown preset 'bogus'; choose from ['diagonal', 'five-player', 'scalar', 'two-player']"),
+            (["check-rosen"], {**ENSEMBLE, "game": {"preset": "scalar"}, "learn": {"stages": "x"}},
+             "stages must be an integer >= 1, got 'x'"),
+            (["check-rosen"], {**ENSEMBLE, "game": {"preset": "scalar"}, "sim": {"dt": -1}},
+             "dt must be a positive finite number, got -1"),
+            (["check-rosen"], {**ENSEMBLE, "learn": {"stages": 3}}, "section 'learn' needs a 'game' section"),
+            (["check-rosen"], {**ENSEMBLE, "sim": {"dt": 0.1}}, "section 'sim' needs a 'game' section"),
         ],
         ids=["preset", "format", "output_dir", "non-square-a", "check-rosen-output_dir",
              "check-rosen-ensemble-output_dir", "check-rosen-ensemble-format", "learn-out-output_dir",
-             "learn-format-format", "simulate-out-output_dir"],
+             "learn-format-format", "simulate-out-output_dir", "check-rosen-ensemble-game",
+             "check-rosen-ensemble-learn", "check-rosen-ensemble-sim", "check-rosen-ensemble-learn-without-game",
+             "check-rosen-ensemble-sim-without-game"],
     )
     def test_error_line_names_the_input(self, tmp_path, capsys, monkeypatch, argv, config, line):
         monkeypatch.chdir(tmp_path)

@@ -24,6 +24,8 @@ from nashlq import (
     rosen_check,
     run_gradient_play,
     second_derivative,
+    simulate_batch,
+    simulate_state,
     stability_margin,
     substream,
     trajectory_cost,
@@ -471,7 +473,13 @@ class TestFactorStep:
         calls = [lambda: _evaluate_stack(spec, ks), lambda: _jacobian_stack(spec, ks),
                  lambda: _cholesky(_closed_loop(spec, ks)), lambda: _stable_modes(spec, ks)]
         if ks.ndim == 1:
-            calls += [lambda: evaluate(spec, ks), lambda: pseudogradient_jacobian(spec, ks)]
+            sim, x0 = SimConfig(batch_size=3, horizon=1.0, dt=0.5), np.ones(spec.n)
+            calls += [lambda: evaluate(spec, ks), lambda: pseudogradient_jacobian(spec, ks),
+                      lambda: cost(spec, ks), lambda: exact_gradient(spec, ks),
+                      lambda: second_derivative(spec, ks), lambda: resolvent(spec, ks),
+                      lambda: rosen_check(spec, ks), lambda: trajectory_cost(spec, ks, x0, sim),
+                      lambda: simulate_batch(spec, ks, sim), lambda: monte_carlo_cost(spec, ks, sim),
+                      lambda: simulate_state(spec, ks, x0, 1.0)]
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             for call in calls:

@@ -289,6 +289,21 @@ class TestSimulateState:
         with pytest.raises(ValueError, match="nonnegative"):
             simulate_state(spec, k, np.zeros(spec.n), -1.0)
 
+    def test_nan_time_rejected(self):
+        spec, k = random_game(4)
+        with pytest.raises(ValueError, match="nonnegative"):
+            simulate_state(spec, k, np.zeros(spec.n), np.nan)
+
+    @given(st.integers(0, 10**6), st.integers(1, 11), st.floats(0.0, 50.0))
+    def test_certified_modes_keep_the_retired_state(self, seed, n, t):
+        """Bit for bit at box profiles: the retired state, an uncertified
+        ``eigh`` of ``A - K``, kept here as the reference."""
+        spec, k = random_game(seed, n=n)
+        x0 = substream(seed, 1).uniform(-SQRT3, SQRT3, n)
+        lam, q = np.linalg.eigh(-game._closed_loop(spec, k))
+        retired = q @ (np.exp(lam * t) * (q.T @ x0))
+        assert simulate_state(spec, k, x0, t).tobytes() == retired.tobytes()
+
     def test_monotone_decay(self):
         spec, k = random_game(6)
         x0 = substream(7).standard_normal(spec.n)
@@ -748,6 +763,39 @@ class TestPairIntegrals:
             warnings.simplefilter("error")
             out = pair_integrals(np.array([0.0]), 20.0, 0.01)
         assert out[0, 0] == 20.0
+
+    @pytest.mark.parametrize("dt", [None, 1.0, 1e300, 1e308])
+    def test_huge_horizon_warns_nothing_and_keeps_its_bits(self, dt):
+        """``rate * horizon`` overflows to -inf, whose expm1 gives the limit: the
+        retired table's bits with that overflow ignored, and no warning."""
+        eigs = np.array([-2.0, -1e-300, 0.0])
+        with np.errstate(over="ignore"):
+            expected = retired_pair_integrals(eigs, 1e308, dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pair_integrals(eigs, 1e308, dt)
+        assert out.tobytes() == expected.tobytes()
+        # the integral of exp(-4 t) to infinity, and the infinite trapezoid sum of it
+        assert out[0, 0] == pytest.approx(0.25 if dt is None else dt / 2 / np.tanh(2 * dt), rel=1e-15)
+
+    @given(
+        st.lists(st.tuples(st.floats(-10.0, -1.0), st.integers(-150, 300)), min_size=1, max_size=5),
+        st.floats(1.0, 1.7),
+        st.integers(-10, 307),
+        st.sampled_from([None, 1, 2, 1000]),
+    )
+    def test_an_overflow_the_horizon_makes_warns_nothing(self, mantissas, scale, exponent, steps):
+        """Rates from 1e-150 to 1e301 and horizons up to 1.7e307: no warning,
+        and the retired table's bits with its overflows ignored."""
+        eigs = np.array([m * 10.0**e for m, e in mantissas])
+        horizon = scale * 10.0**exponent
+        dt = None if steps is None else horizon / steps
+        with np.errstate(over="ignore"):
+            expected = retired_pair_integrals(eigs, horizon, dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pair_integrals(eigs, horizon, dt)
+        assert out.tobytes() == expected.tobytes()
 
     @settings(max_examples=60)
     @given(
