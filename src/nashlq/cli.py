@@ -303,7 +303,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"the closed-form cost overflows at k = {_fmt_vec(k)}")
     with _output(args.output_dir) if args.output_dir else contextlib.nullcontext() as path:
         estimate = monte_carlo_cost(exp.game, k, exp.sim)
-        rel = np.abs(estimate - closed_form) / np.abs(closed_form)
+        with np.errstate(over="ignore"):  # an estimate near the float range gives inf
+            rel = np.abs(estimate - closed_form) / np.abs(closed_form)
         if path:
             columns = (k, estimate, closed_form, rel)
             rows = zip(range(1, exp.game.n + 1), *(column.tolist() for column in columns))

@@ -24,11 +24,14 @@ stack), and forms the resolvents from the inverse factors.  A breakdown is
 read from the NaN the gufunc writes into that matrix's factor, not from an
 exception.  The gufuncs' module, ``numpy.linalg._umath_linalg``, is
 private, but ships in every numpy from 1.25 on, and ``tests/test_game.py``
-holds the public route as the reference its bits must equal.
-:func:`evaluate`, which gradient play calls once per stage, is the kernel
-on one profile.  Sweeps over many profiles call the kernel in blocks
-through :func:`_in_blocks`, whose one bound, ``BLOCK_ENTRIES``, caps the
-array entries a block holds, so a block's row count follows from n.  Every
+holds the public route as the reference its bits must equal.  Costs and
+gradients come from one formula, :func:`_fields`, on arrays for a stack and
+on Python floats for one profile (:func:`_lone_fields`), with the same bits;
+:func:`evaluate` wraps the lone path's floats in a report, and a lone start
+of gradient play takes them as they are, once per stage.  Sweeps over many
+profiles call the kernel in blocks through :func:`_in_blocks`, whose one
+bound, ``BLOCK_ENTRIES``, caps the array entries a block holds, so a
+block's row count follows from n.  Every
 stability decision is made here: by the kernel's factor step, or, for
 :mod:`nashlq.simulate`, by :func:`_stable_modes`, which certifies a stack
 from the eigenvalues of the one ``eigh`` of ``A - K`` its costs need
@@ -531,43 +534,76 @@ def _weight(spec: GameSpec, k: np.ndarray) -> np.ndarray:
     return 1.0 + spec.rho * _weighted_gains(spec, k) ** 2
 
 
-def _fields(spec: GameSpec, k: np.ndarray, f: np.ndarray) -> CostGradientReport:
-    """Costs and gradients from the resolvent diagonals ``f``; curvatures on demand.
+def _fields(rho, k, weighted, f):
+    """Costs ``J = (1 + rho k^2) f / 2`` and gradients ``f (rho k - J)`` from the
+    resolvent diagonals ``f``: of one player on Python floats, or of a
+    ``(P, n)`` stack on arrays, with the same bits.
 
-    ``k`` and ``f`` are one profile or a ``(P, n)`` stack of them.  The
-    report keeps a copy of ``k``, so a caller that later changes its profile
-    in place does not change the report's curvatures.
+    ``weighted`` is ``k`` as :func:`_weighted_gains` reads it.  Its square is
+    ``weighted * weighted``, the product numpy's ``** 2`` forms; ``**`` on a
+    Python float calls libm's ``pow``, which may round otherwise.
     """
-    rho = spec.rho
-    j = 0.5 * _weight(spec, k) * f
+    j = 0.5 * (1.0 + rho * (weighted * weighted)) * f
     # grad = rho*k*f - weight*f^2/2, factored so the same (rho*k - J) term
     # appears here and in marginal_cost_from_cost; the two stay within a few
     # ulp of each other even where the gradient crosses zero.
-    g = f * (rho * k - j)
-    return CostGradientReport(resolvent_diag=f, cost=j, grad=g, k=k.copy(), rho=rho)
+    return j, f * (rho * k - j)
+
+
+def _resolvent_stack(spec: GameSpec, ks: np.ndarray, gain: float) -> np.ndarray:
+    """``M = L^{-T} L^{-1}`` for one profile ``(n,)`` or each row of a ``(P, n)``
+    stack, whose largest gain magnitude is ``gain``.
+
+    :func:`_closed_loop` forms ``K - A``, and :func:`_cholesky` factors and
+    inverts it, on the :func:`_pivot_bound` of ``gain``: ``K - A = L L^T``.
+    Numpy's stacked factorizations and products work matrix by matrix, so a
+    profile gets the same bits alone or inside a stack.
+    """
+    l_inv = _cholesky(_closed_loop(spec, ks), _pivot_bound(spec, gain), inverse=True)
+    # A lone profile's 2-D views, cheaper than numpy's generic ones.
+    return (l_inv.T if ks.ndim == 1 else l_inv.swapaxes(-1, -2)) @ l_inv
+
+
+def _lone_fields(spec: GameSpec, k: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
+    """The kernel on one profile ``k`` of shape ``(n,)``: ``M``, and each
+    player's cost and gradient as Python floats, by :func:`_fields` on M's
+    diagonal read once with ``tolist``.
+
+    Exact play's lone stage takes these as they are, with no report.
+    """
+    gains = k.tolist()
+    # Python's max, faster here than numpy's, may miss a NaN gain, but that
+    # makes a pivot NaN or the factorization break down.
+    m = _resolvent_stack(spec, k, max(map(abs, gains)))
+    weighted = _weighted_gains(spec, k)
+    costs, grads = zip(*map(
+        _fields, spec.rho.tolist(), gains, gains if weighted is k else weighted.tolist(), m.diagonal().tolist()
+    ))
+    return m, costs, grads
 
 
 def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGradientReport]:
     """The profile kernel: ``L^{-T} L^{-1}`` and the per-player fields of one
     profile, shape ``(n,)``, or of each row of a ``(P, n)`` stack.
 
-    :func:`_closed_loop` forms ``K - A``, and :func:`_cholesky` factors and
-    inverts it, on the :func:`_pivot_bound` of its largest gain.  With ``K - A = L
-    L^T``, ``M = L^{-T} L^{-1}``; the report reads M's diagonal as it is,
-    since the ``(M + M^T) / 2`` of :func:`resolvent` and
-    :func:`_jacobian`, which read all of M, leaves a diagonal entry
+    :func:`_resolvent_stack` gives ``M``, and :func:`_fields` the costs and
+    gradients from its diagonal: on Python floats for one profile
+    (:func:`_lone_fields`), on arrays for a stack, with the same bits, so a
+    profile's fields are the same alone or inside a stack.  The report reads
+    M's diagonal as it is, since the ``(M + M^T) / 2`` of :func:`resolvent`
+    and :func:`_jacobian`, which read all of M, leaves a diagonal entry
     unchanged: doubling and halving a finite double below ``DBL_MAX / 2``
-    are exact.  Numpy's stacked factorizations and products work matrix by
-    matrix, so a profile gets the same bits alone or inside a stack.
+    are exact.  The report keeps a copy of the profiles, so a caller that
+    later changes them in place does not change its curvatures.
     """
-    lone = ks.ndim == 1
-    # Python's max, faster here than numpy's, may miss a NaN gain, but that
-    # makes a pivot NaN or the factorization break down.
-    gain = max(map(abs, ks.tolist())) if lone else float(abs(ks).max())
-    l_inv = _cholesky(_closed_loop(spec, ks), _pivot_bound(spec, gain), inverse=True)
-    # A lone profile's 2-D views, cheaper than numpy's generic ones.
-    m = (l_inv.T if lone else l_inv.swapaxes(-1, -2)) @ l_inv
-    return m, _fields(spec, ks, m.diagonal() if lone else m.diagonal(0, -2, -1))
+    if ks.ndim == 1:
+        m, costs, grads = _lone_fields(spec, ks)
+        f, costs, grads = m.diagonal(), np.array(costs), np.array(grads)
+    else:
+        m = _resolvent_stack(spec, ks, float(abs(ks).max()))
+        f = m.diagonal(0, -2, -1)
+        costs, grads = _fields(spec.rho, ks, _weighted_gains(spec, ks), f)
+    return m, CostGradientReport(resolvent_diag=f, cost=costs, grad=grads, k=ks.copy(), rho=spec.rho)
 
 
 def _in_blocks(fn, rows: np.ndarray, entries_per_row: int) -> np.ndarray:

@@ -11,13 +11,13 @@ the system matrices or the others' actions.
 
 Play runs in lockstep over an ``(R, n)`` stack of profiles, one per start.
 The gradient source is chosen once per run (:func:`_estimator`): per stage,
-an exact stack takes one call of the profile kernel (a lone start takes it
-through :func:`~nashlq.game.evaluate`), a model-free stack one estimate on
-the stage's common batch.  In :func:`_lockstep`, the one loop over it, a
-member stops at the first stage its gradient meets the tolerance, or at the
-budget, and keeps its row, unchanged, until the last member stops.  Each row
-gets the bits it would get alone in :func:`run_gradient_play`, the one-start
-case.
+an exact stack takes one call of the profile kernel (a lone start its lone
+path, whose Python floats become the stage's arrays with no report), a
+model-free stack one estimate on the stage's common batch.  In
+:func:`_lockstep`, the one loop over it, a member stops at the first stage
+its gradient meets the tolerance, or at the budget, and keeps its row,
+unchanged, until the last member stops.  Each row gets the bits it would
+get alone in :func:`run_gradient_play`, the one-start case.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import (
-    ActionProfile, GameSpec, evaluate, marginal_cost_from_cost, _evaluate_stack, _frozen, _profile,
+    ActionProfile, GameSpec, marginal_cost_from_cost, _evaluate_stack, _frozen, _lone_fields, _profile,
     _require_choice, _require_each, _require_finite, _require_int, _weighted_gains,
 )
+# Not called here: bound for the benchmark's tracer, which wraps learning.evaluate.
+from .game import evaluate
 from .simulate import SimConfig, monte_carlo_cost
 
 __all__ = [
@@ -130,10 +132,11 @@ def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
 
     ``ks`` is the run's ``(rows, n)`` stack, which keeps its rows until the
     last member stops, and both results have its shape.  An exact stack
-    takes one call of the profile kernel; a lone start takes
-    :func:`~nashlq.game.evaluate`, the kernel on its one profile, with the
-    same bits.  A model-free stack takes one estimate on the stage's shared
-    batch.
+    takes one call of the profile kernel; a lone start takes the kernel's
+    lone path, :func:`~nashlq.game._lone_fields`, whose costs and gradients,
+    Python floats with the bits a stack's row gets, become the two ``(1, n)``
+    arrays with no report.  A model-free stack takes one estimate on the
+    stage's shared batch.
     """
     if config.mode == "model-free":
         def estimate(ks, stage):
@@ -141,8 +144,8 @@ def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
             return costs, marginal_cost_from_cost(costs, _weighted_gains(spec, ks), spec.rho)
     elif rows == 1:
         def estimate(ks, stage):
-            report = evaluate(spec, ks[0])
-            return report.cost[None], report.grad[None]
+            _, costs, grads = _lone_fields(spec, ks[0])
+            return np.array([costs]), np.array([grads])
     else:
         def estimate(ks, stage):
             report = _evaluate_stack(spec, ks)[1]

@@ -143,14 +143,16 @@ def pair_integrals(eigs: np.ndarray, horizon: float, dt: float | None = None) ->
     the ``z = 0`` limit is ``T``).  Squared states expand bilinearly over
     modes, so this table is the only time-dependence the cost integral
     needs.  Either variant is a nonnegative combination of rank-one terms,
-    hence positive semidefinite.
+    hence positive semidefinite.  A rate sum past the float range, which
+    only gains near it make, is -inf: the trapezoid's limit ``h/2`` comes
+    from it as it is, and the exact integral from the pair's halved rates.
     """
     eigs = np.asarray(eigs, dtype=float)
-    z = eigs[..., :, None] + eigs[..., None, :]
-    # A horizon so long that a rate times a time passes the float range gives
-    # -inf there, whose exp and expm1 are the limits 0 and -1; the sum z keeps
-    # its own overflow warning.
+    # A rate sum or a rate times a time past the float range gives -inf, whose
+    # exp and expm1 are the limits 0 and -1; only the exact integral of a pair
+    # whose sum overflows needs its rates, below.
     with np.errstate(over="ignore"):
+        z = eigs[..., :, None] + eigs[..., None, :]
         if dt is not None:
             steps = max(1, round(horizon / dt))
             step = horizon / steps
@@ -160,8 +162,17 @@ def pair_integrals(eigs: np.ndarray, horizon: float, dt: float | None = None) ->
         flat = None if z.all() else z == 0.0
         if flat is not None:
             z = np.where(flat, -1.0, z)
-        table = (np.expm1(z * horizon) / z if dt is None
-                 else step * 0.5 * (1.0 + np.exp(z)) * (np.expm1(steps * z) / np.expm1(z)))
+        if dt is not None:
+            table = step * 0.5 * (1.0 + np.exp(z)) * (np.expm1(steps * z) / np.expm1(z))
+        else:
+            table = np.expm1(z * horizon) / z
+            # A pair whose sum overflows would get 0, not its ~1/|z|; its halved
+            # rates sum to y = z / 2 in range, and expm1(2 y T) / (2 y) is its integral.
+            over = np.isinf(z)
+            if over.any():
+                half = eigs / 2.0
+                y = (half[..., :, None] + half[..., None, :])[over]
+                table[over] = 0.5 * np.expm1(2.0 * (y * horizon)) / y
     return table if flat is None else np.where(flat, horizon, table)
 
 

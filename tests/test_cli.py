@@ -460,6 +460,35 @@ class TestSimulate:
             code = run_cli(*argv, *(["--k", "1"] if argv[0] == "simulate" else ["--out", str(tmp_path)]))
         assert (code, capsys.readouterr().err) == (0, "")
 
+    def test_estimate_past_the_float_range_has_an_infinite_error_without_a_warning(self, tmp_path, capsys):
+        """A one-step trapezoid over the horizon 1e308 estimates ~1.06e308, whose
+        error relative to the cost 0.5 is past the float range: inf."""
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--preset", "scalar", "--k", "1", "--horizon", "1e308", "--dt", "1e308"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(*argv, "--out", str(out))
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        row = captured.out.splitlines()[3].split()
+        assert float(row[1]) > 1e308 and row[3] == "inf"
+        assert out.read_text().splitlines()[1].split(",")[-1] == "inf"
+
+    def test_rate_sum_past_the_float_range_gets_its_exact_integral(self, tmp_path, capsys):
+        """The closed loop's rate -1e308 doubles past the float range in the cost
+        integral; the estimate is the batch's mean of x0^2 / (2e308), not 0."""
+        config = tmp_path / "game.json"
+        config.write_text(json.dumps({"game": {"a": [[-1.0]], "rho": 0.0, "k_upper": 1.5e308}}), encoding="utf-8")
+        argv = ["simulate", "--config", str(config), "--k", "1e308", "--integrator", "exact", "--batch", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(*argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        estimate, closed_form = map(float, captured.out.splitlines()[3].split()[1:3])
+        assert closed_form == 5e-309
+        assert closed_form / 10 < estimate < closed_form * 10
+
     def test_unstable_profile_is_solver_failure(self, tmp_path):
         code = run_cli(
             "simulate", "--preset", "five-player", "--k=-5,-5,-5,-5,-5",

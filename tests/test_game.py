@@ -31,7 +31,7 @@ from nashlq import (
     trajectory_cost,
 )
 from nashlq.game import (
-    PIVOT_RTOL, _cholesky, _closed_loop, _diagonals, _evaluate_stack, _jacobian_stack,
+    PIVOT_RTOL, _cholesky, _closed_loop, _diagonals, _evaluate_stack, _jacobian_stack, _lone_fields,
     _passes_pivot_test, _pivot_bound, _pivot_check, _stable_modes, profile_array,
 )
 from util import fd_gradient, fd_hessian_diag, fd_jacobian, random_game, rel_gap
@@ -166,6 +166,34 @@ def stacked_game(seed, n, count):
     rng = np.random.default_rng(seed)
     ks = spec.k_lower + rng.random((count, n)) * (spec.k_upper - spec.k_lower)
     return spec, np.vstack([k, ks])
+
+
+@st.composite
+def lone_case(draw):
+    """A random SDD game with 1-12 players, some of them with ``rho_i = 0``,
+    whose box, for a wide case, lets those players' gains reach past
+    ``sqrt(DBL_MAX)`` (``GameSpec._square_overflows``), and a profile with each
+    gain on its lower face, on its upper face or inside the box."""
+    n, seed = draw(st.integers(1, 12)), draw(st.integers(0, 10**6))
+    base, _ = random_game(seed, n=n)
+    zero = np.array(draw(st.one_of(st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n))))
+    rho = np.where(zero, 0.0, base.rho)
+    upper = base.k_upper
+    if draw(st.booleans()):
+        upper = np.where(rho > 0, upper, draw(st.sampled_from([2.0**512, 1e200, 1e300, 1.7e308])))
+    spec = GameSpec(a=base.a, rho=rho, k_upper=upper)
+    # All gains on one face often pass the pivot test where huge and small gains mix.
+    sides = st.sampled_from([0, 1, 2])
+    faces = np.array(draw(st.one_of(sides.map(lambda side: [side] * n), st.lists(sides, min_size=n, max_size=n))))
+    inside = spec.k_lower + substream(seed).random(n) * (spec.k_upper - spec.k_lower)
+    return spec, np.choose(faces, [spec.k_lower, spec.k_upper, inside])
+
+
+def retired_fields(spec, k, f):
+    """The retired array formulas for costs and gradients, ``** 2`` included."""
+    weighted = np.where(spec.rho > 0, k, 0.0) if spec._square_overflows else k
+    j = 0.5 * (1.0 + spec.rho * weighted**2) * f
+    return j, f * (spec.rho * k - j)
 
 
 class TestProfileKernel:
@@ -334,6 +362,35 @@ class TestProfileKernel:
             assert s.flags.c_contiguous
             assert s.tobytes() == expected.tobytes()
         assert not spec._neg_a.flags.writeable
+
+    @settings(max_examples=300)
+    @given(lone_case())
+    def test_lone_float_path_equals_the_stacked_kernel_and_the_report(self, case):
+        """The kernel's lone path forms costs and gradients on Python floats,
+        and a stack on arrays: both, and evaluate's report, have the same bits,
+        which are the retired array formulas', or raise the same message."""
+        spec, k = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                m, costs, grads = _lone_fields(spec, k)
+            except NotPositiveDefinite as err:
+                for call in (lambda: evaluate(spec, k), lambda: _evaluate_stack(spec, k[None])):
+                    with pytest.raises(NotPositiveDefinite) as raised:
+                        call()
+                    assert str(raised.value) == str(err)
+                return
+            report = evaluate(spec, k)
+            stacked = _evaluate_stack(spec, k[None])[1]
+        assert all(type(x) is float for x in costs + grads)
+        lone = [m.diagonal(), np.array(costs), np.array(grads)]
+        for fields in (report, stacked):
+            assert [x.tobytes() for x in lone] == [
+                fields.resolvent_diag.tobytes(), fields.cost.tobytes(), fields.grad.tobytes()
+            ]
+        with np.errstate(all="ignore"):
+            retired = retired_fields(spec, k, m.diagonal())
+        assert [x.tobytes() for x in lone[1:]] == [x.tobytes() for x in retired]
 
     @given(st.integers(0, 10**6), st.integers(1, 20), st.integers(1, 9))
     def test_resolvent_diag_equals_the_retired_symmetrization(self, seed, n, count):

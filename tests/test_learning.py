@@ -393,14 +393,15 @@ def _counted_lockstep(spec, starts, config):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(learning, "_evaluate_stack", counted("stack", learning._evaluate_stack))
-        patch.setattr(learning, "evaluate", counted("single", learning.evaluate))
+        patch.setattr(learning, "_lone_fields", counted("single", learning._lone_fields))
         runs = run_lockstep(spec, starts, config)
     return runs, calls
 
 
 def _expected_exact_calls(runs):
     """One call per stage up to the last member's stop: stacked for two or more
-    starts, since a stopped member keeps its row, and ``evaluate`` for one."""
+    starts, since a stopped member keeps its row, and the kernel's lone path,
+    ``_lone_fields``, for one."""
     stages = max(run.stages_used for run in runs) + 1
     return {"stack": 0, "single": stages} if len(runs) == 1 else {"stack": stages, "single": 0}
 

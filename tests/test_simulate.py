@@ -797,6 +797,54 @@ class TestPairIntegrals:
             out = pair_integrals(eigs, horizon, dt)
         assert out.tobytes() == expected.tobytes()
 
+    @given(
+        st.lists(st.floats(1.0, 2.0, exclude_max=True), min_size=1, max_size=4),
+        st.lists(st.floats(-1e300, 0.0), max_size=3),
+        st.one_of(st.floats(1e-310, 1e-306), st.floats(1e-300, 1e308)),
+        st.sampled_from([None, 1, 1000]),
+    )
+    def test_a_rate_sum_past_the_float_range_gets_its_integral(self, mantissas, others, horizon, steps):
+        """Rates below -2^1023 sum past the float range.  The exact integral of
+        such a pair is ``expm1(2 y T) / (2 y)`` of its half sum ``y = lam_m / 2
+        + lam_p / 2``, ``0.5 / |y|`` once its decay is complete, and the
+        trapezoid's is half its step.  Every other pair keeps the retired
+        table's bits, and nothing warns."""
+        eigs = np.array([-m * 2.0**1023 for m in mantissas] + others)
+        dt = None if steps is None else horizon / steps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pair_integrals(eigs, horizon, dt)
+        half = eigs / 2.0
+        y = half[:, None] + half[None, :]
+        with np.errstate(all="ignore"):  # the references' own overflows and 0 / 0
+            over = np.isinf(eigs[:, None] + eigs[None, :])
+            exact = 0.5 * np.expm1(2.0 * (y * horizon)) / y
+            complete = over & (y * horizon < -40.0)
+            expected = retired_pair_integrals(eigs, horizon, dt)
+        assert over.any() and np.all(out[over] > 0.0)
+        if dt is None:
+            assert out[over].tobytes() == exact[over].tobytes()
+            assert out[complete].tobytes() == (0.5 / abs(y[complete])).tobytes()
+        else:
+            assert np.all(out[over] == horizon / max(1, round(horizon / dt)) / 2.0)
+        assert out[~over].tobytes() == expected[~over].tobytes()
+
+    @given(
+        st.lists(st.floats(2.0**1020, 2.0**1022), min_size=1, max_size=5),
+        st.floats(1e-300, 1e308),
+        st.sampled_from([None, 1, 1000]),
+    )
+    def test_rate_sums_at_the_top_of_the_float_range_keep_their_bits(self, rates, horizon, steps):
+        """Sums up to 2^1023 stay in range: the table is the retired one, bit for bit."""
+        eigs = -np.array(rates)
+        dt = None if steps is None else horizon / steps
+        with np.errstate(over="ignore"):
+            expected = retired_pair_integrals(eigs, horizon, dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pair_integrals(eigs, horizon, dt)
+        assert out.tobytes() == expected.tobytes()
+
     @settings(max_examples=60)
     @given(
         st.lists(st.floats(-8.0, 0.0), min_size=1, max_size=6),
