@@ -529,21 +529,23 @@ def _weighted_gains(spec: GameSpec, k: np.ndarray) -> np.ndarray:
     return np.where(spec.rho > 0, k, 0.0) if spec._square_overflows else k
 
 
-def _weight(spec: GameSpec, k: np.ndarray) -> np.ndarray:
-    """Each player's cost weight ``1 + rho_i k_i^2`` at one profile or a stack."""
-    return 1.0 + spec.rho * _weighted_gains(spec, k) ** 2
-
-
-def _fields(rho, k, weighted, f):
-    """Costs ``J = (1 + rho k^2) f / 2`` and gradients ``f (rho k - J)`` from the
-    resolvent diagonals ``f``: of one player on Python floats, or of a
-    ``(P, n)`` stack on arrays, with the same bits.
+def _weight(rho, weighted):
+    """The cost weight ``1 + rho k^2``: of one player on Python floats, or of
+    a profile or a stack on arrays, with the same bits.
 
     ``weighted`` is ``k`` as :func:`_weighted_gains` reads it.  Its square is
     ``weighted * weighted``, the product numpy's ``** 2`` forms; ``**`` on a
     Python float calls libm's ``pow``, which may round otherwise.
     """
-    j = 0.5 * (1.0 + rho * (weighted * weighted)) * f
+    return 1.0 + rho * (weighted * weighted)
+
+
+def _fields(rho, k, weighted, f):
+    """Costs ``J = (1 + rho k^2) f / 2`` and gradients ``f (rho k - J)`` from the
+    resolvent diagonals ``f``: of one player on Python floats, or of a
+    ``(P, n)`` stack on arrays, with the same bits (:func:`_weight`).
+    """
+    j = 0.5 * _weight(rho, weighted) * f
     # grad = rho*k*f - weight*f^2/2, factored so the same (rho*k - J) term
     # appears here and in marginal_cost_from_cost; the two stay within a few
     # ulp of each other even where the gradient crosses zero.

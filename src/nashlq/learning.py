@@ -31,7 +31,9 @@ from .game import (
     ActionProfile, GameSpec, marginal_cost_from_cost, _evaluate_stack, _frozen, _lone_fields, _profile,
     _require_choice, _require_each, _require_finite, _require_int, _weighted_gains,
 )
-# Not called here: bound for the benchmark's tracer, which wraps learning.evaluate.
+# Not called here.  The benchmark's tracer (perfbench/tracer.py) patches
+# learning.evaluate when it installs and fails if the name is missing; the
+# import goes when the tracer wraps _lone_fields instead (ROADMAP item 1).
 from .game import evaluate
 from .simulate import SimConfig, monte_carlo_cost
 

@@ -45,7 +45,7 @@ from functools import partial
 import numpy as np
 
 from .game import GameSpec, _in_blocks, _profile, _require_choice, _require_each
-from .game import _require_finite, _require_int, _stable_modes, _weight, profile_array
+from .game import _require_finite, _require_int, _stable_modes, _weight, _weighted_gains, profile_array
 
 __all__ = [
     "SQRT3",
@@ -199,7 +199,7 @@ def _modal_cost(spec: GameSpec, k: np.ndarray, q: np.ndarray, w: np.ndarray, s: 
     """
     base = np.sum((q @ (w * s)) * q, axis=-1)
     # the integrand is a square; clamp eigensolver round-off
-    return _weight(spec, k) * np.maximum(base, 0.0)
+    return _weight(spec.rho, _weighted_gains(spec, k)) * np.maximum(base, 0.0)
 
 
 def _batch_cost(spec: GameSpec, k, q: np.ndarray, w: np.ndarray, x0: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from nashlq import (
 )
 from nashlq.game import (
     PIVOT_RTOL, _cholesky, _closed_loop, _diagonals, _evaluate_stack, _jacobian_stack, _lone_fields,
-    _passes_pivot_test, _pivot_bound, _pivot_check, _stable_modes, profile_array,
+    _passes_pivot_test, _pivot_bound, _pivot_check, _stable_modes, _weight, _weighted_gains, profile_array,
 )
 from util import fd_gradient, fd_hessian_diag, fd_jacobian, random_game, rel_gap
 
@@ -368,7 +368,8 @@ class TestProfileKernel:
     def test_lone_float_path_equals_the_stacked_kernel_and_the_report(self, case):
         """The kernel's lone path forms costs and gradients on Python floats,
         and a stack on arrays: both, and evaluate's report, have the same bits,
-        which are the retired array formulas', or raise the same message."""
+        which are the retired array formulas', or raise the same message.  The
+        weight the sampled costs share, ``_weight``, has the retired bits too."""
         spec, k = case
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -391,6 +392,8 @@ class TestProfileKernel:
         with np.errstate(all="ignore"):
             retired = retired_fields(spec, k, m.diagonal())
         assert [x.tobytes() for x in lone[1:]] == [x.tobytes() for x in retired]
+        weighted = _weighted_gains(spec, k)
+        assert _weight(spec.rho, weighted).tobytes() == (1.0 + spec.rho * weighted**2).tobytes()
 
     @given(st.integers(0, 10**6), st.integers(1, 20), st.integers(1, 9))
     def test_resolvent_diag_equals_the_retired_symmetrization(self, seed, n, count):
