@@ -18,10 +18,19 @@ model-free stack one estimate on the stage's common batch.  In
 its gradient meets the tolerance, or at the budget, and keeps its row,
 unchanged, until the last member stops.  Each row gets the bits it would
 get alone in :func:`run_gradient_play`, the one-start case.
+
+A model-free stage's batch and its second moment depend on the seed and
+the stage only, never on the profile.  Once a stage draws at least
+``_PREFETCH_DRAWS`` numbers, one worker thread draws stage ``l + 1``'s
+batch while stage ``l`` is certified and reduced, so a batch may be drawn
+before its profile is certified; no number is formed from an uncertified
+profile, and every estimate keeps its bits.  The thread lives as long as
+the run's :func:`_estimator`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass, field
 
@@ -35,7 +44,7 @@ from .game import (
 # learning.evaluate when it installs and fails if the name is missing; the
 # import goes when the tracer wraps _lone_fields instead (ROADMAP item 1).
 from .game import evaluate
-from .simulate import SimConfig, monte_carlo_cost
+from .simulate import SimConfig, _stage_moment, monte_carlo_cost
 
 __all__ = [
     "LearnConfig",
@@ -46,6 +55,11 @@ __all__ = [
 ]
 
 _MODES = ("exact", "model-free")
+
+# Numbers a model-free stage draws (batch_size * n) from which the next
+# stage's batch is drawn on a worker thread: below it the thread handoff
+# costs more than the overlap saves.
+_PREFETCH_DRAWS = 2**14
 
 # Each LearnConfig field's own rule but sim's, rule(value, name), in the order a
 # config's learn section lists them; config applies it also to a file's value a
@@ -129,8 +143,10 @@ class LearnRun:
         )
 
 
+@contextlib.contextmanager
 def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
-    """The run's gradient source: ``estimate(ks, stage) -> (costs, grads)``.
+    """The run's gradient source, ``estimate(ks, stage) -> (costs, grads)``,
+    held open for the run.
 
     ``ks`` is the run's ``(rows, n)`` stack, which keeps its rows until the
     last member stops, and both results have its shape.  An exact stack
@@ -138,11 +154,15 @@ def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
     lone path, :func:`~nashlq.game._lone_fields`, whose costs and gradients,
     Python floats with the bits a stack's row gets, become the two ``(1, n)``
     arrays with no report.  A model-free stack takes one estimate on the
-    stage's shared batch.
+    stage's shared batch.  Once a stage draws ``_PREFETCH_DRAWS`` numbers or
+    more, one worker thread forms stage ``l + 1``'s profile-free part
+    (:func:`~nashlq.simulate._stage_moment`) from the start of stage ``l``,
+    while stage ``l`` is certified and reduced.  When the run returns or
+    raises, a draw not yet begun is cancelled and the worker joined.
     """
     if config.mode == "model-free":
-        def estimate(ks, stage):
-            costs = monte_carlo_cost(spec, ks, config.sim, stage)
+        def estimate(ks, stage, moment=None):
+            costs = monte_carlo_cost(spec, ks, config.sim, stage, moment=moment)
             return costs, marginal_cost_from_cost(costs, _weighted_gains(spec, ks), spec.rho)
     elif rows == 1:
         def estimate(ks, stage):
@@ -152,7 +172,25 @@ def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
         def estimate(ks, stage):
             report = _evaluate_stack(spec, ks)[1]
             return report.cost, report.grad
-    return estimate
+    if config.mode == "exact" or config.sim.batch_size * spec.n < _PREFETCH_DRAWS:
+        yield estimate
+        return
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    draw = functools.partial(_stage_moment, spec, config.sim)
+    worker = ThreadPoolExecutor(max_workers=1)
+    try:
+        pending = {0: worker.submit(draw, 0)}
+
+        def prefetched(ks, stage):
+            if stage < config.stages:
+                pending[stage + 1] = worker.submit(draw, stage + 1)
+            return estimate(ks, stage, moment=pending.pop(stage).result)
+
+        yield prefetched
+    finally:
+        worker.shutdown(cancel_futures=True)
 
 
 def run_gradient_play(spec: GameSpec, k0, config: LearnConfig) -> LearnRun:
@@ -199,27 +237,27 @@ def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[Learn
     The stop test is :func:`_meets_tolerance`.  A run's arrays are its row of
     the recorded stages up to its own stop.
     """
-    estimate = _estimator(spec, config, len(ks))
     tol, last, step = config.grad_tolerance, config.stages, config.step_size
     # The box per row, so that projecting the stack needs no broadcasting.
     lower, upper = (np.repeat(bound[None], len(ks), axis=0) for bound in (spec.k_lower, spec.k_upper))
     ends = np.full(len(ks), last)  # the stage each member stops at
     held = None  # the stopped members' rows, once one has stopped
     trace = []
-    for stage in range(last + 1):
-        costs, grads = estimate(ks, stage)
-        trace.append((ks, costs, grads))
-        met = _meets_tolerance(grads, tol)
-        if stage == last or any(met):
-            ends[(ends == last) & met] = stage
-            held = ends[:, None] < last
-            if stage == last or held.all():
-                break
-        # A fresh array, clipped in place: recorded stages are never written to.
-        moved = ks - step * grads
-        np.maximum(moved, lower, out=moved)
-        np.minimum(moved, upper, out=moved)
-        ks = moved if held is None else np.where(held, ks, moved)
+    with _estimator(spec, config, len(ks)) as estimate:
+        for stage in range(last + 1):
+            costs, grads = estimate(ks, stage)
+            trace.append((ks, costs, grads))
+            met = _meets_tolerance(grads, tol)
+            if stage == last or any(met):
+                ends[(ends == last) & met] = stage
+                held = ends[:, None] < last
+                if stage == last or held.all():
+                    break
+            # A fresh array, clipped in place: recorded stages are never written to.
+            moved = ks - step * grads
+            np.maximum(moved, lower, out=moved)
+            np.minimum(moved, upper, out=moved)
+            ks = moved if held is None else np.where(held, ks, moved)
 
     # One read-only (stages, R, n) array per field, viewed member-major.
     blocks = [_frozen(np.array(column)).swapaxes(0, 1) for column in zip(*trace)]

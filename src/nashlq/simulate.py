@@ -25,9 +25,18 @@ formed.
 Every entry, :func:`simulate_state` included, takes one ``eigh`` of
 ``A - K`` per profile from :func:`game._stable_modes`, whose eigenvalues
 also certify stability, or else the kernel raises its
-:class:`NotPositiveDefinite`, before any state is drawn or any cost formed:
-an unstable profile yields no number.  This module forms no ``K - A`` of
-its own.
+:class:`NotPositiveDefinite`, before the entry draws any state or forms
+any cost: an unstable profile yields no number.  This module forms no
+``K - A`` of its own.
+
+A Monte Carlo stage has a profile-free part, :func:`_stage_moment`: the
+``(seed, stage)`` draw and its ``Sigma`` (for ``B <= n`` the draw alone,
+since its moment needs ``Q``).  Its profile part certifies the stack,
+builds the pair-integral table and reduces.  :func:`monte_carlo_cost`
+runs the two in that order, or takes the first formed elsewhere: play
+draws the next stage's batch on a worker thread (:mod:`nashlq.learning`),
+so there a batch may be drawn before its profile is certified, and the
+estimate keeps its bits.
 
 :func:`monte_carlo_cost` also takes an ``(R, n)`` stack of profiles.  The
 stack shares one draw of the ``(seed, stage)`` batch (common random
@@ -65,6 +74,9 @@ __all__ = [
 SQRT3 = 1.7320508075688772
 
 _INTEGRATORS = ("quadrature", "exact")
+
+# 2^-1022; below it a double is subnormal.
+_SMALLEST_NORMAL = np.finfo(float).smallest_normal
 
 # Each SimConfig field's own rule, rule(value, name), in the order a config's
 # sim section lists them; config applies it also to a file's value a flag overrides.
@@ -146,6 +158,7 @@ def pair_integrals(eigs: np.ndarray, horizon: float, dt: float | None = None) ->
     hence positive semidefinite.  A rate sum past the float range, which
     only gains near it make, is -inf: the trapezoid's limit ``h/2`` comes
     from it as it is, and the exact integral from the pair's halved rates.
+    An exact pair whose ``z T`` is zero or subnormal integrates to ``T``.
     """
     eigs = np.asarray(eigs, dtype=float)
     # A rate sum or a rate times a time past the float range gives -inf, whose
@@ -153,19 +166,25 @@ def pair_integrals(eigs: np.ndarray, horizon: float, dt: float | None = None) ->
     # whose sum overflows needs its rates, below.
     with np.errstate(over="ignore"):
         z = eigs[..., :, None] + eigs[..., None, :]
-        if dt is not None:
+        if dt is None:
+            span = z * horizon
+            # Where z T is zero or subnormal the integral is T to double precision;
+            # expm1(z T) / z would give 0 there, or lose digits.
+            flat = np.abs(span) < _SMALLEST_NORMAL
+            flat = flat if flat.any() else None
+        else:
             steps = max(1, round(horizon / dt))
             step = horizon / steps
             z = z * step
-        # Zero-rate pairs, if any, are masked to the horizon.  A negative stand-in
-        # for them keeps expm1(steps * z) finite for any number of steps.
-        flat = None if z.all() else z == 0.0
+            flat = None if z.all() else z == 0.0
+        # Flat pairs, if any, are masked to the horizon.  A negative stand-in
+        # for their z keeps expm1(steps * z) finite for any number of steps.
         if flat is not None:
             z = np.where(flat, -1.0, z)
         if dt is not None:
             table = step * 0.5 * (1.0 + np.exp(z)) * (np.expm1(steps * z) / np.expm1(z))
         else:
-            table = np.expm1(z * horizon) / z
+            table = np.expm1(span) / z
             # A pair whose sum overflows would get 0, not its ~1/|z|; its halved
             # rates sum to y = z / 2 in range, and expm1(2 y T) / (2 y) is its integral.
             over = np.isinf(z)
@@ -238,30 +257,44 @@ def simulate_batch(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> Traj
     return TrajectoryBatch(x0=x0, per_player_cost=_batch_cost(spec, k, q, w, x0))
 
 
-def monte_carlo_cost(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> np.ndarray:
+def _stage_moment(spec: GameSpec, config: SimConfig, stage: int) -> np.ndarray:
+    """A stage's profile-free part: the ``(seed, stage)`` batch ``x0`` if it
+    holds ``B <= n`` states, the smaller factor of its second moment, and
+    otherwise that moment ``Sigma = x0^T x0 / B``, O(B n^2)."""
+    x0 = sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
+    return x0 if config.batch_size <= spec.n else (x0.T @ x0) / config.batch_size
+
+
+def monte_carlo_cost(spec: GameSpec, k, config: SimConfig, stage: int = 0, *, moment=None) -> np.ndarray:
     """Batch-mean estimate of each player's cost at the given profile.
 
     ``k`` is one profile, giving costs of shape ``(n,)``, or an ``(R, n)``
     stack, giving one row of costs per profile from one shared batch: row
     ``r`` equals the call on ``k[r]`` bit for bit.  A stack that leaves the
-    stable region raises :class:`NotPositiveDefinite` before sampling, for
-    its first unstable row (:func:`game._stable_modes`).
+    stable region raises :class:`NotPositiveDefinite`, for its first
+    unstable row (:func:`game._stable_modes`), before this call draws a
+    batch or forms a number from it.
 
     Unbiased for the horizon-truncated cost.  The batch is the one
-    :func:`simulate_batch` draws from the ``(seed, stage)`` substream.  Its
-    second moment ``Sigma = x0^T x0 / B`` is formed once, O(B n^2), and
-    serves every row: a profile's modal moment is ``Q^T Sigma Q``, O(n^3).
-    A batch of ``B <= n`` states is the smaller factor of ``Sigma``, and a
-    row's moment is ``C^T C / B`` with ``C = x0 @ Q``, O(B n^2).
-    The estimate is deterministic for a given ``(seed, stage)`` and equals
+    :func:`simulate_batch` draws from the ``(seed, stage)`` substream.  The
+    estimate has two parts.  The profile-free part, :func:`_stage_moment`,
+    is the batch's second moment ``Sigma = x0^T x0 / B``, formed once,
+    O(B n^2), or for ``B <= n`` the batch itself.  The profile part
+    certifies the stack, builds its pair-integral tables and reduces:
+    a row's modal moment is ``Q^T Sigma Q``, O(n^3), or ``C^T C / B``
+    with ``C = x0 @ Q``, O(B n^2).  ``moment``, if given, is a callable
+    returning this stage's profile-free part formed elsewhere (play draws
+    it on a worker thread, :mod:`nashlq.learning`); it is called once the
+    stack is certified, and the estimate keeps its bits.  The estimate is
+    deterministic for a given ``(seed, stage)`` and equals
     ``simulate_batch(...).per_player_cost.mean(0)`` to round-off.
     """
-    ks, q, w = _checked_modes(spec, k, config)  # before the draw, so an unstable stack draws nothing
-    x0 = sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
+    # Certified first: no number is formed from an unstable stack, nor a batch drawn for it here.
+    ks, q, w = _checked_modes(spec, k, config)
+    drawn = _stage_moment(spec, config, stage) if moment is None else moment()
     if config.batch_size <= spec.n:
-        # A batch of at most n states is itself the smaller factor of Sigma.
-        coords = x0 @ q
-        moment = (np.swapaxes(coords, -1, -2) @ coords) / config.batch_size
+        coords = drawn @ q
+        modal = (np.swapaxes(coords, -1, -2) @ coords) / config.batch_size
     else:
-        moment = np.swapaxes(q, -1, -2) @ ((x0.T @ x0) / config.batch_size) @ q
-    return _modal_cost(spec, ks, q, w, moment)
+        modal = np.swapaxes(q, -1, -2) @ drawn @ q
+    return _modal_cost(spec, ks, q, w, modal)

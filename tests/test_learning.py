@@ -1,9 +1,10 @@
 import math
+import threading
 from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nashlq import (
@@ -13,6 +14,7 @@ from nashlq import (
     GameSpec,
     LearnConfig,
     LearnRun,
+    NotPositiveDefinite,
     SimConfig,
     StageRecord,
     cost,
@@ -25,7 +27,7 @@ from nashlq import (
     scalar_game,
     substream,
 )
-from nashlq import learning
+from nashlq import learning, simulate
 from nashlq.game import _evaluate_stack, _profile
 from util import random_game
 
@@ -518,6 +520,98 @@ class TestLockstep:
             run_lockstep(spec, [[1.0], [9.0]], LearnConfig())
         with pytest.raises(ValueError, match="shape"):
             run_lockstep(spec, [[1.0, 1.0]], LearnConfig())
+
+
+def _prefetched_lockstep(spec, starts, config, prefetch=None):
+    """:func:`run_lockstep` with the prefetch gate forced open (``True``) or
+    shut (``False``), or left as it is (``None``), and the stages whose
+    batches the worker thread drew."""
+    drawn = []
+
+    def counted(*args):
+        drawn.append(args[-1])
+        return simulate._stage_moment(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if prefetch is not None:
+            patch.setattr(learning, "_PREFETCH_DRAWS", 1 if prefetch else math.inf)
+        patch.setattr(learning, "_stage_moment", counted)
+        runs = run_lockstep(spec, starts, config)
+    return runs, sorted(drawn)
+
+
+def _assert_same_runs(runs, expected):
+    assert len(runs) == len(expected)
+    for run, other in zip(runs, expected):
+        for name in ("profiles", "costs", "grads"):
+            assert _bits(getattr(run, name)) == _bits(getattr(other, name))
+        assert (run.stages_used, run.converged) == (other.stages_used, other.converged)
+
+
+class TestPrefetch:
+    """Model-free play may draw stage ``l + 1``'s batch on a worker thread
+    while stage ``l`` is estimated; its histories keep their bytes."""
+
+    @pytest.mark.parametrize("count", [1, 2], ids=["lone", "lockstep"])
+    @pytest.mark.parametrize("n, batch_size", [(6, 4), (6, 6), (4, 40)], ids=["B<n", "B=n", "B>n"])
+    @pytest.mark.parametrize("integrator", ["quadrature", "exact"])
+    def test_histories_are_byte_identical_with_prefetch_on_and_off(self, count, n, batch_size, integrator):
+        spec, k0 = random_game(n + batch_size, n=n)
+        rng = substream(n, batch_size)
+        starts = [k0] + [spec.k_lower + rng.random(n) * (spec.k_upper - spec.k_lower) for _ in range(count - 1)]
+        sim = SimConfig(batch_size=batch_size, horizon=20.0, dt=0.1, seed=n, integrator=integrator)
+        config = LearnConfig(stages=7, step_size=0.5, mode="model-free", sim=sim)
+        inline, none = _prefetched_lockstep(spec, starts, config, prefetch=False)
+        ahead, stages = _prefetched_lockstep(spec, starts, config, prefetch=True)
+        assert none == [] and stages == list(range(config.stages + 1))
+        _assert_same_runs(ahead, inline)
+        _assert_same_runs(inline, [run_gradient_play(spec, start, config) for start in starts])
+
+    @settings(max_examples=40)
+    @given(_lockstep_case())
+    def test_random_model_free_plays_keep_their_bytes(self, case):
+        spec, starts, config = case
+        assume(config.mode == "model-free")
+        inline, _ = _prefetched_lockstep(spec, starts, config, prefetch=False)
+        ahead, stages = _prefetched_lockstep(spec, starts, config, prefetch=True)
+        assert stages == list(range(config.stages + 1))
+        _assert_same_runs(ahead, inline)
+
+    def test_gate_counts_the_numbers_a_stage_draws(self):
+        """At ``batch_size * n = 2^14`` play draws ahead; one state fewer, it does not."""
+        spec = GameSpec(a=-np.eye(4), rho=1.0, k_upper=2.0)
+        for batch_size, stages in ((2**12, [0, 1]), (2**12 - 1, [])):
+            sim = SimConfig(batch_size=batch_size, horizon=5.0, integrator="exact")
+            config = LearnConfig(stages=1, mode="model-free", sim=sim)
+            assert _prefetched_lockstep(spec, [[1.0] * 4], config)[1] == stages
+
+    def test_no_thread_outlives_a_run(self):
+        spec, k0 = random_game(3, n=5)
+        config = LearnConfig(stages=6, mode="model-free", sim=SimConfig(batch_size=20, horizon=10.0))
+        baseline = threading.active_count()
+        _, stages = _prefetched_lockstep(spec, [k0, k0], config, prefetch=True)
+        assert stages == list(range(7))
+        assert threading.active_count() == baseline
+
+    def test_a_stage_that_raises_joins_the_worker_and_reaches_the_caller(self):
+        spec, k0 = random_game(3, n=5)
+        config = LearnConfig(stages=6, mode="model-free", sim=SimConfig(batch_size=20, horizon=10.0))
+        baseline = threading.active_count()
+        seen = []
+
+        def unstable_at_stage_3(*args):
+            seen.append(threading.active_count())
+            if len(seen) == 4:
+                raise NotPositiveDefinite("stage 3")
+            return certified(*args)
+
+        certified = simulate._checked_modes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_checked_modes", unstable_at_stage_3)
+            with pytest.raises(NotPositiveDefinite, match="stage 3"):
+                _prefetched_lockstep(spec, [k0], config, prefetch=True)
+        assert seen == [baseline + 1] * 4  # the worker ran beside stages 0 to 3
+        assert threading.active_count() == baseline
 
 
 class TestLearnRunArrays:

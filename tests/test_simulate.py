@@ -1,11 +1,12 @@
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashlq import game, learning
+from nashlq import game, learning, simulate
 from nashlq import (
     GameSpec,
     LearnConfig,
@@ -80,6 +81,21 @@ def retired_pair_integrals(eigs, horizon, dt=None):
     return np.where(flat, horizon, trapezoid)
 
 
+def pair_integrals_before_the_subnormal_fix(eigs, horizon):
+    """Reference: the exact table before zero and subnormal ``z T`` were masked
+    to the horizon: only ``z = 0`` was, and overflowing sums took their
+    halved rates."""
+    z = eigs[:, None] + eigs[None, :]
+    flat = z == 0.0
+    z = np.where(flat, -1.0, z)
+    table = np.expm1(z * horizon) / z
+    over = np.isinf(z)
+    half = eigs / 2.0
+    y = (half[:, None] + half[None, :])[over]
+    table[over] = 0.5 * np.expm1(2.0 * (y * horizon)) / y
+    return np.where(flat, horizon, table)
+
+
 def retired_draw(spec, ks, config, stage):
     """Reference: the retired stage's start, a Cholesky check of every
     ``K - A`` (``game._cholesky``), then the ``(seed, stage)`` draw."""
@@ -110,6 +126,10 @@ def retired_monte_carlo_cost(spec, ks, config, stage=0):
     ks = np.asarray(ks, dtype=float)
     x0 = retired_draw(spec, ks, config, stage)
     return retired_mean_cost(spec, ks, *retired_modes(spec, ks, config), x0)
+
+
+def never_called(*args, **kwargs):
+    raise AssertionError("called")
 
 
 def gamma(m):
@@ -465,6 +485,12 @@ class TestMonteCarlo:
         with pytest.raises(NotPositiveDefinite):
             monte_carlo_cost(spec, [0.0, 0.0], SimConfig(batch_size=8, horizon=10.0))
 
+    def test_unstable_profile_raises_before_taking_a_given_moment(self, monkeypatch):
+        spec = GameSpec(a=[[1.0, 0.0], [0.0, -1.0]], rho=0.0, k_upper=5.0)
+        monkeypatch.setattr(simulate, "_stage_moment", never_called)
+        with pytest.raises(NotPositiveDefinite):
+            monte_carlo_cost(spec, [0.0, 0.0], SimConfig(batch_size=8, horizon=10.0), moment=never_called)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 10**6),
@@ -577,6 +603,36 @@ class TestRetiredPath:
             expected = retired_modal_cost(spec, ks, q, w, np.swapaxes(q, -1, -2) @ second @ q)
         assert monte_carlo_cost(spec, ks, config, stage=seed % 7).tobytes() == expected.tobytes()
 
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 20),
+        st.integers(1, 4),
+        st.integers(1, 40),
+        st.sampled_from(["quadrature", "exact"]),
+        st.sampled_from([5.0, 200.0]),
+    )
+    def test_two_parts_equal_the_one_call(self, seed, n, count, batch_size, integrator, horizon):
+        """The profile-free part, formed on a worker thread and handed in as
+        ``moment``, gives the one call's bits, which are the retired draw and
+        modes reduced as before the split, for ``B <= n`` and ``B > n``."""
+        spec, k = random_game(seed, n=n)
+        rng = substream(seed, 1)
+        ks = np.array([k] + [spec.k_lower + rng.random(n) * (spec.k_upper - spec.k_lower) for _ in range(count - 1)])
+        config = SimConfig(batch_size=batch_size, horizon=horizon, dt=0.1, seed=seed, integrator=integrator)
+        stage = seed % 7
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            drawn = worker.submit(simulate._stage_moment, spec, config, stage)
+            split = monte_carlo_cost(spec, ks, config, stage, moment=drawn.result)
+        x0 = retired_draw(spec, ks, config, stage)
+        q, w = retired_modes(spec, ks, config)
+        if batch_size <= n:
+            expected = retired_mean_cost(spec, ks, q, w, x0)
+        else:
+            second = (x0.T @ x0) / batch_size
+            expected = retired_modal_cost(spec, ks, q, w, np.swapaxes(q, -1, -2) @ second @ q)
+        assert split.tobytes() == monte_carlo_cost(spec, ks, config, stage).tobytes() == expected.tobytes()
+
     @settings(max_examples=30)
     @given(
         st.integers(0, 10**6),
@@ -613,8 +669,8 @@ class TestRetiredPath:
         at that stage's stack, and each run keeps the estimates it was given."""
         estimates = []
 
-        def checked(spec, ks, sim, stage):
-            costs = monte_carlo_cost(spec, ks, sim, stage)
+        def checked(spec, ks, sim, stage, moment=None):
+            costs = monte_carlo_cost(spec, ks, sim, stage, moment=moment)
             assert_within_second_moment_bound(spec, ks, sim, stage, costs)
             estimates.append(costs)
             return costs
@@ -807,8 +863,9 @@ class TestPairIntegrals:
         """Rates below -2^1023 sum past the float range.  The exact integral of
         such a pair is ``expm1(2 y T) / (2 y)`` of its half sum ``y = lam_m / 2
         + lam_p / 2``, ``0.5 / |y|`` once its decay is complete, and the
-        trapezoid's is half its step.  Every other pair keeps the retired
-        table's bits, and nothing warns."""
+        trapezoid's is half its step.  An exact pair whose ``z T`` is zero or
+        subnormal, as at the subnormal horizons, integrates to ``T``.  Every
+        other pair keeps the retired table's bits, and nothing warns."""
         eigs = np.array([-m * 2.0**1023 for m in mantissas] + others)
         dt = None if steps is None else horizon / steps
         with warnings.catch_warnings():
@@ -817,7 +874,9 @@ class TestPairIntegrals:
         half = eigs / 2.0
         y = half[:, None] + half[None, :]
         with np.errstate(all="ignore"):  # the references' own overflows and 0 / 0
-            over = np.isinf(eigs[:, None] + eigs[None, :])
+            s = eigs[:, None] + eigs[None, :]
+            over = np.isinf(s)
+            flat = np.zeros_like(over) if dt is not None else np.abs(s * horizon) < 2.0**-1022
             exact = 0.5 * np.expm1(2.0 * (y * horizon)) / y
             complete = over & (y * horizon < -40.0)
             expected = retired_pair_integrals(eigs, horizon, dt)
@@ -827,7 +886,8 @@ class TestPairIntegrals:
             assert out[complete].tobytes() == (0.5 / abs(y[complete])).tobytes()
         else:
             assert np.all(out[over] == horizon / max(1, round(horizon / dt)) / 2.0)
-        assert out[~over].tobytes() == expected[~over].tobytes()
+        assert np.all(out[flat] == horizon)
+        assert out[~over & ~flat].tobytes() == expected[~over & ~flat].tobytes()
 
     @given(
         st.lists(st.floats(2.0**1020, 2.0**1022), min_size=1, max_size=5),
@@ -858,6 +918,51 @@ class TestPairIntegrals:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = pair_integrals(eigs, horizon, dt)
+        assert out[~flat].tobytes() == expected[~flat].tobytes()
+        assert np.all(out[flat] == horizon)
+
+    @pytest.mark.parametrize(
+        "eigs, horizon",
+        [([-1e-300], 1e-30), ([-1e-160], 1e-160), ([0.0, -1e-300], 1e-10), ([-2.0**-1075], 2.0)],
+        ids=["zero-product", "subnormal-product", "zero-rate-beside-a-tiny-one", "smallest-subnormal-rate"],
+    )
+    def test_a_zero_or_subnormal_exact_span_integrates_to_the_horizon(self, eigs, horizon):
+        """``z T`` under ``2^-1022``: the integral is ``T`` to double precision,
+        where ``expm1(z T) / z`` gave 0 (underflow) or lost digits (subnormal),
+        and the trapezoid already gives ``T`` to round-off."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pair_integrals(np.array(eigs), horizon)
+            trapezoid = pair_integrals(np.array(eigs), horizon, horizon / 10.0)
+        assert np.all(out == horizon)
+        assert trapezoid == pytest.approx(np.full(out.shape, horizon), rel=1e-15)
+
+    def test_subnormal_spans_beside_normal_ones(self):
+        eigs = np.array([-1e-300, -1.0, -0.5])
+        out = pair_integrals(eigs, 1e-30)
+        expected = retired_pair_integrals(eigs, 1e-30)
+        assert out[0, 0] == 1e-30 and expected[0, 0] == 0.0
+        assert out[1:, 1:].tobytes() == expected[1:, 1:].tobytes()
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(-1e300, -1e-300), st.floats(-1.0, 0.0), st.sampled_from([0.0, -5e-324])),
+            min_size=1,
+            max_size=6,
+        ),
+        st.one_of(st.floats(1e-300, 1e300), st.floats(1e-320, 1e-300)),
+    )
+    def test_normal_spans_keep_their_bits(self, eigs, horizon):
+        """Every exact pair whose ``z T`` is normal, or whose ``z`` overflows,
+        keeps the bits of the table before the fix; the rest are ``T``."""
+        eigs = np.array(eigs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pair_integrals(eigs, horizon)
+        with np.errstate(all="ignore"):
+            expected = pair_integrals_before_the_subnormal_fix(eigs, horizon)
+            s = eigs[:, None] + eigs[None, :]
+            flat = np.abs(s * horizon) < 2.0**-1022
         assert out[~flat].tobytes() == expected[~flat].tobytes()
         assert np.all(out[flat] == horizon)
 
