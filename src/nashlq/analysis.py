@@ -55,7 +55,7 @@ from .game import (
     _require_int,
     pseudogradient_jacobian,
 )
-from .simulate import substream
+from .simulate import _SMALLEST_NORMAL, substream
 
 __all__ = [
     "PreconditionViolated",
@@ -201,7 +201,20 @@ def two_player_mu(a11: float, a12: float, a22: float, k1: float, k2: float) -> f
     ``a22 < -|a12|``) and nonnegative gains, ``mu > 0`` is equivalent to
     ``G + G^T`` being positive definite at ``(k1, k2)``.  A NaN gain, or a
     ``mu`` outside the float range, raises :class:`PreconditionViolated`, so
-    every ``mu`` returned is finite.
+    every ``mu`` returned is finite; so does a ``mu`` below the normal
+    numbers, where a term underflows and the sign is lost.
+
+    Under that precondition ``mu > 0`` on every box in ``k >= 0``, so
+    two-player SDD games with zero tradeoffs always have a unique Nash
+    equilibrium.  Proof: ``d_i = k_i - a_ii >= -a_ii > |a12|``.  With
+    ``m = min(d1, d2)`` and ``M = max(d1, d2)``,
+
+        a12^4 (d1 + d2)^2 < m^4 4 M^2 <= 4 m^3 M^3 = 4 d1^3 d2^3,
+
+    using ``|a12| < m`` (or ``a12 = 0``, where the left side is 0),
+    ``d1 + d2 <= 2 M`` and ``m <= M``.  A computed ``mu`` below the normal
+    numbers therefore comes from a term that underflowed: ``d1 = 1e-110``
+    and ``d2 = 1e100`` give ``d1**3 = 0`` though ``mu`` is about ``4e-30``.
     """
     if not (a11 < -abs(a12) and a22 < -abs(a12)):
         raise PreconditionViolated(
@@ -216,6 +229,8 @@ def two_player_mu(a11: float, a12: float, a22: float, k1: float, k2: float) -> f
         mu = 4.0 * d1**3 * d2**3 - a12**4 * (d1 + d2) ** 2
     if not np.isfinite(mu):
         raise PreconditionViolated("mu overflows the float range in this box")
+    if not mu >= _SMALLEST_NORMAL:
+        raise PreconditionViolated("mu underflows the float range in this box")
     return mu
 
 

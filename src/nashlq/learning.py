@@ -19,13 +19,15 @@ its gradient meets the tolerance, or at the budget, and keeps its row,
 unchanged, until the last member stops.  Each row gets the bits it would
 get alone in :func:`run_gradient_play`, the one-start case.
 
-A model-free stage's batch and its second moment depend on the seed and
-the stage only, never on the profile.  Once a stage draws at least
-``_PREFETCH_DRAWS`` numbers, one worker thread draws stage ``l + 1``'s
-batch while stage ``l`` is certified and reduced, so a batch may be drawn
-before its profile is certified; no number is formed from an uncertified
-profile, and every estimate keeps its bits.  The thread lives as long as
-the run's :func:`_estimator`.
+A model-free stage's batch depends on the seed and the stage only, never
+on the profile.  Where the gate (``_PREFETCH_DRAWS``) says the overlap
+pays, one worker thread draws stage ``l + 1``'s batch, and only draws it,
+while stage ``l`` is certified and reduced, so a batch may be drawn before
+its profile is certified.  The batch's second moment and everything else
+are formed on the calling thread once the stack is certified, on the same
+lines as inline play: no number is formed from an uncertified profile,
+and every estimate keeps its bits.  The thread lives as long as the run's
+:func:`_estimator`.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .game import (
 # learning.evaluate when it installs and fails if the name is missing; the
 # import goes when the tracer wraps _lone_fields instead (ROADMAP item 1).
 from .game import evaluate
-from .simulate import SimConfig, _stage_moment, monte_carlo_cost
+from .simulate import SimConfig, _stage_batch, monte_carlo_cost
 
 __all__ = [
     "LearnConfig",
@@ -57,9 +59,12 @@ __all__ = [
 _MODES = ("exact", "model-free")
 
 # Numbers a model-free stage draws (batch_size * n) from which the next
-# stage's batch is drawn on a worker thread: below it the thread handoff
-# costs more than the overlap saves.
-_PREFETCH_DRAWS = 2**14
+# stage's batch is drawn on a worker thread, for n below _PREFETCH_PLAYERS
+# and from it on: from 20 players the main thread's O(B n^2 + n^3) share of
+# a stage hides a smaller draw.  Below them the thread handoff costs more
+# than the overlap saves (the measured gate table is in CHANGES.md).
+_PREFETCH_DRAWS = (2**14, 10_000)
+_PREFETCH_PLAYERS = 20
 
 # Each LearnConfig field's own rule but sim's, rule(value, name), in the order a
 # config's learn section lists them; config applies it also to a file's value a
@@ -154,15 +159,16 @@ def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
     lone path, :func:`~nashlq.game._lone_fields`, whose costs and gradients,
     Python floats with the bits a stack's row gets, become the two ``(1, n)``
     arrays with no report.  A model-free stack takes one estimate on the
-    stage's shared batch.  Once a stage draws ``_PREFETCH_DRAWS`` numbers or
-    more, one worker thread forms stage ``l + 1``'s profile-free part
-    (:func:`~nashlq.simulate._stage_moment`) from the start of stage ``l``,
-    while stage ``l`` is certified and reduced.  When the run returns or
-    raises, a draw not yet begun is cancelled and the worker joined.
+    stage's shared batch.  Where a stage draws ``_PREFETCH_DRAWS`` numbers
+    or more, one worker thread draws stage ``l + 1``'s batch
+    (:func:`~nashlq.simulate._stage_batch`) from the start of stage ``l``,
+    while stage ``l`` is certified and reduced; the estimate forms all else
+    from that batch on this thread.  When the run returns or raises, a draw
+    not yet begun is cancelled and the worker joined.
     """
     if config.mode == "model-free":
-        def estimate(ks, stage, moment=None):
-            costs = monte_carlo_cost(spec, ks, config.sim, stage, moment=moment)
+        def estimate(ks, stage, batch=None):
+            costs = monte_carlo_cost(spec, ks, config.sim, stage, batch=batch)
             return costs, marginal_cost_from_cost(costs, _weighted_gains(spec, ks), spec.rho)
     elif rows == 1:
         def estimate(ks, stage):
@@ -172,13 +178,13 @@ def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
         def estimate(ks, stage):
             report = _evaluate_stack(spec, ks)[1]
             return report.cost, report.grad
-    if config.mode == "exact" or config.sim.batch_size * spec.n < _PREFETCH_DRAWS:
+    if config.mode == "exact" or config.sim.batch_size * spec.n < _PREFETCH_DRAWS[spec.n >= _PREFETCH_PLAYERS]:
         yield estimate
         return
 
     from concurrent.futures import ThreadPoolExecutor
 
-    draw = functools.partial(_stage_moment, spec, config.sim)
+    draw = functools.partial(_stage_batch, spec, config.sim)
     worker = ThreadPoolExecutor(max_workers=1)
     try:
         pending = {0: worker.submit(draw, 0)}
@@ -186,7 +192,7 @@ def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
         def prefetched(ks, stage):
             if stage < config.stages:
                 pending[stage + 1] = worker.submit(draw, stage + 1)
-            return estimate(ks, stage, moment=pending.pop(stage).result)
+            return estimate(ks, stage, batch=pending.pop(stage).result)
 
         yield prefetched
     finally:

@@ -29,13 +29,13 @@ also certify stability, or else the kernel raises its
 any cost: an unstable profile yields no number.  This module forms no
 ``K - A`` of its own.
 
-A Monte Carlo stage has a profile-free part, :func:`_stage_moment`: the
-``(seed, stage)`` draw and its ``Sigma`` (for ``B <= n`` the draw alone,
-since its moment needs ``Q``).  Its profile part certifies the stack,
-builds the pair-integral table and reduces.  :func:`monte_carlo_cost`
-runs the two in that order, or takes the first formed elsewhere: play
-draws the next stage's batch on a worker thread (:mod:`nashlq.learning`),
-so there a batch may be drawn before its profile is certified, and the
+A Monte Carlo stage has a profile-free part, :func:`_stage_batch`: the
+``(seed, stage)`` draw and nothing more.  :func:`monte_carlo_cost`
+certifies the stack, then forms the batch's moment on the calling thread
+(``Sigma``, or ``C = x0 @ Q`` for ``B <= n``), builds the pair-integral
+table and reduces.  The draw it reads may be made elsewhere: play draws
+the next stage's batch on a worker thread (:mod:`nashlq.learning`), so
+there a batch may be drawn before its profile is certified, and the
 estimate keeps its bits.
 
 :func:`monte_carlo_cost` also takes an ``(R, n)`` stack of profiles.  The
@@ -253,19 +253,17 @@ def simulate_batch(spec: GameSpec, k, config: SimConfig, stage: int = 0) -> Traj
     simulating if the profile leaves the stable region.
     """
     k, q, w = _checked_modes(spec, _profile(spec, k), config)
-    x0 = sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
+    x0 = _stage_batch(spec, config, stage)
     return TrajectoryBatch(x0=x0, per_player_cost=_batch_cost(spec, k, q, w, x0))
 
 
-def _stage_moment(spec: GameSpec, config: SimConfig, stage: int) -> np.ndarray:
-    """A stage's profile-free part: the ``(seed, stage)`` batch ``x0`` if it
-    holds ``B <= n`` states, the smaller factor of its second moment, and
-    otherwise that moment ``Sigma = x0^T x0 / B``, O(B n^2)."""
-    x0 = sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
-    return x0 if config.batch_size <= spec.n else (x0.T @ x0) / config.batch_size
+def _stage_batch(spec: GameSpec, config: SimConfig, stage: int) -> np.ndarray:
+    """A stage's profile-free part: the ``(seed, stage)`` batch ``x0`` of
+    shape ``(B, n)``, O(B n), and nothing formed from it."""
+    return sample_initial_state(substream(config.seed, stage), (config.batch_size, spec.n))
 
 
-def monte_carlo_cost(spec: GameSpec, k, config: SimConfig, stage: int = 0, *, moment=None) -> np.ndarray:
+def monte_carlo_cost(spec: GameSpec, k, config: SimConfig, stage: int = 0, *, batch=None) -> np.ndarray:
     """Batch-mean estimate of each player's cost at the given profile.
 
     ``k`` is one profile, giving costs of shape ``(n,)``, or an ``(R, n)``
@@ -276,25 +274,25 @@ def monte_carlo_cost(spec: GameSpec, k, config: SimConfig, stage: int = 0, *, mo
     batch or forms a number from it.
 
     Unbiased for the horizon-truncated cost.  The batch is the one
-    :func:`simulate_batch` draws from the ``(seed, stage)`` substream.  The
-    estimate has two parts.  The profile-free part, :func:`_stage_moment`,
-    is the batch's second moment ``Sigma = x0^T x0 / B``, formed once,
-    O(B n^2), or for ``B <= n`` the batch itself.  The profile part
-    certifies the stack, builds its pair-integral tables and reduces:
-    a row's modal moment is ``Q^T Sigma Q``, O(n^3), or ``C^T C / B``
-    with ``C = x0 @ Q``, O(B n^2).  ``moment``, if given, is a callable
-    returning this stage's profile-free part formed elsewhere (play draws
+    :func:`simulate_batch` draws from the ``(seed, stage)`` substream,
+    :func:`_stage_batch`, the estimate's only profile-free part.  ``batch``,
+    if given, is a callable returning that draw made elsewhere (play makes
     it on a worker thread, :mod:`nashlq.learning`); it is called once the
-    stack is certified, and the estimate keeps its bits.  The estimate is
-    deterministic for a given ``(seed, stage)`` and equals
+    stack is certified.  Everything formed from the draw is formed here,
+    after the certificate, on the calling thread: the second moment
+    ``Sigma = x0^T x0 / B``, O(B n^2), once per stack, whose rows take
+    ``Q^T Sigma Q``, O(n^3), or for ``B <= n`` each row's
+    ``C^T C / B`` with ``C = x0 @ Q``, O(B n^2).  So the estimate keeps
+    its bits wherever the batch was drawn.  It is deterministic for a
+    given ``(seed, stage)`` and equals
     ``simulate_batch(...).per_player_cost.mean(0)`` to round-off.
     """
     # Certified first: no number is formed from an unstable stack, nor a batch drawn for it here.
     ks, q, w = _checked_modes(spec, k, config)
-    drawn = _stage_moment(spec, config, stage) if moment is None else moment()
+    x0 = _stage_batch(spec, config, stage) if batch is None else batch()
     if config.batch_size <= spec.n:
-        coords = drawn @ q
+        coords = x0 @ q
         modal = (np.swapaxes(coords, -1, -2) @ coords) / config.batch_size
     else:
-        modal = np.swapaxes(q, -1, -2) @ drawn @ q
+        modal = np.swapaxes(q, -1, -2) @ ((x0.T @ x0) / config.batch_size) @ q
     return _modal_cost(spec, ks, q, w, modal)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nashlq
@@ -94,6 +94,9 @@ def _ensemble_game(seed, n, generator):
 
 GENERATORS = st.sampled_from(["sdd", "negative-definite"])
 
+# Nonnegative finite doubles, subnormals included.
+_MAGNITUDE = st.floats(0.0, allow_infinity=False)
+
 
 class TestTwoPlayerMu:
     def test_worked_value_exact(self):
@@ -107,6 +110,40 @@ class TestTwoPlayerMu:
             mu = two_player_mu(a11, 0.0, a22, k1, k2)
             assert mu == pytest.approx(4 * (k1 - a11) ** 3 * (k2 - a22) ** 3)
             assert mu > 0
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(lambda x: -x)),
+        st.tuples(_MAGNITUDE, _MAGNITUDE, st.integers(1, 60), st.integers(1, 60)),
+        _MAGNITUDE,
+        _MAGNITUDE,
+    )
+    def test_sdd_games_have_positive_mu_on_every_box(self, a12, margins, k1, k2):
+        """The docstring's proof, on random SDD ``(a11, a12, a22)`` and
+        nonnegative gains: every ``mu`` returned is positive, and one outside
+        the float range is refused.  A margin is absolute, or ``|a12| 2^-j``,
+        down to an ulp of ``|a12|``."""
+        m1, m2, j1, j2 = margins
+        a11 = -abs(a12) - (m1 if j1 == 60 else abs(a12) * 2.0**-j1)
+        a22 = -abs(a12) - (m2 if j2 == 60 else abs(a12) * 2.0**-j2)
+        assume(a11 < -abs(a12) and a22 < -abs(a12))
+        try:
+            mu = two_player_mu(a11, a12, a22, k1, k2)
+        except PreconditionViolated as err:
+            assert "float range" in str(err)
+        else:
+            assert mu > 0
+
+    @pytest.mark.parametrize(
+        "a11, a12, a22",
+        [(-1.0, 0.0, -9.6e-237), (-1e-60, 5e-61, -1e-60), (-1e-110, 5e-111, -1e100)],
+        ids=["tiny-rate", "tiny-game", "term-underflows"],
+    )
+    def test_underflow_is_refused(self, a11, a12, a22):
+        """These once gave ``mu = 0``, which reads as no certificate; the last
+        has a ``mu`` of about ``4e-30`` whose ``d1**3`` underflows."""
+        with pytest.raises(PreconditionViolated, match="mu underflows the float range"):
+            two_player_mu(a11, a12, a22, 0.0, 0.0)
 
     def test_dominance_precondition(self):
         with pytest.raises(PreconditionViolated, match="dominance"):

@@ -530,12 +530,12 @@ def _prefetched_lockstep(spec, starts, config, prefetch=None):
 
     def counted(*args):
         drawn.append(args[-1])
-        return simulate._stage_moment(*args)
+        return simulate._stage_batch(*args)
 
     with pytest.MonkeyPatch.context() as patch:
         if prefetch is not None:
-            patch.setattr(learning, "_PREFETCH_DRAWS", 1 if prefetch else math.inf)
-        patch.setattr(learning, "_stage_moment", counted)
+            patch.setattr(learning, "_PREFETCH_DRAWS", (1, 1) if prefetch else (math.inf, math.inf))
+        patch.setattr(learning, "_stage_batch", counted)
         runs = run_lockstep(spec, starts, config)
     return runs, sorted(drawn)
 
@@ -577,13 +577,33 @@ class TestPrefetch:
         assert stages == list(range(config.stages + 1))
         _assert_same_runs(ahead, inline)
 
-    def test_gate_counts_the_numbers_a_stage_draws(self):
-        """At ``batch_size * n = 2^14`` play draws ahead; one state fewer, it does not."""
-        spec = GameSpec(a=-np.eye(4), rho=1.0, k_upper=2.0)
-        for batch_size, stages in ((2**12, [0, 1]), (2**12 - 1, [])):
-            sim = SimConfig(batch_size=batch_size, horizon=5.0, integrator="exact")
-            config = LearnConfig(stages=1, mode="model-free", sim=sim)
-            assert _prefetched_lockstep(spec, [[1.0] * 4], config)[1] == stages
+    @pytest.mark.parametrize(
+        "n, batch_size, ahead",
+        [
+            (5, 500, False),  # repro-model-free's shape
+            (20, 2000, True),  # model-free-n20's shape
+            (4, 2**12, True),  # 2^14 draws below 20 players
+            (4, 2**12 - 1, False),
+            (5, 2000, False),
+            (10, 1000, False),
+            (10, 2000, True),
+            (16, 625, False),
+            (19, 863, True),
+            (19, 862, False),
+            (20, 500, True),  # 10^4 draws from 20 players on
+            (20, 499, False),
+            (40, 250, True),
+            (40, 200, False),
+        ],
+    )
+    def test_gate_follows_the_measured_table(self, n, batch_size, ahead):
+        """Play draws ahead from ``batch_size * n = 2^14`` below 20 players and
+        from ``10^4`` at 20 or more, as the gate table measured, and inline
+        below."""
+        spec = GameSpec(a=-np.eye(n), rho=1.0, k_upper=2.0)
+        sim = SimConfig(batch_size=batch_size, horizon=5.0, integrator="exact")
+        config = LearnConfig(stages=1, mode="model-free", sim=sim)
+        assert _prefetched_lockstep(spec, [[1.0] * n], config)[1] == ([0, 1] if ahead else [])
 
     def test_no_thread_outlives_a_run(self):
         spec, k0 = random_game(3, n=5)

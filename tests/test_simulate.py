@@ -485,11 +485,11 @@ class TestMonteCarlo:
         with pytest.raises(NotPositiveDefinite):
             monte_carlo_cost(spec, [0.0, 0.0], SimConfig(batch_size=8, horizon=10.0))
 
-    def test_unstable_profile_raises_before_taking_a_given_moment(self, monkeypatch):
+    def test_unstable_profile_raises_before_taking_a_given_batch(self, monkeypatch):
         spec = GameSpec(a=[[1.0, 0.0], [0.0, -1.0]], rho=0.0, k_upper=5.0)
-        monkeypatch.setattr(simulate, "_stage_moment", never_called)
+        monkeypatch.setattr(simulate, "_stage_batch", never_called)
         with pytest.raises(NotPositiveDefinite):
-            monte_carlo_cost(spec, [0.0, 0.0], SimConfig(batch_size=8, horizon=10.0), moment=never_called)
+            monte_carlo_cost(spec, [0.0, 0.0], SimConfig(batch_size=8, horizon=10.0), batch=never_called)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -613,8 +613,8 @@ class TestRetiredPath:
         st.sampled_from([5.0, 200.0]),
     )
     def test_two_parts_equal_the_one_call(self, seed, n, count, batch_size, integrator, horizon):
-        """The profile-free part, formed on a worker thread and handed in as
-        ``moment``, gives the one call's bits, which are the retired draw and
+        """The profile-free part, drawn on a worker thread and handed in as
+        ``batch``, gives the one call's bits, which are the retired draw and
         modes reduced as before the split, for ``B <= n`` and ``B > n``."""
         spec, k = random_game(seed, n=n)
         rng = substream(seed, 1)
@@ -622,8 +622,8 @@ class TestRetiredPath:
         config = SimConfig(batch_size=batch_size, horizon=horizon, dt=0.1, seed=seed, integrator=integrator)
         stage = seed % 7
         with ThreadPoolExecutor(max_workers=1) as worker:
-            drawn = worker.submit(simulate._stage_moment, spec, config, stage)
-            split = monte_carlo_cost(spec, ks, config, stage, moment=drawn.result)
+            drawn = worker.submit(simulate._stage_batch, spec, config, stage)
+            split = monte_carlo_cost(spec, ks, config, stage, batch=drawn.result)
         x0 = retired_draw(spec, ks, config, stage)
         q, w = retired_modes(spec, ks, config)
         if batch_size <= n:
@@ -669,8 +669,8 @@ class TestRetiredPath:
         at that stage's stack, and each run keeps the estimates it was given."""
         estimates = []
 
-        def checked(spec, ks, sim, stage, moment=None):
-            costs = monte_carlo_cost(spec, ks, sim, stage, moment=moment)
+        def checked(spec, ks, sim, stage, batch=None):
+            costs = monte_carlo_cost(spec, ks, sim, stage, batch=batch)
             assert_within_second_moment_bound(spec, ks, sim, stage, costs)
             estimates.append(costs)
             return costs
