@@ -10,20 +10,25 @@ up evidence (or surface a counterexample with a reproducible witness).
 
 A sweep is stacked: the sample points go through the profile kernel of
 :mod:`nashlq.game` and one stacked ``eigvalsh`` in blocks of at most
-``game.BLOCK_ENTRIES`` array entries, ``n^2`` per point, so its cost per
-point is a few array operations rather than a Python-level factorization,
-and its work arrays stay that size however many points there are (the
-points themselves take ``n`` doubles each).  Most points skip the
-eigensolve: a point whose Gershgorin lower bound on the smallest eigenvalue,
-less a round-off slack, lies above its block's smallest diagonal entry
-cannot hold the minimum (:func:`_rosen_values`), so the minimum, its first
-witness and every reported number are those of a full solve.  The
-reported ``min_eig`` is a single :func:`rosen_check` at the witness, so the
-pair reproduces exactly.  An ensemble's finite-difference spot checks are stacked
-the same way: each game's spot points are drawn in one call, and they and
-their ``2 n`` bumped neighbours go through one kernel call per block of the
-same bound, ``(2 n + 1) * n^2`` entries per point, which gives both the
-points' Jacobians and the bumps' gradients; a point is never split.
+``game.BLOCK_ENTRIES`` (2^14) array entries, ``n^2`` per point, so its cost
+per point is a few array operations rather than a Python-level
+factorization, and its work arrays stay that size however many points there
+are (the points themselves take ``n`` doubles each).  An ensemble is one
+such sweep: the points of all its games share the blocks, each row read
+with its own game (:func:`game._game_rows`), so a block may hold several
+games or part of one, and each game gets the bits of its own sweep.  Most
+points skip the eigensolve: a point whose Gershgorin lower bound on the
+smallest eigenvalue, less a round-off slack, lies above the smallest
+diagonal entry, plus that slack, of some point of its game in its block
+cannot hold its game's minimum (:func:`_rosen_values`, per (game, block)
+segment), so each minimum, its first witness and every reported number
+are those of a full solve.  The reported ``min_eig`` is a single
+:func:`rosen_check` at the witness, so the pair reproduces exactly.  An
+ensemble's finite-difference spot checks are stacked the same way: each
+game's spot points are drawn in one call, and all games' points and their
+``2 n`` bumped neighbours go through one kernel call per block of the same
+bound, ``(2 n + 1) * n^2`` entries per point, which gives both the points'
+Jacobians and the bumps' gradients; a point is never split.
 
 The sample points are a Latin hypercube (McKay, Beckman & Conover, 1979)
 drawn in numpy on a child spawned from the sweep's stream: one uniform
@@ -46,6 +51,7 @@ from .game import (
     GameSpec,
     _eigenvalue_slack,
     _evaluate_stack,
+    _game_rows,
     _in_blocks,
     _is_finite,
     _jacobian,
@@ -153,34 +159,39 @@ class SweepResult:
         return tuple(r for r in self.records if r.report.violated)
 
 
-def _rosen_values(g: np.ndarray) -> np.ndarray:
+def _rosen_values(g: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of ``H = G + G^T`` for each matrix of a ``(P, n, n)``
-    stack, or ``+inf`` for a matrix whose smallest eigenvalue is not the stack's.
+    stack, or ``+inf`` for a matrix whose smallest eigenvalue is not its
+    segment's: a segment is a run of matrices with one ``owner``, here one
+    game's rows of a block.
 
-    Two bounds decide which matrices can hold the minimum.  Gershgorin's
-    theorem bounds each matrix from below, ``lambda_min(H_p) >= b_p = min_i
-    (h_ii - sum_{j != i} |h_ij|)``; each diagonal entry bounds it from above,
-    so ``lambda_min(H_q) <= d`` for the stack's smallest diagonal entry ``d``
-    and the matrix ``q`` holding it.  Matrix ``p`` is skipped only when
-    ``b_p - s_p > d + s_q``, with ``s_p`` the :func:`game._eigenvalue_slack`
-    of ``||H_p||_inf``; only the kept matrices go through one stacked
-    ``eigvalsh``, which gives each the bits it gets alone.
+    Two bounds decide which matrices can hold a segment's minimum.
+    Gershgorin's theorem bounds each matrix from below, ``lambda_min(H_p) >=
+    b_p = min_i (h_ii - sum_{j != i} |h_ij|)``; each diagonal entry bounds it
+    from above, ``lambda_min(H_q) <= d_q``, the smallest diagonal entry of
+    ``H_q``.  Matrix ``p`` is skipped only when ``b_p - s_p > d_q + s_q`` for
+    some matrix ``q`` of its segment, with ``s_p`` the
+    :func:`game._eigenvalue_slack` of ``||H_p||_inf``; only the kept matrices
+    go through one stacked ``eigvalsh``, which gives each the bits it gets
+    alone.
 
-    A skip is sound.  The computed ``b_p``, norms and test err on each side
-    by at most ``(n + 3) u`` times that side's norm, ``u = 2^-53``, since
-    ``|b_p|`` and ``|d|`` are at most their matrices' norms; the slack covers
-    that and the eigenvalues' round-off, so a skipped matrix's computed
-    minimum lies strictly above matrix ``q``'s, and it neither is nor ties
-    the stack's minimum.  Matrix ``q`` is never skipped, as ``b_q <= d``;
-    a NaN or an overflow in a matrix keeps it, and in matrix ``q`` keeps all.
+    A skip is sound.  The computed ``b_p``, ``d_q``, norms and test err on
+    each side by at most ``(n + 3) u`` times that side's norm, ``u = 2^-53``,
+    since ``|b_p|`` and ``|d_q|`` are at most their matrices' norms; the slack
+    covers that and the eigenvalues' round-off, so a skipped matrix's computed
+    minimum lies strictly above matrix ``q``'s, and it neither is nor ties the
+    segment's minimum.  The ``q`` with the smallest ``d_q + s_q`` is never
+    skipped, as ``b_q <= d_q``; an overflow in a matrix keeps it, and a NaN
+    anywhere in a segment keeps the whole segment.
     """
     h = g + g.transpose(0, 2, 1)
     diag = h.diagonal(0, 1, 2)
     sums = abs(h).sum(axis=2)
     slack = _eigenvalue_slack(sums.max(axis=1))
-    lowest = diag.min(axis=1)
-    q = np.argmin(lowest)
-    keep = ~((diag + abs(diag) - sums).min(axis=1) - slack > lowest[q] + slack[q])
+    starts = np.flatnonzero(np.diff(owner, prepend=owner[:1] - 1))
+    ceiling = np.minimum.reduceat(diag.min(axis=1) + slack, starts)  # nan-propagating
+    ceiling = np.repeat(ceiling, np.diff(starts, append=len(owner)))
+    keep = ~((diag + abs(diag) - sums).min(axis=1) - slack > ceiling)
     values = np.full(len(h), np.inf)
     values[keep] = np.linalg.eigvalsh(h[keep]).min(axis=1)
     return values
@@ -317,51 +328,75 @@ def _check_sweep(samples, generator: str = "sdd", rho_range=(0.0, 1.0)) -> None:
         raise ValueError(f"rho_range must be two finite numbers with 0 <= lo <= hi, got {rho_range!r}")
 
 
+def _reports(specs: list, point_sets: list) -> list[RosenReport]:
+    """Each game's :func:`rosen_sweep` report over its points: one kernel call
+    per block of all games' points, the minima per (game, block) segment,
+    then one :func:`rosen_check` per game at its witness."""
+    sizes = [len(points) for points in point_sets]
+    owner = np.repeat(np.arange(len(specs)), sizes)
+    values = _in_blocks(
+        lambda block, owners: _rosen_values(_jacobian_stack(_game_rows(specs, owners), block), owners),
+        np.concatenate(point_sets), specs[0].n ** 2, owner,
+    )
+    reports = []
+    for spec, points, game_values in zip(specs, point_sets, np.split(values, np.cumsum(sizes)[:-1])):
+        witness = points[np.argmin(game_values)]
+        # Report the witness's own single-profile check, so that
+        # rosen_check(spec, witness) == min_eig holds by construction.
+        min_eig = rosen_check(spec, witness)
+        if min_eig <= 0.0 and not pseudogradient_jacobian(spec, witness).diagonal().all():
+            raise ValueError(f"curvature underflows to 0 at witness {witness.tolist()}: box too wide to sweep")
+        reports.append(RosenReport(min_eig, ActionProfile(witness), len(points), bool(min_eig <= 0.0)))
+    return reports
+
+
 def rosen_sweep(spec: GameSpec, samples: int = 200, seed=0) -> RosenReport:
     """Sweep the action box and report the smallest ``G + G^T`` eigenvalue.
 
     ``seed`` may be an integer or a Generator to continue an existing stream.
-    The points are evaluated in stacked blocks of ``game.BLOCK_ENTRIES // n^2``
-    points (at least one); the witness is the first point attaining the
-    minimum.  Within a block, only the points that may hold the block's
-    minimum are eigensolved (:func:`_rosen_values`); a skipped point lies
-    strictly above its block's minimum, so above the sweep's, and the witness
-    is the point a full solve picks.  The sweep is sampled evidence, not a
-    proof.  A violation at a witness whose Jacobian has a zero diagonal
-    entry raises ``ValueError``: each curvature is strictly positive at a
-    stable profile, so a computed 0 has underflowed, which a box too wide to
-    sweep allows.
+    It is the one-game case of :func:`conjecture_sweep`'s path: the points are
+    evaluated in stacked blocks of ``game.BLOCK_ENTRIES // n^2`` points (at
+    least one); the witness is the first point attaining the minimum.  Within
+    a block, only the points that may hold the block's minimum are
+    eigensolved (:func:`_rosen_values`); a skipped point lies strictly above
+    its block's minimum, so above the sweep's, and the witness is the point a
+    full solve picks.  The sweep is sampled evidence, not a proof.  A violation at a
+    witness whose Jacobian has a zero diagonal entry raises ``ValueError``:
+    each curvature is strictly positive at a stable profile, so a computed 0
+    has underflowed, which a box too wide to sweep allows.
     """
     _check_sweep(samples)
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    points = _box_samples(spec, samples, rng)
-    values = _in_blocks(lambda block: _rosen_values(_jacobian_stack(spec, block)), points, spec.n**2)
-    witness = points[np.argmin(values)]
-    # Report the witness's own single-profile check, so that
-    # rosen_check(spec, witness) == min_eig holds by construction.
-    min_eig = rosen_check(spec, witness)
-    if min_eig <= 0.0 and not pseudogradient_jacobian(spec, witness).diagonal().all():
-        raise ValueError(f"curvature underflows to 0 at witness {witness.tolist()}: box too wide to sweep")
-    return RosenReport(
-        min_eig=min_eig,
-        witness=ActionProfile(witness),
-        samples=points.shape[0],
-        violated=bool(min_eig <= 0.0),
-    )
+    return _reports([spec], [_box_samples(spec, samples, rng)])[0]
 
 
-def _fd_jacobian_gap(spec: GameSpec, ks: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Per row of a ``(P, n)`` stack, the relative gap between the closed-form
-    Jacobian and differenced gradients; one kernel call takes the ``P`` points
-    and their ``2 n P`` bumps."""
-    n, p = spec.n, len(ks)
+def _fd_jacobian_gap(specs: list, ks: np.ndarray, owner: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    """Per row of a ``(P, n)`` stack, a profile of ``specs[owner[p]]``, the
+    relative gap between the closed-form Jacobian and differenced gradients;
+    one kernel call takes the ``P`` points and their ``2 n P`` bumps."""
+    n, p = specs[0].n, len(ks)
     bumps = step * np.eye(n)
     bumped = np.concatenate([ks[:, None] + bumps, ks[:, None] - bumps], axis=1)
-    m, report = _evaluate_stack(spec, np.concatenate([ks, bumped.reshape(-1, n)]))
-    g = _jacobian(spec, ks, m[:p], report.cost[:p], report.curvature[:p])
+    view = _game_rows(specs, np.concatenate([owner, np.repeat(owner, 2 * n)]))
+    m, report = _evaluate_stack(view, np.concatenate([ks, bumped.reshape(-1, n)]))
+    g = _jacobian(view.rho[:p], ks, m[:p], report.cost[:p], report.curvature[:p])
     grads = report.grad[p:].reshape(-1, 2 * n, n)
     fd = (grads[:, :n] - grads[:, n:]).transpose(0, 2, 1) / (2 * step)
     return np.max(np.abs(fd - g), axis=(1, 2)) / np.max(np.abs(g), axis=(1, 2))
+
+
+def _sweep_games(games: list) -> tuple[list[RosenReport], list[float]]:
+    """The reports and spot-check gaps of ``games``, each ``(spec, points,
+    spot points)`` of one ``n``: the points of all games in shared blocks,
+    then all spot points and their bumps in shared blocks of ``(2 n + 1) n^2``
+    entries per point."""
+    specs, point_sets, spot_sets = (list(column) for column in zip(*games))
+    reports = _reports(specs, point_sets)
+    owner = np.repeat(np.arange(len(specs)), [len(spots) for spots in spot_sets])
+    entries = (2 * specs[0].n + 1) * specs[0].n ** 2  # a point and its 2 n bumps
+    gaps = _in_blocks(lambda block, owners: _fd_jacobian_gap(specs, block, owners),
+                      np.concatenate(spot_sets), entries, owner)
+    return reports, gaps.tolist()
 
 
 def conjecture_sweep(
@@ -378,26 +413,40 @@ def conjecture_sweep(
     violations are genuine findings and are reported with full reproduction
     keys.  A fraction ``SPOT_CHECK_RATE`` of extra box points per matrix
     cross-checks the closed-form Jacobian against finite differences.
+
+    Every game is drawn first, in index order, each from its own substream:
+    its matrix, ``rho``, sweep points and spot points.  The sweep points of
+    all games then share blocks of at most ``game.BLOCK_ENTRIES`` entries,
+    one kernel call each, with the pruning per (game, block) segment
+    (:func:`_rosen_values`); the spot points share blocks too.  Each game
+    keeps the bits of its own :func:`rosen_sweep`.  When a game fails, the
+    games are swept again one at a time, so the error raised is that of the
+    lowest-index failing game, as each raises it alone.
     """
     _check_sweep(samples_per_matrix, generator, rho_range)
     spot_count = max(1, round(samples_per_matrix * SPOT_CHECK_RATE)) if SPOT_CHECK_RATE > 0 else 0
-    records = []
-    gaps = []
-    for index in range(ensemble.count):
-        rng = substream(ensemble.seed, index)
-        a = _GENERATORS[generator](ensemble, rng)
-        rho = rng.uniform(rho_range[0], rho_range[1], size=ensemble.n)
-        spec = game_from_matrix(a, rho)
-        report = rosen_sweep(spec, samples_per_matrix, seed=rng)
-        records.append(
-            SweepRecord(matrix_index=index, seed=ensemble.seed, spec=spec, report=report)
+    games = []
+    try:
+        for index in range(ensemble.count):
+            rng = substream(ensemble.seed, index)
+            a = _GENERATORS[generator](ensemble, rng)
+            spec = game_from_matrix(a, rng.uniform(rho_range[0], rho_range[1], size=ensemble.n))
+            points = _box_samples(spec, samples_per_matrix, rng)
+            spots = spec.k_lower + rng.random((spot_count, spec.n)) * (spec.k_upper - spec.k_lower)
+            games.append((spec, points, spots))
+        reports, gaps = _sweep_games(games)
+    except (ValueError, RuntimeError, MemoryError) as err:  # a game's refusal or NotPositiveDefinite
+        failure = err
+    else:
+        return SweepResult(
+            records=tuple(
+                SweepRecord(matrix_index=index, seed=ensemble.seed, spec=spec, report=report)
+                for index, ((spec, _, _), report) in enumerate(zip(games, reports))
+            ),
+            min_eig=float(min(report.min_eig for report in reports)),
+            spot_checked=len(gaps),
+            spot_check_max_rel_err=max([0.0, *gaps]),
         )
-        points = spec.k_lower + rng.random((spot_count, spec.n)) * (spec.k_upper - spec.k_lower)
-        entries = (2 * spec.n + 1) * spec.n**2  # a point and its 2 n bumps
-        gaps += _in_blocks(lambda block: _fd_jacobian_gap(spec, block), points, entries).tolist()
-    return SweepResult(
-        records=tuple(records),
-        min_eig=float(min(r.report.min_eig for r in records)),
-        spot_checked=len(gaps),
-        spot_check_max_rel_err=max([0.0, *gaps]),
-    )
+    for drawn in games:  # the first game that fails alone raises its own error
+        _sweep_games([drawn])
+    raise failure

@@ -31,7 +31,10 @@ on Python floats for one profile (:func:`_lone_fields`), with the same bits;
 of gradient play takes them as they are, once per stage.  Sweeps over many
 profiles call the kernel in blocks through :func:`_in_blocks`, whose one
 bound, ``BLOCK_ENTRIES``, caps the array entries a block holds, so a
-block's row count follows from n.  Every
+block's row count follows from n.  A block's rows may belong to different
+games of one ``n``: :func:`_game_rows` gives the kernel a row-wise view of
+them, so an ensemble shares one kernel call per block and each row keeps
+the bits it gets with its own game.  Every
 stability decision is made here: by the kernel's factor step, or, for
 :mod:`nashlq.simulate`, by :func:`_stable_modes`, which certifies a stack
 from the eigenvalues of the one ``eigh`` of ``A - K`` its costs need
@@ -48,6 +51,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -79,7 +83,9 @@ PRUNE_SLACK = 2.0**-26
 
 # Array entries one stacked block holds, e.g. P profiles of n^2 entries each;
 # bounds every blocked loop's work arrays, whatever n and the row count.
-BLOCK_ENTRIES = 2**17
+# An ensemble sweep's blocks span its games, and at 2^17 they raised its peak
+# memory by ~3.5 MiB and ran slower.
+BLOCK_ENTRIES = 2**14
 
 # Double precision's unit round-off, 2^-53.
 _UNIT_ROUNDOFF = 2.0**-53
@@ -348,10 +354,14 @@ def _closed_loop(spec: GameSpec, ks: np.ndarray) -> np.ndarray:
 
     A copy of the spec's cached ``-A``, or ``P`` of them, with each profile
     added to its diagonal; negation is exact, so the bits are those of ``-A``
-    formed from ``A`` in any memory layout.
+    formed from ``A`` in any memory layout.  A :func:`_game_rows` view's
+    ``-A`` is already ``(P, n, n)`` and its own, and becomes ``K - A`` in place.
     """
     lone = ks.ndim == 1
-    s = spec._neg_a.copy() if lone else np.repeat(spec._neg_a[None], len(ks), axis=0)
+    if lone:
+        s = spec._neg_a.copy()
+    else:
+        s = spec._neg_a if spec._neg_a.ndim == 3 else np.repeat(spec._neg_a[None], len(ks), axis=0)
     diagonal = s.ravel()[:: len(ks) + 1] if lone else _diagonals(s)  # the first is cheaper
     diagonal += ks
     return s
@@ -608,28 +618,60 @@ def _evaluate_stack(spec: GameSpec, ks: np.ndarray) -> tuple[np.ndarray, CostGra
     return m, CostGradientReport(resolvent_diag=f, cost=costs, grad=grads, k=ks.copy(), rho=spec.rho)
 
 
-def _in_blocks(fn, rows: np.ndarray, entries_per_row: int) -> np.ndarray:
-    """``fn`` over blocks of ``rows``, joined along the first axis (empty for no rows).
+def _game_rows(specs: list, owner: np.ndarray) -> SimpleNamespace:
+    """A row-wise view of games of one ``n`` for the kernel: row ``p`` of a
+    ``(P, n)`` stack is a profile of ``specs[owner[p]]``.
+
+    It holds what the kernel reads of a spec: ``n``; ``_neg_a`` and ``rho``
+    gathered per row, shapes ``(P, n, n)`` and ``(P, n)``; the largest of the
+    games' ``_norm_a``, which bounds every row's ``||K - A||_inf`` as
+    :func:`_pivot_bound` needs, while :func:`_passes_pivot_test` falls back to
+    each matrix's own test, so every decision is the row's game's; and
+    ``_square_overflows`` if any game's is, as :func:`_weighted_gains` gives
+    the same bits either way.  Its ``-A`` rows are gathered fresh and become
+    ``K - A`` in place (:func:`_closed_loop`), so a view serves one kernel call.
+    """
+    first = int(owner.min())
+    games = specs[first : int(owner.max()) + 1]
+    rows = owner - first
+    return SimpleNamespace(
+        n=games[0].n,
+        _neg_a=np.stack([spec._neg_a for spec in games])[rows],
+        rho=np.stack([spec.rho for spec in games])[rows],
+        _norm_a=max(spec._norm_a for spec in games),
+        _square_overflows=any(spec._square_overflows for spec in games),
+    )
+
+
+def _in_blocks(fn, rows: np.ndarray, entries_per_row: int, *aligned: np.ndarray) -> np.ndarray:
+    """``fn`` over blocks of ``rows``, joined along the first axis (empty for no rows);
+    ``fn`` also gets the same block of each of the ``aligned`` arrays, such as the
+    rows' games.
 
     A block holds ``max(1, BLOCK_ENTRIES // entries_per_row)`` rows, so at most
     ``BLOCK_ENTRIES`` entries unless one row alone holds more; a row is never
     split.  The kernel gives each row the same bits at any block size.
     """
     step = max(1, BLOCK_ENTRIES // entries_per_row)
-    return np.concatenate([fn(rows[i : i + step]) for i in range(0, len(rows), step)] or [[]])
+    blocks = (slice(i, i + step) for i in range(0, len(rows), step))
+    return np.concatenate([fn(rows[b], *(a[b] for a in aligned)) for b in blocks] or [[]])
 
 
-def _jacobian(spec: GameSpec, ks: np.ndarray, m: np.ndarray, cost: np.ndarray,
+def _jacobian(rho: np.ndarray, ks: np.ndarray, m: np.ndarray, cost: np.ndarray,
               curvature: np.ndarray) -> np.ndarray:
     """:func:`pseudogradient_jacobian` from kernel results that already exist:
-    the profiles ``ks``, one ``(n,)`` or a ``(P, n)`` stack, and their
-    C-ordered ``L^{-T} L^{-1}``, costs and curvatures.
+    the profiles ``ks``, one ``(n,)`` or a ``(P, n)`` stack, their tradeoffs
+    ``rho`` (a spec's, or one row per profile), and their C-ordered
+    ``L^{-T} L^{-1}``, costs and curvatures.
 
     The row factor ``(1 + rho_i k_i^2) M_ii - rho_i k_i`` is ``2 J_i - rho_i k_i``
     and the diagonal is the report's curvature, so neither formula is repeated.
     """
-    coeff = 2.0 * cost - spec.rho * ks
-    g = coeff[..., None] * ((m + m.swapaxes(-1, -2)) / 2.0) ** 2
+    coeff = 2.0 * cost - rho * ks
+    g = m + m.swapaxes(-1, -2)  # then in place: one (P, n, n) array at a time
+    g /= 2.0
+    np.square(g, out=g)
+    g *= coeff[..., None]
     _diagonals(g)[:] = curvature
     return g
 
@@ -639,7 +681,7 @@ def _jacobian_stack(spec: GameSpec, ks: np.ndarray) -> np.ndarray:
     ``(P, n)`` stack, shape ``(n, n)`` or ``(P, n, n)``: one kernel call, on the
     kernel's lone path for one profile, then :func:`_jacobian`."""
     m, report = _evaluate_stack(spec, ks)
-    return _jacobian(spec, ks, m, report.cost, report.curvature)
+    return _jacobian(report.rho, ks, m, report.cost, report.curvature)
 
 
 def resolvent(spec: GameSpec, k) -> np.ndarray:

@@ -19,8 +19,8 @@ factor of ``Sigma``: there each profile takes ``S = C^T C / B`` with
 ``C = x0 @ Q``, O(B n^2), and a batch of one costs what its trajectory
 does, bit for bit.  Per-trajectory costs, O(B n^3), are computed only by
 :func:`simulate_batch` and :func:`trajectory_cost`, in blocks of at most
-``game.BLOCK_ENTRIES // n^2`` trajectories, so no ``(B, n, n)`` array is
-formed.
+``game.BLOCK_ENTRIES // n^2`` trajectories (2^14 entries, 655 trajectories
+at n = 5), so no ``(B, n, n)`` array is formed.
 
 Every entry, :func:`simulate_state` included, takes one ``eigh`` of
 ``A - K`` per profile from :func:`game._stable_modes`, whose eigenvalues

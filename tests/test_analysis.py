@@ -1,4 +1,5 @@
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -11,10 +12,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nashlq
-from nashlq import analysis, game
+from nashlq import analysis, cli, game
 from nashlq import (
     GameSpec,
     MatrixEnsembleConfig,
+    NotPositiveDefinite,
     PreconditionViolated,
     conjecture_sweep,
     five_player_game,
@@ -80,6 +82,27 @@ def _reference_conjecture_sweep(ensemble, samples, generator, rate):
             gaps.append(_reference_fd_jacobian_gap(spec, point))
         streams.append(rng)
     return reports, gaps, streams
+
+
+def _retired_conjecture_sweep(ensemble, samples, generator):
+    """The retired game-by-game loop: each game's ``rosen_sweep``, then its spot
+    checks in their own blocks; ``(reports, gaps)``, or the first error raised."""
+    spot_count = max(1, round(samples * analysis.SPOT_CHECK_RATE)) if analysis.SPOT_CHECK_RATE > 0 else 0
+    reports, gaps = [], []
+    for index in range(ensemble.count):
+        rng = substream(ensemble.seed, index)
+        a = analysis._GENERATORS[generator](ensemble, rng)
+        spec = analysis.game_from_matrix(a, rng.uniform(0.0, 1.0, size=ensemble.n))
+        reports.append(rosen_sweep(spec, samples, seed=rng))
+        points = spec.k_lower + rng.random((spot_count, spec.n)) * (spec.k_upper - spec.k_lower)
+        entries = (2 * spec.n + 1) * spec.n**2
+        gaps += game._in_blocks(lambda ks: _lone_gaps(spec, ks), points, entries).tolist()
+    return reports, gaps
+
+
+def _lone_gaps(spec, ks):
+    """``_fd_jacobian_gap`` on profiles of the one game ``spec``."""
+    return analysis._fd_jacobian_gap([spec], ks, np.zeros(len(ks), dtype=int))
 
 
 def _ensemble_game(seed, n, generator):
@@ -438,7 +461,7 @@ class TestStackedMatchesReference:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(game, "BLOCK_ENTRIES", block * n**2)  # block // (2 n + 1) points per call
             entries = (2 * n + 1) * n**2
-            gaps = game._in_blocks(lambda ks: analysis._fd_jacobian_gap(spec, ks), points, entries)
+            gaps = game._in_blocks(lambda ks: _lone_gaps(spec, ks), points, entries)
         assert gaps.tolist() == [_reference_fd_jacobian_gap(spec, point) for point in points]
 
     @given(
@@ -478,21 +501,30 @@ class TestStackedMatchesReference:
 
 class TestEntryBound:
     """Every stacked call of an ensemble sweep, its ``rosen_sweep`` included, holds
-    at most ``game.BLOCK_ENTRIES`` entries, or the profiles of one row."""
+    at most ``game.BLOCK_ENTRIES`` entries, or the profiles of one row, and a
+    sweep block holds the points of every game it reaches."""
 
     @staticmethod
     def spy(patch, n):
-        """Record ``(profiles, one row's profiles)`` of each Jacobian and kernel call."""
+        """Record ``(profiles, one row's profiles, games)`` of each Jacobian and
+        kernel call; a call on one game's spec counts one game."""
         calls = []
 
         def spied(fn, one_row):
             def call(spec, ks):
-                calls.append((len(np.atleast_2d(ks)), one_row))  # a lone (n,) profile is one
+                games = getattr(spec, "games", 1)
+                calls.append((len(np.atleast_2d(ks)), one_row, games))  # a lone (n,) profile is one
                 return fn(spec, ks)
 
             return call
 
-        jacobian, kernel = game._jacobian_stack, game._evaluate_stack
+        def rows(specs, owner):
+            view = game_rows(specs, owner)
+            view.games = len(np.unique(owner))
+            return view
+
+        jacobian, kernel, game_rows = game._jacobian_stack, game._evaluate_stack, game._game_rows
+        patch.setattr(analysis, "_game_rows", rows)
         patch.setattr(analysis, "_jacobian_stack", spied(jacobian, 1))
         patch.setattr(game, "_evaluate_stack", spied(kernel, 1))  # inside _jacobian_stack
         patch.setattr(analysis, "_evaluate_stack", spied(kernel, 2 * n + 1))  # a spot point and its bumps
@@ -502,28 +534,108 @@ class TestEntryBound:
         st.integers(0, 10**6),
         st.sampled_from([5, 20, 60]),
         GENERATORS,
+        st.integers(1, 3),
         st.integers(1, 300),
         st.sampled_from([0.01, 0.1]),
     )
     @settings(max_examples=15, deadline=None)
-    def test_blocks_stay_within_the_bound(self, seed, n, generator, samples, rate):
-        ensemble = MatrixEnsembleConfig(n=n, count=1, seed=seed)
+    def test_blocks_stay_within_the_bound(self, seed, n, generator, count, samples, rate):
+        ensemble = MatrixEnsembleConfig(n=n, count=count, seed=seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analysis, "SPOT_CHECK_RATE", rate)
             calls = self.spy(patch, n)
             result = conjecture_sweep(ensemble, samples, generator=generator)
         assert calls
-        for profiles, one_row in calls:
+        for profiles, one_row, _ in calls:
             assert profiles * n**2 <= game.BLOCK_ENTRIES or profiles == one_row
+        # A block that reaches past a game's last point holds the next game's too.
+        step = max(1, game.BLOCK_ENTRIES // n**2)
+        straddled = any((samples + 1) * index % step for index in range(1, count))
+        assert (max(games for _, one_row, games in calls if one_row == 1) > 1) == straddled
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analysis, "SPOT_CHECK_RATE", rate)
             patch.setattr(game, "BLOCK_ENTRIES", 2**62)  # one block per sweep and per spot check
             whole = conjecture_sweep(ensemble, samples, generator=generator)
-        (record,), (reference,) = result.records, whole.records
-        assert record.report.min_eig == reference.report.min_eig
-        assert np.array_equal(record.report.witness.k, reference.report.witness.k)
+        for record, reference in zip(result.records, whole.records, strict=True):
+            assert record.report.min_eig == reference.report.min_eig
+            assert np.array_equal(record.report.witness.k, reference.report.witness.k)
         assert result.spot_checked == whole.spot_checked
         assert result.spot_check_max_rel_err == whole.spot_check_max_rel_err
+
+
+class TestStackedEnsemble:
+    """The ensemble's shared blocks give the retired game-by-game loop's bits, and
+    the error of its lowest-index failing game."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([2, 5, 20]),
+        st.integers(1, 4),
+        GENERATORS,
+        st.integers(1, 60),
+        st.sampled_from([0.0, 0.01, 0.1, 0.5]),
+        st.integers(1, 200),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_retired_loop(self, seed, n, count, generator, samples, rate, block):
+        """``block`` profiles per sweep block: fewer than a game's ``samples + 1``
+        points split the game across blocks, more pack several games into one."""
+        ensemble = MatrixEnsembleConfig(n=n, count=count, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "SPOT_CHECK_RATE", rate)
+            reports, gaps = _retired_conjecture_sweep(ensemble, samples, generator)
+            patch.setattr(game, "BLOCK_ENTRIES", block * n**2)
+            result = conjecture_sweep(ensemble, samples, generator=generator)
+        for record, report in zip(result.records, reports, strict=True):
+            assert record.report.min_eig == report.min_eig
+            assert record.report.witness.k.tobytes() == report.witness.k.tobytes()
+            assert record.report.samples == report.samples
+            assert record.report.violated == report.violated
+        assert result.spot_checked == len(gaps)
+        assert result.spot_check_max_rel_err == max([0.0, *gaps])
+
+    # Games of n = 2, built as the ensemble draws them: one that sweeps cleanly,
+    # one whose box reaches a numerically singular K - A, one whose curvature
+    # underflows at its witness, and one whose box overflows at construction.
+    GAMES = {
+        "clean": lambda: GameSpec(a=-np.eye(2), rho=0.5, k_upper=4.0),
+        "sweep": lambda: GameSpec(a=-np.eye(2), rho=0.0, k_upper=[1.0, 1e300]),
+        "witness": lambda: GameSpec(a=-np.eye(2), rho=1.0, k_upper=1e120),
+        "construction": lambda: GameSpec(a=-np.eye(2), rho=1.0, k_upper=1e200),
+    }
+
+    @pytest.mark.parametrize(
+        "kinds, error, code",
+        [
+            (("clean", "sweep", "clean", "construction"), NotPositiveDefinite, 3),
+            (("clean", "witness", "sweep"), ValueError, 2),
+            (("clean", "construction", "sweep"), ValueError, 2),
+            (("clean", "clean", "sweep", "witness", "sweep"), NotPositiveDefinite, 3),
+            (("construction",), ValueError, 2),
+        ],
+    )
+    def test_the_lowest_failing_game_raises(self, monkeypatch, capsys, tmp_path, kinds, error, code):
+        """The retired loop's error, type and message: a stacked block names its
+        failing profile by its place in the block, so that is not the message."""
+        ensemble = MatrixEnsembleConfig(n=2, count=len(kinds), seed=4)
+
+        def drawn_in_order():
+            games = iter(kinds)
+            monkeypatch.setattr(analysis, "game_from_matrix", lambda a, rho: self.GAMES[next(games)]())
+
+        drawn_in_order()
+        with pytest.raises(error) as retired:
+            _retired_conjecture_sweep(ensemble, 20, "sdd")
+        drawn_in_order()
+        with pytest.raises(error) as stacked:
+            conjecture_sweep(ensemble, 20)
+        assert str(stacked.value) == str(retired.value)
+        config = tmp_path / "ensemble.json"
+        config.write_text(json.dumps({"ensemble": {"n": 2, "count": len(kinds), "seed": 4, "samples": 20}}))
+        drawn_in_order()
+        assert cli.main(["check-rosen", "--config", str(config), "--out", str(tmp_path / "r.json")]) == code
+        label = "solver failure" if code == 3 else "error"
+        assert capsys.readouterr().err == f"{label}: {retired.value}\n"
 
 
 def _stack(seed, kind, p, n):
@@ -556,9 +668,9 @@ def _assert_sound(g):
         plain = np.linalg.eigvalsh(h).min(axis=1)
     except np.linalg.LinAlgError:
         with pytest.raises(np.linalg.LinAlgError):
-            analysis._rosen_values(g)
+            analysis._rosen_values(g, np.zeros(len(g), dtype=int))
         return np.zeros(len(g), dtype=bool)
-    values = analysis._rosen_values(g)
+    values = analysis._rosen_values(g, np.zeros(len(g), dtype=int))
     skipped = values == np.inf
     assert values[~skipped].tobytes() == plain[~skipped].tobytes()
     if skipped.any():
@@ -604,6 +716,22 @@ class TestPrunedRosenValues:
         assert _assert_sound(_stack(3, "dominant", 40, 5)).sum() > 20
         assert _assert_sound(_stack(3, "game", 40, 5)).sum() > 20
 
+    @given(st.integers(0, 10**6), st.lists(st.tuples(KINDS, st.integers(1, 20)), min_size=1, max_size=4),
+           st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_each_segment_is_pruned_alone(self, seed, segments, n):
+        """Rows of several games: each game's segment gets the values it gets alone,
+        which keep its own minimum, however far apart the games' scales are."""
+        if any(kind == "game" for kind, _ in segments):
+            n = 5  # the five-player game's Jacobians
+        stacks = [_stack(seed + i, kind, p, n) for i, (kind, p) in enumerate(segments)]
+        owner = np.repeat(np.arange(len(stacks)) + seed % 3, [len(g) for g in stacks])
+        values = analysis._rosen_values(np.concatenate(stacks), owner)
+        alone = [analysis._rosen_values(g, np.zeros(len(g), dtype=int)) for g in stacks]
+        assert values.tobytes() == np.concatenate(alone).tobytes()
+        for g in stacks:
+            _assert_sound(g)
+
 
 class TestEigensolveCount:
     """Most sweep points skip the eigensolve: count the finite values ``_rosen_values``
@@ -611,12 +739,15 @@ class TestEigensolveCount:
 
     @staticmethod
     def solved(patch):
-        counts = []
+        """Each game's ``[solved, points]``, summed over the blocks its points span."""
+        counts = {}
 
-        def counted(g):
-            values = analysis._rosen_values.__wrapped__(g)
-            if len(g) > 1:
-                counts.append((int(np.isfinite(values).sum()), len(g)))
+        def counted(g, owner):
+            values = analysis._rosen_values.__wrapped__(g, owner)
+            for game_index, finite in zip(owner.tolist(), np.isfinite(values).tolist()):
+                count = counts.setdefault(game_index, [0, 0])
+                count[0] += finite
+                count[1] += 1
             return values
 
         counted.__wrapped__ = analysis._rosen_values
@@ -626,15 +757,15 @@ class TestEigensolveCount:
     def test_five_player_sweep(self, monkeypatch):
         counts = self.solved(monkeypatch)
         rosen_sweep(five_player_game(), samples=1000, seed=0)
-        ((solved, points),) = counts
+        ((solved, points),) = counts.values()
         assert points == 1001
         assert solved <= 0.10 * points
 
     def test_sdd_ensemble(self, monkeypatch):
         counts = self.solved(monkeypatch)
         conjecture_sweep(MatrixEnsembleConfig(n=5, count=20, seed=0), samples_per_matrix=200)
-        assert len(counts) == 20
-        assert all(solved <= 0.15 * points for solved, points in counts)
+        assert sorted(counts) == list(range(20))
+        assert all(solved <= 0.15 * points for solved, points in counts.values())
 
 
 class TestJacobianConsistency:
