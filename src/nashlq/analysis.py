@@ -13,10 +13,12 @@ A sweep is stacked: the sample points go through the profile kernel of
 ``game.BLOCK_ENTRIES`` (2^14) array entries, ``n^2`` per point, so its cost
 per point is a few array operations rather than a Python-level
 factorization, and its work arrays stay that size however many points there
-are (the points themselves take ``n`` doubles each).  An ensemble is one
-such sweep: the points of all its games share the blocks, each row read
-with its own game (:func:`game._game_rows`), so a block may hold several
-games or part of one, and each game gets the bits of its own sweep.  Most
+are (the points themselves take ``n`` doubles each).  An ensemble is such
+a sweep per chunk of whole games holding at most ``game.BLOCK_ENTRIES // n``
+points, drawn and swept in index order, so it holds one chunk's points at a
+time: the points of a chunk's games share the blocks, each row read with
+its own game (:func:`game._game_rows`), so a block may hold several games
+or part of one, and each game gets the bits of its own sweep.  Most
 points skip the eigensolve: a point whose Gershgorin lower bound on the
 smallest eigenvalue, less a round-off slack, lies above the smallest
 diagonal entry, plus that slack, of some point of its game in its block
@@ -25,7 +27,7 @@ segment), so each minimum, its first witness and every reported number
 are those of a full solve.  The reported ``min_eig`` is a single
 :func:`rosen_check` at the witness, so the pair reproduces exactly.  An
 ensemble's finite-difference spot checks are stacked the same way: each
-game's spot points are drawn in one call, and all games' points and their
+game's spot points are drawn in one call, and a chunk's points and their
 ``2 n`` bumped neighbours go through one kernel call per block of the same
 bound, ``(2 n + 1) * n^2`` entries per point, which gives both the points'
 Jacobians and the bumps' gradients; a point is never split.
@@ -46,6 +48,7 @@ from functools import partial
 
 import numpy as np
 
+from . import game
 from .game import (
     ActionProfile,
     GameSpec,
@@ -329,17 +332,19 @@ def _check_sweep(samples, generator: str = "sdd", rho_range=(0.0, 1.0)) -> None:
 
 
 def _reports(specs: list, point_sets: list) -> list[RosenReport]:
-    """Each game's :func:`rosen_sweep` report over its points: one kernel call
-    per block of all games' points, the minima per (game, block) segment,
-    then one :func:`rosen_check` per game at its witness."""
+    """The :func:`rosen_sweep` report of each of the last ``len(point_sets)``
+    games of ``specs`` over its points: one kernel call per block of all their
+    points, each row numbered by its game's index in ``specs``, the minima per
+    (game, block) segment, then one :func:`rosen_check` per game at its witness."""
     sizes = [len(points) for points in point_sets]
-    owner = np.repeat(np.arange(len(specs)), sizes)
+    first = len(specs) - len(point_sets)
+    owner = np.repeat(np.arange(first, len(specs)), sizes)
     values = _in_blocks(
         lambda block, owners: _rosen_values(_jacobian_stack(_game_rows(specs, owners), block), owners),
         np.concatenate(point_sets), specs[0].n ** 2, owner,
     )
     reports = []
-    for spec, points, game_values in zip(specs, point_sets, np.split(values, np.cumsum(sizes)[:-1])):
+    for spec, points, game_values in zip(specs[first:], point_sets, np.split(values, np.cumsum(sizes)[:-1])):
         witness = points[np.argmin(game_values)]
         # Report the witness's own single-profile check, so that
         # rosen_check(spec, witness) == min_eig holds by construction.
@@ -385,17 +390,29 @@ def _fd_jacobian_gap(specs: list, ks: np.ndarray, owner: np.ndarray, step: float
     return np.max(np.abs(fd - g), axis=(1, 2)) / np.max(np.abs(g), axis=(1, 2))
 
 
-def _sweep_games(games: list) -> tuple[list[RosenReport], list[float]]:
-    """The reports and spot-check gaps of ``games``, each ``(spec, points,
-    spot points)`` of one ``n``: the points of all games in shared blocks,
-    then all spot points and their bumps in shared blocks of ``(2 n + 1) n^2``
-    entries per point."""
-    specs, point_sets, spot_sets = (list(column) for column in zip(*games))
-    reports = _reports(specs, point_sets)
-    owner = np.repeat(np.arange(len(specs)), [len(spots) for spots in spot_sets])
-    entries = (2 * specs[0].n + 1) * specs[0].n ** 2  # a point and its 2 n bumps
-    gaps = _in_blocks(lambda block, owners: _fd_jacobian_gap(specs, block, owners),
-                      np.concatenate(spot_sets), entries, owner)
+def _sweep_games(specs: list, chunk: list) -> tuple[list[RosenReport], list[float]]:
+    """The reports and spot-check gaps of the last ``len(chunk)`` games of
+    ``specs``, each ``(points, spot points)`` of one ``n``: the points of all
+    of them in shared blocks, then all spot points and their bumps in shared
+    blocks of ``(2 n + 1) n^2`` entries per point.
+
+    When the chunk fails, its games are swept again one at a time, so the
+    error raised is that of its lowest-index failing game, as each raises it
+    alone; a chunk that only ran out of memory gets its games' lone results.
+    """
+    point_sets, spot_sets = (list(column) for column in zip(*chunk))
+    first = len(specs) - len(chunk)
+    try:
+        reports = _reports(specs, point_sets)
+        owner = np.repeat(np.arange(first, len(specs)), [len(spots) for spots in spot_sets])
+        entries = (2 * specs[0].n + 1) * specs[0].n ** 2  # a point and its 2 n bumps
+        gaps = _in_blocks(lambda block, owners: _fd_jacobian_gap(specs, block, owners),
+                          np.concatenate(spot_sets), entries, owner)
+    except (ValueError, RuntimeError, MemoryError):  # a game's refusal, NotPositiveDefinite or the chunk's size
+        if len(chunk) == 1:
+            raise
+        alone = [_sweep_games(specs[: first + i + 1], [drawn]) for i, drawn in enumerate(chunk)]
+        return [swept[0][0] for swept in alone], [gap for _, lone_gaps in alone for gap in lone_gaps]
     return reports, gaps.tolist()
 
 
@@ -414,39 +431,51 @@ def conjecture_sweep(
     keys.  A fraction ``SPOT_CHECK_RATE`` of extra box points per matrix
     cross-checks the closed-form Jacobian against finite differences.
 
-    Every game is drawn first, in index order, each from its own substream:
-    its matrix, ``rho``, sweep points and spot points.  The sweep points of
-    all games then share blocks of at most ``game.BLOCK_ENTRIES`` entries,
-    one kernel call each, with the pruning per (game, block) segment
-    (:func:`_rosen_values`); the spot points share blocks too.  Each game
-    keeps the bits of its own :func:`rosen_sweep`.  When a game fails, the
-    games are swept again one at a time, so the error raised is that of the
-    lowest-index failing game, as each raises it alone.
+    The games are drawn and swept in index order, in chunks of whole games
+    holding at most ``game.BLOCK_ENTRIES // n`` sweep points (at least one
+    game), so an ensemble holds one chunk's points at a time.  Each game is
+    drawn from its own substream: its matrix, ``rho``, sweep points and spot
+    points.  The sweep points of a chunk's games then share blocks of at
+    most ``game.BLOCK_ENTRIES`` entries, one kernel call each, with the
+    pruning per (game, block) segment (:func:`_rosen_values`); the spot
+    points share blocks too.  Each game keeps the bits of its own
+    :func:`rosen_sweep`.  A chunk that fails is swept again one game at a
+    time (:func:`_sweep_games`), and a game that fails to construct first
+    lets the chunk's games drawn before it sweep, so the error raised is
+    that of the lowest-index failing game, as each raises it alone.
     """
     _check_sweep(samples_per_matrix, generator, rho_range)
     spot_count = max(1, round(samples_per_matrix * SPOT_CHECK_RATE)) if SPOT_CHECK_RATE > 0 else 0
-    games = []
-    try:
-        for index in range(ensemble.count):
-            rng = substream(ensemble.seed, index)
-            a = _GENERATORS[generator](ensemble, rng)
-            spec = game_from_matrix(a, rng.uniform(rho_range[0], rho_range[1], size=ensemble.n))
-            points = _box_samples(spec, samples_per_matrix, rng)
-            spots = spec.k_lower + rng.random((spot_count, spec.n)) * (spec.k_upper - spec.k_lower)
-            games.append((spec, points, spots))
-        reports, gaps = _sweep_games(games)
-    except (ValueError, RuntimeError, MemoryError) as err:  # a game's refusal or NotPositiveDefinite
-        failure = err
-    else:
-        return SweepResult(
-            records=tuple(
-                SweepRecord(matrix_index=index, seed=ensemble.seed, spec=spec, report=report)
-                for index, ((spec, _, _), report) in enumerate(zip(games, reports))
-            ),
-            min_eig=float(min(report.min_eig for report in reports)),
-            spot_checked=len(gaps),
-            spot_check_max_rel_err=max([0.0, *gaps]),
-        )
-    for drawn in games:  # the first game that fails alone raises its own error
-        _sweep_games([drawn])
-    raise failure
+
+    def draw(index):  # game index's points and spot points, once its spec joins specs
+        rng = substream(ensemble.seed, index)
+        a = _GENERATORS[generator](ensemble, rng)
+        spec = game_from_matrix(a, rng.uniform(rho_range[0], rho_range[1], size=ensemble.n))
+        points = _box_samples(spec, samples_per_matrix, rng)
+        spots = spec.k_lower + rng.random((spot_count, spec.n)) * (spec.k_upper - spec.k_lower)
+        specs.append(spec)
+        return points, spots
+
+    per_chunk = max(1, game.BLOCK_ENTRIES // ensemble.n // (samples_per_matrix + 1))
+    specs, reports, gaps = [], [], []
+    for start in range(0, ensemble.count, per_chunk):
+        chunk = []  # the last chunk's points go before this one's are drawn
+        try:
+            for index in range(start, min(start + per_chunk, ensemble.count)):
+                chunk.append(draw(index))
+        except (ValueError, RuntimeError, MemoryError):  # a game's refusal: the chunk's lower games sweep first
+            if chunk:
+                _sweep_games(specs, chunk)
+            raise
+        chunk_reports, chunk_gaps = _sweep_games(specs, chunk)
+        reports += chunk_reports
+        gaps += chunk_gaps
+    return SweepResult(
+        records=tuple(
+            SweepRecord(matrix_index=index, seed=ensemble.seed, spec=spec, report=report)
+            for index, (spec, report) in enumerate(zip(specs, reports))
+        ),
+        min_eig=float(min(report.min_eig for report in reports)),
+        spot_checked=len(gaps),
+        spot_check_max_rel_err=max([0.0, *gaps]),
+    )

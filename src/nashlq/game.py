@@ -83,8 +83,8 @@ PRUNE_SLACK = 2.0**-26
 
 # Array entries one stacked block holds, e.g. P profiles of n^2 entries each;
 # bounds every blocked loop's work arrays, whatever n and the row count.
-# An ensemble sweep's blocks span its games, and at 2^17 they raised its peak
-# memory by ~3.5 MiB and ran slower.
+# An ensemble sweep's blocks span a chunk's games, and at 2^17 they raised its
+# peak memory by ~3.5 MiB and ran slower.
 BLOCK_ENTRIES = 2**14
 
 # Double precision's unit round-off, 2^-53.
@@ -726,7 +726,7 @@ def marginal_cost_from_cost(cost_value, gain, tradeoff):
     cost_value = np.asarray(cost_value, dtype=float)
     gain = np.asarray(gain, dtype=float)
     tradeoff = np.asarray(tradeoff, dtype=float)
-    return 2.0 * cost_value / (1.0 + tradeoff * gain**2) * (tradeoff * gain - cost_value)
+    return 2.0 * cost_value / _weight(tradeoff, gain) * (tradeoff * gain - cost_value)
 
 
 def pseudogradient_jacobian(spec: GameSpec, k) -> np.ndarray:

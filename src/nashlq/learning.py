@@ -20,13 +20,14 @@ unchanged, until the last member stops.  Each row gets the bits it would
 get alone in :func:`run_gradient_play`, the one-start case.
 
 A model-free stage's batch depends on the seed and the stage only, never
-on the profile.  Where the gate (``_PREFETCH_DRAWS``) says the overlap
-pays, one worker thread draws stage ``l + 1``'s batch, and only draws it,
-while stage ``l`` is certified and reduced, so a batch may be drawn before
-its profile is certified.  The batch's second moment and everything else
-are formed on the calling thread once the stack is certified, on the same
-lines as inline play: no number is formed from an uncertified profile,
-and every estimate keeps its bits.  The thread lives as long as the run's
+on the profile.  Where its ``batch_size * n^2`` reaches ``_PREFETCH_WORK``,
+the calling thread's share of a stage hides the draw, so one worker thread
+draws stage ``l + 1``'s batch, and only draws it, while stage ``l`` is
+certified and reduced: a batch may be drawn before its profile is
+certified.  The batch's second moment and everything else are formed on
+the calling thread once the stack is certified, on the same lines as
+inline play: no number is formed from an uncertified profile, and every
+estimate keeps its bits.  The thread lives as long as the run's
 :func:`_estimator`.
 """
 
@@ -58,13 +59,10 @@ __all__ = [
 
 _MODES = ("exact", "model-free")
 
-# Numbers a model-free stage draws (batch_size * n) from which the next
-# stage's batch is drawn on a worker thread, for n below _PREFETCH_PLAYERS
-# and from it on: from 20 players the main thread's O(B n^2 + n^3) share of
-# a stage hides a smaller draw.  Below them the thread handoff costs more
-# than the overlap saves (the measured gate table is in CHANGES.md).
-_PREFETCH_DRAWS = (2**14, 10_000)
-_PREFETCH_PLAYERS = 20
+# A model-free stage's batch_size * n^2, the calling thread's X0^T X0 work,
+# from which the next stage's batch is drawn on a worker thread: from there
+# that work hides the worker's O(B n) draw and the thread handoff.
+_PREFETCH_WORK = 2**17
 
 # Each LearnConfig field's own rule but sim's, rule(value, name), in the order a
 # config's learn section lists them; config applies it also to a file's value a
@@ -159,7 +157,7 @@ def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
     lone path, :func:`~nashlq.game._lone_fields`, whose costs and gradients,
     Python floats with the bits a stack's row gets, become the two ``(1, n)``
     arrays with no report.  A model-free stack takes one estimate on the
-    stage's shared batch.  Where a stage draws ``_PREFETCH_DRAWS`` numbers
+    stage's shared batch.  Where ``batch_size * n^2`` is ``_PREFETCH_WORK``
     or more, one worker thread draws stage ``l + 1``'s batch
     (:func:`~nashlq.simulate._stage_batch`) from the start of stage ``l``,
     while stage ``l`` is certified and reduced; the estimate forms all else
@@ -178,7 +176,7 @@ def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
         def estimate(ks, stage):
             report = _evaluate_stack(spec, ks)[1]
             return report.cost, report.grad
-    if config.mode == "exact" or config.sim.batch_size * spec.n < _PREFETCH_DRAWS[spec.n >= _PREFETCH_PLAYERS]:
+    if config.mode == "exact" or config.sim.batch_size * spec.n**2 < _PREFETCH_WORK:
         yield estimate
         return
 

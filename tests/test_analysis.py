@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -502,7 +503,7 @@ class TestStackedMatchesReference:
 class TestEntryBound:
     """Every stacked call of an ensemble sweep, its ``rosen_sweep`` included, holds
     at most ``game.BLOCK_ENTRIES`` entries, or the profiles of one row, and a
-    sweep block holds the points of every game it reaches."""
+    sweep block holds the points of every game of its chunk it reaches."""
 
     @staticmethod
     def spy(patch, n):
@@ -548,9 +549,11 @@ class TestEntryBound:
         assert calls
         for profiles, one_row, _ in calls:
             assert profiles * n**2 <= game.BLOCK_ENTRIES or profiles == one_row
-        # A block that reaches past a game's last point holds the next game's too.
+        # A block that reaches past a game's last point holds the next game's too,
+        # unless that game starts the next chunk, whose blocks start with it.
         step = max(1, game.BLOCK_ENTRIES // n**2)
-        straddled = any((samples + 1) * index % step for index in range(1, count))
+        per_chunk = max(1, game.BLOCK_ENTRIES // n // (samples + 1))
+        straddled = any((samples + 1) * (index % per_chunk) % step for index in range(1, count))
         assert (max(games for _, one_row, games in calls if one_row == 1) > 1) == straddled
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analysis, "SPOT_CHECK_RATE", rate)
@@ -612,11 +615,20 @@ class TestStackedEnsemble:
             (("clean", "construction", "sweep"), ValueError, 2),
             (("clean", "clean", "sweep", "witness", "sweep"), NotPositiveDefinite, 3),
             (("construction",), ValueError, 2),
+            # With two games a chunk, the failing game starts or ends the second.
+            (("clean", "clean", "sweep", "construction"), NotPositiveDefinite, 3),
+            (("clean", "clean", "witness", "construction"), ValueError, 2),
+            (("clean", "clean", "clean", "sweep"), NotPositiveDefinite, 3),
+            (("clean", "clean", "clean", "construction"), ValueError, 2),
         ],
     )
-    def test_the_lowest_failing_game_raises(self, monkeypatch, capsys, tmp_path, kinds, error, code):
+    @pytest.mark.parametrize("per_chunk", [None, 1, 2], ids=["one-chunk", "chunks-of-1", "chunks-of-2"])
+    def test_the_lowest_failing_game_raises(self, monkeypatch, capsys, tmp_path, kinds, error, code, per_chunk):
         """The retired loop's error, type and message: a stacked block names its
-        failing profile by its place in the block, so that is not the message."""
+        failing profile by its place in the block, so that is not the message.
+        ``per_chunk`` games of 21 points a chunk, or all of them in one."""
+        if per_chunk:
+            monkeypatch.setattr(game, "BLOCK_ENTRIES", 2 * 21 * per_chunk)
         ensemble = MatrixEnsembleConfig(n=2, count=len(kinds), seed=4)
 
         def drawn_in_order():
@@ -636,6 +648,48 @@ class TestStackedEnsemble:
         assert cli.main(["check-rosen", "--config", str(config), "--out", str(tmp_path / "r.json")]) == code
         label = "solver failure" if code == 3 else "error"
         assert capsys.readouterr().err == f"{label}: {retired.value}\n"
+
+    def test_memory_error_replays_only_its_chunk(self, monkeypatch):
+        """A chunk whose shared blocks run out of memory is swept again one game at
+        a time, the other chunks as they are, and every game keeps its bits."""
+        ensemble = MatrixEnsembleConfig(n=5, count=5, seed=2)
+        whole = conjecture_sweep(ensemble, 20)
+        monkeypatch.setattr(game, "BLOCK_ENTRIES", 5 * 21 * 2)  # two games of 21 points a chunk
+        calls = []
+
+        def spied(specs, chunk):
+            calls.append((len(specs) - len(chunk), len(chunk)))  # (first game, games)
+            return sweep_games(specs, chunk)
+
+        def reports(specs, point_sets):
+            if len(specs) == 4 and len(point_sets) == 2:
+                raise MemoryError("Unable to allocate")
+            return retained(specs, point_sets)
+
+        sweep_games, retained = analysis._sweep_games, analysis._reports
+        monkeypatch.setattr(analysis, "_sweep_games", spied)
+        monkeypatch.setattr(analysis, "_reports", reports)
+        result = conjecture_sweep(ensemble, 20)
+        assert calls == [(0, 2), (2, 2), (2, 1), (3, 1), (4, 1)]
+        for record, reference in zip(result.records, whole.records, strict=True):
+            assert record.report.min_eig == reference.report.min_eig
+            assert record.report.witness.k.tobytes() == reference.report.witness.k.tobytes()
+        assert (result.spot_checked, result.spot_check_max_rel_err) == (whole.spot_checked,
+                                                                        whole.spot_check_max_rel_err)
+
+    def test_memory_stays_that_of_one_chunk(self):
+        """An ensemble holds one chunk's points at a time: 20 games of 5,000 points
+        at n = 5, one game a chunk, peak within 1.5 times one game's sweep."""
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                conjecture_sweep(MatrixEnsembleConfig(n=5, count=count, seed=0), 5000)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20) <= 1.5 * peak(1)
 
 
 def _stack(seed, kind, p, n):

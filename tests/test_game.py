@@ -617,6 +617,21 @@ class TestMarginalCost:
         m = marginal_cost_from_cost(cost(spec, k), k, spec.rho)
         assert np.all(np.abs(m - g) <= 4 * np.spacing(np.abs(g)))
 
+    @given(st.sampled_from([(), (1,), (5,), (3, 4)]), st.data())
+    def test_weight_keeps_the_retired_bits(self, shape, data):
+        """The weight is ``_weight``'s ``1 + rho (k k)``, with the bits of the
+        retired ``1 + rho k**2``: NumPy's ``**2`` on float64 is the product.
+        Costs and gains of a scalar, a profile or a stack, a tradeoff per player."""
+        def floats(dims):
+            size = math.prod(dims)
+            return np.reshape(data.draw(st.lists(st.floats(), min_size=size, max_size=size)), dims)
+
+        cost_value, gain, tradeoff = floats(shape), floats(shape), floats(shape[-1:])
+        with np.errstate(all="ignore"):
+            retired = 2.0 * cost_value / (1.0 + tradeoff * gain**2) * (tradeoff * gain - cost_value)
+            m = marginal_cost_from_cost(cost_value, gain, tradeoff)
+        assert m.tobytes() == np.asarray(retired).tobytes()
+
 
 class TestSecondDerivative:
     def test_scalar_zero_tradeoff_at_origin(self):

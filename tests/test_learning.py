@@ -534,7 +534,7 @@ def _prefetched_lockstep(spec, starts, config, prefetch=None):
 
     with pytest.MonkeyPatch.context() as patch:
         if prefetch is not None:
-            patch.setattr(learning, "_PREFETCH_DRAWS", (1, 1) if prefetch else (math.inf, math.inf))
+            patch.setattr(learning, "_PREFETCH_WORK", 1 if prefetch else math.inf)
         patch.setattr(learning, "_stage_batch", counted)
         runs = run_lockstep(spec, starts, config)
     return runs, sorted(drawn)
@@ -582,24 +582,34 @@ class TestPrefetch:
         [
             (5, 500, False),  # repro-model-free's shape
             (20, 2000, True),  # model-free-n20's shape
-            (4, 2**12, True),  # 2^14 draws below 20 players
-            (4, 2**12 - 1, False),
-            (5, 2000, False),
-            (10, 1000, False),
-            (10, 2000, True),
-            (16, 625, False),
-            (19, 863, True),
-            (19, 862, False),
-            (20, 500, True),  # 10^4 draws from 20 players on
-            (20, 499, False),
+            (8, 2048, True),  # batch_size * n^2 = 2^17
+            (8, 2047, False),
+            # The gate table's decisive cells (CHANGES.md): each that pays draws ahead ...
+            (15, 2000, True),
+            (20, 500, True),
+            (20, 800, True),
+            (25, 400, True),
+            (32, 313, True),
+            (40, 200, True),
             (40, 250, True),
-            (40, 200, False),
+            (40, 500, True),
+            (60, 167, True),
+            (80, 125, True),
+            # ... and each that loses stays inline.
+            (2, 5000, False),
+            (3, 5000, False),
+            (5, 2000, False),
+            (5, 3000, False),
+            (8, 1250, False),
+            (10, 1000, False),
+            (12, 834, False),
+            (20, 300, False),
         ],
     )
     def test_gate_follows_the_measured_table(self, n, batch_size, ahead):
-        """Play draws ahead from ``batch_size * n = 2^14`` below 20 players and
-        from ``10^4`` at 20 or more, as the gate table measured, and inline
-        below."""
+        """Play draws ahead from ``batch_size * n^2 = 2^17`` and inline below,
+        which puts every cell of the gate table that paid on one side and every
+        cell that lost on the other."""
         spec = GameSpec(a=-np.eye(n), rho=1.0, k_upper=2.0)
         sim = SimConfig(batch_size=batch_size, horizon=5.0, integrator="exact")
         config = LearnConfig(stages=1, mode="model-free", sim=sim)
