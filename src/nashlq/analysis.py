@@ -13,12 +13,16 @@ A sweep is stacked: the sample points go through the profile kernel of
 ``game.BLOCK_ENTRIES`` (2^14) array entries, ``n^2`` per point, so its cost
 per point is a few array operations rather than a Python-level
 factorization, and its work arrays stay that size however many points there
-are (the points themselves take ``n`` doubles each).  An ensemble is such
-a sweep per chunk of whole games holding at most ``game.BLOCK_ENTRIES // n``
-points, drawn and swept in index order, so it holds one chunk's points at a
-time: the points of a chunk's games share the blocks, each row read with
-its own game (:func:`game._game_rows`), so a block may hold several games
-or part of one, and each game gets the bits of its own sweep.  Most
+are (the points themselves take ``n`` doubles each).  One function,
+:func:`_sweep_games`, sweeps any set of games of one ``n``: a lone game for
+:func:`rosen_sweep`, and for an ensemble each chunk of whole games holding
+at most ``game.BLOCK_ENTRIES // n`` points, drawn and swept in index order,
+so it holds one chunk's points at a time.  The points of the games swept
+together share the blocks, each row read with its own game
+(:func:`game._game_rows`), so a block may hold several games or part of
+one, and each game gets the bits of its own sweep.  A chunk that fails is
+swept again one game at a time, so the error raised is that of its
+lowest-index failing game, as each raises it alone.  Most
 points skip the eigensolve: a point whose Gershgorin lower bound on the
 smallest eigenvalue, less a round-off slack, lies above the smallest
 diagonal entry, plus that slack, of some point of its game in its block
@@ -45,6 +49,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -331,35 +336,11 @@ def _check_sweep(samples, generator: str = "sdd", rho_range=(0.0, 1.0)) -> None:
         raise ValueError(f"rho_range must be two finite numbers with 0 <= lo <= hi, got {rho_range!r}")
 
 
-def _reports(specs: list, point_sets: list) -> list[RosenReport]:
-    """The :func:`rosen_sweep` report of each of the last ``len(point_sets)``
-    games of ``specs`` over its points: one kernel call per block of all their
-    points, each row numbered by its game's index in ``specs``, the minima per
-    (game, block) segment, then one :func:`rosen_check` per game at its witness."""
-    sizes = [len(points) for points in point_sets]
-    first = len(specs) - len(point_sets)
-    owner = np.repeat(np.arange(first, len(specs)), sizes)
-    values = _in_blocks(
-        lambda block, owners: _rosen_values(_jacobian_stack(_game_rows(specs, owners), block), owners),
-        np.concatenate(point_sets), specs[0].n ** 2, owner,
-    )
-    reports = []
-    for spec, points, game_values in zip(specs[first:], point_sets, np.split(values, np.cumsum(sizes)[:-1])):
-        witness = points[np.argmin(game_values)]
-        # Report the witness's own single-profile check, so that
-        # rosen_check(spec, witness) == min_eig holds by construction.
-        min_eig = rosen_check(spec, witness)
-        if min_eig <= 0.0 and not pseudogradient_jacobian(spec, witness).diagonal().all():
-            raise ValueError(f"curvature underflows to 0 at witness {witness.tolist()}: box too wide to sweep")
-        reports.append(RosenReport(min_eig, ActionProfile(witness), len(points), bool(min_eig <= 0.0)))
-    return reports
-
-
 def rosen_sweep(spec: GameSpec, samples: int = 200, seed=0) -> RosenReport:
     """Sweep the action box and report the smallest ``G + G^T`` eigenvalue.
 
     ``seed`` may be an integer or a Generator to continue an existing stream.
-    It is the one-game case of :func:`conjecture_sweep`'s path: the points are
+    It is :func:`_sweep_games` of one game with no spot points: the points are
     evaluated in stacked blocks of ``game.BLOCK_ENTRIES // n^2`` points (at
     least one); the witness is the first point attaining the minimum.  Within
     a block, only the points that may hold the block's minimum are
@@ -372,7 +353,7 @@ def rosen_sweep(spec: GameSpec, samples: int = 200, seed=0) -> RosenReport:
     """
     _check_sweep(samples)
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    return _reports([spec], [_box_samples(spec, samples, rng)])[0]
+    return _sweep_games([(spec, _box_samples(spec, samples, rng), np.empty((0, spec.n)))])[1][0]
 
 
 def _fd_jacobian_gap(specs: list, ks: np.ndarray, owner: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -390,30 +371,37 @@ def _fd_jacobian_gap(specs: list, ks: np.ndarray, owner: np.ndarray, step: float
     return np.max(np.abs(fd - g), axis=(1, 2)) / np.max(np.abs(g), axis=(1, 2))
 
 
-def _sweep_games(specs: list, chunk: list) -> tuple[list[RosenReport], list[float]]:
-    """The reports and spot-check gaps of the last ``len(chunk)`` games of
-    ``specs``, each ``(points, spot points)`` of one ``n``: the points of all
-    of them in shared blocks, then all spot points and their bumps in shared
-    blocks of ``(2 n + 1) n^2`` entries per point.
+def _sweep_games(games: list) -> tuple[list[GameSpec], list[RosenReport], list[float]]:
+    """The specs, :func:`rosen_sweep` reports and spot-check gaps of ``games``,
+    each ``(spec, points, spot points)`` of one ``n``.
 
-    When the chunk fails, its games are swept again one at a time, so the
-    error raised is that of its lowest-index failing game, as each raises it
-    alone; a chunk that only ran out of memory gets its games' lone results.
+    The points of all games go through one kernel call per block, each row
+    numbered by its game's place in ``games``, with the minima per (game,
+    block) segment (:func:`_rosen_values`); then one :func:`rosen_check` per
+    game at its witness; then all spot points and their bumps through one
+    kernel call per block of ``(2 n + 1) n^2`` entries per point.  Each game
+    gets the bits it gets alone.
     """
-    point_sets, spot_sets = (list(column) for column in zip(*chunk))
-    first = len(specs) - len(chunk)
-    try:
-        reports = _reports(specs, point_sets)
-        owner = np.repeat(np.arange(first, len(specs)), [len(spots) for spots in spot_sets])
-        entries = (2 * specs[0].n + 1) * specs[0].n ** 2  # a point and its 2 n bumps
-        gaps = _in_blocks(lambda block, owners: _fd_jacobian_gap(specs, block, owners),
-                          np.concatenate(spot_sets), entries, owner)
-    except (ValueError, RuntimeError, MemoryError):  # a game's refusal, NotPositiveDefinite or the chunk's size
-        if len(chunk) == 1:
-            raise
-        alone = [_sweep_games(specs[: first + i + 1], [drawn]) for i, drawn in enumerate(chunk)]
-        return [swept[0][0] for swept in alone], [gap for _, lone_gaps in alone for gap in lone_gaps]
-    return reports, gaps.tolist()
+    specs, point_sets, spot_sets = (list(column) for column in zip(*games))
+    n, index = specs[0].n, np.arange(len(games))
+    sizes = [len(points) for points in point_sets]
+    values = _in_blocks(
+        lambda block, owners: _rosen_values(_jacobian_stack(_game_rows(specs, owners), block), owners),
+        np.concatenate(point_sets), n**2, np.repeat(index, sizes),
+    )
+    reports = []
+    for spec, points, game_values in zip(specs, point_sets, np.split(values, np.cumsum(sizes)[:-1])):
+        witness = points[np.argmin(game_values)]
+        # Report the witness's own single-profile check, so that
+        # rosen_check(spec, witness) == min_eig holds by construction.
+        min_eig = rosen_check(spec, witness)
+        if min_eig <= 0.0 and not pseudogradient_jacobian(spec, witness).diagonal().all():
+            raise ValueError(f"curvature underflows to 0 at witness {witness.tolist()}: box too wide to sweep")
+        reports.append(RosenReport(min_eig, ActionProfile(witness), len(points), bool(min_eig <= 0.0)))
+    entries = (2 * n + 1) * n**2  # a point and its 2 n bumps
+    gaps = _in_blocks(lambda block, owners: _fd_jacobian_gap(specs, block, owners),
+                      np.concatenate(spot_sets), entries, np.repeat(index, [len(spots) for spots in spot_sets]))
+    return specs, reports, gaps.tolist()
 
 
 def conjecture_sweep(
@@ -434,42 +422,41 @@ def conjecture_sweep(
     The games are drawn and swept in index order, in chunks of whole games
     holding at most ``game.BLOCK_ENTRIES // n`` sweep points (at least one
     game), so an ensemble holds one chunk's points at a time.  Each game is
-    drawn from its own substream: its matrix, ``rho``, sweep points and spot
-    points.  The sweep points of a chunk's games then share blocks of at
-    most ``game.BLOCK_ENTRIES`` entries, one kernel call each, with the
-    pruning per (game, block) segment (:func:`_rosen_values`); the spot
-    points share blocks too.  Each game keeps the bits of its own
-    :func:`rosen_sweep`.  A chunk that fails is swept again one game at a
-    time (:func:`_sweep_games`), and a game that fails to construct first
-    lets the chunk's games drawn before it sweep, so the error raised is
-    that of the lowest-index failing game, as each raises it alone.
+    drawn once, from its own substream: its matrix, ``rho``, sweep points and
+    spot points.  A chunk's games are then swept together by
+    :func:`_sweep_games`: their sweep points share blocks of at most
+    ``game.BLOCK_ENTRIES`` entries, one kernel call each, with the pruning
+    per (game, block) segment (:func:`_rosen_values`), and their spot points
+    share blocks too, so each game keeps the bits of its own
+    :func:`rosen_sweep`.  One rule keeps the error that of the lowest-index
+    failing game, as each raises it alone: when a chunk fails to draw or to
+    sweep, the games it drew are swept again one at a time in index order,
+    then the error of a game that failed to be drawn is raised again; a
+    chunk that only ran out of memory keeps its games' lone results.
     """
     _check_sweep(samples_per_matrix, generator, rho_range)
     spot_count = max(1, round(samples_per_matrix * SPOT_CHECK_RATE)) if SPOT_CHECK_RATE > 0 else 0
 
-    def draw(index):  # game index's points and spot points, once its spec joins specs
+    def draw(index):  # game index's spec, points and spot points
         rng = substream(ensemble.seed, index)
         a = _GENERATORS[generator](ensemble, rng)
         spec = game_from_matrix(a, rng.uniform(rho_range[0], rho_range[1], size=ensemble.n))
         points = _box_samples(spec, samples_per_matrix, rng)
-        spots = spec.k_lower + rng.random((spot_count, spec.n)) * (spec.k_upper - spec.k_lower)
-        specs.append(spec)
-        return points, spots
+        return spec, points, spec.k_lower + rng.random((spot_count, spec.n)) * (spec.k_upper - spec.k_lower)
 
     per_chunk = max(1, game.BLOCK_ENTRIES // ensemble.n // (samples_per_matrix + 1))
-    specs, reports, gaps = [], [], []
+    swept = []  # (specs, reports, gaps) of each sweep
     for start in range(0, ensemble.count, per_chunk):
-        chunk = []  # the last chunk's points go before this one's are drawn
+        chunk, games = range(start, min(start + per_chunk, ensemble.count)), []  # frees the last chunk's points
         try:
-            for index in range(start, min(start + per_chunk, ensemble.count)):
-                chunk.append(draw(index))
-        except (ValueError, RuntimeError, MemoryError):  # a game's refusal: the chunk's lower games sweep first
-            if chunk:
-                _sweep_games(specs, chunk)
-            raise
-        chunk_reports, chunk_gaps = _sweep_games(specs, chunk)
-        reports += chunk_reports
-        gaps += chunk_gaps
+            for index in chunk:
+                games.append(draw(index))
+            swept.append(_sweep_games(games))
+        except (ValueError, RuntimeError, MemoryError):  # a game's refusal, NotPositiveDefinite or the chunk's size
+            swept += [_sweep_games([drawn]) for drawn in games]
+            if len(games) < len(chunk):
+                raise
+    specs, reports, gaps = (list(chain.from_iterable(column)) for column in zip(*swept))
     return SweepResult(
         records=tuple(
             SweepRecord(matrix_index=index, seed=ensemble.seed, spec=spec, report=report)

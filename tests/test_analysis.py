@@ -607,22 +607,23 @@ class TestStackedEnsemble:
         "construction": lambda: GameSpec(a=-np.eye(2), rho=1.0, k_upper=1e200),
     }
 
-    @pytest.mark.parametrize(
-        "kinds, error, code",
-        [
-            (("clean", "sweep", "clean", "construction"), NotPositiveDefinite, 3),
-            (("clean", "witness", "sweep"), ValueError, 2),
-            (("clean", "construction", "sweep"), ValueError, 2),
-            (("clean", "clean", "sweep", "witness", "sweep"), NotPositiveDefinite, 3),
-            (("construction",), ValueError, 2),
-            # With two games a chunk, the failing game starts or ends the second.
-            (("clean", "clean", "sweep", "construction"), NotPositiveDefinite, 3),
-            (("clean", "clean", "witness", "construction"), ValueError, 2),
-            (("clean", "clean", "clean", "sweep"), NotPositiveDefinite, 3),
-            (("clean", "clean", "clean", "construction"), ValueError, 2),
-        ],
-    )
-    @pytest.mark.parametrize("per_chunk", [None, 1, 2], ids=["one-chunk", "chunks-of-1", "chunks-of-2"])
+    # Orders of those games, with the retired loop's error and the CLI's exit code.
+    ORDERS = [
+        (("clean", "sweep", "clean", "construction"), NotPositiveDefinite, 3),
+        (("clean", "witness", "sweep"), ValueError, 2),
+        (("clean", "construction", "sweep"), ValueError, 2),
+        (("clean", "clean", "sweep", "witness", "sweep"), NotPositiveDefinite, 3),
+        (("construction",), ValueError, 2),
+        # With two games a chunk, the failing game starts or ends the second.
+        (("clean", "clean", "sweep", "construction"), NotPositiveDefinite, 3),
+        (("clean", "clean", "witness", "construction"), ValueError, 2),
+        (("clean", "clean", "clean", "sweep"), NotPositiveDefinite, 3),
+        (("clean", "clean", "clean", "construction"), ValueError, 2),
+    ]
+    PER_CHUNK = pytest.mark.parametrize("per_chunk", [None, 1, 2], ids=["one-chunk", "chunks-of-1", "chunks-of-2"])
+
+    @pytest.mark.parametrize("kinds, error, code", ORDERS)
+    @PER_CHUNK
     def test_the_lowest_failing_game_raises(self, monkeypatch, capsys, tmp_path, kinds, error, code, per_chunk):
         """The retired loop's error, type and message: a stacked block names its
         failing profile by its place in the block, so that is not the message.
@@ -657,18 +658,15 @@ class TestStackedEnsemble:
         monkeypatch.setattr(game, "BLOCK_ENTRIES", 5 * 21 * 2)  # two games of 21 points a chunk
         calls = []
 
-        def spied(specs, chunk):
-            calls.append((len(specs) - len(chunk), len(chunk)))  # (first game, games)
-            return sweep_games(specs, chunk)
-
-        def reports(specs, point_sets):
-            if len(specs) == 4 and len(point_sets) == 2:
+        def spied(games):
+            first = next(i for i, record in enumerate(whole.records) if np.array_equal(record.spec.a, games[0][0].a))
+            calls.append((first, len(games)))
+            if (first, len(games)) == (2, 2):
                 raise MemoryError("Unable to allocate")
-            return retained(specs, point_sets)
+            return sweep_games(games)
 
-        sweep_games, retained = analysis._sweep_games, analysis._reports
+        sweep_games = analysis._sweep_games
         monkeypatch.setattr(analysis, "_sweep_games", spied)
-        monkeypatch.setattr(analysis, "_reports", reports)
         result = conjecture_sweep(ensemble, 20)
         assert calls == [(0, 2), (2, 2), (2, 1), (3, 1), (4, 1)]
         for record, reference in zip(result.records, whole.records, strict=True):
@@ -676,6 +674,50 @@ class TestStackedEnsemble:
             assert record.report.witness.k.tobytes() == reference.report.witness.k.tobytes()
         assert (result.spot_checked, result.spot_check_max_rel_err) == (whole.spot_checked,
                                                                         whole.spot_check_max_rel_err)
+
+    @staticmethod
+    def draws(patch):
+        """``_box_samples`` calls per game, told by the ``substream(seed, index)`` key
+        of the stream it draws from."""
+        keys, counts = {}, {}
+
+        def keyed(*key):
+            rng = substream(*key)
+            keys[id(rng)] = rng, key  # holding rng keeps its id from being reused
+            return rng
+
+        def counted(spec, samples, rng):
+            key = keys[id(rng)][1]
+            counts[key] = counts.get(key, 0) + 1
+            return box_samples(spec, samples, rng)
+
+        box_samples = analysis._box_samples
+        patch.setattr(analysis, "substream", keyed)
+        patch.setattr(analysis, "_box_samples", counted)
+        return counts
+
+    def test_each_game_is_drawn_once(self, monkeypatch):
+        monkeypatch.setattr(game, "BLOCK_ENTRIES", 5 * 21 * 2)  # two games of 21 points a chunk
+        counts = self.draws(monkeypatch)
+        conjecture_sweep(MatrixEnsembleConfig(n=5, count=7, seed=2), 20)
+        assert counts == {(2, index): 1 for index in range(7)}
+
+    @pytest.mark.parametrize("kinds, error, code", ORDERS)
+    @PER_CHUNK
+    def test_a_failing_chunk_draws_each_game_once(self, monkeypatch, kinds, error, code, per_chunk):
+        """Every game up to the failing game's chunk, short of a game that fails
+        to construct, is drawn once, and none after it."""
+        if per_chunk:
+            monkeypatch.setattr(game, "BLOCK_ENTRIES", 2 * 21 * per_chunk)
+        games = iter(kinds)
+        monkeypatch.setattr(analysis, "game_from_matrix", lambda a, rho: self.GAMES[next(games)]())
+        counts = self.draws(monkeypatch)
+        with pytest.raises(error):
+            conjecture_sweep(MatrixEnsembleConfig(n=2, count=len(kinds), seed=4), 20)
+        failing = next(index for index, kind in enumerate(kinds) if kind != "clean")
+        chunk_end = (failing // per_chunk + 1) * per_chunk if per_chunk else len(kinds)
+        drawn = min(chunk_end, len(kinds), (*kinds, "construction").index("construction"))
+        assert counts == {(4, index): 1 for index in range(drawn)}
 
     def test_memory_stays_that_of_one_chunk(self):
         """An ensemble holds one chunk's points at a time: 20 games of 5,000 points
@@ -793,19 +835,27 @@ class TestEigensolveCount:
 
     @staticmethod
     def solved(patch):
-        """Each game's ``[solved, points]``, summed over the blocks its points span."""
-        counts = {}
+        """Each game's ``[solved, points]``, summed over the blocks its points span;
+        a sweep's rows are numbered within it, so each sweep's first game index,
+        the games swept before it, is added."""
+        counts, first = {}, [0]
+
+        def swept(games):
+            result = sweep_games(games)
+            first[0] += len(games)
+            return result
 
         def counted(g, owner):
             values = analysis._rosen_values.__wrapped__(g, owner)
-            for game_index, finite in zip(owner.tolist(), np.isfinite(values).tolist()):
+            for game_index, finite in zip((owner + first[0]).tolist(), np.isfinite(values).tolist()):
                 count = counts.setdefault(game_index, [0, 0])
                 count[0] += finite
                 count[1] += 1
             return values
 
-        counted.__wrapped__ = analysis._rosen_values
+        counted.__wrapped__, sweep_games = analysis._rosen_values, analysis._sweep_games
         patch.setattr(analysis, "_rosen_values", counted)
+        patch.setattr(analysis, "_sweep_games", swept)
         return counts
 
     def test_five_player_sweep(self, monkeypatch):
