@@ -28,8 +28,9 @@ smallest eigenvalue, less a round-off slack, lies above the smallest
 diagonal entry, plus that slack, of some point of its game in its block
 cannot hold its game's minimum (:func:`_rosen_values`, per (game, block)
 segment), so each minimum, its first witness and every reported number
-are those of a full solve.  The reported ``min_eig`` is a single
-:func:`rosen_check` at the witness, so the pair reproduces exactly.  An
+are those of a full solve.  The reported ``min_eig`` is :func:`rosen_check`
+at the witness, a sweep's witnesses stacked in blocks with the bits of
+single-profile checks, so the pair reproduces exactly.  An
 ensemble's finite-difference spot checks are stacked the same way: each
 game's spot points are drawn in one call, and a chunk's points and their
 ``2 n`` bumped neighbours go through one kernel call per block of the same
@@ -67,6 +68,7 @@ from .game import (
     _require_each,
     _require_finite,
     _require_int,
+    profile_array,
     pseudogradient_jacobian,
 )
 from .simulate import _SMALLEST_NORMAL, substream
@@ -205,10 +207,18 @@ def _rosen_values(g: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return values
 
 
-def rosen_check(spec: GameSpec, k) -> float:
-    """Smallest eigenvalue of ``G(k) + G(k)^T``; positive certifies k."""
-    g = pseudogradient_jacobian(spec, k)
-    return float(np.linalg.eigvalsh(g + g.T).min())
+def rosen_check(spec: GameSpec, k) -> float | np.ndarray:
+    """Smallest eigenvalue of ``G(k) + G(k)^T``; positive certifies k.
+
+    ``k`` may also be a ``(P, n)`` stack of profiles, with ``spec`` a game or a
+    :func:`game._game_rows` view; the result is then one value per row, each
+    with the bits of its lone check: one kernel call, and one stacked
+    ``eigvalsh``, which works matrix by matrix.
+    """
+    ks = profile_array(k)
+    g = _jacobian_stack(spec, ks) if ks.ndim == 2 else pseudogradient_jacobian(spec, ks)
+    values = np.linalg.eigvalsh(g + g.swapaxes(-1, -2)).min(axis=-1)
+    return values if ks.ndim == 2 else float(values)
 
 
 def two_player_mu(a11: float, a12: float, a22: float, k1: float, k2: float) -> float:
@@ -377,10 +387,12 @@ def _sweep_games(games: list) -> tuple[list[GameSpec], list[RosenReport], list[f
 
     The points of all games go through one kernel call per block, each row
     numbered by its game's place in ``games``, with the minima per (game,
-    block) segment (:func:`_rosen_values`); then one :func:`rosen_check` per
-    game at its witness; then all spot points and their bumps through one
-    kernel call per block of ``(2 n + 1) n^2`` entries per point.  Each game
-    gets the bits it gets alone.
+    block) segment (:func:`_rosen_values`); then the games' witnesses through
+    one stacked :func:`rosen_check` per block, and a violating witness's
+    Jacobian diagonal checked for an underflowed curvature, the lowest-index
+    game's first; then all spot points and their bumps through one kernel
+    call per block of ``(2 n + 1) n^2`` entries per point.  Each game gets
+    the bits it gets alone.
     """
     specs, point_sets, spot_sets = (list(column) for column in zip(*games))
     n, index = specs[0].n, np.arange(len(games))
@@ -389,15 +401,17 @@ def _sweep_games(games: list) -> tuple[list[GameSpec], list[RosenReport], list[f
         lambda block, owners: _rosen_values(_jacobian_stack(_game_rows(specs, owners), block), owners),
         np.concatenate(point_sets), n**2, np.repeat(index, sizes),
     )
+    witnesses = np.array([points[np.argmin(game_values)]
+                          for points, game_values in zip(point_sets, np.split(values, np.cumsum(sizes)[:-1]))])
+    # Report the witnesses' own checks, stacked in blocks, which have the bits of
+    # single-profile ones, so that rosen_check(spec, witness) == min_eig holds by construction.
+    min_eigs = _in_blocks(lambda block, owners: rosen_check(_game_rows(specs, owners), block),
+                          witnesses, n**2, index).tolist()
     reports = []
-    for spec, points, game_values in zip(specs, point_sets, np.split(values, np.cumsum(sizes)[:-1])):
-        witness = points[np.argmin(game_values)]
-        # Report the witness's own single-profile check, so that
-        # rosen_check(spec, witness) == min_eig holds by construction.
-        min_eig = rosen_check(spec, witness)
+    for spec, points, witness, min_eig in zip(specs, point_sets, witnesses, min_eigs):  # lowest index first
         if min_eig <= 0.0 and not pseudogradient_jacobian(spec, witness).diagonal().all():
             raise ValueError(f"curvature underflows to 0 at witness {witness.tolist()}: box too wide to sweep")
-        reports.append(RosenReport(min_eig, ActionProfile(witness), len(points), bool(min_eig <= 0.0)))
+        reports.append(RosenReport(min_eig, ActionProfile(witness), len(points), min_eig <= 0.0))
     entries = (2 * n + 1) * n**2  # a point and its 2 n bumps
     gaps = _in_blocks(lambda block, owners: _fd_jacobian_gap(specs, block, owners),
                       np.concatenate(spot_sets), entries, np.repeat(index, [len(spots) for spots in spot_sets]))

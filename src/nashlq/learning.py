@@ -12,12 +12,12 @@ the system matrices or the others' actions.
 Play runs in lockstep over an ``(R, n)`` stack of profiles, one per start.
 The gradient source is chosen once per run (:func:`_estimator`): per stage,
 an exact stack takes one call of the profile kernel (a lone start its lone
-path, whose Python floats become the stage's arrays with no report), a
-model-free stack one estimate on the stage's common batch.  In
-:func:`_lockstep`, the one loop over it, a member stops at the first stage
-its gradient meets the tolerance, or at the budget, and keeps its row,
-unchanged, until the last member stops.  Each row gets the bits it would
-get alone in :func:`run_gradient_play`, the one-start case.
+path, whose Python floats become one ``(2, n)`` array of costs and
+gradients with no report), a model-free stack one estimate on the stage's
+common batch.  In :func:`_lockstep`, the one loop over it, a member stops
+at the first stage its gradient meets the tolerance, or at the budget, and
+keeps its row, unchanged, until the last member stops.  Each row gets the
+bits it would get alone in :func:`run_gradient_play`, the one-start case.
 
 A model-free stage's batch depends on the seed and the stage only, never
 on the profile.  Where its ``batch_size * n^2`` reaches ``_PREFETCH_WORK``,
@@ -61,7 +61,12 @@ _MODES = ("exact", "model-free")
 
 # A model-free stage's batch_size * n^2, the calling thread's X0^T X0 work,
 # from which the next stage's batch is drawn on a worker thread: from there
-# that work hides the worker's O(B n) draw and the thread handoff.
+# that work hides the worker's O(B n) draw and the thread handoff.  That
+# assumes a second core runs the worker while the caller works.  On a 2-vCPU
+# KVM guest where two threads each forming a 2000 x 20 Gram took 2.6x as long
+# as one, prefetched play was the slower: model-free play at n = 20, B = 2000
+# took 26.4-28.5 ms prefetched against 23.8-24.9 ms inline (medians of three
+# passes of 12 alternations, one BLAS thread).
 _PREFETCH_WORK = 2**17
 
 # Each LearnConfig field's own rule but sim's, rule(value, name), in the order a
@@ -155,14 +160,14 @@ def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
     last member stops, and both results have its shape.  An exact stack
     takes one call of the profile kernel; a lone start takes the kernel's
     lone path, :func:`~nashlq.game._lone_fields`, whose costs and gradients,
-    Python floats with the bits a stack's row gets, become the two ``(1, n)``
-    arrays with no report.  A model-free stack takes one estimate on the
-    stage's shared batch.  Where ``batch_size * n^2`` is ``_PREFETCH_WORK``
-    or more, one worker thread draws stage ``l + 1``'s batch
-    (:func:`~nashlq.simulate._stage_batch`) from the start of stage ``l``,
-    while stage ``l`` is certified and reduced; the estimate forms all else
-    from that batch on this thread.  When the run returns or raises, a draw
-    not yet begun is cancelled and the worker joined.
+    Python floats with the bits a stack's row gets, become one ``(2, n)``
+    array with no report, returned as its two rows.  A model-free stack
+    takes one estimate on the stage's shared batch.  Where ``batch_size *
+    n^2`` is ``_PREFETCH_WORK`` or more, one worker thread draws stage
+    ``l + 1``'s batch (:func:`~nashlq.simulate._stage_batch`) from the start
+    of stage ``l``, while stage ``l`` is certified and reduced; the estimate
+    forms all else from that batch on this thread.  When the run returns or
+    raises, a draw not yet begun is cancelled and the worker joined.
     """
     if config.mode == "model-free":
         def estimate(ks, stage, batch=None):
@@ -170,8 +175,8 @@ def _estimator(spec: GameSpec, config: LearnConfig, rows: int):
             return costs, marginal_cost_from_cost(costs, _weighted_gains(spec, ks), spec.rho)
     elif rows == 1:
         def estimate(ks, stage):
-            _, costs, grads = _lone_fields(spec, ks[0])
-            return np.array([costs]), np.array([grads])
+            fields = np.array(_lone_fields(spec, ks[0])[1:])
+            return fields[:1], fields[1:]
     else:
         def estimate(ks, stage):
             report = _evaluate_stack(spec, ks)[1]
@@ -263,8 +268,9 @@ def _lockstep(spec: GameSpec, ks: np.ndarray, config: LearnConfig) -> list[Learn
             np.minimum(moved, upper, out=moved)
             ks = moved if held is None else np.where(held, ks, moved)
 
-    # One read-only (stages, R, n) array per field, viewed member-major.
-    blocks = [_frozen(np.array(column)).swapaxes(0, 1) for column in zip(*trace)]
+    # One read-only (stages, R, n) array per field, joined from the stages'
+    # (R, n) arrays and viewed member-major.
+    blocks = [_frozen(np.concatenate(column)).reshape(-1, *ks.shape).swapaxes(0, 1) for column in zip(*trace)]
     converged = ((ends < last) | met).tolist()  # a stop before the budget met the tolerance
     return [
         LearnRun(*(block[r, :end + 1] for block in blocks), converged=converged[r])

@@ -4,7 +4,10 @@ Histories go to CSV (header ``stage,k_1..k_n,J_1..J_n,g_1..g_n``) or JSON
 lines; floats are written in shortest round-trip form so re-reading a file
 reproduces every value bit for bit.  All files are UTF-8 with LF endings.
 Rows are handed to the writers as Python scalars (NumPy's ``tolist``):
-under NumPy 2, ``repr`` of a NumPy float is ``np.float64(...)``.
+under NumPy 2, ``repr`` of a NumPy float is ``np.float64(...)``.  A history
+CSV reads the run's ``(rows, 3 n)`` table with one ``tolist`` and takes one
+``float.__repr__`` per value, the ``str`` of a Python float; each line goes
+to the file as it is formed, so the file's text is never held whole.
 """
 
 from __future__ import annotations
@@ -53,14 +56,15 @@ def history_header(n: int) -> list[str]:
     )
 
 
-def _rows(run: LearnRun):
-    """``(stage, k, J, g)`` per recorded stage, read from the run's arrays."""
-    return zip(itertools.count(), run.profiles.tolist(), run.costs.tolist(), run.grads.tolist())
-
-
 def write_history_csv(path, run: LearnRun) -> Path:
-    rows = ([stage, *k, *j, *g] for stage, k, j, g in _rows(run))
-    return write_csv(path, history_header(len(run.final)), rows)
+    """Write the run's history as CSV: the :func:`write_csv` bytes of
+    ``[stage, *k, *J, *g]`` per row, formed line by line from its table."""
+    path = Path(path)
+    table = np.concatenate([run.profiles, run.costs, run.grads], axis=1).tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(history_header(len(run.final))) + "\n")
+        fh.writelines(f"{stage}," + ",".join(map(float.__repr__, row)) + "\n" for stage, row in enumerate(table))
+    return path
 
 
 def read_history_csv(path) -> dict[str, np.ndarray]:
@@ -82,8 +86,9 @@ def read_history_csv(path) -> dict[str, np.ndarray]:
 
 def write_history_jsonl(path, run: LearnRun) -> Path:
     path = Path(path)
+    rows = zip(run.profiles.tolist(), run.costs.tolist(), run.grads.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for stage, k, j, g in _rows(run):
+        for stage, (k, j, g) in enumerate(rows):
             fh.write(json.dumps({"stage": stage, "k": k, "J": j, "g": g}))
             fh.write("\n")
     return path

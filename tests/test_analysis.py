@@ -287,6 +287,23 @@ class TestRosenSweep:
         report = rosen_sweep(spec, samples=100, seed=1)
         assert rosen_check(spec, report.witness.k) == report.min_eig
 
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_check_equals_per_profile_checks(self, seed, n, owner):
+        """A ``(P, n)`` stack, read row by row with its game through a
+        ``_game_rows`` view or with one spec, gives each row the bits of the
+        single-profile check."""
+        games = [random_game(seed + index, n=n) for index in range(max(owner) + 1)]
+        specs = [spec for spec, _ in games]
+        ks = np.array([spec.k_lower + (index + 1) / 13 * (spec.k_upper - spec.k_lower)
+                       for index, spec in enumerate(specs[o] for o in owner)])
+        stacked = rosen_check(game._game_rows(specs, np.array(owner)), ks)
+        alone = np.array([rosen_check(specs[o], k) for o, k in zip(owner, ks)])
+        assert stacked.shape == (len(owner),)
+        assert stacked.tobytes() == alone.tobytes()
+        one_game = rosen_check(specs[0], ks)
+        assert one_game.tobytes() == np.array([rosen_check(specs[0], k) for k in ks]).tobytes()
+
     @staticmethod
     def per_profile_min(spec, samples, seed):
         """The sweep as a loop of single-profile checks over the same points."""
@@ -507,24 +524,35 @@ class TestEntryBound:
 
     @staticmethod
     def spy(patch, n):
-        """Record ``(profiles, one row's profiles, games)`` of each Jacobian and
-        kernel call; a call on one game's spec counts one game."""
-        calls = []
+        """Record ``(profiles, one row's profiles, games, rechecking)`` of each
+        Jacobian and kernel call; a call on one game's spec counts one game, and
+        ``rechecking`` marks the calls of the witnesses' ``rosen_check``, a stack
+        with one row per game."""
+        calls, rechecking = [], [False]
 
         def spied(fn, one_row):
             def call(spec, ks):
                 games = getattr(spec, "games", 1)
-                calls.append((len(np.atleast_2d(ks)), one_row, games))  # a lone (n,) profile is one
+                # a lone (n,) profile is one
+                calls.append((len(np.atleast_2d(ks)), one_row, games, rechecking[0]))
                 return fn(spec, ks)
 
             return call
+
+        def recheck(spec, ks):
+            rechecking[0] = True
+            try:
+                return check(spec, ks)
+            finally:
+                rechecking[0] = False
 
         def rows(specs, owner):
             view = game_rows(specs, owner)
             view.games = len(np.unique(owner))
             return view
 
-        jacobian, kernel, game_rows = game._jacobian_stack, game._evaluate_stack, game._game_rows
+        jacobian, kernel, game_rows, check = game._jacobian_stack, game._evaluate_stack, game._game_rows, rosen_check
+        patch.setattr(analysis, "rosen_check", recheck)
         patch.setattr(analysis, "_game_rows", rows)
         patch.setattr(analysis, "_jacobian_stack", spied(jacobian, 1))
         patch.setattr(game, "_evaluate_stack", spied(kernel, 1))  # inside _jacobian_stack
@@ -546,15 +574,16 @@ class TestEntryBound:
             patch.setattr(analysis, "SPOT_CHECK_RATE", rate)
             calls = self.spy(patch, n)
             result = conjecture_sweep(ensemble, samples, generator=generator)
-        assert calls
-        for profiles, one_row, _ in calls:
+        assert calls and any(rechecked for *_, rechecked in calls)
+        for profiles, one_row, *_ in calls:
             assert profiles * n**2 <= game.BLOCK_ENTRIES or profiles == one_row
-        # A block that reaches past a game's last point holds the next game's too,
-        # unless that game starts the next chunk, whose blocks start with it.
+        # A sweep block that reaches past a game's last point holds the next game's
+        # too, unless that game starts the next chunk, whose blocks start with it.
         step = max(1, game.BLOCK_ENTRIES // n**2)
         per_chunk = max(1, game.BLOCK_ENTRIES // n // (samples + 1))
         straddled = any((samples + 1) * (index % per_chunk) % step for index in range(1, count))
-        assert (max(games for _, one_row, games in calls if one_row == 1) > 1) == straddled
+        swept = [games for _, one_row, games, rechecked in calls if one_row == 1 and not rechecked]
+        assert (max(swept) > 1) == straddled
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analysis, "SPOT_CHECK_RATE", rate)
             patch.setattr(game, "BLOCK_ENTRIES", 2**62)  # one block per sweep and per spot check
@@ -564,6 +593,22 @@ class TestEntryBound:
             assert np.array_equal(record.report.witness.k, reference.report.witness.k)
         assert result.spot_checked == whole.spot_checked
         assert result.spot_check_max_rel_err == whole.spot_check_max_rel_err
+
+    def test_witness_recheck_stays_within_the_bound(self, monkeypatch):
+        """A chunk holds more games than a block holds witnesses where a game has
+        fewer points than ``n``: its witnesses are rechecked in blocks too."""
+        monkeypatch.setattr(game, "BLOCK_ENTRIES", 2 * 60**2)  # two witnesses a block, 60 games a chunk
+        ensemble = MatrixEnsembleConfig(n=60, count=5, seed=1)
+        whole = conjecture_sweep(ensemble, 1)
+        calls = self.spy(monkeypatch, 60)
+        result = conjecture_sweep(ensemble, 1)
+        # each block's Jacobian call and the kernel call inside it
+        assert [profiles for profiles, *_, rechecked in calls if rechecked] == [2, 2, 2, 2, 1, 1]
+        for profiles, one_row, *_ in calls:
+            assert profiles * 60**2 <= game.BLOCK_ENTRIES or profiles == one_row
+        for record, reference in zip(result.records, whole.records, strict=True):
+            assert record.report.min_eig == reference.report.min_eig
+            assert rosen_check(record.spec, record.report.witness.k) == record.report.min_eig
 
 
 class TestStackedEnsemble:
@@ -598,12 +643,13 @@ class TestStackedEnsemble:
         assert result.spot_check_max_rel_err == max([0.0, *gaps])
 
     # Games of n = 2, built as the ensemble draws them: one that sweeps cleanly,
-    # one whose box reaches a numerically singular K - A, one whose curvature
-    # underflows at its witness, and one whose box overflows at construction.
+    # one whose box reaches a numerically singular K - A, two whose curvatures
+    # underflow at their witnesses, and one whose box overflows at construction.
     GAMES = {
         "clean": lambda: GameSpec(a=-np.eye(2), rho=0.5, k_upper=4.0),
         "sweep": lambda: GameSpec(a=-np.eye(2), rho=0.0, k_upper=[1.0, 1e300]),
         "witness": lambda: GameSpec(a=-np.eye(2), rho=1.0, k_upper=1e120),
+        "witness-free": lambda: GameSpec(a=-np.eye(2), rho=0.0, k_upper=4.149515568880993e180),
         "construction": lambda: GameSpec(a=-np.eye(2), rho=1.0, k_upper=1e200),
     }
 
@@ -614,6 +660,9 @@ class TestStackedEnsemble:
         (("clean", "construction", "sweep"), ValueError, 2),
         (("clean", "clean", "sweep", "witness", "sweep"), NotPositiveDefinite, 3),
         (("construction",), ValueError, 2),
+        # Two games whose curvatures underflow at their witnesses: the first names its own.
+        (("clean", "witness-free", "witness"), ValueError, 2),
+        (("witness", "witness-free"), ValueError, 2),
         # With two games a chunk, the failing game starts or ends the second.
         (("clean", "clean", "sweep", "construction"), NotPositiveDefinite, 3),
         (("clean", "clean", "witness", "construction"), ValueError, 2),
@@ -649,6 +698,20 @@ class TestStackedEnsemble:
         assert cli.main(["check-rosen", "--config", str(config), "--out", str(tmp_path / "r.json")]) == code
         label = "solver failure" if code == 3 else "error"
         assert capsys.readouterr().err == f"{label}: {retired.value}\n"
+
+    @pytest.mark.parametrize("kinds", [("clean", "witness-free", "witness"), ("witness", "witness-free")])
+    def test_one_sweep_raises_its_lowest_underflowed_witness(self, kinds):
+        """The witnesses of one sweep are rechecked together, and the first game
+        whose curvature underflows raises, as it does alone."""
+        games = [(spec, analysis._box_samples(spec, 20, substream(index)), np.empty((0, 2)))
+                 for index, spec in enumerate(self.GAMES[kind]() for kind in kinds)]
+        lowest = next(index for index, kind in enumerate(kinds) if kind.startswith("witness"))
+        with pytest.raises(ValueError) as alone:
+            analysis._sweep_games(games[lowest : lowest + 1])
+        with pytest.raises(ValueError) as together:
+            analysis._sweep_games(games)
+        assert str(together.value) == str(alone.value)
+        assert str(alone.value).startswith("curvature underflows to 0 at witness")
 
     def test_memory_error_replays_only_its_chunk(self, monkeypatch):
         """A chunk whose shared blocks run out of memory is swept again one game at

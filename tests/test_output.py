@@ -1,12 +1,14 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nashlq import LearnConfig, run_gradient_play, scalar_game, five_player_game
+from nashlq.learning import LearnRun, run_lockstep
 from nashlq.output import (
     history_header,
     read_history_csv,
@@ -29,6 +31,14 @@ def _csv_writer_reference(path, header, rows):
     return path
 
 
+# The history writer write_history_csv replaced, kept as its reference: one
+# [stage, *k, *J, *g] row of Python scalars per stage through write_csv.
+def _history_csv_reference(path, run):
+    rows = zip(run.profiles.tolist(), run.costs.tolist(), run.grads.tolist())
+    return write_csv(path, history_header(len(run.final)),
+                     ([stage, *k, *j, *g] for stage, (k, j, g) in enumerate(rows)))
+
+
 # Every kind of field the program writes: ints, floats and its fixed labels.
 _LABELS = ["initial", "final", "published_final"]
 _FIELDS = st.one_of(
@@ -41,6 +51,21 @@ _HEADERS = st.one_of(
     st.just(["row", "round", "player_1", "player_2"]),
     st.just(["player", "k", "estimate", "closed_form", "rel_error"]),
 )
+
+
+# Values whose shortest round-trip form is easy to get wrong.
+_HISTORY_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 0.1 + 0.2, math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def _learn_runs(draw):
+    """A run of ``n`` players and ``rows`` recorded stages, from random values."""
+    n, rows = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    values = draw(st.lists(_HISTORY_VALUES, min_size=3 * rows * n, max_size=3 * rows * n))
+    return LearnRun(*np.array(values).reshape(3, rows, n), converged=False)
 
 
 def small_run(n_stages=7):
@@ -80,6 +105,24 @@ class TestCsv:
         run = run_gradient_play(scalar_game(), [0.69], LearnConfig(stages=2))
         data = read_history_csv(write_history_csv(tmp_path / "h.csv", run))
         assert data["k"][0, 0] == 0.69
+
+
+class TestHistoryCsvBytes:
+    @given(_learn_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_equal_reference(self, tmp_path_factory, run):
+        out = tmp_path_factory.mktemp("history")
+        written = write_history_csv(out / "history.csv", run).read_bytes()
+        assert written == _history_csv_reference(out / "reference.csv", run).read_bytes()
+
+    def test_lockstep_member_bytes_equal_reference(self, tmp_path):
+        """A member of a stack, whose rows are a strided view of the stack's arrays."""
+        starts = [np.full(5, 0.5), np.ones(5), np.full(5, 2.0)]
+        runs = run_lockstep(five_player_game(), starts, LearnConfig(stages=2000, grad_tolerance=1e-9))
+        run = runs[1]
+        assert not run.profiles.flags.c_contiguous and run.stages_used != runs[0].stages_used
+        written = write_history_csv(tmp_path / "history.csv", run).read_bytes()
+        assert written == _history_csv_reference(tmp_path / "reference.csv", run).read_bytes()
 
 
 class TestWriteCsv:
